@@ -20,7 +20,6 @@ from .drt import (
     PathTrajectory,
     PredictionConfig,
     drt_run,
-    interaction_trajectory,
     predict_snapshot_drt,
 )
 from .edrt import (
@@ -31,9 +30,6 @@ from .edrt import (
     death_time,
     edrt_run,
     extrapolate_field,
-    extrapolate_field_diffraction,
-    extrapolate_field_mixed,
-    extrapolate_field_reflection,
     match_paths,
     predict_snapshot_edrt,
     solve_lifetimes,

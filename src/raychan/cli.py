@@ -9,7 +9,8 @@
 `run` writes snapshots.csv, manifest.json, timing.json, pdp.csv, and (for
 mode edrt) lifetimes.csv into the output directory; when --reference points
 at a directory holding another run's snapshots.csv, errors.json is written
-as well.  Exit codes: 0 success, 1 validation error, 2 runtime error.
+as well.  Exit codes: 0 success; 1 invalid input (ValidationError,
+SceneError, a missing file); 2 any other failure at run time.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from . import io as artifact_io
 from .drt import PredictionConfig, drt_run
 from .edrt import edrt_run
 from .metrics import error_report, pdp_extract
-from .rt import trace_snapshot
 from .runs import RunResult, oracle_run, rt_run
 from .scene import Scene, SceneError, load_scene, save_scene
 from .scenario import generate_v2v_scenario
@@ -74,23 +74,23 @@ def execute_run(scene: Scene, mode: str, t_c: float, dt: float,
         return rt_run(scene, dt, duration)
     if mode == "oracle":
         return oracle_run(scene, dt, duration)
-    config = PredictionConfig(t_c=t_c, dt=dt, rounds=rounds)
+    try:
+        config = PredictionConfig(t_c=t_c, dt=dt, rounds=rounds)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
     if mode == "edrt":
         return edrt_run(scene, config)
-    run = drt_run(scene, config)
-    # close the grid so every mode reports the same positions
-    with run.timing.total():
-        final = trace_snapshot(scene, duration, run.timing)
-    run.snapshots.append(final)
-    run.rt_times.append(duration)
-    return run
+    return drt_run(scene, config)
 
 
 def _cmd_generate(args) -> int:
-    scene = generate_v2v_scenario(
-        length_m=args.length, street_width_m=args.width,
-        building_segments=args.segments,
-        speeds=(args.tx_speed, args.rx_speed), seed=args.seed)
+    try:
+        scene = generate_v2v_scenario(
+            length_m=args.length, street_width_m=args.width,
+            building_segments=args.segments,
+            speeds=(args.tx_speed, args.rx_speed), seed=args.seed)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
     save_scene(scene, args.out)
     print(f"wrote {args.out}: {len(scene.facets)} facets, {len(scene.edges)} edges")
     return 0
@@ -132,10 +132,10 @@ def main(argv=None) -> int:
         if args.command == "generate":
             return _cmd_generate(args)
         return _cmd_run(args)
-    except (ValidationError, SceneError, ValueError, FileNotFoundError) as exc:
+    except (ValidationError, SceneError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except Exception as exc:  # noqa: BLE001 - runtime failures map to exit 2
+    except Exception as exc:  # noqa: BLE001 - any other failure, ValueError included
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,17 +22,14 @@ from .rt import (
     SEG_PARAM_EPS,
     SIDE_EPS,
     ConstructionError,
-    Interaction,
     Mechanism,
     Path,
     PathGeometry,
     Snapshot,
     _backbone_of,
     _owner_ids_for,
-    _signature_with_penetrations,
     build_geometry,
     make_path,
-    occlusion_profile,
     signature_sort_key,
     solve_backbone,
     trace_snapshot,
@@ -41,17 +38,6 @@ from .runs import RunResult, StageTimer
 from .scene import Scene, SceneAtTime, scene_at
 
 log = logging.getLogger(__name__)
-
-
-def _owner_ids_for_static(scene: Scene, backbone: tuple, n_vertices: int):
-    """Occlusion exclusion sets per vertex, from scene-level (static) ids."""
-    owners = [set() for _ in range(n_vertices)]
-    for i, (m, gid) in enumerate(backbone):
-        if m is Mechanism.REFLECTION:
-            owners[i + 1].add(gid)
-        else:
-            owners[i + 1].update(scene.edge_by_id(gid).adjacent_facets)
-    return owners
 
 
 @dataclass(frozen=True)
@@ -87,8 +73,7 @@ class PathTrajectory:
         self.t0 = float(t0)
         self.signature = path.signature
         self.backbone = _backbone_of(path.signature)
-        self.owners = _owner_ids_for_static(scene, self.backbone,
-                                            len(self.backbone) + 2)
+        self.owners = _owner_ids_for(scene, self.backbone)
 
     def geometry_at(self, t: float, geom: SceneAtTime | None = None) -> PathGeometry:
         """Resolved geometry at time t (unclamped: structure stays frozen).
@@ -101,35 +86,12 @@ class PathTrajectory:
         points = solve_backbone(geom, self.backbone, clamped=False)
         return build_geometry(geom, self.signature, points)
 
-    def points_at(self, t: float, geom: SceneAtTime | None = None) -> list[Interaction]:
-        return self.geometry_at(t, geom).interactions()
-
-    def occlusion_matches(self, geometry: PathGeometry, geom: SceneAtTime) -> bool:
-        """True when the current occlusion profile reproduces the signature."""
-        blocked, pens = occlusion_profile(geom, geometry.vertices, self.owners)
-        if blocked:
-            return False
-        return _signature_with_penetrations(self.backbone, pens) == self.signature
-
-    def valid_at(self, t: float, geom: SceneAtTime | None = None) -> bool:
-        """Strict existence test: would a full RT pass at t contain this path?"""
-        if geom is None:
-            geom = scene_at(self.scene, t)
-        try:
-            points = solve_backbone(geom, self.backbone, clamped=True)
-        except ConstructionError:
-            return False
-        vertices = [geom.tx] + points + [geom.rx]
-        blocked, pens = occlusion_profile(geom, vertices, self.owners)
-        if blocked:
-            return False
-        return _signature_with_penetrations(self.backbone, pens) == self.signature
-
     def validity_scan(self, times, include_occlusion: bool = True) -> "np.ndarray":
-        """valid_at evaluated over a whole batch of sample times.
+        """Strict existence over a batch of sample times: would a full RT
+        pass at each time contain this path?
 
-        One vectorized pass over the time axis with predicates identical to
-        valid_at: backbone construction (image cascade or Fermat point) with
+        One vectorized pass over the time axis with the predicates of the RT
+        pass: backbone construction (image cascade or Fermat point) with
         strict polygon/segment containment, then an occlusion profile that
         must reproduce the signature's penetrations exactly.  With
         include_occlusion=False only the geometric predicates are applied,
@@ -154,7 +116,6 @@ class PathTrajectory:
         ok = np.ones(n_t, dtype=bool)
         scene = self.scene
         statics = scene.statics()
-        has_pens = any(m is Mechanism.PENETRATION for m, _ in self.signature)
         facet_index = statics.id_index
         facet_by_id = statics.facet_by_id
         tx = scene.tx_motion.position(times)
@@ -288,9 +249,26 @@ class PathTrajectory:
         return geo_ok, full_ok
 
 
-def interaction_trajectory(path: Path, scene: Scene, t0: float) -> PathTrajectory:
-    """Trajectory of all interaction points of a path from a reference pass."""
-    return PathTrajectory(path, scene, t0)
+def _advance(trajs: list[PathTrajectory], scene: Scene, t: float,
+             timer: StageTimer) -> tuple[Snapshot, int]:
+    """Snapshot of every trajectory re-solved at t, and the number dropped.
+
+    Paths whose geometric construction fails outright are dropped; fields
+    are recomputed directly from the advanced geometry.
+    """
+    geom = scene_at(scene, t)
+    paths = []
+    dropped = 0
+    for traj in trajs:
+        try:
+            with timer.geometry():
+                geometry = traj.geometry_at(t, geom)
+            with timer.field():
+                paths.append(make_path(scene, geom, geometry))
+        except ConstructionError:
+            dropped += 1
+    paths.sort(key=lambda p: signature_sort_key(p.signature))
+    return Snapshot(time=float(t), paths=paths), dropped
 
 
 def predict_snapshot_drt(reference: Snapshot, scene: Scene, t: float,
@@ -299,27 +277,13 @@ def predict_snapshot_drt(reference: Snapshot, scene: Scene, t: float,
 
     No path is added or removed even when an interaction point leaves its
     facet; paths whose geometric construction fails outright are dropped and
-    counted.  Fields are recomputed directly from the advanced geometry.
+    logged.  Fields are recomputed directly from the advanced geometry.
     """
-    timer = timer or StageTimer()
-    geom = scene_at(scene, t)
-    paths = []
-    dropped = 0
-    for ref_path in reference.paths:
-        traj = PathTrajectory(ref_path, scene, reference.time)
-        try:
-            with timer.geometry():
-                geometry = traj.geometry_at(t, geom)
-            with timer.field():
-                paths.append(make_path(scene, geom, geometry))
-        except ConstructionError:
-            dropped += 1
+    trajs = [PathTrajectory(p, scene, reference.time) for p in reference.paths]
+    snap, dropped = _advance(trajs, scene, t, timer or StageTimer())
     if dropped:
         log.warning("drt: dropped %d geometrically impossible path(s) at t=%.3f",
                     dropped, t)
-    paths.sort(key=lambda p: signature_sort_key(p.signature))
-    snap = Snapshot(time=float(t), paths=paths)
-    snap.dropped = dropped
     return snap
 
 
@@ -327,8 +291,10 @@ def drt_run(scene: Scene, config: PredictionConfig,
             timer: StageTimer | None = None) -> RunResult:
     """One RT pass per round followed by frozen-structure predictions.
 
-    Covers [0, rounds*t_c) on the dt grid: each round contributes its
-    reference snapshot and steps_per_round - 1 predictions.
+    Covers the closed grid [0, rounds*t_c] on the dt grid: each round
+    contributes its reference snapshot and steps_per_round - 1 predictions,
+    and a final RT pass at rounds*t_c closes the grid, so a run makes
+    rounds + 1 passes, as edrt_run does.
     """
     timer = timer or StageTimer()
     snapshots: list[Snapshot] = []
@@ -342,19 +308,12 @@ def drt_run(scene: Scene, config: PredictionConfig,
             snapshots.append(reference)
             trajs = [PathTrajectory(p, scene, t0) for p in reference.paths]
             for j in range(1, config.steps_per_round):
-                t = t0 + j * config.dt
-                geom = scene_at(scene, t)
-                paths = []
-                for traj in trajs:
-                    try:
-                        with timer.geometry():
-                            geometry = traj.geometry_at(t, geom)
-                        with timer.field():
-                            paths.append(make_path(scene, geom, geometry))
-                    except ConstructionError:
-                        dropped += 1
-                paths.sort(key=lambda p: signature_sort_key(p.signature))
-                snapshots.append(Snapshot(time=t, paths=paths))
+                snap, lost = _advance(trajs, scene, t0 + j * config.dt, timer)
+                snapshots.append(snap)
+                dropped += lost
+        t_end = config.rounds * config.t_c
+        snapshots.append(trace_snapshot(scene, t_end, timer))
+        rt_times.append(t_end)
     if dropped:
         log.warning("drt run: dropped %d path instance(s) across all rounds", dropped)
     return RunResult(mode="drt", snapshots=snapshots, rt_times=rt_times, timing=timer,

@@ -20,9 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coefficients import fresnel_from_cos, transmission_from_cos, utd_coefficient_batch
 from .drt import PathTrajectory, PredictionConfig
-from .coefficients import utd_coefficient_batch
 from .rt import (
+    GRAZING_COS,
     ConstructionError,
     InteractionTrace,
     Mechanism,
@@ -31,10 +32,10 @@ from .rt import (
     Snapshot,
     _signature_with_penetrations,
     field_of_path,
-    interaction_coefficient,
     occlusion_profiles_batch,
     power_dbm_from_field,
     signature_sort_key,
+    signature_str,
     spreading_factor,
     trace_snapshot,
     wedge_geometry_of,
@@ -65,6 +66,7 @@ class Lifetime:
     path: Path
     birth_time: float
     death_time: float
+    fallback: bool = False  # no transition found: the window-edge default applies
 
 
 @dataclass
@@ -153,6 +155,35 @@ def _boundary_transition(traj: PathTrajectory, anchor: float,
     return None
 
 
+def _lifetime_edge(path: Path, scene: Scene, t_start: float, t_end: float,
+                   dt: float, dying: bool) -> tuple[float, bool]:
+    """Death (dying=True) or birth time of a path, and whether it fell back.
+
+    The scan runs away from the reference end of the window: forward from
+    t_start for a dying path, backward from t_end for a born one.  An
+    unresolved case is logged and falls back to one step inside the far
+    window edge.
+    """
+    anchor = t_start if dying else t_end
+    traj = PathTrajectory(path, scene, anchor)
+    step = dt / LIFETIME_SAMPLE_DIVISOR
+    n = round((t_end - t_start) / step)
+    offsets = step * np.arange(1, n + 1)
+    times = t_start + offsets if dying else t_end - offsets
+    t = _boundary_transition(traj, anchor, times)
+    if t is not None:
+        return t, False
+    if dying:
+        log.warning("edrt: no geometric death found for %s in (%.3f, %.3f]; "
+                    "falling back to window end minus dt",
+                    path.signature, t_start, t_end)
+        return t_end - dt, True
+    log.warning("edrt: no geometric birth found for %s in [%.3f, %.3f); "
+                "falling back to window start plus dt",
+                path.signature, t_start, t_end)
+    return t_start + dt, True
+
+
 def death_time(path: Path, scene: Scene, t_start: float, t_end: float,
                dt: float) -> float:
     """Earliest instant in (t_start, t_end] at which a dying path stops
@@ -164,17 +195,7 @@ def death_time(path: Path, scene: Scene, t_start: float, t_end: float,
     occlusion onset is used instead.  If neither is found the path dies at
     t_end - dt and the case is logged as unresolved.
     """
-    traj = PathTrajectory(path, scene, t_start)
-    step = dt / LIFETIME_SAMPLE_DIVISOR
-    n = round((t_end - t_start) / step)
-    times = t_start + step * np.arange(1, n + 1)
-    t = _boundary_transition(traj, t_start, times)
-    if t is not None:
-        return t
-    log.warning("edrt: no geometric death found for %s in (%.3f, %.3f]; "
-                "falling back to window end minus dt",
-                path.signature, t_start, t_end)
-    return t_end - dt
+    return _lifetime_edge(path, scene, t_start, t_end, dt, dying=True)[0]
 
 
 def birth_time(path: Path, scene: Scene, t_start: float, t_end: float,
@@ -188,17 +209,7 @@ def birth_time(path: Path, scene: Scene, t_start: float, t_end: float,
     transition onward.  Falls back to t_start + dt when the whole window
     scans valid.
     """
-    traj = PathTrajectory(path, scene, t_end)
-    step = dt / LIFETIME_SAMPLE_DIVISOR
-    n = round((t_end - t_start) / step)
-    times = t_end - step * np.arange(1, n + 1)
-    t = _boundary_transition(traj, t_end, times)
-    if t is not None:
-        return t
-    log.warning("edrt: no geometric birth found for %s in [%.3f, %.3f); "
-                "falling back to window start plus dt",
-                path.signature, t_start, t_end)
-    return t_start + dt
+    return _lifetime_edge(path, scene, t_start, t_end, dt, dying=False)[0]
 
 
 def solve_lifetimes(matched: MatchedPaths, scene: Scene, t_start: float,
@@ -206,17 +217,17 @@ def solve_lifetimes(matched: MatchedPaths, scene: Scene, t_start: float,
     """Lifetime for every path of a round, keyed by signature.
 
     Common paths live for the whole window; dying and born paths get solved
-    boundary-crossing times.
+    boundary-crossing times, flagged as fallbacks when unresolved.
     """
     lifetimes: dict = {}
     for pa, _pb in matched.common:
         lifetimes[pa.signature] = Lifetime(pa, t_start, t_end)
     for p in matched.dying:
-        lifetimes[p.signature] = Lifetime(
-            p, t_start, death_time(p, scene, t_start, t_end, dt))
+        t, fallback = _lifetime_edge(p, scene, t_start, t_end, dt, dying=True)
+        lifetimes[p.signature] = Lifetime(p, t_start, t, fallback)
     for p in matched.born:
-        lifetimes[p.signature] = Lifetime(
-            p, birth_time(p, scene, t_start, t_end, dt), t_end)
+        t, fallback = _lifetime_edge(p, scene, t_start, t_end, dt, dying=False)
+        lifetimes[p.signature] = Lifetime(p, t, t_end, fallback)
     return lifetimes
 
 
@@ -246,26 +257,6 @@ class FieldReference:
         return cls(field2=field2, geometry=geometry, traces=traces,
                    spreading=spreading_factor(geometry),
                    total_length=geometry.total_length)
-
-
-def _coefficient_ratio(ref: FieldReference, cur: PathGeometry, scene: Scene):
-    """Product over interactions of coeff(t)/coeff(t_ref) on the carrying
-    polarization channel, together with the slab-loss ratio.
-
-    Returns None when a reference coefficient magnitude is below the
-    Brewster-null floor (caller falls back to direct computation).
-    """
-    ratio = 1.0 + 0.0j
-    loss_ratio = 1.0
-    for idx, tr in enumerate(ref.traces):
-        c_ref = tr.coeff[tr.label]
-        if abs(c_ref) < COEFF_FLOOR:
-            return None
-        pair, d_t = interaction_coefficient(tr, cur, idx, scene)
-        ratio *= pair[tr.label] / c_ref
-        if tr.kind is Mechanism.PENETRATION:
-            loss_ratio *= math.exp(-tr.alpha * (d_t - tr.d_t))
-    return ratio * loss_ratio
 
 
 def extrapolate_field(ref: FieldReference, cur: PathGeometry, scene: Scene):
@@ -300,7 +291,7 @@ def extrapolate_fields(pairs, scene: Scene):
                 ratio = None
                 break
             if tr.kind is Mechanism.DIFFRACTION:
-                d_geoms.append(wedge_geometry_of(tr, cur, t_idx))
+                d_geoms.append(wedge_geometry_of(tr.frame, cur, t_idx))
                 d_eps.append(tr.eps)
                 d_own.append((idx, c_ref, tr.label))
                 continue
@@ -319,7 +310,7 @@ def extrapolate_fields(pairs, scene: Scene):
                 r_eps.append(tr.eps)
                 r_own.append((idx, c_ref, tr.label))
             else:
-                if cos_th < 1e-9:
+                if cos_th < GRAZING_COS:
                     ratio = None  # grazing slab crossing: direct fallback
                     break
                 p_cos.append(cos_th)
@@ -329,27 +320,15 @@ def extrapolate_fields(pairs, scene: Scene):
         ratios.append(ratio)
 
     if r_cos:
-        cos_a = np.asarray(r_cos)
-        eps_a = np.asarray(r_eps, complex)
-        root = np.sqrt(eps_a - (1.0 - cos_a * cos_a))
-        r_perp = (cos_a - root) / (cos_a + root)
-        r_par = (eps_a * cos_a - root) / (eps_a * cos_a + root)
+        r_perp, r_par = fresnel_from_cos(np.asarray(r_cos), np.asarray(r_eps, complex))
         for (idx, c_ref, label), rp, rl in zip(r_own, r_perp, r_par):
             if ratios[idx] is not None:
                 ratios[idx] *= complex(rp if label == 0 else rl) / c_ref
     if p_cos:
-        cos_a = np.asarray(p_cos)
-        eps_a = np.asarray(p_eps, complex)
-        thick = np.asarray(p_thick)
-        sin2 = 1.0 - cos_a * cos_a
-        root = np.sqrt(eps_a - sin2)
-        t_perp = 4.0 * cos_a * root / (cos_a + root) ** 2
-        t_par = 4.0 * eps_a * cos_a * root / (eps_a * cos_a + root) ** 2
-        n_real = np.maximum(np.sqrt(eps_a).real, 1.0)
-        sin_t = np.sqrt(sin2) / n_real
-        d_t = thick / np.sqrt(1.0 - sin_t * sin_t)
+        slab = transmission_from_cos(np.asarray(p_cos), np.asarray(p_eps, complex),
+                                     np.asarray(p_thick))
         for (idx, c_ref, label, alpha, d_t_ref), tp, tl, dt_now in zip(
-                p_own, t_perp, t_par, d_t):
+                p_own, slab.t_perp, slab.t_par, slab.d_t):
             if ratios[idx] is not None:
                 ratios[idx] *= complex(tp if label == 0 else tl) / c_ref
                 ratios[idx] *= math.exp(-alpha * (float(dt_now) - d_t_ref))
@@ -373,75 +352,25 @@ def extrapolate_fields(pairs, scene: Scene):
     return out
 
 
-def _magnitude_op(ref_magnitude: float, scene: Scene, ref_geometry: PathGeometry,
-                  cur_geometry: PathGeometry, geom_ref: SceneAtTime) -> float:
-    """Shared magnitude extrapolation used by the per-mechanism operations."""
-    ref = FieldReference.from_reference(scene, geom_ref, ref_geometry)
-    ratio = _coefficient_ratio(ref, cur_geometry, scene)
-    if ratio is None:
-        raise ValueError("reference coefficient magnitude below the Brewster floor; "
-                         "use direct field computation for this path")
-    spread = spreading_factor(cur_geometry) / spreading_factor(ref_geometry)
-    return float(ref_magnitude * abs(ratio) * spread)
-
-
-def _require(sig, mechanisms: set) -> None:
-    got = {m for m, _ in sig}
-    if got - mechanisms:
-        raise ValueError(f"signature {sig} has mechanisms outside {mechanisms}")
-
-
-def extrapolate_field_reflection(ref_magnitude: float, scene: Scene,
-                                 ref_geometry: PathGeometry,
-                                 cur_geometry: PathGeometry,
-                                 geom_ref: SceneAtTime) -> float:
-    """|E(t)| for a pure reflection path: reference magnitude scaled by the
-    reflection-coefficient ratio and the inverse total-length ratio."""
-    _require(ref_geometry.signature, {Mechanism.REFLECTION})
-    return _magnitude_op(ref_magnitude, scene, ref_geometry, cur_geometry, geom_ref)
-
-
-def extrapolate_field_diffraction(ref_magnitude: float, scene: Scene,
-                                  ref_geometry: PathGeometry,
-                                  cur_geometry: PathGeometry,
-                                  geom_ref: SceneAtTime) -> float:
-    """|E(t)| for a single-edge diffraction path: diffraction-coefficient
-    ratio times the square-root caustic spreading ratio."""
-    _require(ref_geometry.signature, {Mechanism.DIFFRACTION})
-    return _magnitude_op(ref_magnitude, scene, ref_geometry, cur_geometry, geom_ref)
-
-
-def extrapolate_field_mixed(ref_magnitude: float, scene: Scene,
-                            ref_geometry: PathGeometry,
-                            cur_geometry: PathGeometry,
-                            geom_ref: SceneAtTime) -> float:
-    """|E(t)| for any signature: multiplicative product of per-interaction
-    coefficient ratios, the spreading ratio and the slab-loss ratio."""
-    return _magnitude_op(ref_magnitude, scene, ref_geometry, cur_geometry, geom_ref)
-
-
 # ---------------------------------------------------------------------------
 # Round prediction
 # ---------------------------------------------------------------------------
 
 class _RoundPath:
-    """One path prepared for prediction within a round."""
+    """One path prepared for prediction within a round.
+
+    The field reference is the chain walk its RT pass already recorded.
+    """
 
     def __init__(self, scene: Scene, path: Path, ref_time: float,
-                 geom_ref: SceneAtTime, classification: str):
+                 classification: str):
         self.path = path
         self.classification = classification
         self.traj = PathTrajectory(path, scene, ref_time)
-        if path.traces is not None and path.geometry is not None:
-            # reference pass already recorded the chain; reuse it
-            self.reference = FieldReference(
-                field2=path.field, geometry=path.geometry, traces=path.traces,
-                spreading=spreading_factor(path.geometry),
-                total_length=path.geometry.total_length)
-        else:
-            ref_geometry = self.traj.geometry_at(ref_time, geom_ref)
-            self.reference = FieldReference.from_reference(scene, geom_ref,
-                                                           ref_geometry)
+        self.reference = FieldReference(
+            field2=path.field, geometry=path.geometry, traces=path.traces,
+            spreading=spreading_factor(path.geometry),
+            total_length=path.geometry.total_length)
 
 
 class EdrtRound:
@@ -456,18 +385,16 @@ class EdrtRound:
         self.matched = matched
         self.lifetimes = lifetimes
         with self.timer.geometry():
-            geom_a = scene_at(scene, self.t_start)
-            geom_b = scene_at(scene, self.t_end)
             self.round_paths: list[_RoundPath] = []
             for pa, _pb in matched.common:
                 self.round_paths.append(
-                    _RoundPath(scene, pa, self.t_start, geom_a, "common"))
+                    _RoundPath(scene, pa, self.t_start, "common"))
             for p in matched.dying:
                 self.round_paths.append(
-                    _RoundPath(scene, p, self.t_start, geom_a, "dying"))
+                    _RoundPath(scene, p, self.t_start, "dying"))
             for p in matched.born:
                 self.round_paths.append(
-                    _RoundPath(scene, p, self.t_end, geom_b, "born"))
+                    _RoundPath(scene, p, self.t_end, "born"))
         self.fallbacks = 0
         self.dropped = 0
 
@@ -481,7 +408,6 @@ class EdrtRound:
         return cls(scene, matched, lifetimes, timer)
 
     def lifetime_records(self) -> list[LifetimeRecord]:
-        from .rt import signature_str
         out = []
         for rp in self.round_paths:
             lt = self.lifetimes[rp.path.signature]
@@ -489,9 +415,6 @@ class EdrtRound:
                                       lt.birth_time, lt.death_time,
                                       rp.classification))
         return out
-
-    def predict(self, t: float) -> Snapshot:
-        return self.predict_batch([t])[0]
 
     def predict_batch(self, times) -> list[Snapshot]:
         """Predicted snapshots for several instants of this window.
@@ -570,7 +493,7 @@ def predict_snapshot_edrt(matched: MatchedPaths, lifetimes: dict, scene: Scene,
     born paths only from their birth time, advanced backward from the window
     end.  Fields are extrapolated from the reference end of each path.
     """
-    return EdrtRound(scene, matched, lifetimes).predict(t)
+    return EdrtRound(scene, matched, lifetimes).predict_batch([t])[0]
 
 
 def edrt_run(scene: Scene, config: PredictionConfig,
@@ -588,14 +511,15 @@ def edrt_run(scene: Scene, config: PredictionConfig,
     rt_times: list[float] = []
     lifetimes_log: list[LifetimeRecord] = []
     fallbacks = 0
+    lifetime_fallbacks = 0
     dropped = 0
     with timer.total():
-        snap_next = trace_snapshot(scene, 0.0, timer, record_traces=True)
+        snap_next = trace_snapshot(scene, 0.0, timer)
         rt_times.append(0.0)
         for n in range(config.rounds):
             snap_a = snap_next
             t1 = (n + 1) * config.t_c
-            snap_b = trace_snapshot(scene, t1, timer, record_traces=True)
+            snap_b = trace_snapshot(scene, t1, timer)
             rt_times.append(t1)
             rnd = EdrtRound.from_snapshots(scene, snap_a, snap_b, config.dt, timer)
             lifetimes_log.extend(rnd.lifetime_records())
@@ -604,6 +528,7 @@ def edrt_run(scene: Scene, config: PredictionConfig,
                 [snap_a.time + j * config.dt
                  for j in range(1, config.steps_per_round)]))
             fallbacks += rnd.fallbacks
+            lifetime_fallbacks += sum(lt.fallback for lt in rnd.lifetimes.values())
             dropped += rnd.dropped
             snap_next = snap_b
         snapshots.append(snap_next)
@@ -613,5 +538,6 @@ def edrt_run(scene: Scene, config: PredictionConfig,
                      timing=timer, t_c=config.t_c, dt=config.dt,
                      duration=config.rounds * config.t_c,
                      counters={"dropped_paths": dropped,
-                               "direct_fallbacks": fallbacks},
+                               "direct_fallbacks": fallbacks,
+                               "lifetime_fallbacks": lifetime_fallbacks},
                      lifetimes=lifetimes_log)

@@ -116,12 +116,6 @@ def signed_boundary_distance(p, vertices, normal, inward=None,
     return -float(dist)
 
 
-def point_on_segment_param(p, a, b) -> float:
-    """Parameter u with p ~ a + u*(b-a) for p on (or near) the segment line."""
-    d = np.asarray(b, float) - np.asarray(a, float)
-    return float(np.dot(p - a, d) / np.dot(d, d))
-
-
 def fermat_point_on_line(tx, rx, a, b):
     """Unclamped minimizer of |tx-p| + |p-rx| for p on the line through a, b.
 

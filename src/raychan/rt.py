@@ -23,9 +23,7 @@ from .coefficients import (
     WedgeGeometry,
     complex_permittivity,
     fresnel_coefficients,
-    fresnel_from_cos,
     transmission_coefficient,
-    transmission_from_cos,
     utd_coefficient,
 )
 from .geometry import (
@@ -77,18 +75,6 @@ def parse_signature(s: str) -> Signature:
 
 def signature_sort_key(sig: Signature):
     return (len(sig), tuple((m.value, gid) for m, gid in sig))
-
-
-def validate_signature(sig: Signature) -> None:
-    counts = {m: 0 for m in Mechanism}
-    for m, _ in sig:
-        counts[m] += 1
-    if counts[Mechanism.REFLECTION] > 2:
-        raise ValueError("at most 2 reflections per path")
-    if counts[Mechanism.DIFFRACTION] > 1:
-        raise ValueError("at most 1 diffraction per path")
-    if counts[Mechanism.PENETRATION] > 1:
-        raise ValueError("at most 1 penetration per path")
 
 
 @dataclass(frozen=True)
@@ -168,80 +154,18 @@ def find_diffraction_point(tx, rx, e) -> np.ndarray | None:
 # Occlusion
 # ---------------------------------------------------------------------------
 
-def segment_crossings(geom: SceneAtTime, a, b, exclude_ids: frozenset[str]):
-    """Facet crossings of the open segment (a, b), ordered by parameter.
-
-    Returns a list of (facet_at_time, point, t) and is vectorized over all
-    facets.  Hits within SEG_PARAM_EPS of either end and hits on excluded
-    facets are ignored.
-    """
-    hits = _polyline_crossings(geom, [np.asarray(a, float), np.asarray(b, float)],
-                               [exclude_ids, exclude_ids])
-    return [(f, p, t) for _seg, f, p, t in hits]
-
-
-def _polyline_crossings(geom: SceneAtTime, vertices, exclusions):
-    """All facet crossings along a polyline, one vectorized pass.
-
-    vertices is a list of points; exclusions a per-vertex iterable of facet
-    ids to ignore on the adjoining segments.  Returns a parameter-ordered
-    list of (segment_index, facet_at_time, point, t).
-    """
-    normals, offsets, origins, inward, valid, _transparent, ids = geom.occlusion_arrays()
-    n_f = normals.shape[0]
-    if n_f == 0:
-        return []
-    verts = np.asarray(vertices, float)
-    a = verts[:-1]                     # (S, 3)
-    d = verts[1:] - a                  # (S, 3)
-    denom = d @ normals.T              # (S, F)
-    num = offsets[None, :] - a @ normals.T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = num / denom
-    mask = (np.abs(denom) > 1e-14) & (t > SEG_PARAM_EPS) & (t < 1.0 - SEG_PARAM_EPS)
-    if not mask.any():
-        return []
-    t = np.where(mask, t, 0.5)
-    pts = a[:, None, :] + t[..., None] * d[:, None, :]            # (S, F, 3)
-    rel = pts[:, :, None, :] - origins[None, :, :, :]             # (S, F, V, 3)
-    edge_d = np.einsum("sfvc,fvc->sfv", rel, inward)
-    edge_d = np.where(valid[None], edge_d, np.inf)
-    inside = np.min(edge_d, axis=2) >= 0.0
-    mask &= inside
-    hits = []
-    for s, i in zip(*np.nonzero(mask)):
-        fid = ids[i]
-        if fid in exclusions[s] or fid in exclusions[s + 1]:
-            continue
-        hits.append((int(s), geom.facets[i], pts[s, i], float(t[s, i])))
-    hits.sort(key=lambda h: (h[0], h[3]))
-    return hits
-
-
-def occlusion_profile(geom: SceneAtTime, vertices, owner_ids):
-    """Crossed facets along a polyline Tx -> interactions -> Rx.
-
-    vertices is the list of backbone points including endpoints; owner_ids
-    gives, per vertex, the facet ids that own that vertex (empty for Tx/Rx).
-    Returns (opaque_blocked, penetrations) where penetrations is a list of
-    (segment_index, facet_at_time, point, t).
-    """
-    penetrations = []
-    for seg, f, p, t in _polyline_crossings(geom, vertices, owner_ids):
-        if not f.material.transparent:
-            return True, []
-        penetrations.append((seg, f, p, t))
-    return False, penetrations
-
-
 def occlusion_profiles_batch(geom: SceneAtTime, polylines):
-    """occlusion_profile for many polylines in one vectorized pass.
+    """Crossed facets along many polylines Tx -> interactions -> Rx.
 
-    polylines is a list of (vertices, owner_ids) pairs; returns the list of
-    per-polyline (blocked, penetrations) results.
+    polylines is a list of (vertices, owner_ids) pairs: vertices are the
+    backbone points including both endpoints, owner_ids gives per vertex the
+    facet ids that own it (empty for Tx/Rx).  Every segment is tested against
+    every facet in one vectorized pass; hits within SEG_PARAM_EPS of a
+    segment end and hits on a segment's owner facets are ignored.  Returns
+    per polyline (opaque_blocked, penetrations), penetrations being the
+    parameter-ordered list of (segment_index, facet_at_time, point, t).
     """
-    normals, offsets, origins, inward, valid, transparent, _ids = \
-        geom.occlusion_arrays()
+    normals, offsets, origins, inward, valid, transparent = geom.occlusion_arrays()
     id_index = geom._statics.id_index
     n_f = normals.shape[0]
     if n_f == 0 or not polylines:
@@ -285,6 +209,11 @@ def occlusion_profiles_batch(geom: SceneAtTime, polylines):
     for r in results:
         r[1].sort(key=lambda h: (h[0], h[3]))
     return [(blocked, pens) for blocked, pens in results]
+
+
+def occlusion_profile(geom: SceneAtTime, vertices, owner_ids):
+    """occlusion_profiles_batch for a single polyline."""
+    return occlusion_profiles_batch(geom, [(vertices, owner_ids)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -600,13 +529,16 @@ class InteractionTrace:
     d_t: float = 0.0
 
 
-def wedge_geometry_of(trace: InteractionTrace, geometry: PathGeometry,
+def wedge_geometry_of(frame: WedgeFrame, geometry: PathGeometry,
                       index: int) -> WedgeGeometry:
-    """Edge-local angles of a recorded diffraction on a new path geometry."""
+    """Edge-local angles of the diffraction at backbone position index.
+
+    The one wedge-angle routine: the RT chain walk and E-DRT's coefficient
+    re-evaluation both call it, on the reference and the moved geometry.
+    """
     verts = geometry.vertices
     a, b, c = verts[index], verts[index + 1], verts[index + 2]
     dx, dy, dz = float(b[0] - a[0]), float(b[1] - a[1]), float(b[2] - a[2])
-    frame = trace.frame
     e = frame.ef
     d_in = float(geometry.seg_lengths[: index + 1].sum())
     cos_b = (dx * e[0] + dy * e[1] + dz * e[2]) / float(geometry.seg_lengths[index])
@@ -619,34 +551,6 @@ def wedge_geometry_of(trace: InteractionTrace, geometry: PathGeometry,
         d_inc=d_in,
         d_dif=float(geometry.total_length - d_in),
     )
-
-
-def interaction_coefficient(trace: InteractionTrace, geometry: PathGeometry,
-                            index: int, scene: Scene):
-    """Re-evaluate one interaction's coefficient pair on a new geometry.
-
-    index counts backbone interactions first (in order), then penetrations
-    (in signature order).  Returns (coeff_pair, d_t).
-    """
-    verts = geometry.vertices
-    n_backbone = len(geometry.backbone)
-    if index < n_backbone:
-        if trace.kind is Mechanism.REFLECTION:
-            d_seg = verts[index + 1] - verts[index]
-            cos_th = min(abs(float(np.dot(d_seg, trace.normal)))
-                         / float(geometry.seg_lengths[index]), 1.0)
-            return fresnel_from_cos(cos_th, trace.eps), 0.0
-        wg = wedge_geometry_of(trace, geometry, index)
-        return utd_coefficient(wg, trace.material, scene.frequency,
-                               eps=trace.eps), 0.0
-    hit = geometry.penetrations[index - n_backbone]
-    d_seg = verts[hit.segment + 1] - verts[hit.segment]
-    cos_th = min(abs(float(np.dot(d_seg, trace.normal)))
-                 / float(geometry.seg_lengths[hit.segment]), 1.0)
-    if cos_th < GRAZING_COS:
-        raise ConstructionError(f"grazing penetration through facet {hit.facet.id!r}")
-    tr = transmission_from_cos(cos_th, trace.eps, trace.thickness)
-    return (tr.t_perp, tr.t_par), tr.d_t
 
 
 def polarization_chain(scene: Scene, geom: SceneAtTime, geometry: PathGeometry,
@@ -685,18 +589,9 @@ def polarization_chain(scene: Scene, geom: SceneAtTime, geometry: PathGeometry,
         else:  # diffraction
             e = geom.edge(inter.geometry_id)
             frame = _frame_of(geom, e)
-            d_in = float(geometry.seg_lengths[: i + 1].sum())
-            d_out = float(geometry.seg_lengths[i + 1:].sum())
-            wg = WedgeGeometry(
-                n=frame.n_index,
-                beta0=math.acos(min(max(float(np.dot(s_in, frame.e_hat)), -1.0), 1.0)),
-                phi_inc=frame.angle_of(unit(verts[i] - verts[i + 1])),
-                phi_dif=frame.angle_of(s_out),
-                d_inc=d_in,
-                d_dif=d_out,
-            )
             material = e.adjacent[0].material
-            pair = utd_coefficient(wg, material, scene.frequency)
+            pair = utd_coefficient(wedge_geometry_of(frame, geometry, i), material,
+                                   scene.frequency)
             phi_in = -unit(cross3(frame.e_hat, s_in))
             beta_in = cross3(phi_in, s_in)
             phi_out = -unit(cross3(frame.e_hat, s_out))
@@ -768,9 +663,14 @@ def field_of_path(scene: Scene, geom: SceneAtTime, geometry: PathGeometry,
     return field2, power_dbm_from_field(float(np.linalg.norm(field2)), scene)
 
 
-def make_path(scene: Scene, geom: SceneAtTime, geometry: PathGeometry,
-              record_traces: bool = False) -> Path:
-    traces: list[InteractionTrace] | None = [] if record_traces else None
+def make_path(scene: Scene, geom: SceneAtTime, geometry: PathGeometry) -> Path:
+    """Path with its directly computed field.
+
+    The resolved geometry and the per-interaction coefficient traces are
+    always kept on the path: E-DRT extrapolates fields from them, and keeping
+    them costs less than walking the chain a second time.
+    """
+    traces: list[InteractionTrace] = []
     field2, p_dbm = field_of_path(scene, geom, geometry, record=traces)
     return Path(
         signature=geometry.signature,
@@ -778,7 +678,7 @@ def make_path(scene: Scene, geom: SceneAtTime, geometry: PathGeometry,
         delay=geometry.total_length / C_LIGHT,
         field=field2,
         power_dbm=p_dbm,
-        geometry=geometry if record_traces else None,
+        geometry=geometry,
         traces=traces,
     )
 
@@ -787,15 +687,17 @@ def make_path(scene: Scene, geom: SceneAtTime, geometry: PathGeometry,
 # Snapshot tracing
 # ---------------------------------------------------------------------------
 
-def _owner_ids_for(geom: SceneAtTime, backbone: tuple, n_vertices: int):
-    """Facet-id exclusion sets per backbone vertex (Tx/Rx own nothing)."""
-    owners = [set() for _ in range(n_vertices)]
+def _owner_ids_for(scene: Scene, backbone: tuple):
+    """Facet-id exclusion sets per path vertex (Tx/Rx own nothing).
+
+    Ids are scene-level, so the sets hold at every instant.
+    """
+    owners = [set() for _ in range(len(backbone) + 2)]
     for i, (m, gid) in enumerate(backbone):
         if m is Mechanism.REFLECTION:
             owners[i + 1].add(gid)
         else:
-            e = geom.edge(gid)
-            owners[i + 1].update(f.id for f in e.adjacent)
+            owners[i + 1].update(scene.edge_by_id(gid).adjacent_facets)
     return owners
 
 
@@ -823,8 +725,8 @@ def trace_geometry(scene: Scene, t: float, geom: SceneAtTime | None = None):
         except ConstructionError:
             continue
         vertices = [geom.tx] + points + [geom.rx]
-        owners = _owner_ids_for(geom, backbone, len(vertices))
-        blocked, pens = occlusion_profile(geom, vertices, owners)
+        blocked, pens = occlusion_profile(geom, vertices,
+                                          _owner_ids_for(scene, backbone))
         if blocked or len(pens) > 1:
             continue
         sig = _signature_with_penetrations(backbone, pens)
@@ -851,16 +753,15 @@ def _signature_with_penetrations(backbone: tuple, pens) -> Signature:
     return tuple(entries)
 
 
-def trace_snapshot(scene: Scene, t: float, timer=None,
-                   record_traces: bool = False) -> Snapshot:
+def trace_snapshot(scene: Scene, t: float, timer=None) -> Snapshot:
     """Full ray-tracing run at a single time instant.
 
     Returns the line-of-sight path (when unobstructed), all image-method
     reflection paths up to order two, and all single-edge diffraction paths,
     each optionally penetrating one transparent facet.  Paths are sorted by
-    signature; an empty path list is a valid outcome.  record_traces keeps
-    the per-interaction coefficient record on each path for later field
-    extrapolation.
+    signature; an empty path list is a valid outcome.  Every path keeps its
+    geometry and per-interaction coefficient traces (see make_path), so any
+    snapshot can serve as an E-DRT reference.
     """
     from .runs import StageTimer
     timer = timer or StageTimer()
@@ -869,7 +770,7 @@ def trace_snapshot(scene: Scene, t: float, timer=None,
     paths = []
     with timer.field():
         for g in geometries:
-            paths.append(make_path(scene, geom, g, record_traces))
+            paths.append(make_path(scene, geom, g))
     sigs = [p.signature for p in paths]
     if len(set(sigs)) != len(sigs):
         raise RuntimeError("duplicate path signatures in snapshot")

@@ -162,12 +162,6 @@ class Scene:
             object.__setattr__(self, "_statics_cache", cached)
         return cached
 
-    def facet_by_id(self, fid: str) -> Facet:
-        for f in self.facets:
-            if f.id == fid:
-                return f
-        raise KeyError(fid)
-
     def edge_by_id(self, eid: str) -> Edge:
         for e in self.edges:
             if e.id == eid:
@@ -191,9 +185,6 @@ class FacetAtTime:
     material: Material
     thickness: float
     edge_inward: np.ndarray  # (V, 3), shared with the epoch facet
-
-    def signed_distance(self, p: np.ndarray) -> float:
-        return float(np.dot(self.normal, p) - self.offset)
 
     def boundary_distance(self, p: np.ndarray, exact_outside: bool = True) -> float:
         """Signed in-plane distance to the polygon boundary (+ inside)."""
@@ -303,7 +294,7 @@ class SceneAtTime:
                 offsets = s.offsets0 + np.einsum("fc,fc->f", s.normals,
                                                  self._facet_disp)
             self._occlusion_arrays = (s.normals, offsets, origins, s.inward,
-                                      s.valid, s.transparent, s.ids)
+                                      s.valid, s.transparent)
         return self._occlusion_arrays
 
 
@@ -397,7 +388,10 @@ def load_scene(path) -> Scene:
             frequency=float(doc["frequency_hz"]),
             tx_power_dbm=float(doc.get("tx_power_dbm", 30.0)),
         )
-    except (KeyError, TypeError) as exc:
+    except SceneError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        # ValueError: bad vector shapes or motion segments, non-numeric values
         raise SceneError(f"malformed scene file {path}: {exc}") from exc
 
 

@@ -12,6 +12,11 @@ from raychan import (
     transmission_coefficient,
     utd_coefficient,
 )
+from raychan.coefficients import (
+    complex_permittivity,
+    fresnel_from_cos,
+    transmission_from_cos,
+)
 
 import oracles
 
@@ -114,6 +119,41 @@ class TestTransmission:
                 loss = tr.loss_factor(m.attenuation_alpha)
                 assert abs(tr.t_perp) * loss <= 1.0 + 1e-9
                 assert abs(tr.t_par) * loss <= 1.0 + 1e-9
+
+
+GLASS = Material(rel_permittivity=6.27, conductivity=0.0043, transparent=True)
+
+
+class TestArrayContract:
+    """One routine serves single interactions and batches: an array call
+    must equal the element-wise scalar calls exactly."""
+
+    @staticmethod
+    def _cosines(material):
+        brewster = math.atan(math.sqrt(material.rel_permittivity))
+        return [math.cos(a) for a in (math.pi / 2 - 1e-6, 0.0, brewster)]
+
+    @pytest.mark.parametrize("material", [CONCRETE, GLASS], ids=["concrete", "glass"])
+    def test_fresnel_array_equals_scalar(self, material):
+        eps = complex_permittivity(material, 6e9)
+        cosines = self._cosines(material)
+        r_perp, r_par = fresnel_from_cos(np.array(cosines), np.full(3, eps))
+        for i, c in enumerate(cosines):
+            s_perp, s_par = fresnel_from_cos(c, eps)
+            assert r_perp[i] == s_perp
+            assert r_par[i] == s_par
+
+    @pytest.mark.parametrize("material", [CONCRETE, GLASS], ids=["concrete", "glass"])
+    def test_transmission_array_equals_scalar(self, material):
+        eps = complex_permittivity(material, 6e9)
+        cosines = self._cosines(material)
+        batch = transmission_from_cos(np.array(cosines), np.full(3, eps),
+                                      np.full(3, 0.2))
+        for i, c in enumerate(cosines):
+            one = transmission_from_cos(c, eps, 0.2)
+            assert batch.t_perp[i] == one.t_perp
+            assert batch.t_par[i] == one.t_par
+            assert batch.d_t[i] == one.d_t
 
 
 class TestTransitionFunction:

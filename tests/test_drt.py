@@ -5,10 +5,10 @@ from raychan import (
     Facet,
     Motion,
     MotionState,
+    PathTrajectory,
     PredictionConfig,
     Scene,
     drt_run,
-    interaction_trajectory,
     predict_snapshot_drt,
     scene_at,
     signature_str,
@@ -49,19 +49,20 @@ class TestInteractionTrajectory:
         scene = _paper_reflection_scene(v_y=0.0)
         snap = trace_snapshot(scene, 0.0)
         path = snap.by_signature()[((Mechanism.REFLECTION, "pi"),)]
-        traj = interaction_trajectory(path, scene, 0.0)
-        p0 = traj.points_at(0.0)[0].point
+        traj = PathTrajectory(path, scene, 0.0)
+        p0 = traj.geometry_at(0.0).interactions()[0].point
         for t in (0.5, 3.0, 9.0):
-            assert np.allclose(traj.points_at(t)[0].point, p0, atol=1e-12)
+            assert np.allclose(traj.geometry_at(t).interactions()[0].point, p0,
+                               atol=1e-12)
 
     def test_reflection_point_moves_at_half_receiver_velocity(self):
         scene = _paper_reflection_scene(v_y=2.0)
         snap = trace_snapshot(scene, 0.0)
         path = snap.by_signature()[((Mechanism.REFLECTION, "pi"),)]
-        traj = interaction_trajectory(path, scene, 0.0)
+        traj = PathTrajectory(path, scene, 0.0)
         h = 1e-4
-        p_minus = traj.points_at(1.0 - h)[0].point
-        p_plus = traj.points_at(1.0 + h)[0].point
+        p_minus = traj.geometry_at(1.0 - h).interactions()[0].point
+        p_plus = traj.geometry_at(1.0 + h).interactions()[0].point
         velocity = (p_plus - p_minus) / (2 * h)
         assert np.allclose(velocity, [0, 1.0, 0], atol=1e-6)
 
@@ -72,11 +73,11 @@ class TestInteractionTrajectory:
                    if sum(m is Mechanism.REFLECTION for m, _ in p.signature) == 2]
         assert doubles, "corridor should produce zig-zag paths"
         path = doubles[0]
-        traj = interaction_trajectory(path, scene, 0.0)
+        traj = PathTrajectory(path, scene, 0.0)
         for t in np.arange(0.0, 1.0, 0.01):
             ref = trace_snapshot(scene, float(t)).by_signature().get(path.signature)
             assert ref is not None
-            pts_traj = [i.point for i in traj.points_at(float(t))]
+            pts_traj = [i.point for i in traj.geometry_at(float(t)).interactions()]
             pts_rt = [i.point for i in ref.interactions]
             for a, b in zip(pts_traj, pts_rt):
                 assert np.linalg.norm(a - b) < 1e-6
@@ -90,7 +91,7 @@ class TestInteractionTrajectory:
                     tx_motion=scene.tx_motion,
                     rx_motion=Motion((MotionState(r0=[0, 6, 5.0], v0=[0, 0, -2]),)),
                     frequency=6e9)
-        traj = interaction_trajectory(path, bad, 0.0)
+        traj = PathTrajectory(path, bad, 0.0)
         from raychan import ConstructionError
         with pytest.raises(ConstructionError):
             traj.geometry_at(4.0)
@@ -146,10 +147,10 @@ class TestPredictSnapshotDrt:
 class TestDrtRun:
     def test_cadence_one_round(self, default_scene):
         run = drt_run(default_scene, PredictionConfig(t_c=1.0, dt=0.1, rounds=1))
-        assert len(run.snapshots) == 10  # 1 traced + 9 predicted
-        assert run.rt_times == [0.0]
+        assert len(run.snapshots) == 11  # 2 traced + 9 predicted: closed grid
+        assert run.rt_times == [0.0, 1.0]
         assert [round(s.time, 6) for s in run.snapshots] == \
-            [round(0.1 * i, 6) for i in range(10)]
+            [round(0.1 * i, 6) for i in range(11)]
 
     def test_stationary_scene_all_identical(self):
         scene = _paper_reflection_scene(v_y=0.0)

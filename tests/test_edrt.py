@@ -6,6 +6,7 @@ import pytest
 from raychan import (
     Facet,
     FieldReference,
+    MatchedPaths,
     Material,
     Motion,
     MotionState,
@@ -16,9 +17,6 @@ from raychan import (
     death_time,
     edrt_run,
     extrapolate_field,
-    extrapolate_field_diffraction,
-    extrapolate_field_mixed,
-    extrapolate_field_reflection,
     field_of_path,
     match_paths,
     predict_snapshot_edrt,
@@ -146,6 +144,30 @@ class TestLifetimes:
         assert abs(birth - max(entries)) < 2e-3
         assert abs(max(entries) - min(entries)) > 0.05  # genuinely staggered
 
+    def test_unresolved_death_is_a_counted_fallback(self, caplog):
+        # stationary scene: a path declared dying stays valid all window
+        scene = _analytic_birth_scene(v_y=0.0, start_y=10.0)
+        sig = ((Mechanism.REFLECTION, "pi"),)
+        path = trace_snapshot(scene, 0.0).by_signature()[sig]
+        m = MatchedPaths(common=[], dying=[path], born=[], t_start=0.0, t_end=1.0)
+        with caplog.at_level("WARNING", logger="raychan.edrt"):
+            lifetimes = solve_lifetimes(m, scene, 0.0, 1.0, 0.1)
+        assert sum(lt.fallback for lt in lifetimes.values()) == 1
+        assert lifetimes[sig].death_time == pytest.approx(0.9)
+        assert [r.getMessage()[:24] for r in caplog.records] == \
+            ["edrt: no geometric death"]
+
+    def test_run_counts_lifetime_fallbacks(self, monkeypatch):
+        scene = _analytic_birth_scene(v_y=2.0)
+        cfg = PredictionConfig(t_c=2.0, dt=0.5, rounds=1)
+        assert edrt_run(scene, cfg).counters["lifetime_fallbacks"] == 0
+        import raychan.edrt
+        monkeypatch.setattr(raychan.edrt, "_boundary_transition",
+                            lambda *args: None)
+        run = edrt_run(scene, cfg)
+        assert [rec.classification for rec in run.lifetimes] == ["common", "born"]
+        assert run.counters["lifetime_fallbacks"] == 1
+
     def test_lifetimes_vs_oracle_first_last(self, default_scene, oracle_default,
                                              edrt_default):
         from raychan.runs import time_key
@@ -179,8 +201,8 @@ class TestLifetimes:
 
 class TestPredictSnapshotEdrt:
     def test_window_start_identity(self, default_scene):
-        a = trace_snapshot(default_scene, 1.0, record_traces=True)
-        b = trace_snapshot(default_scene, 2.0, record_traces=True)
+        a = trace_snapshot(default_scene, 1.0)
+        b = trace_snapshot(default_scene, 2.0)
         m = match_paths(a, b)
         lifetimes = solve_lifetimes(m, default_scene, 1.0, 2.0, 0.1)
         pred = predict_snapshot_edrt(m, lifetimes, default_scene, 1.0)
@@ -192,8 +214,8 @@ class TestPredictSnapshotEdrt:
 
     def test_presence_logic_for_birth(self):
         scene = _analytic_birth_scene(v_y=2.0)
-        a = trace_snapshot(scene, 0.0, record_traces=True)
-        b = trace_snapshot(scene, 2.0, record_traces=True)
+        a = trace_snapshot(scene, 0.0)
+        b = trace_snapshot(scene, 2.0)
         m = match_paths(a, b)
         lifetimes = solve_lifetimes(m, scene, 0.0, 2.0, 0.1)
         sig = ((Mechanism.REFLECTION, "pi"),)
@@ -207,8 +229,8 @@ class TestPredictSnapshotEdrt:
         # receiver backs up: the path dies mid-window
         scene = _analytic_birth_scene(v_y=-2.0, start_y=10.0)
         sig = ((Mechanism.REFLECTION, "pi"),)
-        a = trace_snapshot(scene, 0.0, record_traces=True)
-        b = trace_snapshot(scene, 2.0, record_traces=True)
+        a = trace_snapshot(scene, 0.0)
+        b = trace_snapshot(scene, 2.0)
         assert sig in a.signature_set() and sig not in b.signature_set()
         m = match_paths(a, b)
         lifetimes = solve_lifetimes(m, scene, 0.0, 2.0, 0.1)
@@ -227,12 +249,19 @@ def _geometry_of(scene, t, sig):
     return geom, traj.geometry_at(t, geom), path
 
 
+def _extrapolated_magnitude(scene, geom_ref, g_ref, g_cur):
+    """|E| extrapolated from the reference geometry to g_cur."""
+    ref = FieldReference.from_reference(scene, geom_ref, g_ref)
+    field2, _ = extrapolate_field(ref, g_cur, scene)
+    return float(np.linalg.norm(field2))
+
+
 class TestFieldExtrapolationOps:
     def test_reflection_identity(self):
         scene = _analytic_birth_scene(v_y=0.0, start_y=10.0)
         sig = ((Mechanism.REFLECTION, "pi"),)
         geom, g, path = _geometry_of(scene, 0.0, sig)
-        out = extrapolate_field_reflection(path.magnitude, scene, g, g, geom)
+        out = _extrapolated_magnitude(scene, geom, g, g)
         assert out == pytest.approx(path.magnitude, rel=1e-12)
 
     def test_reflection_spreading_only_halves(self):
@@ -247,8 +276,7 @@ class TestFieldExtrapolationOps:
         sig = ((Mechanism.REFLECTION, "pi"),)
         geom1, g1, p1 = _geometry_of(scene_for(1.0), 0.0, sig)
         _geom2, g2, _p2 = _geometry_of(scene_for(2.0), 0.0, sig)
-        out = extrapolate_field_reflection(p1.magnitude, scene_for(1.0), g1, g2,
-                                           geom1)
+        out = _extrapolated_magnitude(scene_for(1.0), geom1, g1, g2)
         assert out == pytest.approx(p1.magnitude / 2.0, rel=1e-12)
 
     def test_diffraction_identity_and_far_limit(self):
@@ -268,12 +296,10 @@ class TestFieldExtrapolationOps:
                          rx_motion=Motion.stationary(rx), frequency=6e9)
         sig = ((Mechanism.DIFFRACTION, "e"),)
         geom1, g1, p1 = _geometry_of(scene_for(1000.0), 0.0, sig)
-        out_same = extrapolate_field_diffraction(p1.magnitude, scene_for(1000.0),
-                                                 g1, g1, geom1)
+        out_same = _extrapolated_magnitude(scene_for(1000.0), geom1, g1, g1)
         assert out_same == pytest.approx(p1.magnitude, rel=1e-12)
         _g, g2, _p = _geometry_of(scene_for(2000.0), 0.0, sig)
-        out = extrapolate_field_diffraction(p1.magnitude, scene_for(1000.0),
-                                            g1, g2, geom1)
+        out = _extrapolated_magnitude(scene_for(1000.0), geom1, g1, g2)
         assert out == pytest.approx(p1.magnitude / 2.0, rel=6e-3)
 
     def test_mixed_pure_absorption(self):
@@ -299,14 +325,14 @@ class TestFieldExtrapolationOps:
         cos2 = thickness / (thickness + 1.0 / alpha)
         geom1, g1, p1 = _geometry_of(scene_for(1.0), 0.0, sig)
         _g, g2, _p = _geometry_of(scene_for(cos2), 0.0, sig)
-        out = extrapolate_field_mixed(p1.magnitude, scene_for(1.0), g1, g2, geom1)
+        out = _extrapolated_magnitude(scene_for(1.0), geom1, g1, g2)
         assert out == pytest.approx(p1.magnitude / math.e, rel=1e-12)
 
     def test_random_paths_match_direct_computation(self, default_scene):
         rng = np.random.default_rng(5)
         t_ref = 1.0
         geom_ref = scene_at(default_scene, t_ref)
-        snap = trace_snapshot(default_scene, t_ref, record_traces=True)
+        snap = trace_snapshot(default_scene, t_ref)
         count = 0
         for path in snap.paths:
             traj = PathTrajectory(path, default_scene, t_ref)
@@ -346,12 +372,10 @@ class TestFieldExtrapolationOps:
                       rx_motion=Motion.stationary([0, +half, h]),
                       frequency=6e9)
         sig = ((Mechanism.REFLECTION, "g"),)
-        geom, g, path = _geometry_of(scene, 0.0, sig)
+        geom, g, _path = _geometry_of(scene, 0.0, sig)
         # ground bounce of a vertical launch is parallel-polarized: null
         ref = FieldReference.from_reference(scene, geom, g)
         assert extrapolate_field(ref, g, scene) is None
-        with pytest.raises(ValueError):
-            extrapolate_field_reflection(path.magnitude, scene, g, g, geom)
 
 
 class TestEdrtRun:
@@ -384,8 +408,8 @@ class TestEdrtRun:
             assert len(m.common) + len(m.born) == len(b.paths)
 
     def test_bidirectional_consistency_at_window_end(self, default_scene):
-        a = trace_snapshot(default_scene, 2.0, record_traces=True)
-        b = trace_snapshot(default_scene, 3.0, record_traces=True)
+        a = trace_snapshot(default_scene, 2.0)
+        b = trace_snapshot(default_scene, 3.0)
         m = match_paths(a, b)
         lifetimes = solve_lifetimes(m, default_scene, 2.0, 3.0, 0.1)
         t_last = 3.0 - 0.05

@@ -153,6 +153,31 @@ class TestCli:
         assert main(["run", "--scene", str(tiny_scene_file), "--mode", "drt",
                      "--tc", "1.0", "--dt", "0.3", "--duration", "1.0",
                      "--out", str(tmp_path / "z")]) == 1
+        # dt == tc passes the CLI's own checks and fails PredictionConfig
+        assert main(["run", "--scene", str(tiny_scene_file), "--mode", "drt",
+                     "--tc", "1.0", "--dt", "1.0", "--duration", "1.0",
+                     "--out", str(tmp_path / "w")]) == 1
+        # a 2-vector position fails inside MotionState
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "frequency_hz": 6e9, "facets": [], "edges": [],
+            "tx": {"motion_segments": [{"r0": [0, 0]}]},
+            "rx": {"motion_segments": [{"r0": [1, 0, 0]}]}}))
+        assert main(["run", "--scene", str(bad), "--mode", "rt",
+                     "--duration", "1.0", "--out", str(tmp_path / "v")]) == 1
+        assert main(["generate", "--out", str(tmp_path / "g.json"),
+                     "--length", "-1"]) == 1
+
+    def test_runtime_value_error_exits_two(self, tiny_scene_file, tmp_path,
+                                           monkeypatch):
+        import raychan.cli
+
+        def fail(*args, **kwargs):
+            raise ValueError("numeric fault inside a run")
+        monkeypatch.setattr(raychan.cli, "rt_run", fail)
+        assert main(["run", "--scene", str(tiny_scene_file), "--mode", "rt",
+                     "--tc", "1.0", "--dt", "0.5", "--duration", "1.0",
+                     "--out", str(tmp_path / "v")]) == 2
 
     def test_snapshots_csv_round_trip(self, tiny_scene_file, tmp_path):
         out = tmp_path / "rt"
