@@ -18,6 +18,8 @@ def _vec3(v) -> np.ndarray:
     a = np.asarray(v, dtype=float)
     if a.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"expected finite values, got {a.tolist()}")
     return a
 
 
@@ -39,6 +41,8 @@ class MotionState:
         object.__setattr__(self, "v0", _vec3(self.v0))
         object.__setattr__(self, "a0", _vec3(self.a0))
         object.__setattr__(self, "t_ref", float(self.t_ref))
+        if not np.isfinite(self.t_ref):
+            raise ValueError("t_ref must be finite")
 
 
 def position_at(m: MotionState, t) -> np.ndarray:

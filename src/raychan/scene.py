@@ -65,10 +65,10 @@ class Material:
     transparent: bool = False
 
     def __post_init__(self):
-        if self.rel_permittivity < 1.0:
-            raise SceneError("rel_permittivity must be >= 1")
-        if self.conductivity < 0.0:
-            raise SceneError("conductivity must be >= 0")
+        if not np.isfinite(self.rel_permittivity) or self.rel_permittivity < 1.0:
+            raise SceneError("rel_permittivity must be finite and >= 1")
+        if not np.isfinite(self.conductivity) or self.conductivity < 0.0:
+            raise SceneError("conductivity must be finite and >= 0")
         if not np.isfinite(self.attenuation_alpha) or self.attenuation_alpha < 0.0:
             raise SceneError("attenuation_alpha must be finite and >= 0")
 
@@ -86,14 +86,16 @@ class Facet:
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=float)
         object.__setattr__(self, "vertices", v)
+        if not np.all(np.isfinite(v)):
+            raise SceneError(f"facet {self.id!r}: vertices must be finite")
         try:
             object.__setattr__(self, "normal", check_planar_convex(v))
         except ValueError as exc:
             raise SceneError(f"facet {self.id!r}: {exc}") from exc
         _origins, inward = polygon_edge_frames(v, self.normal)
         object.__setattr__(self, "edge_inward", inward)
-        if self.thickness <= 0.0:
-            raise SceneError(f"facet {self.id!r}: thickness must be positive")
+        if not np.isfinite(self.thickness) or self.thickness <= 0.0:
+            raise SceneError(f"facet {self.id!r}: thickness must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -109,6 +111,8 @@ class Edge:
         object.__setattr__(self, "adjacent_facets", tuple(self.adjacent_facets))
         if e.shape != (2, 3):
             raise SceneError(f"edge {self.id!r}: endpoints must be two 3-vectors")
+        if not np.all(np.isfinite(e)):
+            raise SceneError(f"edge {self.id!r}: endpoints must be finite")
         if np.linalg.norm(e[1] - e[0]) < 1e-9:
             raise SceneError(f"edge {self.id!r}: endpoints must be distinct")
         if not (np.pi < self.exterior_wedge_angle <= 2.0 * np.pi + 1e-12):
@@ -129,8 +133,10 @@ class Scene:
     def __post_init__(self):
         object.__setattr__(self, "facets", tuple(self.facets))
         object.__setattr__(self, "edges", tuple(self.edges))
-        if self.frequency <= 0.0:
-            raise SceneError("frequency must be positive")
+        if not np.isfinite(self.frequency) or self.frequency <= 0.0:
+            raise SceneError("frequency must be finite and positive")
+        if not np.isfinite(self.tx_power_dbm):
+            raise SceneError("tx_power_dbm must be finite")
         ids = [f.id for f in self.facets] + [e.id for e in self.edges]
         if len(set(ids)) != len(ids):
             raise SceneError("facet/edge ids must be unique")

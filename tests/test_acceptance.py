@@ -145,20 +145,23 @@ class TestAcceptance:
         _passed("C5", f"SI drt {si_drt:.3f} < edrt {si_edrt:.3f}")
 
     def test_c6_compute_gain(self, default_scene, tmp_path):
-        """Best-of-three wall-clock comparison, read back from timing JSON."""
+        """Best-of-three wall-clock comparison, read back from timing JSON.
+
+        The modes run round-robin, so a drift in host speed reaches every
+        mode's best run alike instead of one mode's three runs.
+        """
         assert round(T_C / DT) == 10
-        best = {}
-        for mode in ("rt", "drt", "edrt"):
-            timings = []
-            for i in range(3):
+        modes = ("rt", "drt", "edrt")
+        timings = {mode: [] for mode in modes}
+        for i in range(3):
+            for mode in modes:
                 run = execute_run(default_scene, mode, T_C, DT, DURATION)
                 p = tmp_path / f"{mode}_{i}.json"
                 write_timing_json(run, p)
-                timings.append(json.loads(p.read_text()))
-            best[mode] = {
-                "total_s": min(t["total_s"] for t in timings),
-                "field_s": min(t["field_s"] for t in timings),
-            }
+                timings[mode].append(json.loads(p.read_text()))
+        best = {mode: {"total_s": min(t["total_s"] for t in runs),
+                       "field_s": min(t["field_s"] for t in runs)}
+                for mode, runs in timings.items()}
         rt_total = best["rt"]["total_s"]
         assert best["drt"]["total_s"] <= rt_total / SPEEDUP_MIN
         assert best["edrt"]["total_s"] <= rt_total / SPEEDUP_MIN

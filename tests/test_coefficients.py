@@ -1,9 +1,15 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import wofz
 
+import raychan
 from raychan import (
     Material,
     WedgeGeometry,
@@ -165,6 +171,44 @@ class TestTransitionFunction:
     def test_limits(self):
         assert abs(complex(transition_function(1e-9))) < 1e-4   # F -> 0
         assert complex(transition_function(500.0)) == pytest.approx(1.0, abs=2e-3)
+
+    def test_matches_faddeeva_reference(self):
+        xs = np.logspace(-8.0, 5.0, 200)
+        want = (np.sqrt(np.pi * xs) * cmath.exp(0.25j * math.pi)
+                * wofz(np.sqrt(xs) * cmath.exp(0.75j * math.pi)))
+        got = np.array([transition_function(x) for x in xs.tolist()])
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+
+    def test_continuous_across_series_branch(self):
+        # the rational approximation serves x < 40, the asymptotic series x >= 40
+        below = transition_function(math.nextafter(40.0, 0.0))
+        at = transition_function(40.0)
+        assert abs(below - at) <= 1e-14 * abs(at)
+
+    def test_zero(self):
+        assert transition_function(0.0) == 0.0
+
+    def test_array_equals_scalar(self):
+        xs = np.array([[0.0, 1e-8, 0.5, 39.99], [40.0, 123.4, 5e3, 1e5]])
+        got = transition_function(xs)
+        assert got.shape == xs.shape
+        for x, f in zip(xs.ravel().tolist(), got.ravel().tolist()):
+            assert f == transition_function(x)
+
+    def test_runtime_never_imports_scipy(self):
+        src = Path(raychan.__file__).resolve().parents[1]
+        code = ("import sys\n"
+                "import raychan\n"
+                "snap = raychan.trace_snapshot(raychan.generate_v2v_scenario(seed=0), 0.0)\n"
+                "print(sum(any(m.value == 'D' for m, _ in p.signature) for p in snap.paths))\n"
+                "print('scipy' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        n_diffracted, scipy_loaded = proc.stdout.split()
+        assert int(n_diffracted) > 0
+        assert scipy_loaded == "False"
 
 
 def _pec() -> Material:

@@ -18,6 +18,9 @@ from raychan import (
     scene_at,
 )
 
+NAN = float("nan")
+INF = float("inf")
+
 
 class TestPositionAt:
     def test_stationary_identity(self):
@@ -204,5 +207,31 @@ class TestSceneFile:
     def test_malformed_file_raises(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"frequency_hz": 6e9}))
+        with pytest.raises(SceneError):
+            load_scene(p)
+
+    @pytest.mark.parametrize("where,value", [
+        (("facets", 0, "material", "rel_permittivity"), NAN),
+        (("facets", 0, "material", "conductivity"), NAN),
+        (("facets", 0, "vertices", 1, 2), NAN),
+        (("facets", 0, "thickness_m"), INF),
+        (("facets", 0, "motion_segments", 0, "a0", 0), NAN),
+        (("edges", 0, "endpoints", 1, 0), NAN),
+        (("frequency_hz",), NAN),
+        (("frequency_hz",), INF),
+        (("tx_power_dbm",), NAN),
+        (("tx", "motion_segments", 0, "v0", 1), NAN),
+        (("tx", "motion_segments", 0, "t_ref"), INF),
+        (("rx", "motion_segments", 0, "r0", 0), INF),
+    ], ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else str(v))
+    def test_non_finite_value_rejected(self, tmp_path, default_scene, where, value):
+        p = tmp_path / "scene.json"
+        save_scene(default_scene, p)
+        doc = json.loads(p.read_text())
+        node = doc
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = value
+        p.write_text(json.dumps(doc))  # written as NaN / Infinity
         with pytest.raises(SceneError):
             load_scene(p)

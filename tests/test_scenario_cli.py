@@ -168,6 +168,15 @@ class TestCli:
         assert main(["generate", "--out", str(tmp_path / "g.json"),
                      "--length", "-1"]) == 1
 
+    def test_non_finite_frequency_exits_one(self, tiny_scene_file, tmp_path):
+        doc = json.loads(tiny_scene_file.read_text())
+        doc["frequency_hz"] = float("inf")
+        bad = tmp_path / "inf.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["run", "--scene", str(bad), "--mode", "rt",
+                     "--tc", "1.0", "--dt", "0.5", "--duration", "1.0",
+                     "--out", str(tmp_path / "u")]) == 1
+
     def test_runtime_value_error_exits_two(self, tiny_scene_file, tmp_path,
                                            monkeypatch):
         import raychan.cli
