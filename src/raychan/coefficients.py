@@ -87,12 +87,15 @@ def fresnel_coefficients(incidence_angle: float, material, frequency: float):
                             complex_permittivity(material, frequency))
 
 
-def _per_element(fn, *args):
+def _per_element(fn, dtypes, *args):
     """fn applied to every element of the broadcast arguments as Python
-    scalars; one array per output of fn, in the broadcast shape."""
+    scalars; one array per output of fn, of the given dtypes, in the
+    broadcast shape (empty arrays for empty arguments)."""
     arrays = np.broadcast_arrays(*args)
     rows = [fn(*xs) for xs in zip(*(a.ravel().tolist() for a in arrays))]
-    return tuple(np.array(col).reshape(arrays[0].shape) for col in zip(*rows))
+    cols = list(zip(*rows)) if rows else [()] * len(dtypes)
+    return tuple(np.array(col, dtype=dtype).reshape(arrays[0].shape)
+                 for col, dtype in zip(cols, dtypes))
 
 
 def fresnel_from_cos(cos_theta, eps):
@@ -101,7 +104,7 @@ def fresnel_from_cos(cos_theta, eps):
     Takes scalars, or broadcastable numpy arrays evaluated element by element.
     """
     if isinstance(cos_theta, np.ndarray) or isinstance(eps, np.ndarray):
-        return _per_element(fresnel_from_cos, cos_theta, eps)
+        return _per_element(fresnel_from_cos, (complex, complex), cos_theta, eps)
     sin2 = 1.0 - cos_theta * cos_theta
     root = cmath.sqrt(eps - sin2)
     r_perp = (cos_theta - root) / (cos_theta + root)
@@ -143,7 +146,8 @@ def transmission_from_cos(cos_i, eps, thickness) -> Transmission:
     element; the Transmission fields are then arrays.
     """
     if any(isinstance(x, np.ndarray) for x in (cos_i, eps, thickness)):
-        return Transmission(*_per_element(transmission_from_cos, cos_i, eps, thickness))
+        return Transmission(*_per_element(transmission_from_cos, (complex, complex, float),
+                                          cos_i, eps, thickness))
     sin2 = 1.0 - cos_i * cos_i
     root = cmath.sqrt(eps - sin2)  # = sqrt(eps) * cos(theta_t)
     t_perp = 4.0 * cos_i * root / (cos_i + root) ** 2
@@ -203,7 +207,7 @@ def transition_function(x):
     Takes a scalar, or a numpy array evaluated element by element.
     """
     if isinstance(x, np.ndarray):
-        return _per_element(lambda v: (transition_function(v),), x)[0]
+        return _per_element(lambda v: (transition_function(v),), (complex,), x)[0]
     if x >= _SERIES_FROM:
         # the terms turn by j each: 1, j h, -3 h^2, -15j h^3, 105 h^4, ...
         # with h = 1/(2x), so they are summed four at a time in real numbers
@@ -315,8 +319,8 @@ def utd_coefficient(geom: WedgeGeometry, material, frequency: float,
 def utd_coefficient_batch(geoms: list[WedgeGeometry], eps_list, frequency: float):
     """utd_coefficient evaluated for many wedge events in one pass.
 
-    Returns complex arrays (d_soft, d_hard) aligned with geoms; agrees with
-    the scalar routine to machine precision.
+    Returns complex arrays (d_soft, d_hard) aligned with geoms, empty for no
+    geoms; agrees with the scalar routine to machine precision.
     """
     k = 2.0 * math.pi * frequency / 299792458.0
     n = np.array([g.n for g in geoms])

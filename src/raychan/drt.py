@@ -19,7 +19,6 @@ import numpy as np
 
 from .rt import (
     GRAZING_COS,
-    SEG_PARAM_EPS,
     SIDE_EPS,
     ConstructionError,
     Mechanism,
@@ -29,6 +28,7 @@ from .rt import (
     _backbone_of,
     _owner_ids_for,
     build_geometry,
+    facet_crossings,
     make_path,
     signature_sort_key,
     solve_backbone,
@@ -116,29 +116,30 @@ class PathTrajectory:
         ok = np.ones(n_t, dtype=bool)
         scene = self.scene
         statics = scene.statics()
+        facets = statics.epoch
         facet_index = statics.id_index
         facet_by_id = statics.facet_by_id
         tx = scene.tx_motion.position(times)
         rx = scene.rx_motion.position(times)
 
-        # displaced plane offsets and polygon origins for every facet
+        # displaced plane offsets, (F, T), and displacements, (F, T, 3)
         if statics.all_static:
-            offsets = np.broadcast_to(statics.offsets0[:, None], (statics.n_facets, n_t))
-            origins = np.broadcast_to(statics.origins0[:, None],
-                                      (statics.n_facets, n_t, statics.maxv, 3))
+            disp = None
+            offsets = np.broadcast_to(facets.offsets[:, None], (statics.n_facets, n_t))
         else:
             disp = np.zeros((statics.n_facets, n_t, 3))
             for i, f in enumerate(scene.facets):
                 if not f.motion.is_static:
                     disp[i] = f.motion.displacement(times)
-            offsets = statics.offsets0[:, None] + np.einsum(
-                "fc,ftc->ft", statics.normals, disp)
-            origins = statics.origins0[:, None, :, :] + disp[:, :, None, :]
+            offsets = facets.offsets[:, None] + np.einsum(
+                "fc,ftc->ft", facets.normals, disp)
 
         def poly_inside(fi: int, pts: np.ndarray) -> np.ndarray:
-            rel = pts[:, None, :] - origins[fi]
-            d = np.einsum("tvc,vc->tv", rel, statics.inward[fi])
-            d = np.where(statics.valid[fi][None, :], d, np.inf)
+            origins = (facets.origins[fi] if disp is None
+                       else facets.origins[fi] + disp[fi][:, None, :])
+            rel = pts[:, None, :] - origins
+            d = np.einsum("tvc,vc->tv", rel, facets.inward[fi])
+            d = np.where(facets.valid[fi][None, :], d, np.inf)
             return np.min(d, axis=1) >= 0.0
 
         # ---- backbone construction ----
@@ -206,44 +207,33 @@ class PathTrajectory:
                 ok &= cosg >= GRAZING_COS
 
         # ---- crossing profile ----
-        # plane crossings are computed densely over (time, facet); polygon
-        # containment only for the gathered crossing candidates, which are
-        # sparse
+        # one facet_crossings call: row s * T + i is segment s at time i
         verts = [tx] + points + [rx]
-        owners = self.owners
-        all_static = statics.all_static
-        expected = np.zeros((len(verts) - 1, statics.n_facets), dtype=bool)
+        n_seg = len(verts) - 1
+        excluded = np.zeros((n_seg, statics.n_facets), dtype=bool)
+        expected = np.zeros((n_seg, statics.n_facets), dtype=bool)
+        for s in range(n_seg):
+            for gid in self.owners[s] | self.owners[s + 1]:
+                excluded[s, facet_index[gid]] = True
         seg_of_pen = 0
         for m, gid in self.signature:
             if m is Mechanism.PENETRATION:
                 expected[seg_of_pen, facet_index[gid]] = True
             else:
                 seg_of_pen += 1
-        pens_ok = np.ones(n_t, dtype=bool)
+        rows, fi, _u, _points = facet_crossings(
+            facets, np.concatenate(verts[:-1]), np.concatenate(np.diff(verts, axis=0)),
+            exclude=np.repeat(excluded, n_t, axis=0),
+            disp=None if disp is None else np.tile(disp.transpose(1, 0, 2), (n_seg, 1, 1)))
+        seg, ti = np.divmod(rows, n_t)
+        declared = expected[seg, fi]
         extra = np.zeros(n_t, dtype=bool)  # blockers or undeclared crossings
-        for s in range(len(verts) - 1):
-            a = verts[s]
-            d = verts[s + 1] - a
-            denom = np.einsum("tc,fc->tf", d, statics.normals)
-            num = offsets.T - np.einsum("tc,fc->tf", a, statics.normals)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t_par = num / denom
-            hit = (np.abs(denom) > 1e-14) & (t_par > SEG_PARAM_EPS) \
-                & (t_par < 1.0 - SEG_PARAM_EPS)
-            for gid in owners[s] | owners[s + 1]:
-                hit[:, facet_index[gid]] = False
-            if hit.any():
-                ti, fi = np.nonzero(hit)
-                pts = a[ti] + t_par[ti, fi, None] * d[ti]
-                orig = statics.origins0[fi] if all_static else origins[fi, ti]
-                rel = pts[:, None, :] - orig
-                edge_d = np.einsum("kvc,kvc->kv", rel, statics.inward[fi])
-                edge_d = np.where(statics.valid[fi], edge_d, np.inf)
-                hit[ti, fi] = np.min(edge_d, axis=1) >= 0.0
-            exp_row = expected[s]
-            if exp_row.any():
-                pens_ok &= hit[:, exp_row].all(axis=1)
-            extra |= (hit & ~exp_row[None, :]).any(axis=1)
+        extra[ti[~declared]] = True
+        pens_ok = np.ones(n_t, dtype=bool)
+        for s, e in zip(*np.nonzero(expected)):
+            crossed = np.zeros(n_t, dtype=bool)
+            crossed[ti[(seg == s) & (fi == e)]] = True
+            pens_ok &= crossed
         geo_ok = ok & pens_ok
         full_ok = geo_ok & ~extra
         return geo_ok, full_ok
@@ -318,4 +308,4 @@ def drt_run(scene: Scene, config: PredictionConfig,
         log.warning("drt run: dropped %d path instance(s) across all rounds", dropped)
     return RunResult(mode="drt", snapshots=snapshots, rt_times=rt_times, timing=timer,
                      t_c=config.t_c, dt=config.dt, duration=config.rounds * config.t_c,
-                     counters={"dropped_paths": dropped})
+                     counters={**timer.counters, "dropped_paths": dropped})

@@ -319,24 +319,21 @@ def extrapolate_fields(pairs, scene: Scene):
                 p_own.append((idx, c_ref, tr.label, tr.alpha, tr.d_t))
         ratios.append(ratio)
 
-    if r_cos:
-        r_perp, r_par = fresnel_from_cos(np.asarray(r_cos), np.asarray(r_eps, complex))
-        for (idx, c_ref, label), rp, rl in zip(r_own, r_perp, r_par):
-            if ratios[idx] is not None:
-                ratios[idx] *= complex(rp if label == 0 else rl) / c_ref
-    if p_cos:
-        slab = transmission_from_cos(np.asarray(p_cos), np.asarray(p_eps, complex),
-                                     np.asarray(p_thick))
-        for (idx, c_ref, label, alpha, d_t_ref), tp, tl, dt_now in zip(
-                p_own, slab.t_perp, slab.t_par, slab.d_t):
-            if ratios[idx] is not None:
-                ratios[idx] *= complex(tp if label == 0 else tl) / c_ref
-                ratios[idx] *= math.exp(-alpha * (float(dt_now) - d_t_ref))
-    if d_geoms:
-        d_soft, d_hard = utd_coefficient_batch(d_geoms, d_eps, scene.frequency)
-        for (idx, c_ref, label), s_val, h_val in zip(d_own, d_soft, d_hard):
-            if ratios[idx] is not None:
-                ratios[idx] *= complex(s_val if label == 0 else h_val) / c_ref
+    r_perp, r_par = fresnel_from_cos(np.asarray(r_cos), np.asarray(r_eps, complex))
+    for (idx, c_ref, label), rp, rl in zip(r_own, r_perp, r_par):
+        if ratios[idx] is not None:
+            ratios[idx] *= complex(rp if label == 0 else rl) / c_ref
+    slab = transmission_from_cos(np.asarray(p_cos), np.asarray(p_eps, complex),
+                                 np.asarray(p_thick))
+    for (idx, c_ref, label, alpha, d_t_ref), tp, tl, dt_now in zip(
+            p_own, slab.t_perp, slab.t_par, slab.d_t):
+        if ratios[idx] is not None:
+            ratios[idx] *= complex(tp if label == 0 else tl) / c_ref
+            ratios[idx] *= math.exp(-alpha * (float(dt_now) - d_t_ref))
+    d_soft, d_hard = utd_coefficient_batch(d_geoms, d_eps, scene.frequency)
+    for (idx, c_ref, label), s_val, h_val in zip(d_own, d_soft, d_hard):
+        if ratios[idx] is not None:
+            ratios[idx] *= complex(s_val if label == 0 else h_val) / c_ref
 
     k = scene.wavenumber
     out = []
@@ -537,7 +534,8 @@ def edrt_run(scene: Scene, config: PredictionConfig,
     return RunResult(mode="edrt", snapshots=snapshots, rt_times=rt_times,
                      timing=timer, t_c=config.t_c, dt=config.dt,
                      duration=config.rounds * config.t_c,
-                     counters={"dropped_paths": dropped,
+                     counters={**timer.counters,
+                               "dropped_paths": dropped,
                                "direct_fallbacks": fallbacks,
                                "lifetime_fallbacks": lifetime_fallbacks},
                      lifetimes=lifetimes_log)

@@ -102,6 +102,8 @@ class Motion:
         if t_arr.ndim == 0:
             seg = self.segments[int(self._segment_index(t_arr))]
             return position_at(seg, float(t_arr))
+        if len(self.segments) == 1:
+            return position_at(self.segments[0], t_arr.ravel())
         idx = self._segment_index(t_arr)
         out = np.empty((t_arr.size, 3))
         for i in np.unique(idx):
@@ -120,6 +122,22 @@ class Motion:
             sel = idx == i
             out[sel] = velocity_at(self.segments[int(i)], t_arr[sel])
         return out
+
+    def moves_with(self, other: "Motion") -> bool:
+        """Whether both motions displace their entities alike (within 1e-9 m)
+        at every time.
+
+        Between consecutive breakpoints of either motion both displacements
+        are single quadratics, so three times inside each piece decide.
+        """
+        if self.is_static and other.is_static:
+            return True
+        cuts = sorted({s.t_ref for s in self.segments + other.segments})
+        bounds = [cuts[0] - 1.0] + cuts + [cuts[-1] + 1.0]
+        times = [lo + (hi - lo) * f for lo, hi in zip(bounds, bounds[1:])
+                 for f in (0.25, 0.5, 0.75)]
+        return bool(np.allclose(self.displacement(times), other.displacement(times),
+                                rtol=0.0, atol=1e-9))
 
     def displacement(self, t) -> np.ndarray:
         """Offset relative to the scene epoch t=0 (exactly zero at t=0)."""

@@ -3,7 +3,10 @@
 Path finding is deterministic image-method enumeration over ordered facet
 tuples (reflection order <= 2), plus one-edge diffraction via the generalized
 Fermat point, each optionally combined with a single penetration through a
-transparent facet.  No ray launching is involved, so path signatures are
+transparent facet.  The enumeration is exhaustive up to exact plane-side
+culling: a reflection candidate is skipped unchecked only when the sides of
+the transceivers and facet vertices relative to its planes prove that no
+bounce can exist.  No ray launching is involved, so path signatures are
 stable across time and can be matched between snapshots.
 
 The electric field is propagated as a complex 3-vector with per-interface
@@ -36,7 +39,7 @@ from .geometry import (
     unit,
     vertical_pol,
 )
-from .scene import C_LIGHT, FacetAtTime, Scene, SceneAtTime, scene_at
+from .scene import C_LIGHT, FacetArrays, FacetAtTime, Scene, SceneAtTime, scene_at
 
 ETA0 = 376.730313668  # free-space impedance, ohms
 
@@ -44,6 +47,8 @@ ETA0 = 376.730313668  # free-space impedance, ohms
 SIDE_EPS = 1e-9          # strictly-same-side margin, m
 GRAZING_COS = 1e-9       # reject interactions closer than this to grazing
 SEG_PARAM_EPS = 1e-9     # occlusion hits closer than this to a segment end are ignored
+BOX_PAD = 1e-6           # crossing broad phase: segment boxes grow by this, m
+CULL_MARGIN = 1e-10      # plane-side culling: rounding allowance, m
 ON_GEOMETRY_TOL = 1e-5   # field computation: interaction point must be this close
                          # to its facet plane / edge line
 
@@ -154,20 +159,79 @@ def find_diffraction_point(tx, rx, e) -> np.ndarray | None:
 # Occlusion
 # ---------------------------------------------------------------------------
 
+def facet_crossings(facets: FacetArrays, a: np.ndarray, d: np.ndarray,
+                    exclude: np.ndarray | None = None,
+                    disp: np.ndarray | None = None):
+    """Crossings of segments a -> a + d with facet polygons.
+
+    The one segment-crossing kernel.  a and d are (S, 3).  exclude, (S, F) or
+    (F,), marks (segment, facet) pairs that never count.  With disp (S, F, 3)
+    each segment meets the facets translated by its own row of disp (a
+    lifetime scan: one row per sample time).
+
+    An axis-aligned box test first discards the pairs that cannot meet:
+    segment boxes are padded by BOX_PAD, and under disp a facet's box spans
+    all of its rows.  Every remaining pair goes through the exact
+    test: a plane crossing strictly inside the segment (SEG_PARAM_EPS from
+    either end), then convex containment of the crossing point.  A crossing
+    point lies within rounding of both boxes, so the broad phase never drops
+    a pair that the exact test accepts.
+
+    Returns (seg, facet, u, points) of the crossings in (seg, facet) order,
+    u being the segment parameter of each crossing point.
+    """
+    lo, hi = facets.lo, facets.hi
+    if disp is not None:
+        lo = lo + disp.min(axis=0)
+        hi = hi + disp.max(axis=0)
+    b = a + d
+    seg_lo = np.minimum(a, b) - BOX_PAD
+    seg_hi = np.maximum(a, b) + BOX_PAD
+    # drop the facets outside the box of all segments, then test pair by pair
+    near = np.flatnonzero(np.all((lo <= seg_hi.max(axis=0))
+                                 & (hi >= seg_lo.min(axis=0)), axis=1))
+    overlap = np.all((seg_lo[:, None, :] <= hi[near]) & (seg_hi[:, None, :] >= lo[near]),
+                     axis=2)
+    if exclude is not None:
+        overlap &= ~exclude[..., near]
+    si, k = np.nonzero(overlap)
+    fi = near[k]
+
+    a_k, d_k, normals = a[si], d[si], facets.normals[fi]
+    denom = np.einsum("kc,kc->k", d_k, normals)
+    offsets = facets.offsets[fi]
+    if disp is not None:
+        shift = disp[si, fi]
+        offsets = offsets + np.einsum("kc,kc->k", normals, shift)
+    num = offsets - np.einsum("kc,kc->k", a_k, normals)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = num / denom
+    keep = np.flatnonzero((np.abs(denom) > 1e-14) & (u > SEG_PARAM_EPS)
+                          & (u < 1.0 - SEG_PARAM_EPS))
+    si, fi, u = si[keep], fi[keep], u[keep]
+    points = a_k[keep] + u[:, None] * d_k[keep]
+    origins = facets.origins[fi]
+    if disp is not None:
+        origins = origins + shift[keep][:, None, :]
+    edge_d = np.einsum("kvc,kvc->kv", points[:, None, :] - origins, facets.inward[fi])
+    inside = np.flatnonzero(np.all((edge_d >= 0.0) | ~facets.valid[fi], axis=1))
+    return si[inside], fi[inside], u[inside], points[inside]
+
+
 def occlusion_profiles_batch(geom: SceneAtTime, polylines):
     """Crossed facets along many polylines Tx -> interactions -> Rx.
 
     polylines is a list of (vertices, owner_ids) pairs: vertices are the
     backbone points including both endpoints, owner_ids gives per vertex the
-    facet ids that own it (empty for Tx/Rx).  Every segment is tested against
-    every facet in one vectorized pass; hits within SEG_PARAM_EPS of a
-    segment end and hits on a segment's owner facets are ignored.  Returns
-    per polyline (opaque_blocked, penetrations), penetrations being the
-    parameter-ordered list of (segment_index, facet_at_time, point, t).
+    facet ids that own it (empty for Tx/Rx).  All segments go through
+    facet_crossings in one call; crossings on a segment's owner facets are
+    ignored.  Returns per polyline (opaque_blocked, penetrations),
+    penetrations being the parameter-ordered list of (segment_index,
+    facet_at_time, point, t).
     """
-    normals, offsets, origins, inward, valid, transparent = geom.occlusion_arrays()
+    facets = geom.occlusion_arrays()
     id_index = geom._statics.id_index
-    n_f = normals.shape[0]
+    n_f = facets.normals.shape[0]
     if n_f == 0 or not polylines:
         return [(False, []) for _ in polylines]
     seg_a, seg_d, seg_owner, excl_rows = [], [], [], []
@@ -180,32 +244,18 @@ def occlusion_profiles_batch(geom: SceneAtTime, polylines):
             for fid in owners[k] | owners[k + 1]:
                 row[id_index[fid]] = True
             excl_rows.append(row)
-    a = np.asarray(seg_a)
-    d = np.asarray(seg_d)
-    excl = np.asarray(excl_rows)
-    denom = d @ normals.T
-    num = offsets[None, :] - a @ normals.T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = num / denom
-    hit = (np.abs(denom) > 1e-14) & (t > SEG_PARAM_EPS) \
-        & (t < 1.0 - SEG_PARAM_EPS) & ~excl
-    if hit.any():
-        t = np.where(hit, t, 0.5)
-        pts = a[:, None, :] + t[..., None] * d[:, None, :]
-        rel = pts[:, :, None, :] - origins[None]
-        edge_d = np.einsum("sfvc,fvc->sfv", rel, inward)
-        edge_d = np.where(valid[None], edge_d, np.inf)
-        hit &= np.min(edge_d, axis=2) >= 0.0
+    hits = facet_crossings(facets, np.asarray(seg_a), np.asarray(seg_d),
+                           exclude=np.asarray(excl_rows))
     results = [[False, []] for _ in polylines]
-    for s, i in zip(*np.nonzero(hit)):
+    for s, i, t, point in zip(*hits):
         item, k = seg_owner[s]
         if results[item][0]:
             continue
-        if not transparent[i]:
+        if not facets.transparent[i]:
             results[item][0] = True
             results[item][1] = []
         else:
-            results[item][1].append((k, geom.facets[i], pts[s, i], float(t[s, i])))
+            results[item][1].append((k, geom.facets[i], point, float(t)))
     for r in results:
         r[1].sort(key=lambda h: (h[0], h[3]))
     return [(blocked, pens) for blocked, pens in results]
@@ -701,25 +751,82 @@ def _owner_ids_for(scene: Scene, backbone: tuple):
     return owners
 
 
-def _candidate_backbones(geom: SceneAtTime):
-    yield ()
+def _reflection_culling(geom: SceneAtTime):
+    """Plane-side culling of reflection candidates: (single (F,), pair (F, F)).
+
+    single[i] keeps a reflection on facet i, pair[i, j] the ordered pair
+    facet i then facet j.  solve_backbone rejects a bounce whose neighbours
+    are not strictly on one side of its plane, each at least SIDE_EPS from
+    it.  A bounce point lies inside its polygon, so its distance from
+    another plane is bounded by the polygon vertices' distances.  A
+    candidate is dropped only when these bounds fail by more than
+    CULL_MARGIN, so the culling never removes a path that the exact checks
+    would accept.
+    """
+    facets = geom.occlusion_arrays()
+    normals, offsets = facets.normals, facets.offsets
+    n_f = normals.shape[0]
+    tau = SIDE_EPS - CULL_MARGIN
+    s_tx = normals @ np.asarray(geom.tx, float) - offsets
+    s_rx = normals @ np.asarray(geom.rx, float) - offsets
+    single = ((s_tx >= tau) & (s_rx >= tau)) | ((s_tx <= -tau) & (s_rx <= -tau))
+    # above[i, j] / below[i, j]: some vertex of facet j at least tau in front
+    # of / behind plane i, one vertex slot at a time so that temporaries stay
+    # (F, F)
+    above = np.zeros((n_f, n_f), dtype=bool)
+    below = np.zeros((n_f, n_f), dtype=bool)
+    for v in range(facets.origins.shape[1]):
+        dist = normals @ facets.origins[:, v, :].T
+        dist -= offsets[:, None]
+        slot = facets.valid[:, v]
+        above |= (dist >= tau) & slot
+        below |= (dist <= -tau) & slot
+
+    def shares_side(s_trx):
+        """[i, j]: the transceiver and some vertex of facet j on one side of plane i."""
+        return ((s_trx >= tau)[:, None] & above) | ((s_trx <= -tau)[:, None] & below)
+
+    # bounce 1 on plane i needs Tx and bounce 2 (inside facet j) on one side,
+    # bounce 2 on plane j needs Rx and bounce 1 (inside facet i) on one side
+    pair = shares_side(s_tx) & shares_side(s_rx).T
+    np.fill_diagonal(pair, False)
+    return single, pair
+
+
+def _candidate_backbones(geom: SceneAtTime, single: np.ndarray, pair: np.ndarray):
+    """Backbones left to solve after the culling, in enumeration order."""
     fids = [f.id for f in geom.facets]
-    for fid in fids:
-        yield ((Mechanism.REFLECTION, fid),)
-    for f1 in fids:
-        for f2 in fids:
-            if f1 != f2:
-                yield ((Mechanism.REFLECTION, f1), (Mechanism.REFLECTION, f2))
+    refl = Mechanism.REFLECTION
+    yield ()
+    for i in np.flatnonzero(single):
+        yield ((refl, fids[i]),)
+    for i, j in zip(*np.nonzero(pair)):
+        yield ((refl, fids[i]), (refl, fids[j]))
     for e in geom.edges:
         yield ((Mechanism.DIFFRACTION, e.id),)
 
 
-def trace_geometry(scene: Scene, t: float, geom: SceneAtTime | None = None):
-    """Geometric stage of a snapshot: all valid path geometries at time t."""
+def trace_geometry(scene: Scene, t: float, geom: SceneAtTime | None = None,
+                   timer=None):
+    """Geometric stage of a snapshot: all valid path geometries at time t.
+
+    The enumeration is exhaustive up to exact plane-side culling: line of
+    sight, every reflection on one facet and on each ordered facet pair, and
+    every edge diffraction, minus the reflection candidates that
+    _reflection_culling proves impossible.  Each remaining candidate goes
+    through solve_backbone, the occlusion profile and build_geometry.  A
+    timer, when given, counts the candidates tried (rt_candidates) and
+    culled (rt_culled).
+    """
     if geom is None:
         geom = scene_at(scene, t)
+    single, pair = _reflection_culling(geom)
+    if timer is not None:
+        kept = int(single.sum()) + int(pair.sum())
+        timer.count("rt_candidates", 1 + kept + len(geom.edges))
+        timer.count("rt_culled", len(geom.facets) ** 2 - kept)
     results: list[PathGeometry] = []
-    for backbone in _candidate_backbones(geom):
+    for backbone in _candidate_backbones(geom, single, pair):
         try:
             points = solve_backbone(geom, backbone, clamped=True)
         except ConstructionError:
@@ -766,7 +873,7 @@ def trace_snapshot(scene: Scene, t: float, timer=None) -> Snapshot:
     from .runs import StageTimer
     timer = timer or StageTimer()
     with timer.geometry():
-        geom, geometries = trace_geometry(scene, t)
+        geom, geometries = trace_geometry(scene, t, timer=timer)
     paths = []
     with timer.field():
         for g in geometries:

@@ -16,12 +16,17 @@ from .scene import Scene
 
 
 class StageTimer:
-    """Wall-clock accumulator for the geometry and field stages of a run."""
+    """Wall-clock accumulator for the geometry and field stages of a run,
+    with event counters that the run reports (see RunResult.counters)."""
 
     def __init__(self):
         self.geometry_s = 0.0
         self.field_s = 0.0
         self.total_s = 0.0
+        self.counters: dict[str, int] = {}
+
+    def count(self, name: str, n: int) -> None:
+        self.counters[name] = self.counters.get(name, 0) + n
 
     @contextmanager
     def geometry(self):
@@ -99,7 +104,8 @@ def rt_run(scene: Scene, dt: float, duration: float, mode: str = "rt") -> RunRes
     with timer.total():
         snapshots = [trace_snapshot(scene, t, timer) for t in times]
     return RunResult(mode=mode, snapshots=snapshots, rt_times=list(times),
-                     timing=timer, dt=dt, duration=duration)
+                     timing=timer, dt=dt, duration=duration,
+                     counters=dict(timer.counters))
 
 
 def oracle_run(scene: Scene, dt: float, duration: float) -> RunResult:

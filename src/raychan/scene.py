@@ -29,7 +29,8 @@ Scene file schema (JSON, lengths in meters, times in seconds):
 
 Facet motion states describe the entity's reference-point trajectory; vertices
 are displaced by position(t) - position(0).  Edges move with their first
-adjacent facet, so the two facets sharing an edge must translate together.
+adjacent facet, so the two facets sharing an edge must translate together;
+a scene whose edge joins facets that move differently is rejected.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path as FilePath
+from typing import NamedTuple
 
 import numpy as np
 
@@ -151,6 +153,11 @@ class Scene:
                 if np.max(off) > COPLANAR_TOL:
                     raise SceneError(
                         f"edge {e.id!r} does not lie on the plane of facet {fid!r}")
+            first, second = (by_id[fid] for fid in e.adjacent_facets)
+            if not first.motion.moves_with(second.motion):
+                raise SceneError(
+                    f"edge {e.id!r}: adjacent facets {first.id!r} and {second.id!r} "
+                    "move differently")
 
     @property
     def wavelength(self) -> float:
@@ -208,6 +215,30 @@ class EdgeAtTime:
     frame: object = None  # WedgeFrame, cached by the ray tracer
 
 
+class FacetArrays(NamedTuple):
+    """Every facet's geometry stacked for the vectorized kernels.
+
+    Polygons are padded to the largest vertex count V; valid marks the real
+    vertex slots.  lo and hi bound each polygon's axis-aligned box.
+    """
+
+    normals: np.ndarray      # (F, 3), invariant under translation
+    offsets: np.ndarray      # (F,), plane: normal . x = offset
+    origins: np.ndarray      # (F, V, 3) polygon vertices, the edge origins
+    inward: np.ndarray       # (F, V, 3) in-plane inward edge normals, invariant
+    valid: np.ndarray        # (F, V) bool
+    transparent: np.ndarray  # (F,) bool
+    lo: np.ndarray           # (F, 3)
+    hi: np.ndarray           # (F, 3)
+
+    def displaced(self, disp: np.ndarray) -> "FacetArrays":
+        """The facets translated by disp, shape (F, 3)."""
+        return self._replace(
+            offsets=self.offsets + np.einsum("fc,fc->f", self.normals, disp),
+            origins=self.origins + disp[:, None, :],
+            lo=self.lo + disp, hi=self.hi + disp)
+
+
 class _SceneStatics:
     """Per-scene arrays that rigid translation leaves unchanged."""
 
@@ -215,24 +246,29 @@ class _SceneStatics:
         facets = scene.facets
         self.n_facets = len(facets)
         maxv = max((f.vertices.shape[0] for f in facets), default=3)
-        self.maxv = maxv
         F = self.n_facets
-        self.normals = np.zeros((F, 3))
-        self.offsets0 = np.zeros(F)
-        self.origins0 = np.zeros((F, maxv, 3))
-        self.inward = np.zeros((F, maxv, 3))
-        self.valid = np.zeros((F, maxv), dtype=bool)
-        self.transparent = np.zeros(F, dtype=bool)
+        normals = np.zeros((F, 3))
+        offsets = np.zeros(F)
+        origins = np.zeros((F, maxv, 3))
+        inward = np.zeros((F, maxv, 3))
+        valid = np.zeros((F, maxv), dtype=bool)
+        transparent = np.zeros(F, dtype=bool)
         self.ids = []
         for i, f in enumerate(facets):
             nv = f.vertices.shape[0]
-            self.normals[i] = f.normal
-            self.offsets0[i] = f.vertices[0] @ f.normal
-            self.origins0[i, :nv] = f.vertices
-            self.inward[i, :nv] = f.edge_inward
-            self.valid[i, :nv] = True
-            self.transparent[i] = f.material.transparent
+            normals[i] = f.normal
+            offsets[i] = f.vertices[0] @ f.normal
+            origins[i, :nv] = f.vertices
+            inward[i, :nv] = f.edge_inward
+            valid[i, :nv] = True
+            transparent[i] = f.material.transparent
             self.ids.append(f.id)
+        pad = ~valid[:, :, None]
+        lo = np.where(pad, np.inf, origins).min(axis=1)
+        hi = np.where(pad, -np.inf, origins).max(axis=1)
+        # the facets at the scene epoch t = 0
+        self.epoch = FacetArrays(normals, offsets, origins, inward, valid,
+                                 transparent, lo, hi)
         self.all_static = all(f.motion.is_static for f in facets)
         self.id_index = {fid: i for i, fid in enumerate(self.ids)}
         self.facet_by_id = {f.id: f for f in facets}
@@ -255,12 +291,12 @@ class SceneAtTime:
         for i, f in enumerate(scene.facets):
             if f.motion.is_static:
                 verts = f.vertices
-                offset = statics.offsets0[i]
+                offset = statics.epoch.offsets[i]
             else:
                 d = f.motion.displacement(t)
                 disp[i] = d
                 verts = f.vertices + d
-                offset = statics.offsets0[i] + float(f.normal @ d)
+                offset = statics.epoch.offsets[i] + float(f.normal @ d)
             fat = FacetAtTime(f.id, verts, f.normal, float(offset),
                               f.material, f.thickness, f.edge_inward)
             self.facets.append(fat)
@@ -288,19 +324,12 @@ class SceneAtTime:
     def edge(self, eid: str) -> EdgeAtTime:
         return self._edge_by_id[eid]
 
-    def occlusion_arrays(self):
-        """Stacked facet arrays for the vectorized segment-crossing kernel."""
+    def occlusion_arrays(self) -> FacetArrays:
+        """Stacked facet arrays at this instant, for the vectorized kernels."""
         if self._occlusion_arrays is None:
             s = self._statics
-            if s.all_static:
-                origins = s.origins0
-                offsets = s.offsets0
-            else:
-                origins = s.origins0 + self._facet_disp[:, None, :]
-                offsets = s.offsets0 + np.einsum("fc,fc->f", s.normals,
-                                                 self._facet_disp)
-            self._occlusion_arrays = (s.normals, offsets, origins, s.inward,
-                                      s.valid, s.transparent)
+            self._occlusion_arrays = (s.epoch if s.all_static
+                                      else s.epoch.displaced(self._facet_disp))
         return self._occlusion_arrays
 
 

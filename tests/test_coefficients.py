@@ -22,6 +22,7 @@ from raychan.coefficients import (
     complex_permittivity,
     fresnel_from_cos,
     transmission_from_cos,
+    utd_coefficient_batch,
 )
 
 import oracles
@@ -160,6 +161,23 @@ class TestArrayContract:
             assert batch.t_perp[i] == one.t_perp
             assert batch.t_par[i] == one.t_par
             assert batch.d_t[i] == one.d_t
+
+    @pytest.mark.parametrize("shape", [(0,), (2, 0)], ids=["0", "2x0"])
+    def test_empty_batches_give_empty_arrays(self, shape):
+        cos = np.zeros(shape)
+        eps = np.zeros(shape, complex)
+        f = transition_function(cos)
+        assert f.shape == shape and f.dtype == complex
+        for out in fresnel_from_cos(cos, eps):
+            assert out.shape == shape and out.dtype == complex
+        slab = transmission_from_cos(cos, eps, np.zeros(shape))
+        assert [a.shape for a in slab] == [shape] * 3
+        assert [a.dtype for a in slab] == [complex, complex, float]
+
+    def test_empty_utd_batch(self):
+        d_soft, d_hard = utd_coefficient_batch([], [], 6e9)
+        assert d_soft.shape == d_hard.shape == (0,)
+        assert d_soft.dtype == d_hard.dtype == complex
 
 
 class TestTransitionFunction:

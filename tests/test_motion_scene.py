@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from raychan import (
     Edge,
@@ -185,6 +188,155 @@ class TestValidation:
             Scene(facets=(f,), edges=(off_edge,),
                   tx_motion=Motion.stationary([0, 0, 1]),
                   rx_motion=Motion.stationary([1, 1, 1]), frequency=6e9)
+
+
+def _corner(move_b: Motion | None = None):
+    """Two walls meeting at a vertical corner edge; wall b may move."""
+    a = Facet(id="a", vertices=np.array(
+        [[0, 0, 0], [0, 0, 3], [4, 0, 3], [4, 0, 0]], float))
+    b = Facet(id="b", vertices=np.array(
+        [[0, 0, 0], [0, 4, 0], [0, 4, 3], [0, 0, 3]], float),
+        motion=move_b or Motion.stationary(np.zeros(3)))
+    edge = Edge(id="corner", endpoints=np.array([[0, 0, 0], [0, 0, 3]], float),
+                adjacent_facets=("a", "b"), exterior_wedge_angle=1.5 * np.pi)
+    return Scene(facets=(a, b), edges=(edge,),
+                 tx_motion=Motion.stationary([3, 3, 1.5]),
+                 rx_motion=Motion.stationary([5, 5, 1.5]), frequency=6e9)
+
+
+class TestEdgeMotion:
+    def test_facets_moving_differently_rejected(self):
+        moving = Motion((MotionState(np.zeros(3), v0=np.array([1.0, 0, 0])),))
+        with pytest.raises(SceneError, match="move differently"):
+            _corner(moving)
+
+    def test_later_motion_segment_counts(self):
+        turns = Motion((MotionState(np.zeros(3)),
+                        MotionState(np.zeros(3), v0=np.array([0, 0, 1.0]), t_ref=5.0)))
+        with pytest.raises(SceneError, match="move differently"):
+            _corner(turns)
+
+    def test_static_facets_accepted(self):
+        assert len(_corner().edges) == 1
+
+    def test_same_displacement_accepted(self):
+        a = Motion((MotionState(np.zeros(3), v0=np.array([1.0, 2.0, 0.0])),))
+        b = Motion((MotionState(np.array([7.0, 0, 0]), v0=np.array([1.0, 2.0, 0.0])),
+                    MotionState(np.array([10.0, 6.0, 0]), v0=np.array([1.0, 2.0, 0.0]),
+                                t_ref=3.0)))
+        assert a.moves_with(b) and b.moves_with(a)
+        assert not a.moves_with(Motion.stationary(np.zeros(3)))
+
+
+_coord = st.floats(-50.0, 50.0, allow_nan=False)
+_vec = st.tuples(_coord, _coord, _coord).map(np.array)
+
+
+@st.composite
+def _motions(draw):
+    n = draw(st.integers(1, 3))
+    t_refs = sorted(draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n,
+                                  unique=True)))
+    return Motion(tuple(MotionState(r0=draw(_vec), v0=draw(_vec), a0=draw(_vec),
+                                    t_ref=t) for t in t_refs))
+
+
+@st.composite
+def _scenes(draw):
+    """Scenes of random rectangles, some carrying an edge on one side."""
+    facets, edges = [], []
+    for i in range(draw(st.integers(0, 4))):
+        center = draw(_vec)
+        az = draw(st.floats(0.0, math.pi))
+        tilt = draw(st.floats(0.0, math.pi / 2))
+        u = np.array([math.cos(az), math.sin(az), 0.0])
+        v = np.array([-math.sin(az) * math.cos(tilt), math.cos(az) * math.cos(tilt),
+                      math.sin(tilt)])
+        a, b = draw(st.floats(0.5, 20.0)), draw(st.floats(0.5, 20.0))
+        verts = np.array([center - a * u - b * v, center + a * u - b * v,
+                          center + a * u + b * v, center - a * u + b * v])
+        material = Material(rel_permittivity=draw(st.floats(1.0, 20.0)),
+                            conductivity=draw(st.floats(0.0, 5.0)),
+                            attenuation_alpha=draw(st.floats(0.0, 5.0)),
+                            transparent=draw(st.booleans()))
+        motion = draw(st.one_of(st.just(Motion.stationary(np.zeros(3))), _motions()))
+        facets.append(Facet(id=f"f{i}", vertices=verts, material=material,
+                            motion=motion, thickness=draw(st.floats(0.01, 1.0))))
+        if draw(st.booleans()):
+            edges.append(Edge(id=f"f{i}_edge", endpoints=verts[:2],
+                              adjacent_facets=(f"f{i}", f"f{i}"),
+                              exterior_wedge_angle=2.0 * math.pi))
+    return Scene(facets=tuple(facets), edges=tuple(edges),
+                 tx_motion=draw(_motions()), rx_motion=draw(_motions()),
+                 frequency=draw(st.floats(1e8, 1e11)),
+                 tx_power_dbm=draw(st.floats(-30.0, 60.0)))
+
+
+def _numeric_leaves(node, path=()):
+    """Paths to every number of a scene document (booleans excluded)."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _numeric_leaves(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _numeric_leaves(value, path + (i,))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path
+
+
+_FILE_SETTINGS = settings(max_examples=60, deadline=None,
+                          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                                 HealthCheck.too_slow])
+
+
+class TestSceneFileProperties:
+    @_FILE_SETTINGS
+    @given(scene=_scenes())
+    def test_round_trip_loses_nothing(self, tmp_path, scene):
+        p = tmp_path / "scene.json"
+        save_scene(scene, p)
+        loaded = load_scene(p)
+        assert loaded.frequency == scene.frequency
+        assert loaded.tx_power_dbm == scene.tx_power_dbm
+        for got, want in zip(loaded.facets, scene.facets):
+            assert got.id == want.id and got.material == want.material
+            assert got.thickness == want.thickness
+            assert np.array_equal(got.vertices, want.vertices)
+            assert _same_motion(got.motion, want.motion)
+        for got, want in zip(loaded.edges, scene.edges):
+            assert (got.id, got.adjacent_facets, got.exterior_wedge_angle) == \
+                (want.id, want.adjacent_facets, want.exterior_wedge_angle)
+            assert np.array_equal(got.endpoints, want.endpoints)
+        assert len(loaded.facets) == len(scene.facets)
+        assert len(loaded.edges) == len(scene.edges)
+        assert _same_motion(loaded.tx_motion, scene.tx_motion)
+        assert _same_motion(loaded.rx_motion, scene.rx_motion)
+        again = tmp_path / "again.json"
+        save_scene(loaded, again)
+        assert again.read_bytes() == p.read_bytes()
+
+    @_FILE_SETTINGS
+    @given(scene=_scenes(), data=st.data(),
+           value=st.sampled_from([NAN, INF, -INF]))
+    def test_non_finite_anywhere_rejected(self, tmp_path, scene, data, value):
+        p = tmp_path / "scene.json"
+        save_scene(scene, p)
+        doc = json.loads(p.read_text())
+        where = data.draw(st.sampled_from(sorted(_numeric_leaves(doc), key=repr)))
+        node = doc
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = value
+        p.write_text(json.dumps(doc))
+        with pytest.raises(SceneError):
+            load_scene(p)
+
+
+def _same_motion(a: Motion, b: Motion) -> bool:
+    return len(a.segments) == len(b.segments) and all(
+        s.t_ref == o.t_ref and np.array_equal(s.r0, o.r0)
+        and np.array_equal(s.v0, o.v0) and np.array_equal(s.a0, o.a0)
+        for s, o in zip(a.segments, b.segments))
 
 
 class TestSceneFile:

@@ -177,6 +177,25 @@ class TestCli:
                      "--tc", "1.0", "--dt", "0.5", "--duration", "1.0",
                      "--out", str(tmp_path / "u")]) == 1
 
+    def test_edge_on_differently_moving_facets_exits_one(self, tmp_path, capsys):
+        wall = [[0, 0, 0], [0, 0, 3], [4, 0, 3], [4, 0, 0]]
+        side = [[0, 0, 0], [0, 4, 0], [0, 4, 3], [0, 0, 3]]
+        bad = tmp_path / "corner.json"
+        bad.write_text(json.dumps({
+            "frequency_hz": 6e9,
+            "facets": [{"id": "a", "vertices": wall},
+                       {"id": "b", "vertices": side, "motion_segments": [
+                           {"r0": [0, 0, 0], "v0": [1, 0, 0]}]}],
+            "edges": [{"id": "corner", "endpoints": [[0, 0, 0], [0, 0, 3]],
+                       "adjacent_facets": ["a", "b"],
+                       "exterior_wedge_angle": 1.5 * math.pi}],
+            "tx": {"motion_segments": [{"r0": [3, 3, 1.5]}]},
+            "rx": {"motion_segments": [{"r0": [5, 5, 1.5]}]}}))
+        assert main(["run", "--scene", str(bad), "--mode", "rt",
+                     "--tc", "1.0", "--dt", "0.5", "--duration", "1.0",
+                     "--out", str(tmp_path / "c")]) == 1
+        assert "move differently" in capsys.readouterr().err
+
     def test_runtime_value_error_exits_two(self, tiny_scene_file, tmp_path,
                                            monkeypatch):
         import raychan.cli
