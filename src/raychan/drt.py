@@ -1,37 +1,49 @@
 """Baseline dynamic ray tracing: geometry extrapolation with frozen structure.
 
 Within each prediction window the multipath structure found by the reference
-ray-tracing pass is kept fixed; only the interaction points are moved.  Each
-trajectory is obtained by re-solving the exact geometric construction (image
-cascade, Fermat point, slab crossing) against the displaced scene at the
-query time, which is exact for the polynomial motion model.  A reflection
-point is allowed to slide off its facet and a stale line-of-sight path is
-kept when it becomes blocked: those are the documented error modes of the
-approach, resolved only by the next reference pass.
+ray-tracing pass is kept fixed; only the interaction points are moved.  The
+reference paths of a round form one batched PathTrajectory, grouped inside
+by backbone shape (line of sight, one or two reflections, or one
+diffraction, each path with or without a penetration).  A round resolves
+every path at all of its prediction instants in one call, as arrays over
+(paths x times), one kernel per shape: the exact geometric
+construction (image cascade, Fermat point, slab crossing) is re-solved
+against the scene displaced to each query time, which is exact for the
+polynomial motion model.  Fields are then computed directly, path by path
+(make_path is DRT's field stage).  A reflection point is allowed to slide
+off its facet and a stale line-of-sight path is kept when it becomes
+blocked: those are the documented error modes of the approach, resolved only
+by the next reference pass.  E-DRT reuses the same kernel for its lifetime
+scans, its bisection and its predictions.
 """
 
 from __future__ import annotations
 
+import copy
 import logging
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from .geometry import UNIT_TOL
+from .motion import Motion
 from .rt import (
     GRAZING_COS,
     SIDE_EPS,
     ConstructionError,
+    Interaction,
     Mechanism,
     Path,
     PathGeometry,
+    PenetrationHit,
     Snapshot,
     _backbone_of,
     _owner_ids_for,
-    build_geometry,
+    _penetration_slots,
     facet_crossings,
     make_path,
     signature_sort_key,
-    solve_backbone,
     trace_snapshot,
 )
 from .runs import RunResult, StageTimer
@@ -60,205 +72,504 @@ class PredictionConfig:
         return round(self.t_c / self.dt)
 
 
-class PathTrajectory:
-    """Closed-form interaction-point trajectory of one path.
+def shape_of(signature) -> tuple:
+    """The backbone mechanisms of a signature, penetrations left out: LOS
+    (), R, RR or D.  Paths of one shape share one construction kernel."""
+    return tuple(m for m, _gid in signature if m is not Mechanism.PENETRATION)
 
-    Evaluating at a query time re-solves the path's geometric construction
-    against the scene at that time; no stepping or integration is involved.
+
+class TrajectoryGeometry(NamedTuple):
+    """Resolved geometry of the paths of one shape at many instants.
+
+    The leading axes are (paths, times) as returned by
+    PathTrajectory.geometry_at, or one axis of (path, instant) rows after
+    rows().  index gives each path's (or row's) position in the trajectory.
+    Values in failed rows are meaningless.
     """
 
-    def __init__(self, path: Path, scene: Scene, t0: float):
-        self.path = path
+    index: np.ndarray         # (P,) or (N,)
+    vertices: np.ndarray      # (..., V, 3): Tx, backbone points, Rx
+    pen_points: np.ndarray    # (..., n_pen, 3) slab crossing points
+    pen_params: np.ndarray    # (..., n_pen) their parameters along their segments
+    seg_lengths: np.ndarray   # (..., V - 1)
+    total_length: np.ndarray  # (...)
+    failed: np.ndarray        # (...) bool: the construction is impossible
+    pen_segments: np.ndarray  # (P,) or (N,) + (n_pen,): segment of each
+                              # penetration, -1 past a path's last one
+
+    def rows(self, ip: np.ndarray, it: np.ndarray) -> "TrajectoryGeometry":
+        """The (path, instant) rows (ip[k], it[k]) along one axis."""
+        flat = ip * self.failed.shape[1] + it
+        return TrajectoryGeometry(
+            self.index.take(ip),
+            *(_take_rows(a, flat) for a in (self.vertices, self.pen_points,
+                                            self.pen_params, self.seg_lengths,
+                                            self.total_length, self.failed)),
+            self.pen_segments.take(ip, axis=0))
+
+
+def _take_rows(a: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """a[ip, it] for flat = ip * T + it, a being (P, T, ...); ndarray.take
+    copies the same values as fancy indexing at a fraction of its cost."""
+    return a.reshape((a.shape[0] * a.shape[1],) + a.shape[2:]).take(flat, axis=0)
+
+
+def _positions(motion: Motion, t: np.ndarray) -> np.ndarray:
+    """motion.position at every entry of t, shape t.shape + (3,)."""
+    return motion.position(t.ravel()).reshape(t.shape + (3,))
+
+
+class _Shape:
+    """The paths of one shape within a PathTrajectory: per-path arrays and
+    the construction kernel.
+
+    index gives each path's position in the trajectory.  The per-path
+    arrays (_PER_PATH, path axis first) hold the facets each segment ignores
+    (its owners), each path's penetrations (slab facet and segment, padded
+    with -1 up to the most any path of the shape has), and the facets of
+    each reflection with their planes and polygons or the diffraction edge.
+    """
+
+    _PER_PATH = ("exclude", "pen_seg", "pen_facet", "pen_normal", "pen_offset",
+                 "edge_a", "edge_b", "edge_d", "edge_len", "edge_e", "edge_owner",
+                 "chain", "normal", "offset", "origins", "inward", "valid")
+
+    def __init__(self, scene: Scene, paths: list[Path], index: np.ndarray):
+        statics = scene.statics()
+        epoch, ids = statics.epoch, statics.id_index
+        self.scene = scene
+        self.index = index
+        self.diffraction = Mechanism.DIFFRACTION in shape_of(paths[0].signature)
+        backbones = [_backbone_of(p.signature) for p in paths]
+        n_paths, n_seg = len(paths), len(backbones[0]) + 1
+        slots = [_penetration_slots(p.signature) for p in paths]
+        n_pen = max(len(sl) for sl in slots)
+        pen_seg = np.full((n_paths, n_pen), -1)
+        pen_facet = np.full((n_paths, n_pen), -1)
+        for p, sl in enumerate(slots):
+            for j, (fid, seg) in enumerate(sl):
+                pen_seg[p, j], pen_facet[p, j] = seg, ids[fid]
+        exclude = np.zeros((n_paths, n_seg, statics.n_facets), dtype=bool)
+        for p, backbone in enumerate(backbones):
+            owners = _owner_ids_for(scene, backbone)
+            for s in range(n_seg):
+                for gid in owners[s] | owners[s + 1]:
+                    exclude[p, s, ids[gid]] = True
+        self.exclude, self.pen_seg, self.pen_facet = exclude, pen_seg, pen_facet
+        self.pen_normal = epoch.normals[pen_facet]
+        self.pen_offset = epoch.offsets[pen_facet]
+        self.edge_a = self.edge_b = self.edge_d = self.edge_len = self.edge_e = None
+        self.edge_owner = self.chain = self.normal = self.offset = None
+        self.origins = self.inward = self.valid = None
+        if self.diffraction:
+            edges = [scene.edge_by_id(backbone[0][1]) for backbone in backbones]
+            ends = np.stack([e.endpoints for e in edges])[:, :, None, :]
+            # the edge at the scene epoch, (P, 1, 3): endpoints, direction,
+            # length, unit direction
+            self.edge_a, self.edge_b = ends[:, 0], ends[:, 1]
+            self.edge_d = self.edge_b - self.edge_a
+            self.edge_len = np.sqrt(np.vecdot(self.edge_d, self.edge_d))
+            self.edge_e = self.edge_d / self.edge_len[..., None]
+            self.edge_owner = np.array([ids[e.adjacent_facets[0]] for e in edges])
+            self.n_bounce = 0
+        else:
+            self.chain = np.array([[ids[gid] for _m, gid in backbone]
+                                   for backbone in backbones],
+                                  dtype=int).reshape(n_paths, n_seg - 1)
+            self.n_bounce = n_seg - 1
+            self.normal, self.offset = epoch.normals[self.chain], epoch.offsets[self.chain]
+            self.origins, self.inward = epoch.origins[self.chain], epoch.inward[self.chain]
+            self.valid = epoch.valid[self.chain]
+
+    def take(self, rows: np.ndarray, index: np.ndarray) -> "_Shape":
+        """The paths rows of this shape, at positions index of a new trajectory."""
+        out = copy.copy(self)
+        out.index = index
+        for name in self._PER_PATH:
+            value = getattr(self, name)
+            if value is not None:
+                setattr(out, name, value[rows])
+        return out
+
+    def _facet_disp(self, facet_index: np.ndarray, t: np.ndarray):
+        """Displacement of facet facet_index[p] at times t[p], (P, T, 3), or
+        None when those facets are static."""
+        moving = [f for f in self.scene.statics().moving if np.any(facet_index == f)]
+        if not moving:
+            return None
+        out = np.zeros(t.shape + (3,))
+        for f in moving:
+            motion = self.scene.facets[f].motion
+            rows = facet_index == f
+            out[rows] = _positions(motion, t[rows]) - motion.position(0.0)
+        return out
+
+    def construct(self, tx: np.ndarray, rx: np.ndarray, t: np.ndarray):
+        """Backbone construction at times t, (P, T), for Tx and Rx at tx, rx.
+
+        Returns (vertices, ok, inside).  vertices are V arrays (P, T, 3),
+        some of them broadcast: Tx, the backbone points and Rx.  ok marks
+        the rows without a hard failure: no line parallel to its plane, no
+        image line outside (0, 1), no side or grazing violation, no
+        degenerate Fermat point.  inside marks the rows whose points also
+        lie strictly inside their polygons or edge segments, as an RT pass
+        requires.  The arithmetic is that of rt.solve_backbone, operation
+        for operation (np.vecdot is np.dot per row), so a row equals the
+        scalar construction bit for bit.
+        """
+        ok = np.ones(t.shape, dtype=bool)
+        inside = np.ones(t.shape, dtype=bool)
+        points = []
+        if self.diffraction:
+            a, d, length, e = self.edge_a, self.edge_d, self.edge_len, self.edge_e
+            disp = self._facet_disp(self.edge_owner, t)
+            if disp is not None:
+                a, b = a + disp, self.edge_b + disp
+                d = b - a
+                length = np.sqrt(np.vecdot(d, d))
+                e = d / length[..., None]
+            ta, tb = tx - a, rx - a
+            s1 = np.vecdot(ta, e)
+            s2 = np.vecdot(tb, e)
+            w1 = ta - s1[..., None] * e
+            w2 = tb - s2[..., None] * e
+            r1 = np.sqrt(np.vecdot(w1, w1))
+            r2 = np.sqrt(np.vecdot(w2, w2))
+            ok &= r1 + r2 >= 1e-12
+            u = (s1 + (s2 - s1) * r1 / (r1 + r2)) / length
+            inside &= (u > 0.0) & (u < 1.0)
+            points.append(a + u[..., None] * d)
+        elif self.n_bounce:
+            ns, offs, disps = [], [], []
+            for k in range(self.n_bounce):
+                n = self.normal[:, None, k, :]
+                disp = self._facet_disp(self.chain[:, k], t)
+                off = self.offset[:, k, None]
+                if disp is not None:
+                    off = off + np.vecdot(n, disp)
+                ns.append(n)
+                offs.append(off)
+                disps.append(disp)
+            images = [tx]
+            for n, off in zip(ns, offs):
+                img = images[-1]
+                images.append(img - (2.0 * (np.vecdot(img, n) - off))[..., None] * n)
+            points = [None] * self.n_bounce
+            target = rx
+            for k in reversed(range(self.n_bounce)):
+                img = images[k + 1]
+                d = target - img
+                denom = np.vecdot(ns[k], d)
+                par = (offs[k] - np.vecdot(ns[k], img)) / denom
+                ok &= (np.abs(denom) >= 1e-14) & (par > 0.0) & (par < 1.0)
+                target = img + par[..., None] * d
+                points[k] = target
+                # strict containment in the (displaced) polygon
+                origins = self.origins[:, None, k]
+                if disps[k] is not None:
+                    origins = origins + disps[k][:, :, None, :]
+                edge_d = np.einsum("ptvc,pvc->ptv", target[:, :, None, :] - origins,
+                                   self.inward[:, k])
+                inside &= np.all((edge_d >= 0.0) | ~self.valid[:, None, k], axis=2)
+            chain = [tx] + points + [rx]
+            for k, (n, off) in enumerate(zip(ns, offs)):
+                d_in = np.vecdot(n, chain[k]) - off
+                d_out = np.vecdot(n, chain[k + 2]) - off
+                ok &= (d_in * d_out > 0.0) & (
+                    np.minimum(np.abs(d_in), np.abs(d_out)) >= SIDE_EPS)
+                seg = chain[k + 1] - chain[k]
+                seg_len = np.sqrt(np.vecdot(seg, seg))
+                ok &= (seg_len >= UNIT_TOL) & (
+                    np.abs(np.vecdot(seg / seg_len[..., None], n)) >= GRAZING_COS)
+        return [tx] + points + [rx], ok, inside
+
+    def resolve(self, tx: np.ndarray, rx: np.ndarray, t: np.ndarray) -> TrajectoryGeometry:
+        """construct plus the slab crossings and segment lengths."""
+        vertices, ok, _inside = self.construct(tx, rx, t)
+        vertices = np.stack(np.broadcast_arrays(*vertices), axis=2)
+        failed = ~ok
+        n_paths, n_pen = self.pen_seg.shape
+        pen_points = np.zeros(t.shape + (n_pen, 3))
+        pen_params = np.zeros(t.shape + (n_pen,))
+        for j in range(n_pen):
+            seg = self.pen_seg[:, j]
+            has = np.flatnonzero(seg >= 0)
+            n = self.pen_normal[has, None, j, :]
+            off = self.pen_offset[has, j, None]
+            disp = self._facet_disp(self.pen_facet[has, j], t[has])
+            if disp is not None:
+                off = off + np.vecdot(n, disp)
+            a = vertices[has, :, seg[has]]
+            d = vertices[has, :, seg[has] + 1] - a
+            denom = np.vecdot(n, d)
+            failed[has] |= np.abs(denom) < 1e-14
+            par = (off - np.vecdot(n, a)) / denom
+            pen_points[has, :, j] = a + par[..., None] * d
+            pen_params[has, :, j] = par
+        seg_lengths = np.linalg.norm(np.diff(vertices, axis=2), axis=-1)
+        failed |= np.any(seg_lengths < 1e-9, axis=-1)
+        return TrajectoryGeometry(self.index, vertices, pen_points, pen_params,
+                                  seg_lengths, seg_lengths.sum(axis=-1), failed,
+                                  self.pen_seg)
+
+
+class PathTrajectory:
+    """Closed-form interaction-point trajectories of a batch of P paths.
+
+    The paths are grouped by shape (shape_of: LOS, R, RR or D, each path
+    with or without a penetration), and each shape has one construction
+    kernel over (paths x times) arrays; a single path is a batch of one.  t0
+    is the time of the reference pass the paths come from.  Every query
+    takes times (T,), shared by all paths, or (P, T), one row per path, and
+    re-solves each path's geometric construction (image cascade or Fermat
+    point, then the slab crossings) against the scene displaced to each
+    time; no stepping or integration is involved.
+
+    - geometry_at: per shape, vertex arrays and a mask of hard failures,
+      unclamped, so the structure stays frozen.  For a single path a scalar
+      time gives the PathGeometry of that instant instead.
+    - crossings: the occlusion and penetration profiles of resolved rows,
+      all shapes in one facet_crossings call.
+    - existence_scan: the strict existence predicates of an RT pass.
+    - validity_scan: one of the two existence masks, chosen per path.
+    """
+
+    def __init__(self, paths, scene: Scene, t0: float):
+        paths = [paths] if isinstance(paths, Path) else list(paths)
+        self.paths = paths
         self.scene = scene
         self.t0 = float(t0)
-        self.signature = path.signature
-        self.backbone = _backbone_of(path.signature)
-        self.owners = _owner_ids_for(scene, self.backbone)
+        groups: dict[tuple, list[int]] = {}
+        for k, path in enumerate(paths):
+            groups.setdefault(shape_of(path.signature), []).append(k)
+        self.shapes = [_Shape(scene, [paths[k] for k in index], np.array(index))
+                       for index in groups.values()]
+        # every path's penetrations, padded with -1, for the crossing profiles
+        n_pen = max((s.pen_seg.shape[1] for s in self.shapes), default=0)
+        self.pen_seg = np.full((len(paths), n_pen), -1)
+        self.pen_facet = np.full((len(paths), n_pen), -1)
+        for s in self.shapes:
+            self.pen_seg[s.index, :s.pen_seg.shape[1]] = s.pen_seg
+            self.pen_facet[s.index, :s.pen_seg.shape[1]] = s.pen_facet
 
-    def geometry_at(self, t: float, geom: SceneAtTime | None = None) -> PathGeometry:
-        """Resolved geometry at time t (unclamped: structure stays frozen).
+    def take(self, index) -> "PathTrajectory":
+        """The trajectories of paths[index] as a batch of their own."""
+        index = np.asarray(index)
+        out = copy.copy(self)
+        out.paths = [self.paths[i] for i in index]
+        position = np.full(len(self.paths), -1)
+        position[index] = np.arange(index.size)
+        out.shapes = []
+        for s in self.shapes:
+            rows = np.flatnonzero(position[s.index] >= 0)
+            if rows.size:
+                out.shapes.append(s.take(rows, position[s.index[rows]]))
+        out.pen_seg = self.pen_seg[index]
+        out.pen_facet = self.pen_facet[index]
+        return out
 
-        Raises ConstructionError when the construction itself becomes
-        impossible (image side violation, degenerate geometry).
+    def _times(self, times):
+        """times as (P, T), and Tx and Rx positions (P, T, 3)."""
+        t = np.asarray(times, float)
+        n_paths = len(self.paths)
+        if t.ndim == 1:
+            shape = (n_paths, t.size, 3)
+            tx = np.broadcast_to(_positions(self.scene.tx_motion, t), shape)
+            rx = np.broadcast_to(_positions(self.scene.rx_motion, t), shape)
+            return np.broadcast_to(t, (n_paths, t.size)), tx, rx
+        if t.ndim != 2 or t.shape[0] != n_paths:
+            raise ValueError("times must be (T,) or (paths, T)")
+        return t, _positions(self.scene.tx_motion, t), _positions(self.scene.rx_motion, t)
+
+    def geometry_at(self, times, geom: SceneAtTime | None = None):
+        """Resolved geometry at times (unclamped: the structure stays frozen).
+
+        Returns one TrajectoryGeometry per shape, in the order of
+        self.shapes; its failed mask marks the rows where the construction
+        itself is impossible (see _Shape.construct, plus a slab crossing
+        parallel to its segment or a zero-length segment).  For a single
+        path and a scalar time, returns that instant's PathGeometry (its
+        penetrations refer to geom, evaluated when not given) and raises
+        ConstructionError instead.
         """
-        if geom is None:
-            geom = scene_at(self.scene, t)
-        points = solve_backbone(geom, self.backbone, clamped=False)
-        return build_geometry(geom, self.signature, points)
+        if np.ndim(times) == 0:
+            return self._path_geometry_at(float(times), geom)
+        t, tx, rx = self._times(times)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return [s.resolve(tx.take(s.index, axis=0), rx.take(s.index, axis=0),
+                              t.take(s.index, axis=0)) for s in self.shapes]
 
-    def validity_scan(self, times, include_occlusion: bool = True) -> "np.ndarray":
-        """Strict existence over a batch of sample times: would a full RT
-        pass at each time contain this path?
+    def _path_geometry_at(self, t: float, geom: SceneAtTime | None) -> PathGeometry:
+        if len(self.paths) != 1:
+            raise ValueError("a scalar time needs a single-path trajectory")
+        [g] = self.geometry_at(np.array([t]))
+        if g.failed[0, 0]:
+            raise ConstructionError(
+                f"construction of {self.paths[0].signature} impossible at t={t:g}")
+        return self.path_geometry(g, 0, 0, geom if geom is not None
+                                  else scene_at(self.scene, t))
 
-        One vectorized pass over the time axis with the predicates of the RT
-        pass: backbone construction (image cascade or Fermat point) with
-        strict polygon/segment containment, then an occlusion profile that
-        must reproduce the signature's penetrations exactly.  With
-        include_occlusion=False only the geometric predicates are applied,
-        which is the primary existence notion for lifetime solving
-        (occlusion is transient and handled per snapshot).
+    def path_geometry(self, g: TrajectoryGeometry, p: int, i: int,
+                      geom: SceneAtTime) -> PathGeometry:
+        """PathGeometry of row p of g at its i-th time (not a failed row).
+
+        geom is the scene at that time: penetrations refer to its facets,
+        and its Tx and Rx positions, equal to the kernel's, are shared.
         """
-        geo_ok, full_ok = self.existence_scan(times)
-        return full_ok if include_occlusion else geo_ok
+        sig = self.paths[g.index[p]].signature
+        verts = [geom.tx, *g.vertices[p, i, 1:-1], geom.rx]
+        backbone = [Interaction(m, gid, verts[k + 1])
+                    for k, (m, gid) in enumerate(_backbone_of(sig))]
+        pens = [PenetrationHit(seg, geom.facet(fid), g.pen_points[p, i, j],
+                               float(g.pen_params[p, i, j]))
+                for j, (fid, seg) in enumerate(_penetration_slots(sig))]
+        seg_lengths = g.seg_lengths[p, i]
+        total = float(g.total_length[p, i])
+        split = None
+        if Mechanism.DIFFRACTION in shape_of(sig):
+            s_pre = float(seg_lengths[0])
+            split = (s_pre, total - s_pre)
+        return PathGeometry(sig, verts[0], verts[-1], verts, backbone, pens,
+                            seg_lengths, total, split)
+
+    def crossings(self, times, vertices, rows):
+        """Occlusion and penetration profiles: (extra, declared), (P, T) each.
+
+        vertices and rows hold, per shape in the order of self.shapes, the
+        path vertices as a list of (P_s, T, 3) arrays (Tx, backbone points,
+        Rx) and a (P_s, T) mask.  Only the marked rows are tested, each
+        segment against the facets at its row's own time, in one
+        facet_crossings call whose tracks are one segment of one path.
+        extra marks an opaque blocker or an undeclared slab crossing,
+        declared that every penetration of the signature is crossed.
+        """
+        t = np.broadcast_to(np.asarray(times, float), (len(self.paths), np.shape(times)[-1]))
+        statics = self.scene.statics()
+        picked = [np.nonzero(mask) for mask in rows]
+        n_rows = sum(ip.size * (s.exclude.shape[1]) for s, (ip, _it) in zip(self.shapes, picked))
+        extra = np.zeros(t.shape, dtype=bool)
+        declared = np.ones(t.shape, dtype=bool)
+        if not n_rows:
+            return extra, declared
+        # the segment rows of every shape, filled in place
+        seg_a, seg_d = np.empty((n_rows, 3)), np.empty((n_rows, 3))
+        tracks = np.empty(n_rows, dtype=int)
+        disp = np.zeros((n_rows, statics.n_facets, 3)) if statics.moving else None
+        exclude = []
+        parts = []  # (first row, rows per segment, path, time) of each shape's block
+        label = row = 0
+        for s, verts, (ip, it) in zip(self.shapes, vertices, picked):
+            n_paths, n_seg = s.exclude.shape[:2]
+            exclude.append(s.exclude.transpose(1, 0, 2).reshape(n_seg * n_paths, -1))
+            if ip.size:
+                flat = ip * t.shape[1] + it
+                parts.append((row, ip.size, s.index[ip], it))
+                start = _take_rows(verts[0], flat)
+                for k in range(n_seg):
+                    block = slice(row, row + ip.size)
+                    end = _take_rows(verts[k + 1], flat)
+                    seg_a[block] = start
+                    np.subtract(end, start, out=seg_d[block])
+                    tracks[block] = label + k * n_paths + ip
+                    if disp is not None:
+                        for f in statics.moving:
+                            motion = self.scene.facets[f].motion
+                            disp[block, f] = (motion.position(t[s.index[ip], it])
+                                              - motion.position(0.0))
+                    start = end
+                    row += ip.size
+            label += n_seg * n_paths
+        hit, facet, _u, _points = facet_crossings(
+            statics.epoch, seg_a, seg_d, exclude=np.concatenate(exclude), disp=disp,
+            track=tracks)
+        # each hit's path, time and segment
+        part = np.searchsorted([first for first, *_ in parts], hit, side="right") - 1
+        p, ti, seg = (np.empty(hit.size, dtype=int) for _ in range(3))
+        for k, (first, size, path, time) in enumerate(parts):
+            sel = part == k
+            seg[sel], m = np.divmod(hit[sel] - first, size)
+            p[sel], ti[sel] = path[m], time[m]
+        listed = np.zeros(hit.size, dtype=bool)
+        for j in range(self.pen_seg.shape[1]):
+            crossing = (seg == self.pen_seg[p, j]) & (facet == self.pen_facet[p, j])
+            listed |= crossing
+            crossed = np.zeros(t.shape, dtype=bool)
+            crossed[p[crossing], ti[crossing]] = True
+            declared &= crossed | (self.pen_seg[:, j] < 0)[:, None]
+        extra[p[~listed], ti[~listed]] = True
+        return extra, declared
 
     def existence_scan(self, times):
-        """(geometric_ok, fully_ok) over a batch of sample times.
+        """(geometric_ok, fully_ok), (P, T) each, over sample times.
 
-        geometric_ok covers the construction and on-geometry predicates
-        (including the declared slab crossings); fully_ok additionally
+        geometric_ok covers the construction with strict polygon and edge
+        containment and the declared slab crossings; fully_ok additionally
         requires the occlusion profile to match the signature exactly.
         Computing both in one pass lets lifetime solving look for geometric
         boundary crossings first and fall back to occlusion onsets without
         rescanning.
         """
-        times = np.asarray(times, float)
-        n_t = times.size
-        ok = np.ones(n_t, dtype=bool)
-        scene = self.scene
-        statics = scene.statics()
-        facets = statics.epoch
-        facet_index = statics.id_index
-        facet_by_id = statics.facet_by_id
-        tx = scene.tx_motion.position(times)
-        rx = scene.rx_motion.position(times)
+        t, tx, rx = self._times(times)
+        geo = np.zeros(t.shape, dtype=bool)
+        vertices, rows = [], []
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for s in self.shapes:
+                verts, ok, inside = s.construct(tx.take(s.index, axis=0),
+                                                rx.take(s.index, axis=0),
+                                                t.take(s.index, axis=0))
+                vertices.append(verts)
+                rows.append(ok & inside)
+                geo[s.index] = rows[-1]
+        extra, declared = self.crossings(t, vertices, rows)
+        geo_ok = geo & declared
+        return geo_ok, geo_ok & ~extra
 
-        # displaced plane offsets, (F, T), and displacements, (F, T, 3)
-        if statics.all_static:
-            disp = None
-            offsets = np.broadcast_to(facets.offsets[:, None], (statics.n_facets, n_t))
-        else:
-            disp = np.zeros((statics.n_facets, n_t, 3))
-            for i, f in enumerate(scene.facets):
-                if not f.motion.is_static:
-                    disp[i] = f.motion.displacement(times)
-            offsets = facets.offsets[:, None] + np.einsum(
-                "fc,ftc->ft", facets.normals, disp)
+    def validity_scan(self, times, include_occlusion=True) -> np.ndarray:
+        """Strict existence over sample times: would a full RT pass at each
+        time contain each path?  (P, T).
 
-        def poly_inside(fi: int, pts: np.ndarray) -> np.ndarray:
-            origins = (facets.origins[fi] if disp is None
-                       else facets.origins[fi] + disp[fi][:, None, :])
-            rel = pts[:, None, :] - origins
-            d = np.einsum("tvc,vc->tv", rel, facets.inward[fi])
-            d = np.where(facets.valid[fi][None, :], d, np.inf)
-            return np.min(d, axis=1) >= 0.0
-
-        # ---- backbone construction ----
-        mechs = [m for m, _ in self.backbone]
-        points: list[np.ndarray] = []
-        if not self.backbone:
-            pass
-        elif Mechanism.DIFFRACTION in mechs:
-            edge = scene.edge_by_id(self.backbone[0][1])
-            owner = facet_by_id[edge.adjacent_facets[0]]
-            edisp = (np.zeros((n_t, 3)) if owner.motion.is_static
-                     else owner.motion.displacement(times))
-            a = edge.endpoints[0] + edisp
-            b = edge.endpoints[1] + edisp
-            d = b - a
-            length = np.linalg.norm(d, axis=1)
-            e_hat = d / length[:, None]
-            ta, tb = tx - a, rx - a
-            s1 = np.einsum("tc,tc->t", ta, e_hat)
-            s2 = np.einsum("tc,tc->t", tb, e_hat)
-            r1 = np.linalg.norm(ta - s1[:, None] * e_hat, axis=1)
-            r2 = np.linalg.norm(tb - s2[:, None] * e_hat, axis=1)
-            rsum = r1 + r2
-            ok &= rsum > 1e-12
-            with np.errstate(divide="ignore", invalid="ignore"):
-                u = (s1 + (s2 - s1) * r1 / np.maximum(rsum, 1e-30)) / length
-            ok &= (u > 0.0) & (u < 1.0)
-            u = np.where(ok, u, 0.5)
-            points.append(a + u[:, None] * d)
-        else:
-            chain_facets = [facet_by_id[gid] for _m, gid in self.backbone]
-            fis = [facet_index[gid] for _m, gid in self.backbone]
-            images = [tx]
-            for f, fi in zip(chain_facets, fis):
-                img = images[-1]
-                dist = img @ f.normal - offsets[fi]
-                images.append(img - 2.0 * dist[:, None] * f.normal)
-            n_chain = len(chain_facets)
-            rev_points: list[np.ndarray] = []
-            target = rx
-            for f, fi in zip(reversed(chain_facets), reversed(fis)):
-                img = images[n_chain - len(rev_points)]
-                d_seg = target - img
-                denom = d_seg @ f.normal
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    t_par = (offsets[fi] - np.einsum("tc,c->t", img, f.normal)) / denom
-                ok &= (np.abs(denom) > 1e-14) & (t_par > 0.0) & (t_par < 1.0)
-                t_par = np.where(ok, t_par, 0.5)
-                p = img + t_par[:, None] * d_seg
-                ok &= poly_inside(fi, p)
-                rev_points.append(p)
-                target = p
-            points = rev_points[::-1]
-            # per-bounce side and grazing checks
-            chain = [tx] + points + [rx]
-            for k, (f, fi) in enumerate(zip(chain_facets, fis)):
-                d_in = np.einsum("tc,c->t", chain[k], f.normal) - offsets[fi]
-                d_out = np.einsum("tc,c->t", chain[k + 2], f.normal) - offsets[fi]
-                ok &= (d_in * d_out > 0.0)
-                ok &= np.minimum(np.abs(d_in), np.abs(d_out)) >= SIDE_EPS
-                seg = chain[k + 1] - chain[k]
-                seg_len = np.linalg.norm(seg, axis=1)
-                ok &= seg_len > 1e-9
-                cosg = np.abs(np.einsum("tc,c->t", seg, f.normal)) / np.maximum(seg_len, 1e-30)
-                ok &= cosg >= GRAZING_COS
-
-        # ---- crossing profile ----
-        # one facet_crossings call: row s * T + i is segment s at time i
-        verts = [tx] + points + [rx]
-        n_seg = len(verts) - 1
-        excluded = np.zeros((n_seg, statics.n_facets), dtype=bool)
-        expected = np.zeros((n_seg, statics.n_facets), dtype=bool)
-        for s in range(n_seg):
-            for gid in self.owners[s] | self.owners[s + 1]:
-                excluded[s, facet_index[gid]] = True
-        seg_of_pen = 0
-        for m, gid in self.signature:
-            if m is Mechanism.PENETRATION:
-                expected[seg_of_pen, facet_index[gid]] = True
-            else:
-                seg_of_pen += 1
-        rows, fi, _u, _points = facet_crossings(
-            facets, np.concatenate(verts[:-1]), np.concatenate(np.diff(verts, axis=0)),
-            exclude=np.repeat(excluded, n_t, axis=0),
-            disp=None if disp is None else np.tile(disp.transpose(1, 0, 2), (n_seg, 1, 1)))
-        seg, ti = np.divmod(rows, n_t)
-        declared = expected[seg, fi]
-        extra = np.zeros(n_t, dtype=bool)  # blockers or undeclared crossings
-        extra[ti[~declared]] = True
-        pens_ok = np.ones(n_t, dtype=bool)
-        for s, e in zip(*np.nonzero(expected)):
-            crossed = np.zeros(n_t, dtype=bool)
-            crossed[ti[(seg == s) & (fi == e)]] = True
-            pens_ok &= crossed
-        geo_ok = ok & pens_ok
-        full_ok = geo_ok & ~extra
-        return geo_ok, full_ok
+        include_occlusion, one flag or one per path, picks fully_ok over
+        geometric_ok (see existence_scan).  Without occlusion only the
+        geometric predicates apply, which is the primary existence notion
+        for lifetime solving (occlusion is transient and handled per
+        snapshot).
+        """
+        geo_ok, full_ok = self.existence_scan(times)
+        return np.where(np.reshape(include_occlusion, (-1, 1)), full_ok, geo_ok)
 
 
-def _advance(trajs: list[PathTrajectory], scene: Scene, t: float,
-             timer: StageTimer) -> tuple[Snapshot, int]:
-    """Snapshot of every trajectory re-solved at t, and the number dropped.
+def _advance(traj: PathTrajectory, scene: Scene, times,
+             timer: StageTimer) -> tuple[list[Snapshot], int]:
+    """Snapshots of every path of traj re-solved at times, and the number of
+    path instances dropped.
 
-    Paths whose geometric construction fails outright are dropped; fields
-    are recomputed directly from the advanced geometry.
+    One geometry_at call covers all shapes and instants.  Paths whose
+    geometric construction fails outright are dropped; fields are recomputed
+    directly from the advanced geometry, path by path.
     """
-    geom = scene_at(scene, t)
-    paths = []
+    times = [float(t) for t in times]
+    with timer.geometry():
+        resolved = traj.geometry_at(times)
+    snapshots = []
     dropped = 0
-    for traj in trajs:
-        try:
-            with timer.geometry():
-                geometry = traj.geometry_at(t, geom)
-            with timer.field():
-                paths.append(make_path(scene, geom, geometry))
-        except ConstructionError:
-            dropped += 1
-    paths.sort(key=lambda p: signature_sort_key(p.signature))
-    return Snapshot(time=float(t), paths=paths), dropped
+    for i, t in enumerate(times):
+        geom = scene_at(scene, t)
+        paths = []
+        for g in resolved:
+            for p, failed in enumerate(g.failed[:, i].tolist()):
+                if failed:
+                    dropped += 1
+                    continue
+                try:
+                    with timer.geometry():
+                        geometry = traj.path_geometry(g, p, i, geom)
+                    with timer.field():
+                        paths.append(make_path(scene, geom, geometry))
+                except ConstructionError:
+                    dropped += 1
+        paths.sort(key=lambda q: signature_sort_key(q.signature))
+        snapshots.append(Snapshot(time=t, paths=paths))
+    return snapshots, dropped
 
 
 def predict_snapshot_drt(reference: Snapshot, scene: Scene, t: float,
@@ -269,8 +580,8 @@ def predict_snapshot_drt(reference: Snapshot, scene: Scene, t: float,
     facet; paths whose geometric construction fails outright are dropped and
     logged.  Fields are recomputed directly from the advanced geometry.
     """
-    trajs = [PathTrajectory(p, scene, reference.time) for p in reference.paths]
-    snap, dropped = _advance(trajs, scene, t, timer or StageTimer())
+    traj = PathTrajectory(reference.paths, scene, reference.time)
+    [snap], dropped = _advance(traj, scene, [t], timer or StageTimer())
     if dropped:
         log.warning("drt: dropped %d geometrically impossible path(s) at t=%.3f",
                     dropped, t)
@@ -296,11 +607,11 @@ def drt_run(scene: Scene, config: PredictionConfig,
             reference = trace_snapshot(scene, t0, timer)
             rt_times.append(t0)
             snapshots.append(reference)
-            trajs = [PathTrajectory(p, scene, t0) for p in reference.paths]
-            for j in range(1, config.steps_per_round):
-                snap, lost = _advance(trajs, scene, t0 + j * config.dt, timer)
-                snapshots.append(snap)
-                dropped += lost
+            times = [t0 + j * config.dt for j in range(1, config.steps_per_round)]
+            predicted, lost = _advance(PathTrajectory(reference.paths, scene, t0), scene,
+                                       times, timer)
+            snapshots.extend(predicted)
+            dropped += lost
         t_end = config.rounds * config.t_c
         snapshots.append(trace_snapshot(scene, t_end, timer))
         rt_times.append(t_end)

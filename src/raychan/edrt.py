@@ -9,6 +9,17 @@ reference pass.  Field magnitudes are not recomputed: they are scaled by the
 exact ratio of interaction coefficients, spreading factors and slab losses
 between the reference time and the prediction time, forward from the window
 start for surviving paths and backward from the window end for newborn ones.
+
+A round runs on arrays.  Its paths form one drt.PathTrajectory, grouped
+inside by backbone shape, and one construction-and-crossing kernel resolves
+them over (paths x times): the lifetime scans of every dying and born path
+(one existence_scan per 100-sample chunk), their bisection (one
+validity_scan per 80-point level) and the predictions (one geometry_at for
+all instants of the round, then one crossing call for its occlusion and
+penetration profiles).  Field extrapolation reads its geometry from the same
+arrays and computes each mechanism's coefficients in one batched pass; Path
+objects are built only for the output snapshots, and the scene is evaluated
+at an instant only for a direct field fallback.
 """
 
 from __future__ import annotations
@@ -21,18 +32,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import fresnel_from_cos, transmission_from_cos, utd_coefficient_batch
-from .drt import PathTrajectory, PredictionConfig
+from .drt import PathTrajectory, PredictionConfig, TrajectoryGeometry
 from .rt import (
     GRAZING_COS,
     ConstructionError,
+    Interaction,
     InteractionTrace,
     Mechanism,
     Path,
     PathGeometry,
     Snapshot,
-    _signature_with_penetrations,
     field_of_path,
-    occlusion_profiles_batch,
     power_dbm_from_field,
     signature_sort_key,
     signature_str,
@@ -98,90 +108,118 @@ def match_paths(a: Snapshot, b: Snapshot) -> MatchedPaths:
 # ---------------------------------------------------------------------------
 
 _SCAN_CHUNK = 100
+_BISECTION_GRID = 80
 
 
-def _bisect_transition(traj: PathTrajectory, t_valid: float, t_invalid: float,
-                       include_occlusion: bool) -> float:
-    """Refine a validity transition bracketed by a valid and an invalid time.
+def _bisect_transitions(traj: PathTrajectory, t_valid: np.ndarray,
+                        t_invalid: np.ndarray, include_occlusion: np.ndarray,
+                        timer: StageTimer) -> np.ndarray:
+    """Refine the validity transitions bracketed by valid and invalid times,
+    one per path of traj.
 
     Batched multi-section refinement: each level evaluates the validity scan
-    on an interior grid and re-brackets at the first transition, until the
-    bracket is tighter than the bisection tolerance.
+    of every pending bracket on an interior grid in one call and re-brackets
+    each path at its first transition, until every bracket is tighter than
+    the bisection tolerance.
     """
-    n_grid = 80
-    while abs(t_invalid - t_valid) > 2.0 * BISECTION_TOL:
-        ts = t_valid + (t_invalid - t_valid) * np.arange(1, n_grid + 1) / (n_grid + 1)
-        valid = traj.validity_scan(ts, include_occlusion)
-        bad = np.nonzero(~valid)[0]
-        if bad.size:
-            i = int(bad[0])
-            t_invalid = float(ts[i])
-            if i > 0:
-                t_valid = float(ts[i - 1])
-        else:
-            t_valid = float(ts[-1])
-    return 0.5 * (t_valid + t_invalid)
+    t_valid, t_invalid = t_valid.copy(), t_invalid.copy()
+    frac = np.arange(1, _BISECTION_GRID + 1)
+    while True:
+        pending = np.flatnonzero(np.abs(t_invalid - t_valid) > 2.0 * BISECTION_TOL)
+        if not pending.size:
+            return 0.5 * (t_valid + t_invalid)
+        lo, hi = t_valid[pending, None], t_invalid[pending, None]
+        ts = lo + (hi - lo) * frac / (_BISECTION_GRID + 1)
+        batch = traj if pending.size == t_valid.size else traj.take(pending)
+        valid = batch.validity_scan(ts, include_occlusion[pending])
+        timer.count("lifetime_bisect_samples", ts.size)
+        bad = ~valid
+        found = bad.any(axis=1)
+        i = bad.argmax(axis=1)
+        rows = np.arange(pending.size)
+        t_invalid[pending] = np.where(found, ts[rows, i], t_invalid[pending])
+        t_valid[pending] = np.where(~found, ts[:, -1],
+                                    np.where(i > 0, ts[rows, i - 1], t_valid[pending]))
 
 
-def _boundary_transition(traj: PathTrajectory, anchor: float,
-                         times: np.ndarray) -> float | None:
-    """First validity transition along times, geometric causes first.
+def _transitions(traj: PathTrajectory, times: np.ndarray, anchors: np.ndarray,
+                 timer: StageTimer) -> np.ndarray:
+    """First validity transition of each path along its row of times
+    (P, N), geometric causes first; NaN where none is found.
 
-    Scans the geometric existence of the path (interaction points on their
-    surfaces/edges, construction solvable); only when no geometric cause
-    exists anywhere in the window does it fall back to the earliest
+    Scans the geometric existence of every path (interaction points on
+    their surfaces/edges, construction solvable) chunk by chunk, each path
+    stopping at its first geometric failure; only a path with no geometric
+    cause anywhere in the window falls back to its earliest
     occlusion-profile deviation.  Both predicates come from one combined
-    scan pass.  Returns the refined transition time or None.
+    scan pass.  anchors (P,) are the valid reference instants before each
+    row; the found brackets are then refined together.
     """
-    first_full: int | None = None
-    for start in range(0, times.size, _SCAN_CHUNK):
-        chunk = times[start:start + _SCAN_CHUNK]
-        geo_ok, full_ok = traj.existence_scan(chunk)
-        bad_geo = np.nonzero(~geo_ok)[0]
-        if bad_geo.size:
-            i = start + int(bad_geo[0])
-            t_prev = anchor if i == 0 else float(times[i - 1])
-            return _bisect_transition(traj, t_prev, float(times[i]),
-                                      include_occlusion=False)
-        if first_full is None:
-            bad_full = np.nonzero(~full_ok)[0]
-            if bad_full.size:
-                first_full = start + int(bad_full[0])
-    if first_full is not None:
-        i = first_full
-        t_prev = anchor if i == 0 else float(times[i - 1])
-        return _bisect_transition(traj, t_prev, float(times[i]),
-                                  include_occlusion=True)
-    return None
+    n_paths, n_times = times.shape
+    first_geo = np.full(n_paths, -1)
+    first_full = np.full(n_paths, -1)
+    for start in range(0, n_times, _SCAN_CHUNK):
+        active = np.flatnonzero(first_geo < 0)
+        if not active.size:
+            break
+        chunk = times[active, start:start + _SCAN_CHUNK]
+        batch = traj if active.size == n_paths else traj.take(active)
+        geo_ok, full_ok = batch.existence_scan(chunk)
+        timer.count("lifetime_scan_samples", chunk.size)
+        bad_geo = ~geo_ok
+        hit = bad_geo.any(axis=1)
+        first_geo[active[hit]] = start + bad_geo[hit].argmax(axis=1)
+        bad_full = ~full_ok
+        onset = ~hit & bad_full.any(axis=1) & (first_full[active] < 0)
+        first_full[active[onset]] = start + bad_full[onset].argmax(axis=1)
+    first = np.where(first_geo >= 0, first_geo, first_full)
+    out = np.full(n_paths, np.nan)
+    found = np.flatnonzero(first >= 0)
+    if found.size:
+        i = first[found]
+        t_prev = np.where(i == 0, anchors[found], times[found, np.maximum(i - 1, 0)])
+        batch = traj if found.size == n_paths else traj.take(found)
+        out[found] = _bisect_transitions(batch, t_prev, times[found, i],
+                                         first_geo[found] < 0, timer)
+    return out
 
 
-def _lifetime_edge(path: Path, scene: Scene, t_start: float, t_end: float,
-                   dt: float, dying: bool) -> tuple[float, bool]:
-    """Death (dying=True) or birth time of a path, and whether it fell back.
+def _lifetime_edges(dying: list[Path], born: list[Path], scene: Scene,
+                    t_start: float, t_end: float, dt: float,
+                    timer: StageTimer) -> list[tuple[float, bool]]:
+    """(transition time, fallback) of every dying, then every born path.
 
-    The scan runs away from the reference end of the window: forward from
-    t_start for a dying path, backward from t_end for a born one.  An
-    unresolved case is logged and falls back to one step inside the far
-    window edge.
+    The scan runs away from the reference end of the window on the dt/20
+    grid: forward from t_start for a dying path, backward from t_end for a
+    born one.  All paths are scanned and refined together, as one
+    PathTrajectory.  An unresolved case is logged and falls back to one step
+    inside the far window edge.
     """
-    anchor = t_start if dying else t_end
-    traj = PathTrajectory(path, scene, anchor)
     step = dt / LIFETIME_SAMPLE_DIVISOR
     n = round((t_end - t_start) / step)
     offsets = step * np.arange(1, n + 1)
-    times = t_start + offsets if dying else t_end - offsets
-    t = _boundary_transition(traj, anchor, times)
-    if t is not None:
-        return t, False
-    if dying:
-        log.warning("edrt: no geometric death found for %s in (%.3f, %.3f]; "
-                    "falling back to window end minus dt",
-                    path.signature, t_start, t_end)
-        return t_end - dt, True
-    log.warning("edrt: no geometric birth found for %s in [%.3f, %.3f); "
-                "falling back to window start plus dt",
-                path.signature, t_start, t_end)
-    return t_start + dt, True
+    paths = dying + born
+    is_dying = np.arange(len(paths)) < len(dying)
+    if not paths:
+        return []
+    times = np.where(is_dying[:, None], t_start + offsets, t_end - offsets)
+    anchors = np.where(is_dying, t_start, t_end)
+    found = _transitions(PathTrajectory(paths, scene, t_start), times, anchors, timer)
+    out = []
+    for path, dies, t in zip(paths, is_dying.tolist(), found.tolist()):
+        if not math.isnan(t):
+            out.append((t, False))
+        elif dies:
+            log.warning("edrt: no geometric death found for %s in (%.3f, %.3f]; "
+                        "falling back to window end minus dt",
+                        path.signature, t_start, t_end)
+            out.append((t_end - dt, True))
+        else:
+            log.warning("edrt: no geometric birth found for %s in [%.3f, %.3f); "
+                        "falling back to window start plus dt",
+                        path.signature, t_start, t_end)
+            out.append((t_start + dt, True))
+    return out
 
 
 def death_time(path: Path, scene: Scene, t_start: float, t_end: float,
@@ -195,7 +233,7 @@ def death_time(path: Path, scene: Scene, t_start: float, t_end: float,
     occlusion onset is used instead.  If neither is found the path dies at
     t_end - dt and the case is logged as unresolved.
     """
-    return _lifetime_edge(path, scene, t_start, t_end, dt, dying=True)[0]
+    return _lifetime_edges([path], [], scene, t_start, t_end, dt, StageTimer())[0][0]
 
 
 def birth_time(path: Path, scene: Scene, t_start: float, t_end: float,
@@ -209,24 +247,26 @@ def birth_time(path: Path, scene: Scene, t_start: float, t_end: float,
     transition onward.  Falls back to t_start + dt when the whole window
     scans valid.
     """
-    return _lifetime_edge(path, scene, t_start, t_end, dt, dying=False)[0]
+    return _lifetime_edges([], [path], scene, t_start, t_end, dt, StageTimer())[0][0]
 
 
 def solve_lifetimes(matched: MatchedPaths, scene: Scene, t_start: float,
-                    t_end: float, dt: float) -> dict:
+                    t_end: float, dt: float, timer: StageTimer | None = None) -> dict:
     """Lifetime for every path of a round, keyed by signature.
 
     Common paths live for the whole window; dying and born paths get solved
-    boundary-crossing times, flagged as fallbacks when unresolved.
+    boundary-crossing times, flagged as fallbacks when unresolved.  A timer,
+    when given, counts the (path, time) samples of the scans
+    (lifetime_scan_samples) and of the bisection (lifetime_bisect_samples).
     """
+    edges = _lifetime_edges(matched.dying, matched.born, scene, t_start, t_end, dt,
+                            timer or StageTimer())
     lifetimes: dict = {}
     for pa, _pb in matched.common:
         lifetimes[pa.signature] = Lifetime(pa, t_start, t_end)
-    for p in matched.dying:
-        t, fallback = _lifetime_edge(p, scene, t_start, t_end, dt, dying=True)
+    for p, (t, fallback) in zip(matched.dying, edges):
         lifetimes[p.signature] = Lifetime(p, t_start, t, fallback)
-    for p in matched.born:
-        t, fallback = _lifetime_edge(p, scene, t_start, t_end, dt, dying=False)
+    for p, (t, fallback) in zip(matched.born, edges[len(matched.dying):]):
         lifetimes[p.signature] = Lifetime(p, t, t_end, fallback)
     return lifetimes
 
@@ -267,85 +307,138 @@ def extrapolate_field(ref: FieldReference, cur: PathGeometry, scene: Scene):
     phase at its reference value.  Returns (field2, power_dbm) or None when
     the Brewster-null fallback applies.
     """
-    return extrapolate_fields([(ref, cur)], scene)[0]
+    pens = cur.penetrations
+    row = TrajectoryGeometry(
+        index=np.zeros(1, dtype=int),
+        vertices=np.asarray(cur.vertices)[None],
+        pen_points=np.array([h.point for h in pens]).reshape(1, len(pens), 3),
+        pen_params=np.array([[h.t for h in pens]]).reshape(1, len(pens)),
+        seg_lengths=np.asarray(cur.seg_lengths)[None],
+        total_length=np.array([cur.total_length]),
+        failed=np.zeros(1, dtype=bool),
+        pen_segments=np.array([[h.segment for h in pens]]).reshape(1, len(pens)))
+    return extrapolate_fields([ref], [row], scene)[0]
 
 
-def extrapolate_fields(pairs, scene: Scene):
+def extrapolate_fields(refs, batches, scene: Scene):
     """extrapolate_field over many (reference, geometry) pairs at once.
 
-    The per-mechanism coefficient evaluations of all pairs are gathered and
-    computed in batched passes; only the geometry bookkeeping stays scalar.
-    Entries are None where the Brewster-null fallback applies.
+    batches are TrajectoryGeometry row batches (TrajectoryGeometry.rows),
+    each of one shape and one number of penetrations, and refs holds the
+    reference of every row of every batch, in order.  Incidence angles and
+    wedge angles are read from the vertex arrays, one interaction slot at a
+    time; all reflection, slab and diffraction coefficients of the call are
+    then computed in one batched pass per mechanism, and the ratios are
+    multiplied out row by row.  Entries are None where the Brewster-null or
+    grazing-slab fallback applies.
     """
-    ratios: list[complex | None] = []
-    # queues: (pair_index, c_ref, label) plus kind-specific payloads
-    d_geoms, d_eps, d_own = [], [], []
-    r_cos, r_eps, r_own = [], [], []
-    p_cos, p_eps, p_thick, p_own = [], [], [], []
-    for idx, (ref, cur) in enumerate(pairs):
-        ratio: complex | None = 1.0 + 0.0j
-        verts = cur.vertices
-        for t_idx, tr in enumerate(ref.traces):
-            c_ref = tr.coeff[tr.label]
-            if abs(c_ref) < COEFF_FLOOR:
-                ratio = None
-                break
-            if tr.kind is Mechanism.DIFFRACTION:
-                d_geoms.append(wedge_geometry_of(tr.frame, cur, t_idx))
-                d_eps.append(tr.eps)
-                d_own.append((idx, c_ref, tr.label))
+    # per mechanism: the coefficient inputs queued by every slot of every batch
+    queued = {Mechanism.REFLECTION: ([], []), Mechanism.PENETRATION: ([], [], []),
+              Mechanism.DIFFRACTION: ([], [])}
+    plans = []  # per batch: (refs, rows, alive, [(slot, kind, rows queued)])
+    start = 0
+    for rows in batches:
+        n_rows = rows.total_length.shape[0]
+        batch_refs = refs[start:start + n_rows]
+        start += n_rows
+        if not n_rows:
+            continue
+        # the rows of one path share its reference: read each reference once
+        position: dict[int, int] = {}
+        of_row = np.array([position.setdefault(id(ref), len(position))
+                           for ref in batch_refs])
+        distinct = list({id(ref): ref for ref in batch_refs}.values())
+        verts, seg_lengths = rows.vertices, rows.seg_lengths
+        n_backbone = verts.shape[1] - 2
+        r = np.arange(n_rows)
+        alive = np.ones(n_rows, dtype=bool)
+        slots = []
+        for q, kind in enumerate(tr.kind for tr in batch_refs[0].traces):
+            traces = [ref.traces[q] for ref in distinct]
+            alive &= np.array([abs(tr.coeff[tr.label]) >= COEFF_FLOOR
+                               for tr in traces]).take(of_row)
+            eps = np.array([tr.eps for tr in traces], dtype=complex).take(of_row)
+            if kind is Mechanism.DIFFRACTION:
+                live = np.flatnonzero(alive)
+                queued[kind][0].extend(
+                    wedge_geometry_of(traces[of_row[n]].frame, verts[n], seg_lengths[n],
+                                      rows.total_length[n], q) for n in live)
+                queued[kind][1].append(eps[live])
+                slots.append((q, kind, live))
                 continue
-            if tr.kind is Mechanism.REFLECTION:
-                seg = t_idx
-            else:
-                seg = cur.penetrations[t_idx - len(cur.backbone)].segment
-            a = verts[seg]
-            b = verts[seg + 1]
-            n = tr.normal
-            dot = ((b[0] - a[0]) * n[0] + (b[1] - a[1]) * n[1]
-                   + (b[2] - a[2]) * n[2])
-            cos_th = min(abs(dot) / float(cur.seg_lengths[seg]), 1.0)
-            if tr.kind is Mechanism.REFLECTION:
-                r_cos.append(cos_th)
-                r_eps.append(tr.eps)
-                r_own.append((idx, c_ref, tr.label))
-            else:
-                if cos_th < GRAZING_COS:
-                    ratio = None  # grazing slab crossing: direct fallback
-                    break
-                p_cos.append(cos_th)
-                p_eps.append(tr.eps)
-                p_thick.append(tr.thickness)
-                p_own.append((idx, c_ref, tr.label, tr.alpha, tr.d_t))
-        ratios.append(ratio)
+            seg = (np.full(n_rows, q) if kind is Mechanism.REFLECTION
+                   else rows.pen_segments[:, q - n_backbone])
+            d = verts[r, seg + 1] - verts[r, seg]
+            n = np.array([tr.normal for tr in traces]).take(of_row, axis=0)
+            dot = d[:, 0] * n[:, 0] + d[:, 1] * n[:, 1] + d[:, 2] * n[:, 2]
+            cos_th = np.minimum(np.abs(dot) / seg_lengths[r, seg], 1.0)
+            queued[kind][0].append(cos_th)
+            queued[kind][1].append(eps)
+            if kind is Mechanism.PENETRATION:
+                alive &= cos_th >= GRAZING_COS  # grazing slab crossing: direct fallback
+                queued[kind][2].append(
+                    np.array([tr.thickness for tr in traces]).take(of_row))
+            slots.append((q, kind, r))
+        plans.append((batch_refs, rows, alive, slots))
 
-    r_perp, r_par = fresnel_from_cos(np.asarray(r_cos), np.asarray(r_eps, complex))
-    for (idx, c_ref, label), rp, rl in zip(r_own, r_perp, r_par):
-        if ratios[idx] is not None:
-            ratios[idx] *= complex(rp if label == 0 else rl) / c_ref
-    slab = transmission_from_cos(np.asarray(p_cos), np.asarray(p_eps, complex),
-                                 np.asarray(p_thick))
-    for (idx, c_ref, label, alpha, d_t_ref), tp, tl, dt_now in zip(
-            p_own, slab.t_perp, slab.t_par, slab.d_t):
-        if ratios[idx] is not None:
-            ratios[idx] *= complex(tp if label == 0 else tl) / c_ref
-            ratios[idx] *= math.exp(-alpha * (float(dt_now) - d_t_ref))
-    d_soft, d_hard = utd_coefficient_batch(d_geoms, d_eps, scene.frequency)
-    for (idx, c_ref, label), s_val, h_val in zip(d_own, d_soft, d_hard):
-        if ratios[idx] is not None:
-            ratios[idx] *= complex(s_val if label == 0 else h_val) / c_ref
+    def joined(parts, dtype=float):
+        return np.concatenate(parts) if parts else np.zeros(0, dtype)
 
+    # one pass per mechanism; per row: (coefficient 0, coefficient 1, slab length)
+    cos_r, eps_r = queued[Mechanism.REFLECTION]
+    r_perp, r_par = fresnel_from_cos(joined(cos_r), joined(eps_r, complex))
+    cos_p, eps_p, thick = queued[Mechanism.PENETRATION]
+    slab = transmission_from_cos(joined(cos_p), joined(eps_p, complex), joined(thick))
+    wedges, eps_d = queued[Mechanism.DIFFRACTION]
+    d_soft, d_hard = utd_coefficient_batch(wedges, joined(eps_d, complex), scene.frequency)
+    results = {Mechanism.REFLECTION: (r_perp, r_par, None),
+               Mechanism.PENETRATION: (slab.t_perp, slab.t_par, slab.d_t),
+               Mechanism.DIFFRACTION: (d_soft, d_hard, None)}
+    taken = dict.fromkeys(results, 0)
+
+    # reflections, then penetrations, then diffractions: the product order
+    order = [Mechanism.REFLECTION, Mechanism.PENETRATION, Mechanism.DIFFRACTION]
     k = scene.wavenumber
     out = []
-    for (ref, cur), ratio in zip(pairs, ratios):
-        if ratio is None:
-            out.append(None)
-            continue
-        spread = spreading_factor(cur) / ref.spreading
-        phase = cmath.exp(-1j * k * (cur.total_length - ref.total_length))
-        field2 = ref.field2 * (ratio * spread * phase)
-        mag = math.hypot(abs(field2[0]), abs(field2[1]))
-        out.append((field2, power_dbm_from_field(mag, scene)))
+    for batch_refs, rows, alive, slots in plans:
+        factors = []  # per slot: (product rank, slot, c0, c1, slab length), per row
+        for q, kind, queued_rows in slots:
+            first = taken[kind]
+            taken[kind] += queued_rows.size
+            per_row = []
+            for values in results[kind]:
+                if values is not None:
+                    scattered = np.zeros(len(batch_refs), np.asarray(values).dtype)
+                    scattered[queued_rows] = values[first:first + queued_rows.size]
+                    values = scattered.tolist()
+                per_row.append(values)
+            factors.append((order.index(kind), q, *per_row))
+        factors.sort(key=lambda f: f[0])
+        diffracted = Mechanism.DIFFRACTION in (tr.kind for tr in batch_refs[0].traces)
+        totals = rows.total_length.tolist()
+        s_pres = rows.seg_lengths[:, 0].tolist()
+        for n, ref in enumerate(batch_refs):
+            if not alive[n]:
+                out.append(None)
+                continue
+            ratio = 1.0 + 0.0j
+            for _rank, q, c0, c1, d_t in factors:
+                tr = ref.traces[q]
+                ratio *= complex(c0[n] if tr.label == 0 else c1[n]) / tr.coeff[tr.label]
+                if d_t is not None:
+                    ratio *= math.exp(-tr.alpha * (d_t[n] - tr.d_t))
+            total = totals[n]
+            if diffracted:
+                s_pre = s_pres[n]
+                s_post = total - s_pre
+                spread = math.sqrt(1.0 / (s_pre * s_post * (s_pre + s_post)))
+            else:
+                spread = 1.0 / total
+            spread /= ref.spreading
+            phase = cmath.exp(-1j * k * (total - ref.total_length))
+            field2 = ref.field2 * (ratio * spread * phase)
+            mag = math.hypot(abs(field2[0]), abs(field2[1]))
+            out.append((field2, power_dbm_from_field(mag, scene)))
     return out
 
 
@@ -353,25 +446,13 @@ def extrapolate_fields(pairs, scene: Scene):
 # Round prediction
 # ---------------------------------------------------------------------------
 
-class _RoundPath:
-    """One path prepared for prediction within a round.
-
-    The field reference is the chain walk its RT pass already recorded.
-    """
-
-    def __init__(self, scene: Scene, path: Path, ref_time: float,
-                 classification: str):
-        self.path = path
-        self.classification = classification
-        self.traj = PathTrajectory(path, scene, ref_time)
-        self.reference = FieldReference(
-            field2=path.field, geometry=path.geometry, traces=path.traces,
-            spreading=spreading_factor(path.geometry),
-            total_length=path.geometry.total_length)
-
-
 class EdrtRound:
-    """Matching, lifetimes and per-instant prediction for one window."""
+    """Matching, lifetimes and per-instant prediction for one window.
+
+    Every path of the round is one row of a PathTrajectory.  Its field
+    reference is the chain walk its RT pass already recorded, and lo and hi
+    bound the instants [lo, hi) at which it is present.
+    """
 
     def __init__(self, scene: Scene, matched: MatchedPaths, lifetimes: dict,
                  timer: StageTimer | None = None):
@@ -381,17 +462,28 @@ class EdrtRound:
         self.timer = timer or StageTimer()
         self.matched = matched
         self.lifetimes = lifetimes
+        self.members = ([(pa, "common") for pa, _pb in matched.common]
+                        + [(p, "dying") for p in matched.dying]
+                        + [(p, "born") for p in matched.born])
         with self.timer.geometry():
-            self.round_paths: list[_RoundPath] = []
-            for pa, _pb in matched.common:
-                self.round_paths.append(
-                    _RoundPath(scene, pa, self.t_start, "common"))
-            for p in matched.dying:
-                self.round_paths.append(
-                    _RoundPath(scene, p, self.t_start, "dying"))
-            for p in matched.born:
-                self.round_paths.append(
-                    _RoundPath(scene, p, self.t_end, "born"))
+            paths = [path for path, _kind in self.members]
+            self.traj = PathTrajectory(paths, scene, self.t_start)
+            self.references = [
+                FieldReference(field2=p.field, geometry=p.geometry, traces=p.traces,
+                               spreading=spreading_factor(p.geometry),
+                               total_length=p.geometry.total_length)
+                for p in paths]
+            self.lo = np.array([lifetimes[p.signature].birth_time if kind == "born"
+                                else -math.inf for p, kind in self.members])
+            self.hi = np.array([lifetimes[p.signature].death_time if kind == "dying"
+                                else math.inf for p, kind in self.members])
+            self.points = [_interaction_points(p.signature) for p in paths]
+            # each path's place in a snapshot's signature order
+            order = sorted(range(len(paths)),
+                           key=lambda k: signature_sort_key(paths[k].signature))
+            self.rank = [0] * len(paths)
+            for position, k in enumerate(order):
+                self.rank[k] = position
         self.fallbacks = 0
         self.dropped = 0
 
@@ -401,84 +493,100 @@ class EdrtRound:
         timer = timer or StageTimer()
         with timer.geometry():
             matched = match_paths(snap_a, snap_b)
-            lifetimes = solve_lifetimes(matched, scene, snap_a.time, snap_b.time, dt)
+            lifetimes = solve_lifetimes(matched, scene, snap_a.time, snap_b.time, dt,
+                                        timer)
         return cls(scene, matched, lifetimes, timer)
 
     def lifetime_records(self) -> list[LifetimeRecord]:
         out = []
-        for rp in self.round_paths:
-            lt = self.lifetimes[rp.path.signature]
-            out.append(LifetimeRecord(signature_str(rp.path.signature),
-                                      lt.birth_time, lt.death_time,
-                                      rp.classification))
+        for path, kind in self.members:
+            lt = self.lifetimes[path.signature]
+            out.append(LifetimeRecord(signature_str(path.signature),
+                                      lt.birth_time, lt.death_time, kind))
         return out
 
     def predict_batch(self, times) -> list[Snapshot]:
         """Predicted snapshots for several instants of this window.
 
-        Geometry is resolved per instant; the field extrapolation of every
-        included (path, instant) pair runs as one batched pass.
+        One geometry_at call resolves every path at every instant and one
+        crossing call gives the round's occlusion and penetration profiles:
+        a transient blockage within the window suppresses a path for that
+        snapshot only, its lifetime is not affected.  The field
+        extrapolation of every included (path, instant) row then runs on the
+        arrays in one extrapolate_fields call; the scene is evaluated at an
+        instant only for a direct fallback.
         """
-        per_time: list[tuple[float, object, list]] = []
+        times = [float(t) for t in times]
+        t_arr = np.array(times)
+        batches = []  # (geometry, path rows, time rows, their rows of g, interactions)
         with self.timer.geometry():
-            for t in times:
-                geom = scene_at(self.scene, t)
-                candidates: list[tuple[_RoundPath, object]] = []
-                for rp in self.round_paths:
-                    lt = self.lifetimes[rp.path.signature]
-                    if rp.classification == "dying" and not t < lt.death_time:
-                        continue
-                    if rp.classification == "born" and not t >= lt.birth_time:
-                        continue
-                    try:
-                        candidates.append((rp, rp.traj.geometry_at(t, geom)))
-                    except ConstructionError:
-                        self.dropped += 1
-                included: list[tuple[_RoundPath, object]] = []
-                if candidates:
-                    # transient blockage within the window suppresses a path
-                    # for this snapshot only; its lifetime is not affected
-                    profiles = occlusion_profiles_batch(
-                        geom,
-                        [(g.vertices, rp.traj.owners) for rp, g in candidates])
-                    for (rp, g), (blocked, pens) in zip(candidates, profiles):
-                        if blocked:
-                            continue
-                        if _signature_with_penetrations(rp.traj.backbone, pens) \
-                                != rp.traj.signature:
-                            continue
-                        included.append((rp, g))
-                per_time.append((float(t), geom, included))
-        snapshots: list[Snapshot] = []
+            present = (t_arr >= self.lo[:, None]) & (t_arr < self.hi[:, None])
+            resolved = self.traj.geometry_at(t_arr)
+            rows = [present[g.index] & ~g.failed for g in resolved]
+            self.dropped += sum(int(np.count_nonzero(present[g.index] & g.failed))
+                                for g in resolved)
+            extra, declared = self.traj.crossings(
+                t_arr, [list(np.moveaxis(g.vertices, 2, 0)) for g in resolved], rows)
+            for g, mask in zip(resolved, rows):
+                ip, it = np.nonzero(mask & ~extra[g.index] & declared[g.index])
+                n_pen = np.count_nonzero(g.pen_segments >= 0, axis=1).take(ip)
+                for count in set(n_pen.tolist()):
+                    same = n_pen == count
+                    sub = g.rows(ip[same], it[same])
+                    batches.append((g, ip[same].tolist(), it[same].tolist(), sub,
+                                    self._interactions(sub)))
+        per_time: list[list[tuple[int, Path]]] = [[] for _ in times]
+        scenes: dict[int, SceneAtTime] = {}
         with self.timer.field():
-            flat = [(rp.reference, geometry)
-                    for _t, _geom, included in per_time
-                    for rp, geometry in included]
-            results = extrapolate_fields(flat, self.scene)
-            pos = 0
-            for t, geom, included in per_time:
-                paths: list[Path] = []
-                for rp, geometry in included:
-                    result = results[pos]
-                    pos += 1
+            results = iter(extrapolate_fields(
+                [self.references[k] for _g, _ip, _it, sub, _i in batches
+                 for k in sub.index.tolist()],
+                [sub for _g, _ip, _it, sub, _i in batches], self.scene))
+            for g, ip, it, sub, interactions in batches:
+                for n, (p, i, result) in enumerate(zip(ip, it, results)):
                     if result is None:
                         self.fallbacks += 1
+                        if i not in scenes:
+                            scenes[i] = scene_at(self.scene, times[i])
                         try:
-                            result = field_of_path(self.scene, geom, geometry)
+                            result = field_of_path(
+                                self.scene, scenes[i],
+                                self.traj.path_geometry(g, p, i, scenes[i]))
                         except ConstructionError:
                             self.dropped += 1
                             continue
+                    k = int(sub.index[n])
                     field2, p_dbm = result
-                    paths.append(Path(
-                        signature=geometry.signature,
-                        interactions=geometry.interactions(),
-                        delay=geometry.total_length / C_LIGHT,
-                        field=field2,
-                        power_dbm=p_dbm,
-                    ))
-                paths.sort(key=lambda p: signature_sort_key(p.signature))
-                snapshots.append(Snapshot(time=t, paths=paths))
-        return snapshots
+                    per_time[i].append((self.rank[k], Path(
+                        signature=self.traj.paths[k].signature,
+                        interactions=interactions[n],
+                        delay=float(sub.total_length[n]) / C_LIGHT,
+                        field=field2, power_dbm=p_dbm)))
+        return [Snapshot(time=t, paths=[path for _rank, path in sorted(ranked)])
+                for t, ranked in zip(times, per_time)]
+
+    def _interactions(self, rows: TrajectoryGeometry) -> list[list[Interaction]]:
+        """The interactions of each row of rows, in signature order."""
+        out = []
+        for k, verts, pens in zip(rows.index.tolist(), rows.vertices, rows.pen_points):
+            out.append([Interaction(m, gid, verts[j] if on_vertex else pens[j])
+                        for (m, gid), (on_vertex, j)
+                        in zip(self.traj.paths[k].signature, self.points[k])])
+        return out
+
+
+def _interaction_points(signature) -> list[tuple[bool, int]]:
+    """Where each interaction's point sits in a TrajectoryGeometry, in
+    signature order: (True, vertex index) or (False, penetration index)."""
+    out = []
+    n_pen = 0
+    for m, _gid in signature:
+        if m is Mechanism.PENETRATION:
+            out.append((False, n_pen))
+            n_pen += 1
+        else:
+            out.append((True, len(out) - n_pen + 1))
+    return out
 
 
 def predict_snapshot_edrt(matched: MatchedPaths, lifetimes: dict, scene: Scene,

@@ -39,7 +39,15 @@ from .geometry import (
     unit,
     vertical_pol,
 )
-from .scene import C_LIGHT, FacetArrays, FacetAtTime, Scene, SceneAtTime, scene_at
+from .scene import (
+    C_LIGHT,
+    FacetArrays,
+    FacetAtTime,
+    Scene,
+    SceneAtTime,
+    SceneError,
+    scene_at,
+)
 
 ETA0 = 376.730313668  # free-space impedance, ohms
 
@@ -48,6 +56,7 @@ SIDE_EPS = 1e-9          # strictly-same-side margin, m
 GRAZING_COS = 1e-9       # reject interactions closer than this to grazing
 SEG_PARAM_EPS = 1e-9     # occlusion hits closer than this to a segment end are ignored
 BOX_PAD = 1e-6           # crossing broad phase: segment boxes grow by this, m
+CROSSING_CHUNK = 1 << 10  # crossing kernel: most (row, facet) pairs tested at once
 CULL_MARGIN = 1e-10      # plane-side culling: rounding allowance, m
 ON_GEOMETRY_TOL = 1e-5   # field computation: interaction point must be this close
                          # to its facet plane / edge line
@@ -161,45 +170,98 @@ def find_diffraction_point(tx, rx, e) -> np.ndarray | None:
 
 def facet_crossings(facets: FacetArrays, a: np.ndarray, d: np.ndarray,
                     exclude: np.ndarray | None = None,
-                    disp: np.ndarray | None = None):
+                    disp: np.ndarray | None = None,
+                    track: np.ndarray | None = None):
     """Crossings of segments a -> a + d with facet polygons.
 
-    The one segment-crossing kernel.  a and d are (S, 3).  exclude, (S, F) or
-    (F,), marks (segment, facet) pairs that never count.  With disp (S, F, 3)
-    each segment meets the facets translated by its own row of disp (a
-    lifetime scan: one row per sample time).
+    The one segment-crossing kernel.  a and d are (S, 3).  With disp
+    (S, F, 3) each segment meets the facets translated by its own row of disp
+    (one row per sample time of a moving scene).  track, (S,) and
+    nondecreasing, labels the segment trajectory of each row: one segment of
+    one path at many times, in consecutive rows.  Without it every row is
+    its own trajectory.  exclude, (F,) or one row per trajectory label,
+    marks the (trajectory, facet) pairs that never count.
 
-    An axis-aligned box test first discards the pairs that cannot meet:
-    segment boxes are padded by BOX_PAD, and under disp a facet's box spans
-    all of its rows.  Every remaining pair goes through the exact
-    test: a plane crossing strictly inside the segment (SEG_PARAM_EPS from
-    either end), then convex containment of the crossing point.  A crossing
-    point lies within rounding of both boxes, so the broad phase never drops
-    a pair that the exact test accepts.
+    An axis-aligned box test first discards the pairs that cannot meet: each
+    trajectory's box, swept over its rows and padded by BOX_PAD, against
+    each facet's box, swept over the same rows' disp.  Every row of a
+    trajectory then meets the facets that survived for it in the exact
+    test, at most CROSSING_CHUNK pairs at a time: a plane crossing strictly
+    inside the segment (SEG_PARAM_EPS from either end), then convex
+    containment of the crossing point.  A crossing point lies within
+    rounding of both boxes, so the broad phase never drops a pair that the
+    exact test accepts.
 
     Returns (seg, facet, u, points) of the crossings in (seg, facet) order,
     u being the segment parameter of each crossing point.
     """
-    lo, hi = facets.lo, facets.hi
-    if disp is not None:
-        lo = lo + disp.min(axis=0)
-        hi = hi + disp.max(axis=0)
     b = a + d
-    seg_lo = np.minimum(a, b) - BOX_PAD
-    seg_hi = np.maximum(a, b) + BOX_PAD
-    # drop the facets outside the box of all segments, then test pair by pair
-    near = np.flatnonzero(np.all((lo <= seg_hi.max(axis=0))
-                                 & (hi >= seg_lo.min(axis=0)), axis=1))
-    overlap = np.all((seg_lo[:, None, :] <= hi[near]) & (seg_hi[:, None, :] >= lo[near]),
-                     axis=2)
+    seg_lo = np.minimum(a, b)
+    seg_lo -= BOX_PAD
+    seg_hi = np.maximum(a, b, out=b)
+    seg_hi += BOX_PAD
+    if track is None:
+        starts = None
+        tr_lo, tr_hi = seg_lo, seg_hi
+    else:
+        starts = np.flatnonzero(np.r_[True, track[1:] != track[:-1]])
+        tr_lo = np.minimum.reduceat(seg_lo, starts, axis=0)
+        tr_hi = np.maximum.reduceat(seg_hi, starts, axis=0)
+    f_lo, f_hi = facets.lo, facets.hi
+    if disp is not None:
+        if starts is None:
+            f_lo, f_hi = f_lo + disp, f_hi + disp
+        else:
+            f_lo = f_lo + np.minimum.reduceat(disp, starts, axis=0)
+            f_hi = f_hi + np.maximum.reduceat(disp, starts, axis=0)
+        near = slice(None)
+    else:
+        # drop the facets outside the box of all segments first
+        near = np.flatnonzero(np.all((f_lo <= tr_hi.max(axis=0))
+                                     & (f_hi >= tr_lo.min(axis=0)), axis=1))
+        f_lo, f_hi = f_lo[near], f_hi[near]
+    overlap = np.all((tr_lo[:, None, :] <= f_hi) & (tr_hi[:, None, :] >= f_lo), axis=2)
     if exclude is not None:
-        overlap &= ~exclude[..., near]
-    si, k = np.nonzero(overlap)
-    fi = near[k]
+        excl = exclude if starts is None or exclude.ndim == 1 else exclude[track[starts]]
+        overlap &= ~excl[..., near]
+    g, k = np.nonzero(overlap)
+    fi = np.arange(facets.lo.shape[0])[near][k]
+    if starts is None:
+        return _exact_crossings(facets, a, d, g, fi, disp)
 
-    a_k, d_k, normals = a[si], d[si], facets.normals[fi]
+    # every row of a trajectory against the facets that survived for it
+    counts = np.r_[starts[1:], a.shape[0]][g] - starts[g]
+    cum = np.cumsum(counts)
+    hits = []
+    first = 0
+    while first < g.size:
+        base = cum[first - 1] if first else 0
+        last = max(int(np.searchsorted(cum, base + CROSSING_CHUNK, side="right")),
+                   first + 1)
+        c = counts[first:last]
+        run = np.repeat(starts[g[first:last]] - (cum[first:last] - c - base), c)
+        hits.append(_exact_crossings(facets, a, d, run + np.arange(run.size),
+                                     np.repeat(fi[first:last], c), disp))
+        first = last
+    if len(hits) == 1:
+        si, fi, u, points = hits[0]
+    elif hits:
+        si, fi, u, points = (np.concatenate(parts) for parts in zip(*hits))
+    else:
+        return _exact_crossings(facets, a, d, g, fi, disp)
+    order = np.lexsort((fi, si))
+    return si[order], fi[order], u[order], points[order]
+
+
+def _exact_crossings(facets: FacetArrays, a, d, si, fi, disp):
+    """The exact crossing test of facet_crossings on (segment, facet) pairs.
+
+    Gathers use ndarray.take, which copies the same values as fancy
+    indexing at a fraction of its cost.
+    """
+    a_k, d_k, normals = a.take(si, axis=0), d.take(si, axis=0), facets.normals.take(fi, axis=0)
     denom = np.einsum("kc,kc->k", d_k, normals)
-    offsets = facets.offsets[fi]
+    offsets = facets.offsets.take(fi)
     if disp is not None:
         shift = disp[si, fi]
         offsets = offsets + np.einsum("kc,kc->k", normals, shift)
@@ -208,14 +270,16 @@ def facet_crossings(facets: FacetArrays, a: np.ndarray, d: np.ndarray,
         u = num / denom
     keep = np.flatnonzero((np.abs(denom) > 1e-14) & (u > SEG_PARAM_EPS)
                           & (u < 1.0 - SEG_PARAM_EPS))
-    si, fi, u = si[keep], fi[keep], u[keep]
-    points = a_k[keep] + u[:, None] * d_k[keep]
-    origins = facets.origins[fi]
+    si, fi, u = si.take(keep), fi.take(keep), u.take(keep)
+    points = a_k.take(keep, axis=0) + u[:, None] * d_k.take(keep, axis=0)
+    origins = facets.origins.take(fi, axis=0)
     if disp is not None:
-        origins = origins + shift[keep][:, None, :]
-    edge_d = np.einsum("kvc,kvc->kv", points[:, None, :] - origins, facets.inward[fi])
-    inside = np.flatnonzero(np.all((edge_d >= 0.0) | ~facets.valid[fi], axis=1))
-    return si[inside], fi[inside], u[inside], points[inside]
+        origins = origins + shift.take(keep, axis=0)[:, None, :]
+    edge_d = np.einsum("kvc,kvc->kv", points[:, None, :] - origins,
+                       facets.inward.take(fi, axis=0))
+    inside = np.flatnonzero(np.all((edge_d >= 0.0) | ~facets.valid.take(fi, axis=0),
+                                   axis=1))
+    return si.take(inside), fi.take(inside), u.take(inside), points.take(inside, axis=0)
 
 
 def occlusion_profiles_batch(geom: SceneAtTime, polylines):
@@ -270,15 +334,15 @@ def occlusion_profile(geom: SceneAtTime, vertices, owner_ids):
 # Backbone construction and resolved geometry
 # ---------------------------------------------------------------------------
 
-def solve_backbone(geom: SceneAtTime, backbone: tuple, clamped: bool = True):
+def solve_backbone(geom: SceneAtTime, backbone: tuple):
     """Interaction points for the reflection/diffraction part of a signature.
 
     backbone is a tuple of (Mechanism, geometry_id) without penetrations.
-    With clamped=True (full RT) the construction fails when a reflection
-    point leaves its polygon or a Fermat point leaves its edge segment; with
-    clamped=False (trajectory extrapolation) those constraints are ignored
-    and only hard failures (parallel/degenerate geometry, image side
-    violations) raise ConstructionError.
+    The scalar construction of one RT candidate: it raises ConstructionError
+    for parallel or degenerate geometry, image side violations and grazing
+    bounces, and when a reflection point leaves its polygon or a Fermat
+    point leaves its edge segment.  Predictions resolve the same
+    construction over (paths x times) arrays in drt.PathTrajectory.
     """
     tx, rx = geom.tx, geom.rx
     refl = [(i, gid) for i, (m, gid) in enumerate(backbone) if m is Mechanism.REFLECTION]
@@ -296,7 +360,7 @@ def solve_backbone(geom: SceneAtTime, backbone: tuple, clamped: bool = True):
         p, u = fermat_point_on_line(tx, rx, e.endpoints[0], e.endpoints[1])
         if p is None:
             raise ConstructionError("degenerate diffraction geometry")
-        if clamped and not 0.0 < u < 1.0:
+        if not 0.0 < u < 1.0:
             raise ConstructionError("diffraction point clipped by edge segment")
         return [p]
 
@@ -312,7 +376,7 @@ def solve_backbone(geom: SceneAtTime, backbone: tuple, clamped: bool = True):
         p, t = line_plane_intersection(images[i + 1], target, f.normal, f.offset)
         if p is None or not 0.0 < t < 1.0:
             raise ConstructionError(f"image line does not reach facet {f.id!r}")
-        if clamped and f.boundary_distance(p, exact_outside=False) < 0.0:
+        if f.boundary_distance(p, exact_outside=False) < 0.0:
             raise ConstructionError(f"reflection point left facet {f.id!r}")
         points[i] = p
         target = p
@@ -579,19 +643,20 @@ class InteractionTrace:
     d_t: float = 0.0
 
 
-def wedge_geometry_of(frame: WedgeFrame, geometry: PathGeometry,
-                      index: int) -> WedgeGeometry:
+def wedge_geometry_of(frame: WedgeFrame, verts, seg_lengths: np.ndarray,
+                      total_length: float, index: int) -> WedgeGeometry:
     """Edge-local angles of the diffraction at backbone position index.
 
-    The one wedge-angle routine: the RT chain walk and E-DRT's coefficient
-    re-evaluation both call it, on the reference and the moved geometry.
+    verts are the path's vertices (Tx, backbone points, Rx) and seg_lengths
+    its segment lengths.  The one wedge-angle routine: the RT chain walk and
+    E-DRT's coefficient re-evaluation both call it, on the reference and
+    the moved geometry.
     """
-    verts = geometry.vertices
     a, b, c = verts[index], verts[index + 1], verts[index + 2]
     dx, dy, dz = float(b[0] - a[0]), float(b[1] - a[1]), float(b[2] - a[2])
     e = frame.ef
-    d_in = float(geometry.seg_lengths[: index + 1].sum())
-    cos_b = (dx * e[0] + dy * e[1] + dz * e[2]) / float(geometry.seg_lengths[index])
+    d_in = float(seg_lengths[: index + 1].sum())
+    cos_b = (dx * e[0] + dy * e[1] + dz * e[2]) / float(seg_lengths[index])
     return WedgeGeometry(
         n=frame.n_index,
         beta0=math.acos(min(max(cos_b, -1.0), 1.0)),
@@ -599,7 +664,7 @@ def wedge_geometry_of(frame: WedgeFrame, geometry: PathGeometry,
         phi_dif=frame.angle_components(float(c[0] - b[0]), float(c[1] - b[1]),
                                        float(c[2] - b[2])),
         d_inc=d_in,
-        d_dif=float(geometry.total_length - d_in),
+        d_dif=float(total_length - d_in),
     )
 
 
@@ -640,8 +705,9 @@ def polarization_chain(scene: Scene, geom: SceneAtTime, geometry: PathGeometry,
             e = geom.edge(inter.geometry_id)
             frame = _frame_of(geom, e)
             material = e.adjacent[0].material
-            pair = utd_coefficient(wedge_geometry_of(frame, geometry, i), material,
-                                   scene.frequency)
+            wedge = wedge_geometry_of(frame, verts, geometry.seg_lengths,
+                                      geometry.total_length, i)
+            pair = utd_coefficient(wedge, material, scene.frequency)
             phi_in = -unit(cross3(frame.e_hat, s_in))
             beta_in = cross3(phi_in, s_in)
             phi_out = -unit(cross3(frame.e_hat, s_out))
@@ -816,10 +882,13 @@ def trace_geometry(scene: Scene, t: float, geom: SceneAtTime | None = None,
     _reflection_culling proves impossible.  Each remaining candidate goes
     through solve_backbone, the occlusion profile and build_geometry.  A
     timer, when given, counts the candidates tried (rt_candidates) and
-    culled (rt_culled).
+    culled (rt_culled).  Raises SceneError when Tx and Rx are closer than
+    SIDE_EPS, where no path is defined.
     """
     if geom is None:
         geom = scene_at(scene, t)
+    if norm(geom.rx - geom.tx) < SIDE_EPS:
+        raise SceneError(f"tx and rx coincide at t={geom.time:g} s")
     single, pair = _reflection_culling(geom)
     if timer is not None:
         kept = int(single.sum()) + int(pair.sum())
@@ -828,7 +897,7 @@ def trace_geometry(scene: Scene, t: float, geom: SceneAtTime | None = None,
     results: list[PathGeometry] = []
     for backbone in _candidate_backbones(geom, single, pair):
         try:
-            points = solve_backbone(geom, backbone, clamped=True)
+            points = solve_backbone(geom, backbone)
         except ConstructionError:
             continue
         vertices = [geom.tx] + points + [geom.rx]
@@ -868,7 +937,8 @@ def trace_snapshot(scene: Scene, t: float, timer=None) -> Snapshot:
     each optionally penetrating one transparent facet.  Paths are sorted by
     signature; an empty path list is a valid outcome.  Every path keeps its
     geometry and per-interaction coefficient traces (see make_path), so any
-    snapshot can serve as an E-DRT reference.
+    snapshot can serve as an E-DRT reference.  Raises SceneError when Tx and
+    Rx coincide at t.
     """
     from .runs import StageTimer
     timer = timer or StageTimer()

@@ -158,6 +158,11 @@ class Scene:
                 raise SceneError(
                     f"edge {e.id!r}: adjacent facets {first.id!r} and {second.id!r} "
                     "move differently")
+        # a shared trajectory puts Tx and Rx at one point at every time
+        if (self.tx_motion.moves_with(self.rx_motion)
+                and np.linalg.norm(self.tx_motion.position(0.0)
+                                   - self.rx_motion.position(0.0)) < 1e-9):
+            raise SceneError("tx and rx follow the same trajectory")
 
     @property
     def wavelength(self) -> float:
@@ -269,7 +274,8 @@ class _SceneStatics:
         # the facets at the scene epoch t = 0
         self.epoch = FacetArrays(normals, offsets, origins, inward, valid,
                                  transparent, lo, hi)
-        self.all_static = all(f.motion.is_static for f in facets)
+        self.moving = [i for i, f in enumerate(facets) if not f.motion.is_static]
+        self.all_static = not self.moving
         self.id_index = {fid: i for i, fid in enumerate(self.ids)}
         self.facet_by_id = {f.id: f for f in facets}
         self.wedge_frames: dict[str, object] = {}

@@ -162,8 +162,8 @@ class TestLifetimes:
         cfg = PredictionConfig(t_c=2.0, dt=0.5, rounds=1)
         assert edrt_run(scene, cfg).counters["lifetime_fallbacks"] == 0
         import raychan.edrt
-        monkeypatch.setattr(raychan.edrt, "_boundary_transition",
-                            lambda *args: None)
+        monkeypatch.setattr(raychan.edrt, "_transitions",
+                            lambda traj, *args: np.full(len(traj.paths), np.nan))
         run = edrt_run(scene, cfg)
         assert [rec.classification for rec in run.lifetimes] == ["common", "born"]
         assert run.counters["lifetime_fallbacks"] == 1

@@ -50,7 +50,7 @@ def _unculled_geometry(scene, t):
     out = []
     for backbone in _every_backbone(geom):
         try:
-            points = solve_backbone(geom, backbone, clamped=True)
+            points = solve_backbone(geom, backbone)
         except ConstructionError:
             continue
         blocked, pens = occlusion_profile(geom, [geom.tx] + points + [geom.rx],

@@ -266,8 +266,12 @@ def _scenes(draw):
             edges.append(Edge(id=f"f{i}_edge", endpoints=verts[:2],
                               adjacent_facets=(f"f{i}", f"f{i}"),
                               exterior_wedge_angle=2.0 * math.pi))
+    tx = draw(_motions())
+    # a scene whose Tx and Rx share one trajectory is invalid
+    rx = draw(_motions().filter(lambda m: not (
+        m.moves_with(tx) and np.linalg.norm(m.position(0.0) - tx.position(0.0)) < 1e-9)))
     return Scene(facets=tuple(facets), edges=tuple(edges),
-                 tx_motion=draw(_motions()), rx_motion=draw(_motions()),
+                 tx_motion=tx, rx_motion=rx,
                  frequency=draw(st.floats(1e8, 1e11)),
                  tx_power_dbm=draw(st.floats(-30.0, 60.0)))
 
