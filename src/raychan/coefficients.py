@@ -29,35 +29,27 @@ here before; importing `scipy.special` for this one function took about
 
 Which routine serves which caller
 ---------------------------------
-Every caller (the ray tracer, DRT, the UTD face multipliers and E-DRT's
-batched field extrapolation) evaluates the same Fresnel and slab routines:
-`fresnel_from_cos` and `transmission_from_cos` accept scalars or arrays.
-An array is evaluated element by element with the scalar arithmetic, so a
-batched coefficient equals the single interaction's coefficient exactly.
-numpy's vector loops would not: they fuse complex products (multiply-add)
-and round them differently, and a batch of one through them costs about
-15 us per call against about 1 us.
-
-The wedge coefficient has a scalar and a batched form, each used where it
-is the faster one (timings on a 2-core Xeon with numpy 2.4):
-
-* `utd_coefficient` serves one event, as the ray tracer and DRT evaluate one
-  path at a time: about 30 us, against about 150 us for a batch of one;
-* `utd_coefficient_batch` serves E-DRT, which re-evaluates about 90 wedge
-  events per window in one call, at about 15 us per event.  A loop of scalar calls there made the
-  E-DRT field stage about 70% slower and lifted its ratio to the DRT field
-  stage (acceptance gate: at most 0.5) to 0.33-0.49, over 0.5 in 2 of 17
-  runs.
-
-Both share the face multipliers (`fresnel_from_cos`) and the transition
-function; the batch agrees with the scalar form to machine precision.
+The ray tracer's and DRT's field chain (one path at a time, on Python
+floats) calls the scalar forms: `fresnel_from_cos`, `transmission_from_cos`
+and `utd_coefficient` (about 20-30 us per wedge event, most of it the four
+cot * F terms).  E-DRT's extrapolation calls the same Fresnel
+and slab routines with arrays, and `utd_coefficient_batch`, once per round
+for every (path, instant) row.  Their arrays run as numpy operations that
+repeat Python's complex arithmetic one real operation at a time (`_quotient`
+is CPython's complex division; numpy's complex sqrt equals cmath's), and
+`transition_function` sums its series branch as arrays, so an array
+element equals the scalar result bit for bit; numpy's own complex loops
+would not, as they fuse multiply-adds.  Elements of x below 40, a few per
+cent in practice, go through the scalar rational approximation.  On the
+street scene a round's 75 wedge events take about 0.5-0.6 ms in the batch
+against 1.4-2.3 ms as scalar calls (shared 2-core Xeon, numpy 2.4); the
+batched UTD agrees with the scalar form to machine precision.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -87,24 +79,34 @@ def fresnel_coefficients(incidence_angle: float, material, frequency: float):
                             complex_permittivity(material, frequency))
 
 
-def _per_element(fn, dtypes, *args):
-    """fn applied to every element of the broadcast arguments as Python
-    scalars; one array per output of fn, of the given dtypes, in the
-    broadcast shape (empty arrays for empty arguments)."""
-    arrays = np.broadcast_arrays(*args)
-    rows = [fn(*xs) for xs in zip(*(a.ravel().tolist() for a in arrays))]
-    cols = list(zip(*rows)) if rows else [()] * len(dtypes)
-    return tuple(np.array(col, dtype=dtype).reshape(arrays[0].shape)
-                 for col, dtype in zip(cols, dtypes))
+def _quotient(ar, ai, br, bi) -> np.ndarray:
+    """(ar + j ai) / (br + j bi) over arrays with CPython's algorithm for
+    complex division (Smith's scaling, one real operation at a time), so
+    that it equals Python's complex quotient bit for bit."""
+    by_real = np.abs(br) >= np.abs(bi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(by_real, bi / br, br / bi)
+        denom = np.where(by_real, br + bi * ratio, br * ratio + bi)
+        out = np.empty(denom.shape, complex)
+        out.real = np.where(by_real, ar + ai * ratio, ar * ratio + ai) / denom
+        out.imag = np.where(by_real, ai - ar * ratio, ai * ratio - ar) / denom
+    return out
 
 
 def fresnel_from_cos(cos_theta, eps):
     """Fresnel pair from the incidence cosine and complex permittivity.
 
-    Takes scalars, or broadcastable numpy arrays evaluated element by element.
+    Takes scalars or broadcastable numpy arrays.  Arrays are evaluated with
+    real operations in the order of Python's complex arithmetic (numpy's
+    complex sqrt equals cmath's), so each element equals the scalar result.
     """
     if isinstance(cos_theta, np.ndarray) or isinstance(eps, np.ndarray):
-        return _per_element(fresnel_from_cos, (complex, complex), cos_theta, eps)
+        c, eps = np.broadcast_arrays(np.asarray(cos_theta, float), np.asarray(eps, complex))
+        root = np.sqrt(eps - (1.0 - c * c))
+        rr, ri = root.real, root.imag
+        ec_r, ec_i = eps.real * c, eps.imag * c
+        return (_quotient(c - rr, -ri, c + rr, ri),
+                _quotient(ec_r - rr, ec_i - ri, ec_r + rr, ec_i + ri))
     sin2 = 1.0 - cos_theta * cos_theta
     root = cmath.sqrt(eps - sin2)
     r_perp = (cos_theta - root) / (cos_theta + root)
@@ -142,12 +144,27 @@ def transmission_coefficient(incidence_angle: float, material, frequency: float,
 def transmission_from_cos(cos_i, eps, thickness) -> Transmission:
     """Slab transmission from the incidence cosine and complex permittivity.
 
-    Takes scalars, or broadcastable numpy arrays evaluated element by
-    element; the Transmission fields are then arrays.
+    Takes scalars or broadcastable numpy arrays (the Transmission fields are
+    then arrays), evaluated like fresnel_from_cos: each element equals the
+    scalar result.
     """
     if any(isinstance(x, np.ndarray) for x in (cos_i, eps, thickness)):
-        return Transmission(*_per_element(transmission_from_cos, (complex, complex, float),
-                                          cos_i, eps, thickness))
+        c, eps, thickness = np.broadcast_arrays(np.asarray(cos_i, float),
+                                                np.asarray(eps, complex),
+                                                np.asarray(thickness, float))
+        sin2 = 1.0 - c * c
+        root = np.sqrt(eps - sin2)
+        rr, ri = root.real, root.imag
+        f, sr = 4.0 * c, c + rr
+        ar, ai = 4.0 * eps.real * c, 4.0 * eps.imag * c
+        er, ei = eps.real * c + rr, eps.imag * c + ri
+        n_real = np.reshape([max((e ** 0.5).real, 1.0) for e in eps.ravel().tolist()],
+                            eps.shape)
+        sin_t = np.sqrt(sin2) / n_real
+        return Transmission(
+            _quotient(f * rr, f * ri, sr * sr - ri * ri, sr * ri + ri * sr),
+            _quotient(ar * rr - ai * ri, ar * ri + ai * rr, er * er - ei * ei, er * ei + ei * er),
+            thickness / np.sqrt(1.0 - sin_t * sin_t))
     sin2 = 1.0 - cos_i * cos_i
     root = cmath.sqrt(eps - sin2)  # = sqrt(eps) * cos(theta_t)
     t_perp = 4.0 * cos_i * root / (cos_i + root) ** 2
@@ -177,6 +194,7 @@ _SERIES_TOL = 1e-17
 _SQRT_PI = math.sqrt(math.pi)
 _E_J_PI_4 = cmath.exp(0.25j * math.pi)
 _IZ_PER_ROOT_X = 1j * cmath.exp(0.75j * math.pi)  # iz / sqrt(x)
+_MINUS_E_MJ_PI_4 = -cmath.exp(-1j * math.pi / 4)
 
 
 def _weideman_coefficients() -> list[float]:
@@ -204,10 +222,29 @@ def transition_function(x):
     term falls below 1e-17.  The relative error is at most 8.7e-16 over
     [1e-8, 1e5] (40-digit mpmath reference).  F(0) = 0.
 
-    Takes a scalar, or a numpy array evaluated element by element.
+    Takes a scalar or a numpy array.  An array is summed as arrays in the
+    series branch, where the arithmetic is real and the scalar's operation
+    for operation, and element by element below it.
     """
     if isinstance(x, np.ndarray):
-        return _per_element(lambda v: (transition_function(v),), (complex,), x)[0]
+        out = np.empty(x.shape, complex)
+        flat, x = out.reshape(-1), x.ravel()
+        series = x >= _SERIES_FROM
+        flat[~series] = [transition_function(v) for v in x[~series].tolist()]
+        series = np.flatnonzero(series)
+        h = 0.5 / x[series]
+        re, im, term = np.ones(h.size), np.zeros(h.size), np.ones(h.size)
+        n, act = 1, np.arange(h.size)
+        while act.size:
+            t, h_act = term[act], h[act]
+            for step, part, sign in ((0, im, 1.0), (2, re, -1.0), (4, im, -1.0), (6, re, 1.0)):
+                t *= (n + step) * h_act
+                part[act] += sign * t  # x + (-t) is x - t exactly
+            term[act] = t
+            n += 8
+            act = act[t >= _SERIES_TOL]
+        flat.real[series], flat.imag[series] = re, im
+        return out
     if x >= _SERIES_FROM:
         # the terms turn by j each: 1, j h, -3 h^2, -15j h^3, 105 h^4, ...
         # with h = 1/(2x), so they are summed four at a time in real numbers
@@ -236,40 +273,35 @@ def transition_function(x):
     return math.sqrt(math.pi * x) * _E_J_PI_4 * w
 
 
-def _nearest_int(beta: float, n: float, sign: float) -> float:
-    return round((beta + sign * math.pi) / (2.0 * math.pi * n))
-
-
-def _a_coeff(beta: float, n: float, sign: float) -> float:
-    return 2.0 * math.cos((2.0 * math.pi * n * _nearest_int(beta, n, sign) - beta) / 2.0) ** 2
-
-
 def _four_terms(k: float, n: float, phi: float, phip: float, L: float):
     """The four cot * F(kLa) products of the wedge coefficient.
 
     Terms whose cotangent argument is near a boundary are replaced by their
     small-argument expansion.
     """
-    out = [None] * 4
-    for slot, (sign, beta) in enumerate(((1.0, phi - phip), (-1.0, phi - phip),
-                                         (1.0, phi + phip), (-1.0, phi + phip))):
-        eps = beta - sign * (2.0 * math.pi * n * _nearest_int(beta, n, sign) - math.pi)
+    out = []
+    two_pi_n, kl = 2.0 * math.pi * n, k * L
+    for sign, beta in ((1.0, phi - phip), (-1.0, phi - phip),
+                       (1.0, phi + phip), (-1.0, phi + phip)):
+        # the integer nearest to the GO boundary index
+        big_n = round((beta + sign * math.pi) / two_pi_n)
+        eps = beta - sign * (two_pi_n * big_n - math.pi)
         if abs(eps) < _SINGULAR_EPS:
             # cot ~ 2n/(sign*eps) and F ~ sqrt(pi*k*L*a) with a ~ eps^2/2,
             # so the product tends to sign * n * e^{j pi/4} * sqrt(2 pi k L)
             sgn = 1.0 if eps >= 0.0 else -1.0
-            out[slot] = sign * n * _E_J_PI_4 * (math.sqrt(2.0 * math.pi * k * L) * sgn
-                                                - 2.0 * k * L * eps * _E_J_PI_4)
+            out.append(sign * n * _E_J_PI_4 * (math.sqrt(2.0 * math.pi * k * L) * sgn
+                                               - 2.0 * k * L * eps * _E_J_PI_4))
         else:
             arg = (math.pi + sign * beta) / (2.0 * n)
-            out[slot] = (math.cos(arg) / math.sin(arg)
-                         * transition_function(k * L * _a_coeff(beta, n, sign)))
+            a = 2.0 * math.cos((two_pi_n * big_n - beta) / 2.0) ** 2
+            out.append(math.cos(arg) / math.sin(arg) * transition_function(kl * a))
     return out
 
 
-@dataclass(frozen=True)
-class WedgeGeometry:
-    """Edge-local angles for one diffraction event.
+class WedgeGeometry(NamedTuple):
+    """Edge-local angles for one diffraction event, or for a batch of them
+    as arrays (utd_coefficient_batch).
 
     phi_inc / phi_dif are measured from the o-face around the exterior of the
     wedge, in (0, n*pi); beta0 is the cone half-angle between the rays and
@@ -309,25 +341,24 @@ def utd_coefficient(geom: WedgeGeometry, material, frequency: float,
         eps = complex_permittivity(material, frequency)
     r_o = _face_reflection(phip, phi, eps)
     r_n = _face_reflection(n * math.pi - phip, n * math.pi - phi, eps)
-    pref = (-cmath.exp(-1j * math.pi / 4)
-            / (2.0 * n * math.sqrt(2.0 * math.pi * k) * math.sin(geom.beta0)))
+    pref = _MINUS_E_MJ_PI_4 / (2.0 * n * math.sqrt(2.0 * math.pi * k) * math.sin(geom.beta0))
     d_soft = pref * (d1 + d2 + r_n[0] * d3 + r_o[0] * d4)
     d_hard = pref * (d1 + d2 + r_n[1] * d3 + r_o[1] * d4)
     return d_soft, d_hard
 
 
-def utd_coefficient_batch(geoms: list[WedgeGeometry], eps_list, frequency: float):
+def utd_coefficient_batch(geoms, eps_list, frequency: float):
     """utd_coefficient evaluated for many wedge events in one pass.
 
+    geoms is a WedgeGeometry of (N,) arrays or a sequence of WedgeGeometry.
     Returns complex arrays (d_soft, d_hard) aligned with geoms, empty for no
     geoms; agrees with the scalar routine to machine precision.
     """
     k = 2.0 * math.pi * frequency / 299792458.0
-    n = np.array([g.n for g in geoms])
-    phi = np.array([g.phi_dif for g in geoms])
-    phip = np.array([g.phi_inc for g in geoms])
-    L = np.array([g.distance_parameter for g in geoms])
-    beta0 = np.array([g.beta0 for g in geoms])
+    if not isinstance(geoms, WedgeGeometry):
+        geoms = WedgeGeometry(*np.reshape(np.array(geoms, float), (-1, 6)).T)
+    n, beta0, phip, phi = geoms.n, geoms.beta0, geoms.phi_inc, geoms.phi_dif
+    L = geoms.d_inc * geoms.d_dif / (geoms.d_inc + geoms.d_dif) * np.sin(beta0) ** 2
     eps = np.asarray(eps_list, complex)
 
     # all four cot*F terms at once: rows are (d1, d2, d3, d4)

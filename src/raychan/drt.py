@@ -6,15 +6,16 @@ reference paths of a round form one batched PathTrajectory, grouped inside
 by backbone shape (line of sight, one or two reflections, or one
 diffraction, each path with or without a penetration).  A round resolves
 every path at all of its prediction instants in one call, as arrays over
-(paths x times), one kernel per shape: the exact geometric
-construction (image cascade, Fermat point, slab crossing) is re-solved
-against the scene displaced to each query time, which is exact for the
-polynomial motion model.  Fields are then computed directly, path by path
-(make_path is DRT's field stage).  A reflection point is allowed to slide
-off its facet and a stale line-of-sight path is kept when it becomes
-blocked: those are the documented error modes of the approach, resolved only
-by the next reference pass.  E-DRT reuses the same kernel for its lifetime
-scans, its bisection and its predictions.
+(paths x times), one kernel per shape: the exact geometric construction is
+re-solved against the scene displaced to each query time, which is exact
+for the polynomial motion model.  The image cascade is rt.reflection_chains,
+the kernel that the RT pass runs too (its filter and solve_backbone); the
+Fermat point and the slab crossings are solved here.  Fields are then
+computed directly, path by path (make_path is DRT's field stage).  A
+reflection point is allowed to slide off its facet and a stale line-of-sight
+path is kept when it becomes blocked: those are the documented error modes
+of the approach, resolved only by the next reference pass.  E-DRT reuses the
+same kernel for its lifetime scans, its bisection and its predictions.
 """
 
 from __future__ import annotations
@@ -26,11 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import UNIT_TOL
-from .motion import Motion
 from .rt import (
-    GRAZING_COS,
-    SIDE_EPS,
     ConstructionError,
     Interaction,
     Mechanism,
@@ -43,6 +40,7 @@ from .rt import (
     _penetration_slots,
     facet_crossings,
     make_path,
+    reflection_chains,
     signature_sort_key,
     trace_snapshot,
 )
@@ -112,11 +110,6 @@ def _take_rows(a: np.ndarray, flat: np.ndarray) -> np.ndarray:
     """a[ip, it] for flat = ip * T + it, a being (P, T, ...); ndarray.take
     copies the same values as fancy indexing at a fraction of its cost."""
     return a.reshape((a.shape[0] * a.shape[1],) + a.shape[2:]).take(flat, axis=0)
-
-
-def _positions(motion: Motion, t: np.ndarray) -> np.ndarray:
-    """motion.position at every entry of t, shape t.shape + (3,)."""
-    return motion.position(t.ravel()).reshape(t.shape + (3,))
 
 
 class _Shape:
@@ -201,7 +194,7 @@ class _Shape:
         for f in moving:
             motion = self.scene.facets[f].motion
             rows = facet_index == f
-            out[rows] = _positions(motion, t[rows]) - motion.position(0.0)
+            out[rows] = motion.position(t[rows]) - motion.position(0.0)
         return out
 
     def construct(self, tx: np.ndarray, rx: np.ndarray, t: np.ndarray):
@@ -209,13 +202,10 @@ class _Shape:
 
         Returns (vertices, ok, inside).  vertices are V arrays (P, T, 3),
         some of them broadcast: Tx, the backbone points and Rx.  ok marks
-        the rows without a hard failure: no line parallel to its plane, no
-        image line outside (0, 1), no side or grazing violation, no
-        degenerate Fermat point.  inside marks the rows whose points also
-        lie strictly inside their polygons or edge segments, as an RT pass
-        requires.  The arithmetic is that of rt.solve_backbone, operation
-        for operation (np.vecdot is np.dot per row), so a row equals the
-        scalar construction bit for bit.
+        the rows without a hard failure (see rt.reflection_chains, or a
+        degenerate Fermat point), inside the rows whose points also lie
+        strictly inside their polygons or edge segments, as an RT pass
+        requires.  A row equals rt.solve_backbone's construction bit for bit.
         """
         ok = np.ones(t.shape, dtype=bool)
         inside = np.ones(t.shape, dtype=bool)
@@ -240,47 +230,19 @@ class _Shape:
             inside &= (u > 0.0) & (u < 1.0)
             points.append(a + u[..., None] * d)
         elif self.n_bounce:
-            ns, offs, disps = [], [], []
+            normals, offsets, polygons = [], [], []
             for k in range(self.n_bounce):
                 n = self.normal[:, None, k, :]
-                disp = self._facet_disp(self.chain[:, k], t)
                 off = self.offset[:, k, None]
+                origins = self.origins[:, None, k]
+                disp = self._facet_disp(self.chain[:, k], t)
                 if disp is not None:
                     off = off + np.vecdot(n, disp)
-                ns.append(n)
-                offs.append(off)
-                disps.append(disp)
-            images = [tx]
-            for n, off in zip(ns, offs):
-                img = images[-1]
-                images.append(img - (2.0 * (np.vecdot(img, n) - off))[..., None] * n)
-            points = [None] * self.n_bounce
-            target = rx
-            for k in reversed(range(self.n_bounce)):
-                img = images[k + 1]
-                d = target - img
-                denom = np.vecdot(ns[k], d)
-                par = (offs[k] - np.vecdot(ns[k], img)) / denom
-                ok &= (np.abs(denom) >= 1e-14) & (par > 0.0) & (par < 1.0)
-                target = img + par[..., None] * d
-                points[k] = target
-                # strict containment in the (displaced) polygon
-                origins = self.origins[:, None, k]
-                if disps[k] is not None:
-                    origins = origins + disps[k][:, :, None, :]
-                edge_d = np.einsum("ptvc,pvc->ptv", target[:, :, None, :] - origins,
-                                   self.inward[:, k])
-                inside &= np.all((edge_d >= 0.0) | ~self.valid[:, None, k], axis=2)
-            chain = [tx] + points + [rx]
-            for k, (n, off) in enumerate(zip(ns, offs)):
-                d_in = np.vecdot(n, chain[k]) - off
-                d_out = np.vecdot(n, chain[k + 2]) - off
-                ok &= (d_in * d_out > 0.0) & (
-                    np.minimum(np.abs(d_in), np.abs(d_out)) >= SIDE_EPS)
-                seg = chain[k + 1] - chain[k]
-                seg_len = np.sqrt(np.vecdot(seg, seg))
-                ok &= (seg_len >= UNIT_TOL) & (
-                    np.abs(np.vecdot(seg / seg_len[..., None], n)) >= GRAZING_COS)
+                    origins = origins + disp[:, :, None, :]
+                normals.append(n)
+                offsets.append(off)
+                polygons.append((origins, self.inward[:, k], self.valid[:, k]))
+            points, ok, inside = reflection_chains(tx, rx, normals, offsets, polygons)
         return [tx] + points + [rx], ok, inside
 
     def resolve(self, tx: np.ndarray, rx: np.ndarray, t: np.ndarray) -> TrajectoryGeometry:
@@ -374,12 +336,12 @@ class PathTrajectory:
         n_paths = len(self.paths)
         if t.ndim == 1:
             shape = (n_paths, t.size, 3)
-            tx = np.broadcast_to(_positions(self.scene.tx_motion, t), shape)
-            rx = np.broadcast_to(_positions(self.scene.rx_motion, t), shape)
+            tx = np.broadcast_to(self.scene.tx_motion.position(t), shape)
+            rx = np.broadcast_to(self.scene.rx_motion.position(t), shape)
             return np.broadcast_to(t, (n_paths, t.size)), tx, rx
         if t.ndim != 2 or t.shape[0] != n_paths:
             raise ValueError("times must be (T,) or (paths, T)")
-        return t, _positions(self.scene.tx_motion, t), _positions(self.scene.rx_motion, t)
+        return t, self.scene.tx_motion.position(t), self.scene.rx_motion.position(t)
 
     def geometry_at(self, times, geom: SceneAtTime | None = None):
         """Resolved geometry at times (unclamped: the structure stays frozen).
@@ -417,16 +379,17 @@ class PathTrajectory:
         and its Tx and Rx positions, equal to the kernel's, are shared.
         """
         sig = self.paths[g.index[p]].signature
+        backbone_sig = _backbone_of(sig)
         verts = [geom.tx, *g.vertices[p, i, 1:-1], geom.rx]
         backbone = [Interaction(m, gid, verts[k + 1])
-                    for k, (m, gid) in enumerate(_backbone_of(sig))]
+                    for k, (m, gid) in enumerate(backbone_sig)]
         pens = [PenetrationHit(seg, geom.facet(fid), g.pen_points[p, i, j],
                                float(g.pen_params[p, i, j]))
                 for j, (fid, seg) in enumerate(_penetration_slots(sig))]
         seg_lengths = g.seg_lengths[p, i]
         total = float(g.total_length[p, i])
         split = None
-        if Mechanism.DIFFRACTION in shape_of(sig):
+        if backbone_sig and backbone_sig[0][0] is Mechanism.DIFFRACTION:
             s_pre = float(seg_lengths[0])
             split = (s_pre, total - s_pre)
         return PathGeometry(sig, verts[0], verts[-1], verts, backbone, pens,
@@ -499,17 +462,20 @@ class PathTrajectory:
         extra[p[~listed], ti[~listed]] = True
         return extra, declared
 
-    def existence_scan(self, times):
+    def existence_scan(self, times, occlusion=True):
         """(geometric_ok, fully_ok), (P, T) each, over sample times.
 
         geometric_ok covers the construction with strict polygon and edge
         containment and the declared slab crossings; fully_ok additionally
-        requires the occlusion profile to match the signature exactly.
-        Computing both in one pass lets lifetime solving look for geometric
-        boundary crossings first and fall back to occlusion onsets without
-        rescanning.
+        requires the occlusion profile to match the signature exactly, for
+        the paths that occlusion (one flag or one per path) selects, and is
+        geometric_ok for the others, whose rows skip the crossing tests
+        unless they declare a penetration.  Computing both in one pass lets
+        lifetime solving look for geometric boundary crossings first and
+        fall back to occlusion onsets without rescanning.
         """
         t, tx, rx = self._times(times)
+        tested = np.broadcast_to(occlusion, (len(self.paths),)) | (self.pen_seg >= 0).any(axis=1)
         geo = np.zeros(t.shape, dtype=bool)
         vertices, rows = [], []
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -518,8 +484,8 @@ class PathTrajectory:
                                                 rx.take(s.index, axis=0),
                                                 t.take(s.index, axis=0))
                 vertices.append(verts)
-                rows.append(ok & inside)
-                geo[s.index] = rows[-1]
+                rows.append(ok & inside & tested[s.index, None])
+                geo[s.index] = ok & inside
         extra, declared = self.crossings(t, vertices, rows)
         geo_ok = geo & declared
         return geo_ok, geo_ok & ~extra
@@ -534,8 +500,16 @@ class PathTrajectory:
         for lifetime solving (occlusion is transient and handled per
         snapshot).
         """
-        geo_ok, full_ok = self.existence_scan(times)
-        return np.where(np.reshape(include_occlusion, (-1, 1)), full_ok, geo_ok)
+        return self.existence_scan(times, include_occlusion)[1]
+
+
+def signature_ranks(paths) -> list[int]:
+    """Each path's place in a snapshot's signature order."""
+    order = sorted(range(len(paths)), key=lambda k: signature_sort_key(paths[k].signature))
+    rank = [0] * len(paths)
+    for position, k in enumerate(order):
+        rank[k] = position
+    return rank
 
 
 def _advance(traj: PathTrajectory, scene: Scene, times,
@@ -550,24 +524,23 @@ def _advance(traj: PathTrajectory, scene: Scene, times,
     times = [float(t) for t in times]
     with timer.geometry():
         resolved = traj.geometry_at(times)
+    rank = signature_ranks(traj.paths)
     snapshots = []
     dropped = 0
     for i, t in enumerate(times):
         geom = scene_at(scene, t)
+        with timer.geometry():
+            rows = sorted((rank[g.index[p]], k, p) for k, g in enumerate(resolved)
+                          for p in np.flatnonzero(~g.failed[:, i]))
+            dropped += sum(int(np.count_nonzero(g.failed[:, i])) for g in resolved)
+            geometries = [traj.path_geometry(resolved[k], p, i, geom) for _r, k, p in rows]
         paths = []
-        for g in resolved:
-            for p, failed in enumerate(g.failed[:, i].tolist()):
-                if failed:
-                    dropped += 1
-                    continue
+        with timer.field():
+            for geometry in geometries:
                 try:
-                    with timer.geometry():
-                        geometry = traj.path_geometry(g, p, i, geom)
-                    with timer.field():
-                        paths.append(make_path(scene, geom, geometry))
+                    paths.append(make_path(scene, geom, geometry))
                 except ConstructionError:
                     dropped += 1
-        paths.sort(key=lambda q: signature_sort_key(q.signature))
         snapshots.append(Snapshot(time=t, paths=paths))
     return snapshots, dropped
 

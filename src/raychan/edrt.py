@@ -24,15 +24,19 @@ at an instant only for a direct field fallback.
 
 from __future__ import annotations
 
-import cmath
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coefficients import fresnel_from_cos, transmission_from_cos, utd_coefficient_batch
-from .drt import PathTrajectory, PredictionConfig, TrajectoryGeometry
+from .coefficients import (
+    WedgeGeometry,
+    fresnel_from_cos,
+    transmission_from_cos,
+    utd_coefficient_batch,
+)
+from .drt import PathTrajectory, PredictionConfig, TrajectoryGeometry, signature_ranks
 from .rt import (
     GRAZING_COS,
     ConstructionError,
@@ -44,11 +48,9 @@ from .rt import (
     Snapshot,
     field_of_path,
     power_dbm_from_field,
-    signature_sort_key,
     signature_str,
     spreading_factor,
     trace_snapshot,
-    wedge_geometry_of,
 )
 from .runs import RunResult, StageTimer
 from .scene import C_LIGHT, Scene, SceneAtTime, scene_at
@@ -69,6 +71,17 @@ class MatchedPaths:
     born: list[Path]
     t_start: float
     t_end: float
+    _trajectory: PathTrajectory | None = field(default=None, init=False, repr=False,
+                                               compare=False)
+
+    def trajectory(self, scene: Scene) -> PathTrajectory:
+        """The round's paths as one PathTrajectory: the common ones (from the
+        window start), then the dying and the born ones.  Built once and
+        shared by the lifetime solving and the predictions."""
+        if self._trajectory is None or self._trajectory.scene is not scene:
+            paths = [pa for pa, _pb in self.common] + self.dying + self.born
+            self._trajectory = PathTrajectory(paths, scene, self.t_start)
+        return self._trajectory
 
 
 @dataclass
@@ -184,29 +197,27 @@ def _transitions(traj: PathTrajectory, times: np.ndarray, anchors: np.ndarray,
     return out
 
 
-def _lifetime_edges(dying: list[Path], born: list[Path], scene: Scene,
-                    t_start: float, t_end: float, dt: float,
-                    timer: StageTimer) -> list[tuple[float, bool]]:
-    """(transition time, fallback) of every dying, then every born path.
+def _lifetime_edges(traj: PathTrajectory, n_dying: int, t_start: float, t_end: float,
+                    dt: float, timer: StageTimer) -> list[tuple[float, bool]]:
+    """(transition time, fallback) of every path of traj: the first n_dying
+    are dying, the others born.
 
     The scan runs away from the reference end of the window on the dt/20
     grid: forward from t_start for a dying path, backward from t_end for a
-    born one.  All paths are scanned and refined together, as one
-    PathTrajectory.  An unresolved case is logged and falls back to one step
-    inside the far window edge.
+    born one.  All paths are scanned and refined together.  An unresolved
+    case is logged and falls back to one step inside the far window edge.
     """
+    if not traj.paths:
+        return []
     step = dt / LIFETIME_SAMPLE_DIVISOR
     n = round((t_end - t_start) / step)
     offsets = step * np.arange(1, n + 1)
-    paths = dying + born
-    is_dying = np.arange(len(paths)) < len(dying)
-    if not paths:
-        return []
+    is_dying = np.arange(len(traj.paths)) < n_dying
     times = np.where(is_dying[:, None], t_start + offsets, t_end - offsets)
     anchors = np.where(is_dying, t_start, t_end)
-    found = _transitions(PathTrajectory(paths, scene, t_start), times, anchors, timer)
+    found = _transitions(traj, times, anchors, timer)
     out = []
-    for path, dies, t in zip(paths, is_dying.tolist(), found.tolist()):
+    for path, dies, t in zip(traj.paths, is_dying.tolist(), found.tolist()):
         if not math.isnan(t):
             out.append((t, False))
         elif dies:
@@ -233,7 +244,8 @@ def death_time(path: Path, scene: Scene, t_start: float, t_end: float,
     occlusion onset is used instead.  If neither is found the path dies at
     t_end - dt and the case is logged as unresolved.
     """
-    return _lifetime_edges([path], [], scene, t_start, t_end, dt, StageTimer())[0][0]
+    return _lifetime_edges(PathTrajectory(path, scene, t_start), 1, t_start, t_end, dt,
+                           StageTimer())[0][0]
 
 
 def birth_time(path: Path, scene: Scene, t_start: float, t_end: float,
@@ -247,7 +259,8 @@ def birth_time(path: Path, scene: Scene, t_start: float, t_end: float,
     transition onward.  Falls back to t_start + dt when the whole window
     scans valid.
     """
-    return _lifetime_edges([], [path], scene, t_start, t_end, dt, StageTimer())[0][0]
+    return _lifetime_edges(PathTrajectory(path, scene, t_start), 0, t_start, t_end, dt,
+                           StageTimer())[0][0]
 
 
 def solve_lifetimes(matched: MatchedPaths, scene: Scene, t_start: float,
@@ -259,8 +272,9 @@ def solve_lifetimes(matched: MatchedPaths, scene: Scene, t_start: float,
     when given, counts the (path, time) samples of the scans
     (lifetime_scan_samples) and of the bisection (lifetime_bisect_samples).
     """
-    edges = _lifetime_edges(matched.dying, matched.born, scene, t_start, t_end, dt,
-                            timer or StageTimer())
+    traj = matched.trajectory(scene)
+    edges = _lifetime_edges(traj.take(np.arange(len(matched.common), len(traj.paths))),
+                            len(matched.dying), t_start, t_end, dt, timer or StageTimer())
     lifetimes: dict = {}
     for pa, _pb in matched.common:
         lifetimes[pa.signature] = Lifetime(pa, t_start, t_end)
@@ -325,121 +339,117 @@ def extrapolate_fields(refs, batches, scene: Scene):
 
     batches are TrajectoryGeometry row batches (TrajectoryGeometry.rows),
     each of one shape and one number of penetrations, and refs holds the
-    reference of every row of every batch, in order.  Incidence angles and
-    wedge angles are read from the vertex arrays, one interaction slot at a
-    time; all reflection, slab and diffraction coefficients of the call are
-    then computed in one batched pass per mechanism, and the ratios are
-    multiplied out row by row.  Entries are None where the Brewster-null or
-    grazing-slab fallback applies.
+    reference of every row of every batch, in order.  Everything runs on
+    arrays: each interaction slot of each batch contributes its segment
+    vectors, and then per mechanism the incidence cosines or wedge angles,
+    the coefficients (one batched call) and their ratios are computed for
+    all rows at once.  Entries are None where the Brewster-null,
+    grazing-slab or ray-along-the-edge fallback applies.
     """
-    # per mechanism: the coefficient inputs queued by every slot of every batch
-    queued = {Mechanism.REFLECTION: ([], []), Mechanism.PENETRATION: ([], [], []),
-              Mechanism.DIFFRACTION: ([], [])}
-    plans = []  # per batch: (refs, rows, alive, [(slot, kind, rows queued)])
+    n_all = len(refs)
+    totals, s_pre = np.ones(n_all), np.ones(n_all)
+    diffracted = np.zeros(n_all, dtype=bool)
+    # per mechanism, in slot order: each slot's rows and reference traces,
+    # the segment into the interaction (vector and length), and for an edge
+    # the segment out of it and the path length before it
+    gathered = {kind: ([], [], [], [], [], []) for kind in _PRODUCT_ORDER}
     start = 0
     for rows in batches:
         n_rows = rows.total_length.shape[0]
-        batch_refs = refs[start:start + n_rows]
+        batch = np.arange(start, start + n_rows)
         start += n_rows
         if not n_rows:
             continue
-        # the rows of one path share its reference: read each reference once
-        position: dict[int, int] = {}
-        of_row = np.array([position.setdefault(id(ref), len(position))
-                           for ref in batch_refs])
-        distinct = list({id(ref): ref for ref in batch_refs}.values())
         verts, seg_lengths = rows.vertices, rows.seg_lengths
+        totals[batch], s_pre[batch] = rows.total_length, seg_lengths[:, 0]
         n_backbone = verts.shape[1] - 2
         r = np.arange(n_rows)
-        alive = np.ones(n_rows, dtype=bool)
-        slots = []
-        for q, kind in enumerate(tr.kind for tr in batch_refs[0].traces):
-            traces = [ref.traces[q] for ref in distinct]
-            alive &= np.array([abs(tr.coeff[tr.label]) >= COEFF_FLOOR
-                               for tr in traces]).take(of_row)
-            eps = np.array([tr.eps for tr in traces], dtype=complex).take(of_row)
+        for q, trace in enumerate(refs[start - n_rows].traces):
+            seg = (rows.pen_segments[:, q - n_backbone] if trace.kind is Mechanism.PENETRATION
+                   else np.full(n_rows, q))
+            at, traces, d_in, length, d_out, before = gathered[trace.kind]
+            at.append(batch)
+            traces.extend(ref.traces[q] for ref in refs[start - n_rows:start])
+            d_in.append(verts[r, seg + 1] - verts[r, seg])
+            length.append(seg_lengths[r, seg])
+            if trace.kind is Mechanism.DIFFRACTION:
+                diffracted[batch] = True
+                d_out.append(verts[:, q + 2] - verts[:, q + 1])
+                before.append(seg_lengths[:, :q + 1].sum(axis=1))
+
+    def joined(parts):
+        return np.concatenate(parts)
+
+    # the ratio product per row: reflections, then penetrations, then
+    # diffractions, each in slot order (ufunc.at applies repeated rows in order)
+    alive = np.ones(n_all, dtype=bool)
+    ratio = np.ones(n_all, complex)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for kind, (at, traces, d_in, length, d_out, before) in gathered.items():
+            if not at:
+                continue
+            at, d_in, length = joined(at), joined(d_in), joined(length)
+            coeff = np.array([tr.coeff[tr.label] for tr in traces], complex)
+            eps = np.array([tr.eps for tr in traces], complex)
+            dead = np.abs(coeff) < COEFF_FLOOR
             if kind is Mechanism.DIFFRACTION:
-                live = np.flatnonzero(alive)
-                queued[kind][0].extend(
-                    wedge_geometry_of(traces[of_row[n]].frame, verts[n], seg_lengths[n],
-                                      rows.total_length[n], q) for n in live)
-                queued[kind][1].append(eps[live])
-                slots.append((q, kind, live))
-                continue
-            seg = (np.full(n_rows, q) if kind is Mechanism.REFLECTION
-                   else rows.pen_segments[:, q - n_backbone])
-            d = verts[r, seg + 1] - verts[r, seg]
-            n = np.array([tr.normal for tr in traces]).take(of_row, axis=0)
-            dot = d[:, 0] * n[:, 0] + d[:, 1] * n[:, 1] + d[:, 2] * n[:, 2]
-            cos_th = np.minimum(np.abs(dot) / seg_lengths[r, seg], 1.0)
-            queued[kind][0].append(cos_th)
-            queued[kind][1].append(eps)
-            if kind is Mechanism.PENETRATION:
-                alive &= cos_th >= GRAZING_COS  # grazing slab crossing: direct fallback
-                queued[kind][2].append(
-                    np.array([tr.thickness for tr in traces]).take(of_row))
-            slots.append((q, kind, r))
-        plans.append((batch_refs, rows, alive, slots))
-
-    def joined(parts, dtype=float):
-        return np.concatenate(parts) if parts else np.zeros(0, dtype)
-
-    # one pass per mechanism; per row: (coefficient 0, coefficient 1, slab length)
-    cos_r, eps_r = queued[Mechanism.REFLECTION]
-    r_perp, r_par = fresnel_from_cos(joined(cos_r), joined(eps_r, complex))
-    cos_p, eps_p, thick = queued[Mechanism.PENETRATION]
-    slab = transmission_from_cos(joined(cos_p), joined(eps_p, complex), joined(thick))
-    wedges, eps_d = queued[Mechanism.DIFFRACTION]
-    d_soft, d_hard = utd_coefficient_batch(wedges, joined(eps_d, complex), scene.frequency)
-    results = {Mechanism.REFLECTION: (r_perp, r_par, None),
-               Mechanism.PENETRATION: (slab.t_perp, slab.t_par, slab.d_t),
-               Mechanism.DIFFRACTION: (d_soft, d_hard, None)}
-    taken = dict.fromkeys(results, 0)
-
-    # reflections, then penetrations, then diffractions: the product order
-    order = [Mechanism.REFLECTION, Mechanism.PENETRATION, Mechanism.DIFFRACTION]
-    k = scene.wavenumber
-    out = []
-    for batch_refs, rows, alive, slots in plans:
-        factors = []  # per slot: (product rank, slot, c0, c1, slab length), per row
-        for q, kind, queued_rows in slots:
-            first = taken[kind]
-            taken[kind] += queued_rows.size
-            per_row = []
-            for values in results[kind]:
-                if values is not None:
-                    scattered = np.zeros(len(batch_refs), np.asarray(values).dtype)
-                    scattered[queued_rows] = values[first:first + queued_rows.size]
-                    values = scattered.tolist()
-                per_row.append(values)
-            factors.append((order.index(kind), q, *per_row))
-        factors.sort(key=lambda f: f[0])
-        diffracted = Mechanism.DIFFRACTION in (tr.kind for tr in batch_refs[0].traces)
-        totals = rows.total_length.tolist()
-        s_pres = rows.seg_lengths[:, 0].tolist()
-        for n, ref in enumerate(batch_refs):
-            if not alive[n]:
-                out.append(None)
-                continue
-            ratio = 1.0 + 0.0j
-            for _rank, q, c0, c1, d_t in factors:
-                tr = ref.traces[q]
-                ratio *= complex(c0[n] if tr.label == 0 else c1[n]) / tr.coeff[tr.label]
-                if d_t is not None:
-                    ratio *= math.exp(-tr.alpha * (d_t[n] - tr.d_t))
-            total = totals[n]
-            if diffracted:
-                s_pre = s_pres[n]
-                s_post = total - s_pre
-                spread = math.sqrt(1.0 / (s_pre * s_post * (s_pre + s_post)))
+                wedge, dead_wedge = _wedge_arrays([tr.frame for tr in traces], d_in, length,
+                                                  joined(d_out), joined(before), totals[at])
+                dead |= dead_wedge
+                c0, c1 = utd_coefficient_batch(wedge, eps, scene.frequency)
             else:
-                spread = 1.0 / total
-            spread /= ref.spreading
-            phase = cmath.exp(-1j * k * (total - ref.total_length))
-            field2 = ref.field2 * (ratio * spread * phase)
-            mag = math.hypot(abs(field2[0]), abs(field2[1]))
-            out.append((field2, power_dbm_from_field(mag, scene)))
-    return out
+                n = np.array([tr.normal for tr in traces])
+                dot = d_in[:, 0] * n[:, 0] + d_in[:, 1] * n[:, 1] + d_in[:, 2] * n[:, 2]
+                cos_th = np.minimum(np.abs(dot) / length, 1.0)
+                if kind is Mechanism.REFLECTION:
+                    c0, c1 = fresnel_from_cos(cos_th, eps)
+                else:
+                    dead |= cos_th < GRAZING_COS  # grazing slab crossing: direct fallback
+                    c0, c1, d_t = transmission_from_cos(
+                        cos_th, eps, np.array([tr.thickness for tr in traces]))
+            alive[at[dead]] = False
+            label = np.array([tr.label for tr in traces])
+            np.multiply.at(ratio, at, np.where(label == 0, c0, c1) / coeff)
+            if kind is Mechanism.PENETRATION:
+                alpha = np.array([tr.alpha for tr in traces])
+                np.multiply.at(ratio, at, np.exp(
+                    -alpha * (d_t - np.array([tr.d_t for tr in traces]))))
+        s_post = totals - s_pre  # zero for a line of sight: its caustic form is unused
+        spread = np.where(diffracted, np.sqrt(1.0 / (s_pre * s_post * (s_pre + s_post))),
+                          1.0 / totals)
+    spread /= np.array([ref.spreading for ref in refs])
+    phase = np.exp(-1j * scene.wavenumber * (totals - np.array([ref.total_length
+                                                               for ref in refs])))
+    field2 = np.array([ref.field2 for ref in refs]).reshape(n_all, 2)
+    field2 *= (ratio * spread * phase)[:, None]
+    mag = np.hypot(np.abs(field2[:, 0]), np.abs(field2[:, 1]))
+    return [(f, power_dbm_from_field(m, scene)) if a else None
+            for f, m, a in zip(field2, mag.tolist(), alive.tolist())]
+
+
+# the order of the ratio product
+_PRODUCT_ORDER = (Mechanism.REFLECTION, Mechanism.PENETRATION, Mechanism.DIFFRACTION)
+
+
+def _wedge_arrays(frames, d_in, length_in, d_out, d_inc, totals):
+    """rt.wedge_geometry_of over arrays: the edge-local angles of each row's
+    diffraction, as a WedgeGeometry of arrays, and a mask of the rows with a
+    ray along the edge (no angle defined).  frames holds each row's edge
+    frame, d_in and d_out the segments into and out of the edge point,
+    length_in and d_inc the length of the first and of the path before it."""
+    e, a, n = (np.array([getattr(f, name) for f in frames]) for name in ("ef", "af", "nf"))
+    n_index = np.array([f.n_index for f in frames])
+    cos_b = np.vecdot(d_in, e) / length_in
+    angles, along_edge = [], False
+    for ray in (-d_in, d_out):
+        p = ray - np.vecdot(ray, e)[:, None] * e
+        along, out = np.vecdot(p, a), np.vecdot(p, n)
+        along_edge = along_edge | (along * along + out * out < 1e-18)
+        phi = np.arctan2(out, along)
+        angles.append(np.minimum(np.where(phi < 0.0, phi + 2.0 * math.pi, phi),
+                                 n_index * math.pi))
+    return (WedgeGeometry(n_index, np.arccos(np.clip(cos_b, -1.0, 1.0)), *angles, d_inc,
+                          totals - d_inc), along_edge)
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +476,8 @@ class EdrtRound:
                         + [(p, "dying") for p in matched.dying]
                         + [(p, "born") for p in matched.born])
         with self.timer.geometry():
-            paths = [path for path, _kind in self.members]
-            self.traj = PathTrajectory(paths, scene, self.t_start)
+            self.traj = matched.trajectory(scene)
+            paths = self.traj.paths
             self.references = [
                 FieldReference(field2=p.field, geometry=p.geometry, traces=p.traces,
                                spreading=spreading_factor(p.geometry),
@@ -478,12 +488,7 @@ class EdrtRound:
             self.hi = np.array([lifetimes[p.signature].death_time if kind == "dying"
                                 else math.inf for p, kind in self.members])
             self.points = [_interaction_points(p.signature) for p in paths]
-            # each path's place in a snapshot's signature order
-            order = sorted(range(len(paths)),
-                           key=lambda k: signature_sort_key(paths[k].signature))
-            self.rank = [0] * len(paths)
-            for position, k in enumerate(order):
-                self.rank[k] = position
+            self.rank = signature_ranks(paths)
         self.fallbacks = 0
         self.dropped = 0
 
@@ -543,7 +548,9 @@ class EdrtRound:
                  for k in sub.index.tolist()],
                 [sub for _g, _ip, _it, sub, _i in batches], self.scene))
             for g, ip, it, sub, interactions in batches:
-                for n, (p, i, result) in enumerate(zip(ip, it, results)):
+                for p, i, k, length, inter, result in zip(
+                        ip, it, sub.index.tolist(), sub.total_length.tolist(), interactions,
+                        results):
                     if result is None:
                         self.fallbacks += 1
                         if i not in scenes:
@@ -555,13 +562,10 @@ class EdrtRound:
                         except ConstructionError:
                             self.dropped += 1
                             continue
-                    k = int(sub.index[n])
                     field2, p_dbm = result
                     per_time[i].append((self.rank[k], Path(
-                        signature=self.traj.paths[k].signature,
-                        interactions=interactions[n],
-                        delay=float(sub.total_length[n]) / C_LIGHT,
-                        field=field2, power_dbm=p_dbm)))
+                        signature=self.traj.paths[k].signature, interactions=inter,
+                        delay=length / C_LIGHT, field=field2, power_dbm=p_dbm)))
         return [Snapshot(time=t, paths=[path for _rank, path in sorted(ranked)])
                 for t, ranked in zip(times, per_time)]
 

@@ -7,13 +7,12 @@ coplanarity 1e-6 m, direction normalization 1e-9.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 COPLANAR_TOL = 1e-6
 UNIT_TOL = 1e-9
-
-ZHAT = np.array([0.0, 0.0, 1.0])
-XHAT = np.array([1.0, 0.0, 0.0])
 
 
 def norm(v) -> float:
@@ -27,11 +26,28 @@ def unit(v) -> np.ndarray:
     return np.asarray(v, float) / n
 
 
-def cross3(a, b) -> np.ndarray:
-    """np.cross for single 3-vectors without its dispatch overhead."""
-    return np.array([a[1] * b[2] - a[2] * b[1],
-                     a[2] * b[0] - a[0] * b[2],
-                     a[0] * b[1] - a[1] * b[0]])
+# Single 3-vectors as tuples of Python floats or complex numbers, for the
+# field chain walk, where numpy's per-call overhead would dominate.
+
+def sub3(a, b) -> tuple:
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+
+
+def dot3(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def cross3(a, b) -> tuple:
+    return (a[1] * b[2] - a[2] * b[1],
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
+
+
+def unit3(v) -> tuple:
+    n = math.sqrt(dot3(v, v))
+    if n < UNIT_TOL:
+        raise ValueError("cannot normalize a near-zero vector")
+    return (v[0] / n, v[1] / n, v[2] / n)
 
 
 def polygon_normal(vertices: np.ndarray) -> np.ndarray:
@@ -138,22 +154,23 @@ def fermat_point_on_line(tx, rx, a, b):
     return a + u * d, u
 
 
-def vertical_pol(s: np.ndarray) -> np.ndarray:
+def vertical_pol(s) -> tuple:
     """Vertical polarization unit vector for propagation direction s.
 
     The projection of z-hat perpendicular to s; falls back to x-hat for
     near-vertical rays.
     """
-    v = ZHAT - np.dot(ZHAT, s) * s
-    n = norm(v)
+    z = s[2]
+    v = (-z * s[0], -z * s[1], 1.0 - z * s[2])
+    n = math.sqrt(dot3(v, v))
     if n < 1e-9:
-        v = XHAT - np.dot(XHAT, s) * s
-        n = norm(v)
-    return v / n
+        x = s[0]
+        v = (1.0 - x * s[0], -x * s[1], -x * s[2])
+        n = math.sqrt(dot3(v, v))
+    return (v[0] / n, v[1] / n, v[2] / n)
 
 
-def arrival_basis(s: np.ndarray):
+def arrival_basis(s):
     """(v-hat, h-hat) ray-fixed polarization basis at the receiver."""
     v = vertical_pol(s)
-    h = cross3(v, s)
-    return v, h
+    return v, cross3(v, s)

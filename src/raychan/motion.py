@@ -48,21 +48,20 @@ class MotionState:
 def position_at(m: MotionState, t) -> np.ndarray:
     """Evaluate the constant-acceleration position law at time t.
 
-    t may be a scalar (returns shape (3,)) or an array of shape (T,)
-    (returns shape (T, 3)).
+    t may be a scalar (returns shape (3,)) or an array (returns shape
+    t.shape + (3,)).
     """
     dt = np.asarray(t, dtype=float) - m.t_ref
-    if dt.ndim == 0:
-        return m.r0 + m.v0 * dt + 0.5 * m.a0 * dt * dt
-    dt = dt[:, None]
+    if dt.ndim:
+        dt = dt[..., None]
     return m.r0 + m.v0 * dt + 0.5 * m.a0 * dt * dt
 
 
 def velocity_at(m: MotionState, t) -> np.ndarray:
     dt = np.asarray(t, dtype=float) - m.t_ref
-    if dt.ndim == 0:
-        return m.v0 + m.a0 * dt
-    return m.v0 + m.a0 * dt[:, None]
+    if dt.ndim:
+        dt = dt[..., None]
+    return m.v0 + m.a0 * dt
 
 
 @dataclass(frozen=True)
@@ -91,37 +90,29 @@ class Motion:
     def stationary(cls, r0) -> "Motion":
         return cls((MotionState(_vec3(r0)),))
 
-    def _segment_index(self, t):
+    def _piecewise(self, law, t) -> np.ndarray:
+        """law(segment, t) of the active segment at every time of t: shape
+        (3,) for a scalar t, t.shape + (3,) for an array."""
+        t_arr = np.asarray(t, dtype=float)
         if len(self.segments) == 1:
-            return np.zeros(np.shape(t), dtype=int)
-        starts = np.array([s.t_ref for s in self.segments])
-        return np.clip(np.searchsorted(starts, np.asarray(t, float), side="right") - 1, 0, None)
+            return law(self.segments[0], t_arr)
+        starts = [s.t_ref for s in self.segments]
+        idx = np.searchsorted(starts, t_arr, side="right") - 1
+        if t_arr.ndim == 0:
+            return law(self.segments[max(int(idx), 0)], t_arr)
+        out = np.empty(t_arr.shape + (3,))
+        # segment 0 also covers the times before its t_ref
+        for i, seg in enumerate(self.segments):
+            sel = idx <= 0 if i == 0 else idx == i
+            if sel.any():
+                out[sel] = law(seg, t_arr[sel])
+        return out
 
     def position(self, t) -> np.ndarray:
-        t_arr = np.asarray(t, dtype=float)
-        if t_arr.ndim == 0:
-            seg = self.segments[int(self._segment_index(t_arr))]
-            return position_at(seg, float(t_arr))
-        if len(self.segments) == 1:
-            return position_at(self.segments[0], t_arr.ravel())
-        idx = self._segment_index(t_arr)
-        out = np.empty((t_arr.size, 3))
-        for i in np.unique(idx):
-            sel = idx == i
-            out[sel] = position_at(self.segments[int(i)], t_arr[sel])
-        return out
+        return self._piecewise(position_at, t)
 
     def velocity(self, t) -> np.ndarray:
-        t_arr = np.asarray(t, dtype=float)
-        if t_arr.ndim == 0:
-            seg = self.segments[int(self._segment_index(t_arr))]
-            return velocity_at(seg, float(t_arr))
-        idx = self._segment_index(t_arr)
-        out = np.empty((t_arr.size, 3))
-        for i in np.unique(idx):
-            sel = idx == i
-            out[sel] = velocity_at(self.segments[int(i)], t_arr[sel])
-        return out
+        return self._piecewise(velocity_at, t)
 
     def moves_with(self, other: "Motion") -> bool:
         """Whether both motions displace their entities alike (within 1e-9 m)
@@ -142,8 +133,5 @@ class Motion:
     def displacement(self, t) -> np.ndarray:
         """Offset relative to the scene epoch t=0 (exactly zero at t=0)."""
         if self.is_static:
-            t_arr = np.asarray(t, float)
-            if t_arr.ndim == 0:
-                return np.zeros(3)
-            return np.zeros((t_arr.size, 3))
+            return np.zeros(np.shape(t) + (3,))
         return self.position(t) - self.position(0.0)

@@ -3,40 +3,50 @@
 Path finding is deterministic image-method enumeration over ordered facet
 tuples (reflection order <= 2), plus one-edge diffraction via the generalized
 Fermat point, each optionally combined with a single penetration through a
-transparent facet.  The enumeration is exhaustive up to exact plane-side
-culling: a reflection candidate is skipped unchecked only when the sides of
-the transceivers and facet vertices relative to its planes prove that no
-bounce can exist.  No ray launching is involved, so path signatures are
-stable across time and can be matched between snapshots.
+transparent facet.  No ray launching is involved, so path signatures are
+stable across time and can be matched between snapshots.  A candidate is
+decided in three stages (trace_geometry): exact plane-side culling, then a
+batched image construction of every remaining reflection candidate as
+arrays (reflection_chains, the kernel that the predictions share), which
+drops a candidate only when a predicate fails by more than a rounding
+margin, then the exact per-candidate decision (solve_backbone, the
+occlusion profile, build_geometry) for each candidate left.
 
 The electric field is propagated as a complex 3-vector with per-interface
-polarization decomposition and reported at the receiver as a 2-vector in the
-ray-fixed (vertical, horizontal) arrival basis.
+polarization decomposition, on Python floats, and reported at the receiver
+as a 2-vector in the ray-fixed (vertical, horizontal) arrival basis.
 """
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
 from .coefficients import (
     WedgeGeometry,
     complex_permittivity,
-    fresnel_coefficients,
-    transmission_coefficient,
+    fresnel_from_cos,
+    transmission_from_cos,
     utd_coefficient,
 )
 from .geometry import (
+    UNIT_TOL,
     arrival_basis,
     cross3,
+    dot3,
     fermat_point_on_line,
     line_plane_intersection,
     mirror_point,
     norm,
+    sub3,
     unit,
+    unit3,
     vertical_pol,
 )
 from .scene import (
@@ -58,6 +68,8 @@ SEG_PARAM_EPS = 1e-9     # occlusion hits closer than this to a segment end are 
 BOX_PAD = 1e-6           # crossing broad phase: segment boxes grow by this, m
 CROSSING_CHUNK = 1 << 10  # crossing kernel: most (row, facet) pairs tested at once
 CULL_MARGIN = 1e-10      # plane-side culling: rounding allowance, m
+FILTER_SLACK = 1e-7      # batched construction filter: rounding allowance
+FILTER_CHUNK = 1 << 10   # batched construction filter: most candidates at once
 ON_GEOMETRY_TOL = 1e-5   # field computation: interaction point must be this close
                          # to its facet plane / edge line
 
@@ -91,8 +103,7 @@ def signature_sort_key(sig: Signature):
     return (len(sig), tuple((m.value, gid) for m, gid in sig))
 
 
-@dataclass(frozen=True)
-class Interaction:
+class Interaction(NamedTuple):
     mechanism: Mechanism
     geometry_id: str
     point: np.ndarray
@@ -204,7 +215,7 @@ def facet_crossings(facets: FacetArrays, a: np.ndarray, d: np.ndarray,
         starts = None
         tr_lo, tr_hi = seg_lo, seg_hi
     else:
-        starts = np.flatnonzero(np.r_[True, track[1:] != track[:-1]])
+        starts = np.flatnonzero(np.concatenate(([True], track[1:] != track[:-1])))
         tr_lo = np.minimum.reduceat(seg_lo, starts, axis=0)
         tr_hi = np.maximum.reduceat(seg_hi, starts, axis=0)
     f_lo, f_hi = facets.lo, facets.hi
@@ -230,7 +241,7 @@ def facet_crossings(facets: FacetArrays, a: np.ndarray, d: np.ndarray,
         return _exact_crossings(facets, a, d, g, fi, disp)
 
     # every row of a trajectory against the facets that survived for it
-    counts = np.r_[starts[1:], a.shape[0]][g] - starts[g]
+    counts = np.append(starts[1:], a.shape[0])[g] - starts[g]
     cum = np.cumsum(counts)
     hits = []
     first = 0
@@ -338,11 +349,11 @@ def solve_backbone(geom: SceneAtTime, backbone: tuple):
     """Interaction points for the reflection/diffraction part of a signature.
 
     backbone is a tuple of (Mechanism, geometry_id) without penetrations.
-    The scalar construction of one RT candidate: it raises ConstructionError
-    for parallel or degenerate geometry, image side violations and grazing
+    The construction of one RT candidate: it raises ConstructionError for
+    parallel or degenerate geometry, image side violations and grazing
     bounces, and when a reflection point leaves its polygon or a Fermat
-    point leaves its edge segment.  Predictions resolve the same
-    construction over (paths x times) arrays in drt.PathTrajectory.
+    point leaves its edge segment.  Reflections go through reflection_chains
+    as a batch of one, the kernel of the RT filter and of the predictions.
     """
     tx, rx = geom.tx, geom.rx
     refl = [(i, gid) for i, (m, gid) in enumerate(backbone) if m is Mechanism.REFLECTION]
@@ -364,34 +375,64 @@ def solve_backbone(geom: SceneAtTime, backbone: tuple):
             raise ConstructionError("diffraction point clipped by edge segment")
         return [p]
 
-    # pure reflections: forward image cascade, backward point recovery
+    # pure reflections: reflection_chains on a batch of one, with the
+    # planes and polygons of this instant's facets
     facets = [geom.facet(gid) for _, gid in backbone]
-    images = [np.asarray(tx, float)]
-    for f in facets:
-        images.append(mirror_point(images[-1], f.normal, f.offset))
-    points: list[np.ndarray | None] = [None] * len(facets)
-    target = np.asarray(rx, float)
-    for i in range(len(facets) - 1, -1, -1):
-        f = facets[i]
-        p, t = line_plane_intersection(images[i + 1], target, f.normal, f.offset)
-        if p is None or not 0.0 < t < 1.0:
-            raise ConstructionError(f"image line does not reach facet {f.id!r}")
-        if f.boundary_distance(p, exact_outside=False) < 0.0:
-            raise ConstructionError(f"reflection point left facet {f.id!r}")
-        points[i] = p
-        target = p
+    with np.errstate(all="ignore"):
+        points, ok, inside = reflection_chains(
+            np.asarray(tx, float), np.asarray(rx, float), [f.normal[None, None] for f in facets],
+            [np.array([[f.offset]]) for f in facets],
+            [(f.vertices[None, None], f.edge_inward[None], np.ones((1, len(f.vertices)), bool))
+             for f in facets])
+    if not ok[0, 0]:
+        raise ConstructionError(f"no specular construction for {backbone}")
+    if not inside[0, 0]:
+        raise ConstructionError(f"a reflection point of {backbone} left its facet")
+    return [p[0, 0] for p in points]
 
-    # per-bounce specular sanity: neighbors strictly on one side, non-grazing
-    chain = [np.asarray(tx, float)] + points + [np.asarray(rx, float)]
-    for i, f in enumerate(facets):
-        d_in = float(np.dot(f.normal, chain[i]) - f.offset)
-        d_out = float(np.dot(f.normal, chain[i + 2]) - f.offset)
-        if d_in * d_out <= 0.0 or min(abs(d_in), abs(d_out)) < SIDE_EPS:
-            raise ConstructionError(f"image side violation at facet {f.id!r}")
-        s_in = unit(chain[i + 1] - chain[i])
-        if abs(np.dot(s_in, f.normal)) < GRAZING_COS:
-            raise ConstructionError(f"grazing reflection at facet {f.id!r}")
-    return points
+
+def reflection_chains(tx, rx, normals, offsets, polygons, slack: float = 0.0):
+    """The image-method construction of reflection chains over (P, T) rows.
+
+    The one image-cascade kernel: solve_backbone (a batch of one), the RT
+    filter (T = 1) and drt.PathTrajectory (paths x times) call it.  Per
+    bounce k, normals[k] (P, 1, 3) and offsets[k] give the plane and
+    polygons[k] = (origins (P, T or 1, V, 3), inward (P, V, 3), valid
+    (P, V)) the polygon; tx and rx broadcast against (P, T, 3).  Returns
+    (points, ok, inside): the bounce points, (P, T, 3) each; ok marks the
+    rows without a parallel line, an image line outside (0, 1), or a side
+    or grazing violation, inside the rows whose points also lie inside
+    their polygons.  With slack, a predicate fails only by more than slack.
+    """
+    images = [tx]
+    for n, off in zip(normals, offsets):
+        img = images[-1]
+        images.append(img - (2.0 * (np.vecdot(img, n) - off))[..., None] * n)
+    ok = inside = True
+    points = [None] * len(normals)
+    target = rx
+    for k in reversed(range(len(normals))):
+        img = images[k + 1]
+        d = target - img
+        denom = np.vecdot(normals[k], d)
+        par = (offsets[k] - np.vecdot(normals[k], img)) / denom
+        ok = ok & (np.abs(denom) >= 1e-14 - slack) & (par > -slack) & (par < 1.0 + slack)
+        target = img + par[..., None] * d
+        points[k] = target
+        origins, inward, valid = polygons[k]
+        edge_d = np.einsum("ptvc,pvc->ptv", target[:, :, None, :] - origins, inward)
+        inside = inside & np.all((edge_d >= -slack) | ~valid[:, None], axis=2)
+    chain = [tx] + points + [rx]
+    for k, (n, off) in enumerate(zip(normals, offsets)):
+        d_in = np.vecdot(n, chain[k]) - off
+        d_out = np.vecdot(n, chain[k + 2]) - off
+        ok = ok & ((np.minimum(d_in, d_out) >= SIDE_EPS - slack)
+                   | (np.maximum(d_in, d_out) <= slack - SIDE_EPS))
+        seg = chain[k + 1] - chain[k]
+        seg_len = np.sqrt(np.vecdot(seg, seg))
+        ok = ok & (seg_len >= UNIT_TOL - slack) & (
+            np.abs(np.vecdot(seg / seg_len[..., None], n)) >= GRAZING_COS - slack)
+    return points, ok, inside
 
 
 @dataclass
@@ -433,10 +474,12 @@ class PathGeometry:
         return out
 
 
+@functools.lru_cache(maxsize=4096)
 def _backbone_of(sig: Signature):
     return tuple((m, gid) for m, gid in sig if m is not Mechanism.PENETRATION)
 
 
+@functools.lru_cache(maxsize=4096)
 def _penetration_slots(sig: Signature):
     """(facet_id, segment_index) for each penetration, from signature order."""
     out = []
@@ -446,7 +489,7 @@ def _penetration_slots(sig: Signature):
             out.append((gid, seg))
         else:
             seg += 1
-    return out
+    return tuple(out)
 
 
 def build_geometry(geom: SceneAtTime, sig: Signature, backbone_points) -> PathGeometry:
@@ -590,38 +633,39 @@ def power_dbm_from_field(magnitude: float, scene: Scene) -> float:
     return 10.0 * math.log10(p_r) + 30.0
 
 
-def _reflection_basis(s_in: np.ndarray, normal: np.ndarray):
+def _reflection_basis(s_in, normal) -> tuple:
     perp = cross3(s_in, normal)
-    m = norm(perp)
+    m = math.sqrt(dot3(perp, perp))
     if m < 1e-9:
         # normal incidence: plane of incidence degenerate, any transverse axis
-        perp = cross3(s_in, np.array([0.0, 0.0, 1.0]))
-        m = norm(perp)
+        perp = cross3(s_in, (0.0, 0.0, 1.0))
+        m = math.sqrt(dot3(perp, perp))
         if m < 1e-9:
-            perp = cross3(s_in, np.array([1.0, 0.0, 0.0]))
-            m = norm(perp)
-    return perp / m
+            perp = cross3(s_in, (1.0, 0.0, 0.0))
+            m = math.sqrt(dot3(perp, perp))
+    return (perp[0] / m, perp[1] / m, perp[2] / m)
 
 
 def _check_on_geometry(geometry: PathGeometry, geom: SceneAtTime) -> None:
-    for i, inter in enumerate(geometry.backbone):
+    for inter in geometry.backbone:
+        p = inter.point.tolist()
         if inter.mechanism is Mechanism.REFLECTION:
             f = geom.facet(inter.geometry_id)
-            if abs(float(np.dot(f.normal, inter.point) - f.offset)) > ON_GEOMETRY_TOL:
+            if abs(dot3(f.normal.tolist(), p) - f.offset) > ON_GEOMETRY_TOL:
                 raise ConstructionError(
                     f"reflection point off the plane of facet {inter.geometry_id!r}")
         else:
-            e = geom.edge(inter.geometry_id)
-            a, b = e.endpoints
-            d = unit(b - a)
-            off = (inter.point - a) - np.dot(inter.point - a, d) * d
-            if norm(off) > ON_GEOMETRY_TOL:
+            a, b = geom.edge(inter.geometry_id).endpoints.tolist()
+            d = unit3(sub3(b, a))
+            w = sub3(p, a)
+            along = dot3(w, d)
+            off = (w[0] - along * d[0], w[1] - along * d[1], w[2] - along * d[2])
+            if math.sqrt(dot3(off, off)) > ON_GEOMETRY_TOL:
                 raise ConstructionError(
                     f"diffraction point off the line of edge {inter.geometry_id!r}")
 
 
-@dataclass
-class InteractionTrace:
+class InteractionTrace(NamedTuple):
     """Recorded context of one interaction along a reference chain walk.
 
     Captures the coefficient pair that was applied, the polarization
@@ -643,109 +687,102 @@ class InteractionTrace:
     d_t: float = 0.0
 
 
-def wedge_geometry_of(frame: WedgeFrame, verts, seg_lengths: np.ndarray,
-                      total_length: float, index: int) -> WedgeGeometry:
+def wedge_geometry_of(frame: WedgeFrame, verts, seg_lengths, total_length: float,
+                      index: int) -> WedgeGeometry:
     """Edge-local angles of the diffraction at backbone position index.
 
     verts are the path's vertices (Tx, backbone points, Rx) and seg_lengths
-    its segment lengths.  The one wedge-angle routine: the RT chain walk and
-    E-DRT's coefficient re-evaluation both call it, on the reference and
-    the moved geometry.
+    its segment lengths, as sequences of floats.
     """
     a, b, c = verts[index], verts[index + 1], verts[index + 2]
-    dx, dy, dz = float(b[0] - a[0]), float(b[1] - a[1]), float(b[2] - a[2])
+    dx, dy, dz = b[0] - a[0], b[1] - a[1], b[2] - a[2]
     e = frame.ef
-    d_in = float(seg_lengths[: index + 1].sum())
-    cos_b = (dx * e[0] + dy * e[1] + dz * e[2]) / float(seg_lengths[index])
+    d_in = sum(seg_lengths[: index + 1])
+    cos_b = (dx * e[0] + dy * e[1] + dz * e[2]) / seg_lengths[index]
     return WedgeGeometry(
         n=frame.n_index,
         beta0=math.acos(min(max(cos_b, -1.0), 1.0)),
         phi_inc=frame.angle_components(-dx, -dy, -dz),
-        phi_dif=frame.angle_components(float(c[0] - b[0]), float(c[1] - b[1]),
-                                       float(c[2] - b[2])),
+        phi_dif=frame.angle_components(c[0] - b[0], c[1] - b[1], c[2] - b[2]),
         d_inc=d_in,
-        d_dif=float(total_length - d_in),
+        d_dif=total_length - d_in,
     )
 
 
+def _project(e_vec, pair, u_in, v_in, u_out, v_out):
+    """One interaction: the field's components along (u_in, v_in) scaled by
+    the coefficient pair onto (u_out, v_out), and the carrying channel."""
+    c0, c1 = dot3(e_vec, u_in), dot3(e_vec, v_in)
+    a, b = pair[0] * c0, pair[1] * c1
+    return ((a * u_out[0] + b * v_out[0], a * u_out[1] + b * v_out[1],
+             a * u_out[2] + b * v_out[2]), 0 if abs(c0) >= abs(c1) else 1)
+
+
 def polarization_chain(scene: Scene, geom: SceneAtTime, geometry: PathGeometry,
-                       record: list[InteractionTrace] | None = None) -> np.ndarray:
+                       record: list[InteractionTrace] | None = None) -> tuple:
     """Propagate the launch polarization through all interactions.
 
-    Returns the complex 3-vector field direction/coefficient product before
-    spreading and propagation phase are applied.  When record is given, an
-    InteractionTrace per interaction (backbone order, then penetrations) is
-    appended for later coefficient re-evaluation.
+    Returns the complex 3-vector (a tuple) of field direction times
+    coefficients, before spreading and propagation phase.  When record is
+    given, an InteractionTrace per interaction (backbone order, then
+    penetrations) is appended for later coefficient re-evaluation.  The walk
+    runs on Python floats, and every coefficient comes from the incidence
+    cosine, as in E-DRT's re-evaluation.
     """
-    verts = geometry.vertices
-    s0 = unit(verts[1] - verts[0])
-    e_vec = launch_amplitude(scene) * vertical_pol(s0).astype(complex)
-
+    verts = [v.tolist() for v in geometry.vertices]
+    freq = scene.frequency
+    amp = launch_amplitude(scene)
+    v = vertical_pol(unit3(sub3(verts[1], verts[0])))
+    e_vec = (complex(amp * v[0]), complex(amp * v[1]), complex(amp * v[2]))
     for i, inter in enumerate(geometry.backbone):
-        s_in = unit(verts[i + 1] - verts[i])
-        s_out = unit(verts[i + 2] - verts[i + 1])
+        s_in = unit3(sub3(verts[i + 1], verts[i]))
+        s_out = unit3(sub3(verts[i + 2], verts[i + 1]))
         if inter.mechanism is Mechanism.REFLECTION:
             f = geom.facet(inter.geometry_id)
-            cos_th = min(abs(float(np.dot(s_in, f.normal))), 1.0)
-            pair = fresnel_coefficients(math.acos(cos_th), f.material, scene.frequency)
-            e_perp = _reflection_basis(s_in, f.normal)
-            par_in = cross3(e_perp, s_in)
-            par_out = cross3(e_perp, s_out)
-            c_perp = np.dot(e_vec, e_perp)
-            c_par = np.dot(e_vec, par_in)
-            if record is not None:
-                record.append(InteractionTrace(
-                    kind=Mechanism.REFLECTION, coeff=pair,
-                    label=0 if abs(c_perp) >= abs(c_par) else 1,
-                    material=f.material,
-                    eps=complex_permittivity(f.material, scene.frequency),
-                    normal=f.normal))
-            e_vec = pair[0] * c_perp * e_perp + pair[1] * c_par * par_out
+            normal = f.normal.tolist()
+            eps = complex_permittivity(f.material, freq)
+            pair = fresnel_from_cos(min(abs(dot3(s_in, normal)), 1.0), eps)
+            e_perp = _reflection_basis(s_in, normal)
+            e_vec, label = _project(e_vec, pair, e_perp, cross3(e_perp, s_in),
+                                    e_perp, cross3(e_perp, s_out))
+            trace = InteractionTrace(kind=Mechanism.REFLECTION, coeff=pair, label=label,
+                                     material=f.material, eps=eps, normal=f.normal)
         else:  # diffraction
             e = geom.edge(inter.geometry_id)
             frame = _frame_of(geom, e)
             material = e.adjacent[0].material
-            wedge = wedge_geometry_of(frame, verts, geometry.seg_lengths,
-                                      geometry.total_length, i)
-            pair = utd_coefficient(wedge, material, scene.frequency)
-            phi_in = -unit(cross3(frame.e_hat, s_in))
-            beta_in = cross3(phi_in, s_in)
-            phi_out = -unit(cross3(frame.e_hat, s_out))
-            beta_out = cross3(phi_out, s_out)
-            c_beta = np.dot(e_vec, beta_in)
-            c_phi = np.dot(e_vec, phi_in)
-            if record is not None:
-                record.append(InteractionTrace(
-                    kind=Mechanism.DIFFRACTION, coeff=pair,
-                    label=0 if abs(c_beta) >= abs(c_phi) else 1,
-                    material=material,
-                    eps=complex_permittivity(material, scene.frequency),
-                    frame=frame))
-            e_vec = pair[0] * c_beta * beta_out + pair[1] * c_phi * phi_out
+            eps = complex_permittivity(material, freq)
+            pair = utd_coefficient(wedge_geometry_of(frame, verts, geometry.seg_lengths.tolist(),
+                                                     geometry.total_length, i),
+                                   material, freq, eps)
+            a, b = unit3(cross3(frame.ef, s_in)), unit3(cross3(frame.ef, s_out))
+            phi_in, phi_out = (-a[0], -a[1], -a[2]), (-b[0], -b[1], -b[2])
+            e_vec, label = _project(e_vec, pair, cross3(phi_in, s_in), phi_in,
+                                    cross3(phi_out, s_out), phi_out)
+            trace = InteractionTrace(kind=Mechanism.DIFFRACTION, coeff=pair, label=label,
+                                     material=material, eps=eps, frame=frame)
+        if record is not None:
+            record.append(trace)
 
     for hit in geometry.penetrations:
         f = hit.facet
-        s_dir = unit(verts[hit.segment + 1] - verts[hit.segment])
-        cos_th = min(abs(float(np.dot(s_dir, f.normal))), 1.0)
+        normal = f.normal.tolist()
+        s_dir = unit3(sub3(verts[hit.segment + 1], verts[hit.segment]))
+        cos_th = min(abs(dot3(s_dir, normal)), 1.0)
         if cos_th < GRAZING_COS:
             raise ConstructionError(f"grazing penetration through facet {f.id!r}")
-        tr = transmission_coefficient(math.acos(cos_th), f.material, scene.frequency,
-                                      f.thickness)
-        e_perp = _reflection_basis(s_dir, f.normal)
+        eps = complex_permittivity(f.material, freq)
+        tr = transmission_from_cos(cos_th, eps, f.thickness)
+        e_perp = _reflection_basis(s_dir, normal)
         par = cross3(e_perp, s_dir)
-        c_perp = np.dot(e_vec, e_perp)
-        c_par = np.dot(e_vec, par)
+        e_vec, label = _project(e_vec, (tr.t_perp, tr.t_par), e_perp, par, e_perp, par)
         if record is not None:
             record.append(InteractionTrace(
-                kind=Mechanism.PENETRATION, coeff=(tr.t_perp, tr.t_par),
-                label=0 if abs(c_perp) >= abs(c_par) else 1,
-                material=f.material,
-                eps=complex_permittivity(f.material, scene.frequency),
-                normal=f.normal,
-                thickness=f.thickness, alpha=f.material.attenuation_alpha,
-                d_t=tr.d_t))
+                kind=Mechanism.PENETRATION, coeff=(tr.t_perp, tr.t_par), label=label,
+                material=f.material, eps=eps, normal=f.normal, thickness=f.thickness,
+                alpha=f.material.attenuation_alpha, d_t=tr.d_t))
         loss = tr.loss_factor(f.material.attenuation_alpha)
-        e_vec = (tr.t_perp * c_perp * e_perp + tr.t_par * c_par * par) * loss
+        e_vec = (e_vec[0] * loss, e_vec[1] * loss, e_vec[2] * loss)
 
     return e_vec
 
@@ -771,12 +808,13 @@ def field_of_path(scene: Scene, geom: SceneAtTime, geometry: PathGeometry,
     _check_on_geometry(geometry, geom)
     verts = geometry.vertices
     e_vec = polarization_chain(scene, geom, geometry, record)
-    e_vec = e_vec * (spreading_factor(geometry)
-                     * np.exp(-1j * scene.wavenumber * geometry.total_length))
-    s_end = unit(verts[-1] - verts[-2])
-    v_hat, h_hat = arrival_basis(s_end)
-    field2 = np.array([np.dot(e_vec, v_hat), np.dot(e_vec, h_hat)], dtype=complex)
-    return field2, power_dbm_from_field(float(np.linalg.norm(field2)), scene)
+    scale = (spreading_factor(geometry)
+             * cmath.exp(-1j * scene.wavenumber * geometry.total_length))
+    e_vec = (e_vec[0] * scale, e_vec[1] * scale, e_vec[2] * scale)
+    v_hat, h_hat = arrival_basis(unit3(sub3(verts[-1].tolist(), verts[-2].tolist())))
+    f_v, f_h = dot3(e_vec, v_hat), dot3(e_vec, h_hat)
+    return (np.array([f_v, f_h]),
+            power_dbm_from_field(math.hypot(abs(f_v), abs(f_h)), scene))
 
 
 def make_path(scene: Scene, geom: SceneAtTime, geometry: PathGeometry) -> Path:
@@ -859,8 +897,31 @@ def _reflection_culling(geom: SceneAtTime):
     return single, pair
 
 
+def _constructible(geom: SceneAtTime, chains) -> np.ndarray:
+    """Which reflection candidates the batched construction keeps.
+
+    chains holds one (C,) array of facet indices per bounce.  The
+    candidates go through reflection_chains at the instant's FacetArrays in
+    chunks of FILTER_CHUNK, with FILTER_SLACK: a candidate is dropped only
+    when some predicate of solve_backbone fails by more than that margin.
+    """
+    facets = geom.occlusion_arrays()
+    keep = np.empty(chains[0].size, dtype=bool)
+    with np.errstate(all="ignore"):
+        for lo in range(0, keep.size, FILTER_CHUNK):
+            idx = [c[lo:lo + FILTER_CHUNK] for c in chains]
+            _points, ok, inside = reflection_chains(
+                geom.tx, geom.rx, [facets.normals.take(i, axis=0)[:, None] for i in idx],
+                [facets.offsets.take(i)[:, None] for i in idx],
+                [(facets.origins.take(i, axis=0)[:, None], facets.inward.take(i, axis=0),
+                  facets.valid.take(i, axis=0)) for i in idx], FILTER_SLACK)
+            keep[lo:lo + FILTER_CHUNK] = (ok & inside)[:, 0]
+    return keep
+
+
 def _candidate_backbones(geom: SceneAtTime, single: np.ndarray, pair: np.ndarray):
-    """Backbones left to solve after the culling, in enumeration order."""
+    """Backbones left to solve after the culling and the filter, in
+    enumeration order."""
     fids = [f.id for f in geom.facets]
     refl = Mechanism.REFLECTION
     yield ()
@@ -876,24 +937,38 @@ def trace_geometry(scene: Scene, t: float, geom: SceneAtTime | None = None,
                    timer=None):
     """Geometric stage of a snapshot: all valid path geometries at time t.
 
-    The enumeration is exhaustive up to exact plane-side culling: line of
-    sight, every reflection on one facet and on each ordered facet pair, and
-    every edge diffraction, minus the reflection candidates that
-    _reflection_culling proves impossible.  Each remaining candidate goes
-    through solve_backbone, the occlusion profile and build_geometry.  A
-    timer, when given, counts the candidates tried (rt_candidates) and
-    culled (rt_culled).  Raises SceneError when Tx and Rx are closer than
-    SIDE_EPS, where no path is defined.
+    The candidates are line of sight, every reflection on one facet and on
+    each ordered facet pair, and every edge diffraction.  Three stages
+    decide them, each exact about what it drops:
+
+    1. plane-side culling (_reflection_culling) drops the reflection
+       candidates that the sides of the transceivers and facet vertices
+       prove impossible;
+    2. the batched construction (_constructible) runs the image cascade of
+       every remaining reflection candidate as arrays and drops those that
+       fail a predicate of solve_backbone by more than FILTER_SLACK;
+    3. every candidate left goes through the per-candidate decision:
+       solve_backbone, the occlusion profile and build_geometry.
+
+    A timer, when given, counts the candidates tried by the filter and the
+    scalar stage (rt_candidates), culled (rt_culled) and dropped by the
+    filter (rt_prefiltered).  Raises SceneError when Tx and Rx are closer
+    than SIDE_EPS, where no path is defined.
     """
     if geom is None:
         geom = scene_at(scene, t)
     if norm(geom.rx - geom.tx) < SIDE_EPS:
         raise SceneError(f"tx and rx coincide at t={geom.time:g} s")
     single, pair = _reflection_culling(geom)
+    kept = int(single.sum()) + int(pair.sum())
+    ones = np.flatnonzero(single)
+    single[ones] = _constructible(geom, [ones])
+    first, second = np.nonzero(pair)
+    pair[first, second] = _constructible(geom, [first, second])
     if timer is not None:
-        kept = int(single.sum()) + int(pair.sum())
         timer.count("rt_candidates", 1 + kept + len(geom.edges))
         timer.count("rt_culled", len(geom.facets) ** 2 - kept)
+        timer.count("rt_prefiltered", kept - int(single.sum()) - int(pair.sum()))
     results: list[PathGeometry] = []
     for backbone in _candidate_backbones(geom, single, pair):
         try:

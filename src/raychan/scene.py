@@ -279,6 +279,7 @@ class _SceneStatics:
         self.id_index = {fid: i for i, fid in enumerate(self.ids)}
         self.facet_by_id = {f.id: f for f in facets}
         self.wedge_frames: dict[str, object] = {}
+        self.at_rest = None  # SceneAtTime._evaluate of a static scene
 
 
 class SceneAtTime:
@@ -291,8 +292,18 @@ class SceneAtTime:
         self.rx = scene.rx_motion.position(t)
         statics = scene.statics()
         self._statics = statics
-        self.facets: list[FacetAtTime] = []
-        self._by_id: dict[str, FacetAtTime] = {}
+        # a static scene's facets and edges are the same at every instant
+        evaluated = statics.at_rest or self._evaluate(scene, t)
+        if statics.all_static:
+            statics.at_rest = evaluated
+        self.facets, self._by_id, self.edges, self._edge_by_id, self._facet_disp = evaluated
+        self._occlusion_arrays = None
+
+    def _evaluate(self, scene: Scene, t: float):
+        """(facets, facets by id, edges, edges by id, facet displacements) at t."""
+        statics = self._statics
+        facets: list[FacetAtTime] = []
+        by_id: dict[str, FacetAtTime] = {}
         disp = np.zeros((statics.n_facets, 3))
         for i, f in enumerate(scene.facets):
             if f.motion.is_static:
@@ -305,24 +316,21 @@ class SceneAtTime:
                 offset = statics.epoch.offsets[i] + float(f.normal @ d)
             fat = FacetAtTime(f.id, verts, f.normal, float(offset),
                               f.material, f.thickness, f.edge_inward)
-            self.facets.append(fat)
-            self._by_id[f.id] = fat
-        self._facet_disp = disp
-        self.edges: list[EdgeAtTime] = []
-        self._edge_by_id: dict[str, EdgeAtTime] = {}
-        owners = {f.id: f for f in scene.facets}
+            facets.append(fat)
+            by_id[f.id] = fat
+        edges: list[EdgeAtTime] = []
+        edge_by_id: dict[str, EdgeAtTime] = {}
         for e in scene.edges:
-            owner = owners[e.adjacent_facets[0]]
+            owner = statics.facet_by_id[e.adjacent_facets[0]]
             pts = (e.endpoints if owner.motion.is_static
                    else e.endpoints + owner.motion.displacement(t))
             eat = EdgeAtTime(e.id, pts,
-                             (self._by_id[e.adjacent_facets[0]],
-                              self._by_id[e.adjacent_facets[1]]),
+                             (by_id[e.adjacent_facets[0]], by_id[e.adjacent_facets[1]]),
                              e.exterior_wedge_angle)
             eat.frame = statics.wedge_frames.get(e.id)
-            self.edges.append(eat)
-            self._edge_by_id[e.id] = eat
-        self._occlusion_arrays = None
+            edges.append(eat)
+            edge_by_id[e.id] = eat
+        return facets, by_id, edges, edge_by_id, disp
 
     def facet(self, fid: str) -> FacetAtTime:
         return self._by_id[fid]

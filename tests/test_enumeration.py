@@ -1,10 +1,12 @@
 """The RT pass's shortcuts are exact.
 
-Plane-side culling skips reflection candidates before solve_backbone, and
-the crossing kernel's box test skips (segment, facet) pairs before the exact
-crossing test.  Both must leave every result unchanged: the culled
-enumeration is compared with one that tries every candidate, and the kernel
-with a run whose broad phase lets every pair through.
+Plane-side culling and the batched construction filter skip reflection
+candidates before solve_backbone, and the crossing kernel's box test skips
+(segment, facet) pairs before the exact crossing test.  All must leave every
+result unchanged: the culled and filtered enumeration is compared with one
+that tries every candidate, the filter with solve_backbone on scenes whose
+bounces sit on the boundaries of its predicates, and the kernel with a run
+whose broad phase lets every pair through.
 """
 
 import itertools
@@ -18,6 +20,7 @@ import raychan.rt as rt
 from raychan import Facet, Motion, Scene, generate_v2v_scenario, random_scene, scene_at
 from raychan.cli import execute_run
 from raychan.io import write_manifest_json
+from raychan.runs import StageTimer
 from raychan.rt import (
     ConstructionError,
     Mechanism,
@@ -29,6 +32,7 @@ from raychan.rt import (
     signature_sort_key,
     solve_backbone,
     trace_geometry,
+    trace_snapshot,
 )
 
 
@@ -103,10 +107,19 @@ class TestCulling:
             tried, culled = run.counters["rt_candidates"], run.counters["rt_culled"]
             assert tried + culled == per_pass * len(run.rt_times)
             assert 0 < culled < tried
+            prefiltered = run.counters["rt_prefiltered"]
+            assert 0 < prefiltered < tried
             write_manifest_json(run, tmp_path / "manifest.json")
             counters = json.loads((tmp_path / "manifest.json").read_text())["counters"]
             assert counters["rt_candidates"] == tried
             assert counters["rt_culled"] == culled
+            assert counters["rt_prefiltered"] == prefiltered
+        # the filter's yield on the default scene at t = 0: 1,617 of the
+        # 1,677 candidates left by the culling never reach solve_backbone
+        timer = StageTimer()
+        trace_snapshot(default_scene, 0.0, timer)
+        assert timer.counters["rt_candidates"] == 1677
+        assert timer.counters["rt_prefiltered"] == 1617
 
 
 def _random_facets(rng, n):
@@ -183,3 +196,100 @@ class TestCrossingKernel:
         assert want <= got
         assert len(want) > 30
         assert np.all((u > 0.0) & (u < 1.0))
+
+
+def _walls_scene(tx, rx, walls):
+    """Static facets given by their vertex lists, Tx and Rx at rest."""
+    return Scene(facets=tuple(Facet(id=f"w{i}", vertices=np.asarray(v, float))
+                              for i, v in enumerate(walls)),
+                 edges=(), tx_motion=Motion.stationary(tx),
+                 rx_motion=Motion.stationary(rx), frequency=6e9)
+
+
+def _wall_y(y, x0, x1, z0=0.0, z1=2.0):
+    """A rectangle in the plane at y, over [x0, x1] x [z0, z1]."""
+    return [(x0, y, z0), (x1, y, z0), (x1, y, z1), (x0, y, z1)]
+
+
+def _ulps(x, k=3):
+    """x and its k nearest floats on either side."""
+    out = [x]
+    for direction in (math.inf, -math.inf):
+        v = x
+        for _ in range(k):
+            v = math.nextafter(v, direction)
+            out.append(v)
+    return sorted(out)
+
+
+def _filter_keeps_accepted(scene):
+    """Run every single and ordered-pair reflection candidate through the
+    filter and through solve_backbone: the filter must keep each candidate
+    that solve_backbone accepts.  Returns (accepted, rejected)."""
+    geom = scene_at(scene, 0.0)
+    n = len(geom.facets)
+    accepted = rejected = 0
+    for chains in ([(i,) for i in range(n)],
+                   list(itertools.permutations(range(n), 2))):
+        if not chains:
+            continue
+        keep = rt._constructible(geom, [np.array(c) for c in zip(*chains)])
+        for chain, kept in zip(chains, keep.tolist()):
+            backbone = tuple((Mechanism.REFLECTION, geom.facets[i].id) for i in chain)
+            try:
+                solve_backbone(geom, backbone)
+            except ConstructionError:
+                rejected += 1
+                continue
+            accepted += 1
+            assert kept, f"filter dropped the constructible {backbone}"
+    return accepted, rejected
+
+
+class TestConstructionFilter:
+    """The batched construction filter keeps every candidate that
+    solve_backbone accepts, also where the scalar decision sits on a
+    boundary of its predicates: each scene family sweeps one coordinate
+    over a few ulps across that boundary."""
+
+    @staticmethod
+    def _sweep(scenes):
+        accepted = rejected = 0
+        for scene in scenes:
+            a, r = _filter_keeps_accepted(scene)
+            accepted += a
+            rejected += r
+        assert accepted > 0 and rejected > 0
+        return accepted
+
+    def test_bounce_on_a_polygon_edge(self):
+        # the bounce of Tx -> wall -> Rx lands at x = 0.5, z = 1
+        self._sweep(_walls_scene((-1.5, 0.0, 1.0), (2.5, 0.0, 1.0),
+                                 [_wall_y(5.0, x0, 4.0)]) for x0 in _ulps(0.5))
+
+    def test_bounce_on_a_polygon_vertex(self):
+        self._sweep(_walls_scene((-1.5, 0.0, 1.0), (2.5, 0.0, 1.0),
+                                 [_wall_y(5.0, x0, 4.0, z0, 3.0)])
+                    for x0 in _ulps(0.5, 1) for z0 in _ulps(1.0, 1))
+
+    def test_second_bounce_on_a_polygon_edge(self):
+        # a corridor: Tx -> y = 5 at x = -1.5 -> y = -5 at x = 1.5 -> Rx
+        self._sweep(_walls_scene((-3.0, 0.0, 1.0), (3.0, 0.0, 1.0),
+                                 [_wall_y(5.0, -4.0, 4.0), _wall_y(-5.0, -4.0, x1)])
+                    for x1 in _ulps(1.5))
+
+    @pytest.mark.parametrize("end", ["tx", "rx"])
+    def test_transceiver_within_side_eps_of_the_plane(self, end):
+        # the image-line parameter goes to 0 (Tx) or 1 (Rx) with the gap
+        near = [(2.0, y, 1.0) for y in _ulps(5.0 - rt.SIDE_EPS, 4)
+                + _ulps(5.0 - 0.5 * rt.SIDE_EPS, 1) + _ulps(5.0 - 2.0 * rt.SIDE_EPS, 1)]
+        far = (-2.0, 0.0, 1.0)
+        self._sweep(_walls_scene(*((p, far) if end == "tx" else (far, p)),
+                                 [_wall_y(5.0, -4.0, 4.0)]) for p in near)
+
+    def test_bounce_near_grazing(self):
+        # |s_in . n| = h / sqrt(L^2 + h^2), swept across GRAZING_COS
+        length = 1000.0
+        heights = _ulps(length * rt.GRAZING_COS, 6) + [0.5 * length * rt.GRAZING_COS]
+        self._sweep(_walls_scene((-length, h, 1.0), (length, h, 1.0),
+                                 [_wall_y(0.0, -1.0, 1.0)]) for h in heights)

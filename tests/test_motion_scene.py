@@ -74,6 +74,49 @@ class TestMotion:
         motion = Motion((MotionState(r0=[5, 5, 5], v0=[1, 2, 0], a0=[0, 0.5, 0]),))
         assert np.array_equal(motion.displacement(0.0), [0, 0, 0])
 
+    @pytest.mark.parametrize("segments", [1, 3])
+    @pytest.mark.parametrize("shape", [(), (7,), (2, 5), (2, 0)])
+    def test_array_times_keep_their_shape(self, segments, shape):
+        """position, velocity and displacement return t.shape + (3,), each
+        entry the scalar evaluation at that time (before the first segment,
+        inside each, and past the last)."""
+        motion = Motion(tuple(
+            MotionState(r0=[k, 0, 1], v0=[1, -k, 0], a0=[0, 0.5, k], t_ref=2.0 * k)
+            for k in range(segments)))
+        t = np.linspace(-1.0, 7.0, int(np.prod(shape))).reshape(shape)
+        for method in (motion.position, motion.velocity, motion.displacement):
+            got = method(t)
+            assert got.shape == shape + (3,)
+            for index in np.ndindex(shape):
+                assert np.array_equal(got[index], method(float(t[index])))
+
+    def test_static_displacement_shape(self):
+        motion = Motion.stationary([1, 2, 3])
+        assert motion.displacement(0.5).shape == (3,)
+        assert motion.displacement(np.zeros((2, 4))).shape == (2, 4, 3)
+
+    def test_segment_lookup_imports_no_masked_arrays(self):
+        """Grouping samples by segment needs no np.unique, whose first call
+        imports numpy.ma."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import raychan
+        env = dict(os.environ, PYTHONPATH=str(Path(raychan.__file__).resolve().parents[1]))
+        code = ("import sys\n"
+                "import numpy as np\n"
+                "from raychan import Motion, MotionState\n"
+                "m = Motion((MotionState([0, 0, 0], [1, 0, 0]),\n"
+                "            MotionState([1, 0, 0], [0, 1, 0], t_ref=1.0)))\n"
+                "m.position(np.linspace(0, 2, 9).reshape(3, 3))\n"
+                "m.velocity(np.linspace(0, 2, 9))\n"
+                "print('numpy.ma' in sys.modules)\n")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120, check=True).stdout
+        assert out.strip() == "False"
+
 
 def _square_facet(side=1.0, z=0.0):
     h = side / 2.0
