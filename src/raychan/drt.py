@@ -462,20 +462,17 @@ class PathTrajectory:
         extra[p[~listed], ti[~listed]] = True
         return extra, declared
 
-    def existence_scan(self, times, occlusion=True):
+    def existence_scan(self, times):
         """(geometric_ok, fully_ok), (P, T) each, over sample times.
 
         geometric_ok covers the construction with strict polygon and edge
         containment and the declared slab crossings; fully_ok additionally
-        requires the occlusion profile to match the signature exactly, for
-        the paths that occlusion (one flag or one per path) selects, and is
-        geometric_ok for the others, whose rows skip the crossing tests
-        unless they declare a penetration.  Computing both in one pass lets
-        lifetime solving look for geometric boundary crossings first and
-        fall back to occlusion onsets without rescanning.
+        requires the occlusion profile to match the signature exactly.
+        Computing both in one pass lets lifetime solving look for geometric
+        boundary crossings first and fall back to occlusion onsets without
+        rescanning.
         """
         t, tx, rx = self._times(times)
-        tested = np.broadcast_to(occlusion, (len(self.paths),)) | (self.pen_seg >= 0).any(axis=1)
         geo = np.zeros(t.shape, dtype=bool)
         vertices, rows = [], []
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -484,8 +481,8 @@ class PathTrajectory:
                                                 rx.take(s.index, axis=0),
                                                 t.take(s.index, axis=0))
                 vertices.append(verts)
-                rows.append(ok & inside & tested[s.index, None])
-                geo[s.index] = ok & inside
+                rows.append(ok & inside)
+                geo[s.index] = rows[-1]
         extra, declared = self.crossings(t, vertices, rows)
         geo_ok = geo & declared
         return geo_ok, geo_ok & ~extra
@@ -500,7 +497,8 @@ class PathTrajectory:
         for lifetime solving (occlusion is transient and handled per
         snapshot).
         """
-        return self.existence_scan(times, include_occlusion)[1]
+        geo_ok, full_ok = self.existence_scan(times)
+        return np.where(np.reshape(include_occlusion, (-1, 1)), full_ok, geo_ok)
 
 
 def signature_ranks(paths) -> list[int]:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,17 +71,13 @@ class MatchedPaths:
     born: list[Path]
     t_start: float
     t_end: float
-    _trajectory: PathTrajectory | None = field(default=None, init=False, repr=False,
-                                               compare=False)
 
-    def trajectory(self, scene: Scene) -> PathTrajectory:
-        """The round's paths as one PathTrajectory: the common ones (from the
-        window start), then the dying and the born ones.  Built once and
-        shared by the lifetime solving and the predictions."""
-        if self._trajectory is None or self._trajectory.scene is not scene:
-            paths = [pa for pa, _pb in self.common] + self.dying + self.born
-            self._trajectory = PathTrajectory(paths, scene, self.t_start)
-        return self._trajectory
+
+def round_trajectory(matched: MatchedPaths, scene: Scene) -> PathTrajectory:
+    """The round's paths as one PathTrajectory: the common ones (from the
+    window start), then the dying and the born ones."""
+    return PathTrajectory([pa for pa, _pb in matched.common] + matched.dying + matched.born,
+                          scene, matched.t_start)
 
 
 @dataclass
@@ -264,15 +260,18 @@ def birth_time(path: Path, scene: Scene, t_start: float, t_end: float,
 
 
 def solve_lifetimes(matched: MatchedPaths, scene: Scene, t_start: float,
-                    t_end: float, dt: float, timer: StageTimer | None = None) -> dict:
+                    t_end: float, dt: float, timer: StageTimer | None = None,
+                    traj: PathTrajectory | None = None) -> dict:
     """Lifetime for every path of a round, keyed by signature.
 
     Common paths live for the whole window; dying and born paths get solved
     boundary-crossing times, flagged as fallbacks when unresolved.  A timer,
     when given, counts the (path, time) samples of the scans
     (lifetime_scan_samples) and of the bisection (lifetime_bisect_samples).
+    traj is the round's trajectory (round_trajectory), built when not given.
     """
-    traj = matched.trajectory(scene)
+    if traj is None:
+        traj = round_trajectory(matched, scene)
     edges = _lifetime_edges(traj.take(np.arange(len(matched.common), len(traj.paths))),
                             len(matched.dying), t_start, t_end, dt, timer or StageTimer())
     lifetimes: dict = {}
@@ -459,13 +458,14 @@ def _wedge_arrays(frames, d_in, length_in, d_out, d_inc, totals):
 class EdrtRound:
     """Matching, lifetimes and per-instant prediction for one window.
 
-    Every path of the round is one row of a PathTrajectory.  Its field
-    reference is the chain walk its RT pass already recorded, and lo and hi
-    bound the instants [lo, hi) at which it is present.
+    Every path of the round is one row of a PathTrajectory, traj (see
+    round_trajectory; built when not given).  Its field reference is the
+    chain walk its RT pass already recorded, and lo and hi bound the
+    instants [lo, hi) at which it is present.
     """
 
     def __init__(self, scene: Scene, matched: MatchedPaths, lifetimes: dict,
-                 timer: StageTimer | None = None):
+                 timer: StageTimer | None = None, traj: PathTrajectory | None = None):
         self.scene = scene
         self.t_start = matched.t_start
         self.t_end = matched.t_end
@@ -476,7 +476,7 @@ class EdrtRound:
                         + [(p, "dying") for p in matched.dying]
                         + [(p, "born") for p in matched.born])
         with self.timer.geometry():
-            self.traj = matched.trajectory(scene)
+            self.traj = traj if traj is not None else round_trajectory(matched, scene)
             paths = self.traj.paths
             self.references = [
                 FieldReference(field2=p.field, geometry=p.geometry, traces=p.traces,
@@ -498,9 +498,10 @@ class EdrtRound:
         timer = timer or StageTimer()
         with timer.geometry():
             matched = match_paths(snap_a, snap_b)
+            traj = round_trajectory(matched, scene)
             lifetimes = solve_lifetimes(matched, scene, snap_a.time, snap_b.time, dt,
-                                        timer)
-        return cls(scene, matched, lifetimes, timer)
+                                        timer, traj)
+        return cls(scene, matched, lifetimes, timer, traj)
 
     def lifetime_records(self) -> list[LifetimeRecord]:
         out = []

@@ -69,7 +69,7 @@ BOX_PAD = 1e-6           # crossing broad phase: segment boxes grow by this, m
 CROSSING_CHUNK = 1 << 10  # crossing kernel: most (row, facet) pairs tested at once
 CULL_MARGIN = 1e-10      # plane-side culling: rounding allowance, m
 FILTER_SLACK = 1e-7      # batched construction filter: rounding allowance
-FILTER_CHUNK = 1 << 10   # batched construction filter: most candidates at once
+FILTER_CHUNK = 1 << 9    # batched construction filter: most candidates at once
 ON_GEOMETRY_TOL = 1e-5   # field computation: interaction point must be this close
                          # to its facet plane / edge line
 

@@ -292,7 +292,9 @@ class SceneAtTime:
         self.rx = scene.rx_motion.position(t)
         statics = scene.statics()
         self._statics = statics
-        # a static scene's facets and edges are the same at every instant
+        # a static scene's facets and edges are the same at every instant,
+        # so its instants share one evaluation; the one attribute set after
+        # it, an edge's wedge frame, is translation-invariant
         evaluated = statics.at_rest or self._evaluate(scene, t)
         if statics.all_static:
             statics.at_rest = evaluated

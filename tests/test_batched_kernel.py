@@ -14,6 +14,9 @@ import numpy as np
 import pytest
 
 from raychan import (
+    Facet,
+    Material,
+    Mechanism,
     Motion,
     MotionState,
     PathTrajectory,
@@ -92,6 +95,27 @@ def test_cases_see_transitions():
         _geo, full = PathTrajectory(_paths(scene, t0), scene, t0).existence_scan(times)
         with_transitions += not full.all()
     assert with_transitions >= len(CASES) // 2
+
+
+def test_validity_without_occlusion_is_geometric():
+    """A path through a glass pane is blocked by an opaque wall for part of
+    the window: its occlusion must not reach the geometric validity."""
+    glass = Material(rel_permittivity=6.27, conductivity=0.0043, transparent=True)
+    pane = Facet(id="p", material=glass, vertices=np.array(
+        [[-100, 10, -100], [100, 10, -100], [100, 10, 100], [-100, 10, 100]], float))
+    wall = Facet(id="w", vertices=np.array(
+        [[2, 15, -5], [4, 15, -5], [4, 15, 5], [2, 15, 5]], float))
+    scene = Scene(facets=(pane, wall), edges=(), tx_motion=Motion.stationary([0, 0, 0]),
+                  rx_motion=Motion((MotionState(r0=[-5, 20, 0], v0=[10, 0, 0]),)),
+                  frequency=6e9)
+    [path] = _paths(scene, 0.0)
+    assert [m for m, _gid in path.signature] == [Mechanism.PENETRATION]
+    traj = PathTrajectory(path, scene, 0.0)
+    times = np.linspace(0.0, 1.0, 41)
+    geo, full = traj.existence_scan(times)
+    assert geo.all() and not full.all()
+    assert np.array_equal(traj.validity_scan(times, False), geo)
+    assert np.array_equal(traj.validity_scan(times, True), full)
 
 
 @pytest.mark.parametrize("scene, t0, times", CASES, ids=IDS)

@@ -150,6 +150,25 @@ class TestArrayContract:
             assert r_perp[i] == s_perp
             assert r_par[i] == s_par
 
+    def test_fresnel_array_equals_scalar_on_random_inputs(self):
+        # arrays take numpy's complex sqrt and a real-arithmetic copy of
+        # Python's complex division: both must match the scalar bit for bit
+        rng = np.random.default_rng(3)
+        cosines = np.concatenate(([0.0, 1.0, 1e-300, 1e-8], rng.uniform(0.0, 1.0, 4000)))
+        eps = rng.uniform(1.0, 80.0, cosines.size) - 1j * rng.exponential(5.0, cosines.size)
+        eps[:2000] = eps[:2000].real  # lossless
+        r_perp, r_par = fresnel_from_cos(cosines, eps)
+        for i, (c, e) in enumerate(zip(cosines.tolist(), eps.tolist())):
+            assert (r_perp[i], r_par[i]) == fresnel_from_cos(c, e)
+
+    def test_transition_function_array_equals_scalar(self):
+        rng = np.random.default_rng(4)
+        x = np.concatenate(([0.0, 40.0, np.nextafter(40.0, 0.0), 1e12],
+                            rng.uniform(0.0, 100.0, 2000), 10.0 ** rng.uniform(-8, 8, 2000)))
+        f = transition_function(x.reshape(2, -1)).ravel()
+        for i, v in enumerate(x.tolist()):
+            assert f[i] == transition_function(v)
+
     @pytest.mark.parametrize("material", [CONCRETE, GLASS], ids=["concrete", "glass"])
     def test_transmission_array_equals_scalar(self, material):
         eps = complex_permittivity(material, 6e9)
