@@ -5,12 +5,14 @@ tuples (reflection order <= 2), plus one-edge diffraction via the generalized
 Fermat point, each optionally combined with a single penetration through a
 transparent facet.  No ray launching is involved, so path signatures are
 stable across time and can be matched between snapshots.  A candidate is
-decided in three stages (trace_geometry): exact plane-side culling, then a
-batched image construction of every remaining reflection candidate as
-arrays (reflection_chains, the kernel that the predictions share), which
-drops a candidate only when a predicate fails by more than a rounding
-margin, then the exact per-candidate decision (solve_backbone, the
-occlusion profile, build_geometry) for each candidate left.
+decided in four stages (trace_geometry): exact plane-side culling, then
+beam culling of ordered reflection pairs (the second bounce must lie in the
+beam that the first facet casts), then a batched image construction of
+every remaining reflection candidate as arrays (reflection_chains, the
+kernel that the predictions share), which drops a candidate only when a
+predicate fails by more than a rounding margin, then the exact
+per-candidate decision (solve_backbone, the occlusion profile,
+build_geometry) for each candidate left.
 
 The electric field is propagated as a complex 3-vector with per-interface
 polarization decomposition, on Python floats, and reported at the receiver
@@ -67,7 +69,7 @@ GRAZING_COS = 1e-9       # reject interactions closer than this to grazing
 SEG_PARAM_EPS = 1e-9     # occlusion hits closer than this to a segment end are ignored
 BOX_PAD = 1e-6           # crossing broad phase: segment boxes grow by this, m
 CROSSING_CHUNK = 1 << 10  # crossing kernel: most (row, facet) pairs tested at once
-CULL_MARGIN = 1e-10      # plane-side culling: rounding allowance, m
+CULL_MARGIN = 1e-10      # plane-side and beam culling: rounding allowance, m
 FILTER_SLACK = 1e-7      # batched construction filter: rounding allowance
 FILTER_CHUNK = 1 << 9    # batched construction filter: most candidates at once
 ON_GEOMETRY_TOL = 1e-5   # field computation: interaction point must be this close
@@ -856,16 +858,53 @@ def _owner_ids_for(scene: Scene, backbone: tuple):
 
 
 def _reflection_culling(geom: SceneAtTime):
-    """Plane-side culling of reflection candidates: (single (F,), pair (F, F)).
+    """Culling of reflection candidates: (single (F,), pair (F, F), beam_culled).
 
     single[i] keeps a reflection on facet i, pair[i, j] the ordered pair
-    facet i then facet j.  solve_backbone rejects a bounce whose neighbours
-    are not strictly on one side of its plane, each at least SIDE_EPS from
-    it.  A bounce point lies inside its polygon, so its distance from
-    another plane is bounded by the polygon vertices' distances.  A
-    candidate is dropped only when these bounds fail by more than
-    CULL_MARGIN, so the culling never removes a path that the exact checks
-    would accept.
+    facet i then facet j, and beam_culled counts the pairs that the beam
+    rule alone drops.  Each rule drops a candidate only when its bound fails
+    by more than a rounding allowance, so the culling never removes a path
+    that the exact checks of solve_backbone would accept.  Both run on
+    (F, F) arrays, one vertex slot at a time.
+
+    Plane side (singles and pairs).  solve_backbone rejects a bounce whose
+    neighbours are not strictly on one side of its plane, each at least
+    SIDE_EPS from it.  A bounce point lies inside its polygon, so its
+    distance from another plane is bounded by the polygon vertices'
+    distances; the bounds may fail by CULL_MARGIN.
+
+    Beam (pairs only; Funkhouser et al., SIGGRAPH 1998).  With T' the image
+    of Tx across plane i, the construction puts bounce 1 at
+    p1 = T' + par (p2 - T') with 0 < par < 1 and p1 inside facet i, so
+    bounce 2, p2 = T' + (p1 - T') / par, lies in the beam that T' casts
+    through facet i: on the inner side of every side plane through T' and
+    an edge of facet i.  Mirrored across plane j, the leg p1 -> p2 runs on
+    to Rx's image R', so p1 lies in the beam that R' casts through facet j.
+    A pair is kept only when facet j's bounding sphere (vertex centroid c,
+    largest vertex distance r) reaches the inner side of every side plane
+    of the first beam, and facet i's sphere every side plane of the second:
+    g . (c - o) >= -r - margin, with o the edge's origin, w its inward
+    normal, s the transceiver's signed distance from the beam's plane n and
+    g the unit vector along sign(s) ((trx - o) . w) n + |s| w, which
+    vanishes on the image and the edge and is positive inside the polygon.
+
+    The margin is CULL_MARGIN (1 + reach / |s|), where reach, the diagonal
+    of the box around all facets, bounds how far any point of a facet lies
+    from another facet's plane.  Rounding leaves each computed bounce within
+    some eta of its plane and polygon, eta a few ulps of the scene
+    coordinates; CULL_MARGIN bounds a small multiple of eta, as in the
+    plane-side rule.  So g . (p1 - o) >= -2 eta, and p2 lies within eta of
+    facet j's sphere.  The distance to a side plane is affine and zero at
+    the apex, so along the line from T' it scales with the distance from
+    T': p2, 1 / par times as far as p1, inherits p1's error times
+    1 / par = (|s| + d) / |s| <= 1 + reach / |s|, d being p2's distance
+    beyond plane i, and the rounding of T' itself times 1 / par - 1.  For
+    the receiver's beam the specular legs at p2 make equal angles with
+    plane j, so p1, p2 and R' are collinear to within
+    eta (1 + |p1 p2| / |p2 Rx|) = eta (1 + d' / |s_rx|), d' being p1's
+    distance beyond plane j, and the same factor applies.  The margin is
+    largest when a transceiver is within a few SIDE_EPS of the plane, where
+    the beam spans nearly a half-space and culls almost nothing.
     """
     facets = geom.occlusion_arrays()
     normals, offsets = facets.normals, facets.offsets
@@ -894,7 +933,43 @@ def _reflection_culling(geom: SceneAtTime):
     # bounce 2 on plane j needs Rx and bounce 1 (inside facet i) on one side
     pair = shares_side(s_tx) & shares_side(s_rx).T
     np.fill_diagonal(pair, False)
-    return single, pair
+    side_kept = int(pair.sum())
+
+    # each facet's bounding sphere (vertex centroid, largest vertex
+    # distance), as the rows (c, 1, r) of spheres
+    valid = facets.valid
+    centres = np.einsum("fvc,fv->fc", facets.origins, valid) / valid.sum(axis=1)[:, None]
+    spoke = facets.origins - centres[:, None, :]
+    radii = np.sqrt(np.max(np.where(valid, np.vecdot(spoke, spoke), 0.0), axis=1))
+    spheres = np.vstack((centres.T, np.ones(n_f), radii))
+    reach = norm(facets.hi.max(axis=0) - facets.lo.min(axis=0)) if n_f else 0.0
+
+    def in_beam(s_trx, trx):
+        """[i, j]: facet j's sphere reaches the inner side of every side
+        plane of the beam that trx's image across plane i casts through
+        facet i."""
+        h = np.abs(s_trx)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # per edge slot (F, V), the side plane's unit normal g, and
+            # g . (c - o) + r + margin >= 0 as lift . (c, 1, r) >= 0; a
+            # padded slot's lift (0, 0, 0, inf, 0) keeps every sphere
+            a = np.sign(s_trx)[:, None] * np.vecdot(trx - facets.origins, facets.inward)
+            g = a[..., None] * normals[:, None, :] + h[:, None, None] * facets.inward
+            g /= np.sqrt(np.vecdot(g, g))[..., None]
+            margin = CULL_MARGIN * (1.0 + reach / h)
+            lift = np.concatenate((g, (margin[:, None] - np.vecdot(g, facets.origins))[..., None],
+                                   np.ones(valid.shape + (1,))), axis=2)
+            lift[~valid] = (0.0, 0.0, 0.0, np.inf, 0.0)
+        inside = np.ones((n_f, n_f), dtype=bool)
+        for v in range(lift.shape[1]):
+            # into the plane-side rule's (F, F) buffer, to keep the peak
+            inside &= np.matmul(lift[:, v, :], spheres, out=dist) >= 0.0
+        return inside
+
+    # bounce 2 lies in Tx's beam through facet i, bounce 1 in Rx's through j
+    pair &= in_beam(s_tx, np.asarray(geom.tx, float))
+    pair &= in_beam(s_rx, np.asarray(geom.rx, float)).T
+    return single, pair, side_kept - int(pair.sum())
 
 
 def _constructible(geom: SceneAtTime, chains) -> np.ndarray:
@@ -938,36 +1013,42 @@ def trace_geometry(scene: Scene, t: float, geom: SceneAtTime | None = None,
     """Geometric stage of a snapshot: all valid path geometries at time t.
 
     The candidates are line of sight, every reflection on one facet and on
-    each ordered facet pair, and every edge diffraction.  Three stages
+    each ordered facet pair, and every edge diffraction.  Four stages
     decide them, each exact about what it drops:
 
     1. plane-side culling (_reflection_culling) drops the reflection
        candidates that the sides of the transceivers and facet vertices
        prove impossible;
-    2. the batched construction (_constructible) runs the image cascade of
+    2. beam culling (_reflection_culling) drops the ordered pairs whose
+       second facet lies outside the beam that Tx's image casts through the
+       first, or whose first facet lies outside the beam that Rx's image
+       casts through the second;
+    3. the batched construction (_constructible) runs the image cascade of
        every remaining reflection candidate as arrays and drops those that
        fail a predicate of solve_backbone by more than FILTER_SLACK;
-    3. every candidate left goes through the per-candidate decision:
+    4. every candidate left goes through the per-candidate decision:
        solve_backbone, the occlusion profile and build_geometry.
 
-    A timer, when given, counts the candidates tried by the filter and the
-    scalar stage (rt_candidates), culled (rt_culled) and dropped by the
-    filter (rt_prefiltered).  Raises SceneError when Tx and Rx are closer
-    than SIDE_EPS, where no path is defined.
+    A timer, when given, counts the candidates that pass the plane-side
+    culling (rt_candidates) and those it drops (rt_culled); of the
+    former, those dropped by the beam culling (rt_beam_culled) and by the
+    batched construction (rt_prefiltered).  Raises SceneError when Tx and
+    Rx are closer than SIDE_EPS, where no path is defined.
     """
     if geom is None:
         geom = scene_at(scene, t)
     if norm(geom.rx - geom.tx) < SIDE_EPS:
         raise SceneError(f"tx and rx coincide at t={geom.time:g} s")
-    single, pair = _reflection_culling(geom)
+    single, pair, beam_culled = _reflection_culling(geom)
     kept = int(single.sum()) + int(pair.sum())
     ones = np.flatnonzero(single)
     single[ones] = _constructible(geom, [ones])
     first, second = np.nonzero(pair)
     pair[first, second] = _constructible(geom, [first, second])
     if timer is not None:
-        timer.count("rt_candidates", 1 + kept + len(geom.edges))
-        timer.count("rt_culled", len(geom.facets) ** 2 - kept)
+        timer.count("rt_candidates", 1 + beam_culled + kept + len(geom.edges))
+        timer.count("rt_culled", len(geom.facets) ** 2 - beam_culled - kept)
+        timer.count("rt_beam_culled", beam_culled)
         timer.count("rt_prefiltered", kept - int(single.sum()) - int(pair.sum()))
     results: list[PathGeometry] = []
     for backbone in _candidate_backbones(geom, single, pair):

@@ -1,12 +1,13 @@
 """The RT pass's shortcuts are exact.
 
-Plane-side culling and the batched construction filter skip reflection
-candidates before solve_backbone, and the crossing kernel's box test skips
-(segment, facet) pairs before the exact crossing test.  All must leave every
-result unchanged: the culled and filtered enumeration is compared with one
-that tries every candidate, the filter with solve_backbone on scenes whose
-bounces sit on the boundaries of its predicates, and the kernel with a run
-whose broad phase lets every pair through.
+Plane-side culling, beam culling of ordered pairs and the batched
+construction filter skip reflection candidates before solve_backbone, and
+the crossing kernel's box test skips (segment, facet) pairs before the exact
+crossing test.  All must leave every result unchanged: the culled and
+filtered enumeration is compared with one that tries every candidate, also
+on scenes whose bounces sit on the boundaries of the predicates (where the
+beam's rounding is amplified most), the filter with solve_backbone on such
+scenes, and the kernel with a run whose broad phase lets every pair through.
 """
 
 import itertools
@@ -70,33 +71,33 @@ def _unculled_geometry(scene, t):
     return out
 
 
-def _assert_same_geometries(scene, t):
-    _geom, culled = trace_geometry(scene, t)
+def _assert_same_geometries(scene, t, timer=None):
+    _geom, culled = trace_geometry(scene, t, timer=timer)
     full = _unculled_geometry(scene, t)
     assert [g.signature for g in culled] == [g.signature for g in full]
     for a, b in zip(culled, full):
         assert all(np.array_equal(p, q) for p, q in zip(a.vertices, b.vertices))
         assert [h.facet.id for h in a.penetrations] == \
             [h.facet.id for h in b.penetrations]
-    return len(full)
+    return full
 
 
 class TestCulling:
     @pytest.mark.parametrize("t", [0.0, 0.7, 2.35, 4.1, 6.0])
     def test_default_scene(self, default_scene, t):
-        assert _assert_same_geometries(default_scene, t) > 5
+        assert len(_assert_same_geometries(default_scene, t)) > 5
 
     def test_city_scene(self):
         scene = generate_v2v_scenario(seed=0, building_segments=16, length_m=400)
         assert len(scene.facets) == 219
-        assert _assert_same_geometries(scene, 0.0) > 5
+        assert len(_assert_same_geometries(scene, 0.0)) > 5
 
     def test_random_scenes(self):
         found = 0
         for seed in range(100):
             scene = random_scene(seed)
             for t in (0.3, 0.9):
-                found += _assert_same_geometries(scene, t)
+                found += len(_assert_same_geometries(scene, t))
         assert found > 200
 
     def test_counts_reach_the_manifest(self, default_scene, tmp_path):
@@ -109,17 +110,22 @@ class TestCulling:
             assert 0 < culled < tried
             prefiltered = run.counters["rt_prefiltered"]
             assert 0 < prefiltered < tried
+            beam_culled = run.counters["rt_beam_culled"]
+            assert 0 < beam_culled < tried - prefiltered
             write_manifest_json(run, tmp_path / "manifest.json")
             counters = json.loads((tmp_path / "manifest.json").read_text())["counters"]
             assert counters["rt_candidates"] == tried
             assert counters["rt_culled"] == culled
             assert counters["rt_prefiltered"] == prefiltered
-        # the filter's yield on the default scene at t = 0: 1,617 of the
-        # 1,677 candidates left by the culling never reach solve_backbone
+            assert counters["rt_beam_culled"] == beam_culled
+        # the yield on the default scene at t = 0: of the 1,677 candidates
+        # left by the plane-side culling, 1,438 fail the beam test and 179
+        # the batched construction, so neither reaches solve_backbone
         timer = StageTimer()
         trace_snapshot(default_scene, 0.0, timer)
         assert timer.counters["rt_candidates"] == 1677
-        assert timer.counters["rt_prefiltered"] == 1617
+        assert timer.counters["rt_beam_culled"] == 1438
+        assert timer.counters["rt_prefiltered"] == 179
 
 
 def _random_facets(rng, n):
@@ -246,11 +252,60 @@ def _filter_keeps_accepted(scene):
     return accepted, rejected
 
 
+def _corridor(tx, rx, first=(-4.0, 4.0)):
+    """Walls w0 (y = 5, x over first) and w1 (y = -5) for the pair
+    Tx -> w0 -> w1 -> Rx, and w2 in the plane of w1 at x in [20, 24]: the
+    plane-side rule keeps (w0, w2), but w0 lies outside the beam that Rx's
+    image casts through w2."""
+    return _walls_scene(tx, rx, [_wall_y(5.0, *first), _wall_y(-5.0, -4.0, 4.0),
+                                 _wall_y(-5.0, 20.0, 24.0)])
+
+
+def _rectangle(corner, u, v):
+    return [corner, corner + u, corner + u + v, corner + v]
+
+
+def _needle_scene(end, h, shift):
+    """A pair Tx -> w0 -> w1 -> Rx whose beam test is tight where rounding
+    is amplified most.
+
+    The transceiver named by end is h from the plane y = 5, the other one
+    far from it.  The bounces are solved on wide walls first.  The wall at
+    y = 5 is then cut along the leg between the bounces, through its bounce
+    and moved out by shift; the wall at y = -5 becomes a needle (1e-5 m
+    wide, 2 m long) that starts 1e-9 m inside the beam at its bounce and
+    points straight out of it, so that its bounding sphere reaches into the
+    beam by little more than that.  The beam's apex, the transceiver's image,
+    is 2 h behind the plane, so the far bounce sits (10 + h) / h times as
+    far from it as the near one and inherits the near bounce's rounding
+    about 1e10 times.
+    """
+    near, far = np.array([-3.0, 5.0 - h, 1.3]), np.array([3.0, 0.0, 0.7])
+    tx, rx = (near, far) if end == "tx" else (far, near)
+    walls = [_wall_y(5.0, -50.0, 50.0, -50.0, 50.0), _wall_y(-5.0, -50.0, 50.0, -50.0, 50.0)]
+    if end == "rx":
+        walls.reverse()
+    geom = scene_at(_walls_scene(tx, rx, walls), 0.0)
+    points = solve_backbone(geom, tuple((Mechanism.REFLECTION, f"w{i}") for i in range(2)))
+    p_near, p_far = points if end == "tx" else points[::-1]
+    leg = p_far - p_near
+    along = np.array([leg[0], 0.0, leg[2]]) / math.hypot(leg[0], leg[2])
+    out = np.array([-along[2], 0.0, along[0]])  # in both planes, across the leg
+    corner = p_near + shift * out - 4.0 * along
+    corner[1] = 5.0
+    cut = _rectangle(corner, 8.0 * along, 4.0 * out)
+    corner = p_far + 1e-9 * out - 0.5e-5 * along
+    corner[1] = -5.0
+    needle = _rectangle(corner, -2.0 * out, 1e-5 * along)
+    return _walls_scene(tx, rx, [cut, needle] if end == "tx" else [needle, cut])
+
+
 class TestConstructionFilter:
     """The batched construction filter keeps every candidate that
     solve_backbone accepts, also where the scalar decision sits on a
     boundary of its predicates: each scene family sweeps one coordinate
-    over a few ulps across that boundary."""
+    over a few ulps across that boundary.  The pair sweeps trace such
+    scenes end to end, so that they check the beam culling too."""
 
     @staticmethod
     def _sweep(scenes):
@@ -293,3 +348,31 @@ class TestConstructionFilter:
         heights = _ulps(length * rt.GRAZING_COS, 6) + [0.5 * length * rt.GRAZING_COS]
         self._sweep(_walls_scene((-length, h, 1.0), (length, h, 1.0),
                                  [_wall_y(0.0, -1.0, 1.0)]) for h in heights)
+
+    PAIR = ((Mechanism.REFLECTION, "w0"), (Mechanism.REFLECTION, "w1"))
+
+    def _pair_sweep(self, scenes):
+        """Trace every scene against the enumeration that tries every
+        candidate.  The sweep must straddle its boundary (the pair w0 -> w1
+        found in some scenes, not in others), and the beam rule must cull
+        some pair."""
+        found = missed = beam_culled = 0
+        for scene in scenes:
+            timer = StageTimer()
+            sigs = {g.signature for g in _assert_same_geometries(scene, 0.0, timer)}
+            found += self.PAIR in sigs
+            missed += self.PAIR not in sigs
+            beam_culled += timer.counters["rt_beam_culled"]
+        assert found > 0 and missed > 0
+        assert beam_culled > 0
+
+    def test_pair_first_bounce_on_a_polygon_edge(self):
+        # the first bounce lands at x = -1.5 on w0's edge
+        self._pair_sweep(_corridor((-3.0, 0.0, 1.0), (3.0, 0.0, 1.0), first=(x0, 4.0))
+                         for x0 in _ulps(-1.5))
+
+    @pytest.mark.parametrize("end", ["tx", "rx"])
+    def test_pair_transceiver_within_side_eps_of_the_plane(self, end):
+        # the near bounce on the cut wall's edge, within ulps
+        self._pair_sweep(_needle_scene(end, h, k * 1e-15)
+                         for h in np.linspace(1.5, 5.0, 8) * rt.SIDE_EPS for k in range(-2, 3))
