@@ -331,12 +331,7 @@ class PathTrajectory:
         return out
 
     def _times(self, times):
-        """times as (P, T), and Tx and Rx positions (P, T, 3).
-
-        The motions are evaluated once per run of equal rows (a lifetime
-        scan has one row for the dying paths and one for the born), and
-        the positions repeated.
-        """
+        """times as (P, T), and Tx and Rx positions (P, T, 3)."""
         t = np.asarray(times, float)
         n_paths = len(self.paths)
         if t.ndim == 1:
@@ -346,13 +341,7 @@ class PathTrajectory:
             return np.broadcast_to(t, (n_paths, t.size)), tx, rx
         if t.ndim != 2 or t.shape[0] != n_paths:
             raise ValueError("times must be (T,) or (paths, T)")
-        changed = np.any(t[1:] != t[:-1], axis=1)
-        if changed.all():
-            return t, self.scene.tx_motion.position(t), self.scene.rx_motion.position(t)
-        run = np.concatenate(([0], np.cumsum(changed)))  # each row's run
-        distinct = t[np.flatnonzero(np.concatenate(([True], changed)))]
-        return (t, self.scene.tx_motion.position(distinct).take(run, axis=0),
-                self.scene.rx_motion.position(distinct).take(run, axis=0))
+        return t, self.scene.tx_motion.position(t), self.scene.rx_motion.position(t)
 
     def geometry_at(self, times, geom: SceneAtTime | None = None):
         """Resolved geometry at times (unclamped: the structure stays frozen).

@@ -8,7 +8,6 @@ scene has a moving facet, so the random scenes below, half of whose facets
 move, are what covers the displaced-facet branch.
 """
 
-import dataclasses
 import json
 
 import numpy as np
@@ -88,34 +87,6 @@ def test_scans_equal_single_path_scans(scene, t0, times):
             assert np.array_equal(full[p], f1[0])
             assert np.array_equal(valid[p], single.validity_scan(own, include[p])[0])
 
-
-
-@pytest.mark.parametrize("scene, t0, times", CASES, ids=IDS)
-def test_runs_of_equal_rows_move_the_transceivers_alike(scene, t0, times):
-    """Rows shared by consecutive paths, as in a lifetime scan (one row for
-    the dying paths, one for the born): the motions are evaluated once per
-    run of equal rows, with the values of an evaluation per row."""
-    batch = PathTrajectory(_paths(scene, t0), scene, t0)
-    n_paths = len(batch.paths)
-    born = np.arange(n_paths) >= n_paths // 2
-    for rows in (np.where(born[:, None], times[::-1], times),
-                 np.broadcast_to(times, (n_paths, times.size))):
-        t, tx, rx = batch._times(rows)
-        assert np.array_equal(t, rows)
-        assert np.array_equal(tx, scene.tx_motion.position(rows))
-        assert np.array_equal(rx, scene.rx_motion.position(rows))
-
-
-def test_runs_of_equal_rows_on_a_piecewise_motion():
-    scene, t0, times = CASES[0]
-    scene = dataclasses.replace(scene, tx_motion=Motion((
-        MotionState(r0=[0.0, 0.0, 1.5], v0=[10.0, 0.0, 0.0]),
-        MotionState(r0=[15.0, 0.0, 1.5], v0=[8.0, 1.0, 0.0], a0=[1.0, 0.0, 0.0], t_ref=1.5))))
-    batch = PathTrajectory(_paths(scene, t0), scene, t0)
-    rows = np.repeat(np.stack([times, times + 0.5, times]), [2, 3, len(batch.paths) - 5],
-                     axis=0)
-    _t, tx, _rx = batch._times(rows)
-    assert np.array_equal(tx, scene.tx_motion.position(rows))
 
 def test_cases_see_transitions():
     """The comparisons above cover paths that stop or start existing."""
