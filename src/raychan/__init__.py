@@ -23,7 +23,6 @@ from .drt import (
     predict_snapshot_drt,
 )
 from .edrt import (
-    FieldReference,
     Lifetime,
     MatchedPaths,
     birth_time,
@@ -52,8 +51,6 @@ from .rt import (
     PathGeometry,
     Snapshot,
     field_of_path,
-    find_diffraction_point,
-    find_reflection_point,
     make_path,
     parse_signature,
     signature_str,

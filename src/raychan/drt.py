@@ -8,9 +8,10 @@ diffraction, each path with or without a penetration).  A round resolves
 every path at all of its prediction instants in one call, as arrays over
 (paths x times), one kernel per shape: the exact geometric construction is
 re-solved against the scene displaced to each query time, which is exact
-for the polynomial motion model.  The image cascade is rt.reflection_chains,
-the kernel that the RT pass runs too (its filter and solve_backbone); the
-Fermat point and the slab crossings are solved here.  Fields are then
+for the polynomial motion model.  The constructions are the RT pass's own
+kernels: rt.reflection_chains (the image cascade), rt.fermat_points (the
+diffraction point) and rt.slab_crossings (the penetrations), and
+rt.path_geometry_of assembles a row's PathGeometry.  Fields are then
 computed directly, path by path (make_path is DRT's field stage).  A
 reflection point is allowed to slide off its facet and a stale line-of-sight
 path is kept when it becomes blocked: those are the documented error modes
@@ -29,19 +30,20 @@ import numpy as np
 
 from .rt import (
     ConstructionError,
-    Interaction,
     Mechanism,
     Path,
     PathGeometry,
-    PenetrationHit,
     Snapshot,
     _backbone_of,
     _owner_ids_for,
     _penetration_slots,
     facet_crossings,
+    fermat_points,
     make_path,
+    path_geometry_of,
     reflection_chains,
     signature_sort_key,
+    slab_crossings,
     trace_snapshot,
 )
 from .runs import RunResult, StageTimer
@@ -114,17 +116,19 @@ def _take_rows(a: np.ndarray, flat: np.ndarray) -> np.ndarray:
 
 class _Shape:
     """The paths of one shape within a PathTrajectory: per-path arrays and
-    the construction kernel.
+    their displacement to the query times.
 
     index gives each path's position in the trajectory.  The per-path
     arrays (_PER_PATH, path axis first) hold the facets each segment ignores
     (its owners), each path's penetrations (slab facet and segment, padded
     with -1 up to the most any path of the shape has), and the facets of
     each reflection with their planes and polygons or the diffraction edge.
+    The constructions themselves are the rt kernels (reflection_chains,
+    fermat_points, slab_crossings), run on these arrays moved to each time.
     """
 
     _PER_PATH = ("exclude", "pen_seg", "pen_facet", "pen_normal", "pen_offset",
-                 "edge_a", "edge_b", "edge_d", "edge_len", "edge_e", "edge_owner",
+                 "edge_a", "edge_b", "edge_d", "edge_owner",
                  "chain", "normal", "offset", "origins", "inward", "valid")
 
     def __init__(self, scene: Scene, paths: list[Path], index: np.ndarray):
@@ -151,18 +155,15 @@ class _Shape:
         self.exclude, self.pen_seg, self.pen_facet = exclude, pen_seg, pen_facet
         self.pen_normal = epoch.normals[pen_facet]
         self.pen_offset = epoch.offsets[pen_facet]
-        self.edge_a = self.edge_b = self.edge_d = self.edge_len = self.edge_e = None
+        self.edge_a = self.edge_b = self.edge_d = None
         self.edge_owner = self.chain = self.normal = self.offset = None
         self.origins = self.inward = self.valid = None
         if self.diffraction:
             edges = [scene.edge_by_id(backbone[0][1]) for backbone in backbones]
             ends = np.stack([e.endpoints for e in edges])[:, :, None, :]
-            # the edge at the scene epoch, (P, 1, 3): endpoints, direction,
-            # length, unit direction
+            # the edge at the scene epoch, (P, 1, 3): endpoints and direction
             self.edge_a, self.edge_b = ends[:, 0], ends[:, 1]
             self.edge_d = self.edge_b - self.edge_a
-            self.edge_len = np.sqrt(np.vecdot(self.edge_d, self.edge_d))
-            self.edge_e = self.edge_d / self.edge_len[..., None]
             self.edge_owner = np.array([ids[e.adjacent_facets[0]] for e in edges])
             self.n_bounce = 0
         else:
@@ -202,48 +203,37 @@ class _Shape:
 
         Returns (vertices, ok, inside).  vertices are V arrays (P, T, 3),
         some of them broadcast: Tx, the backbone points and Rx.  ok marks
-        the rows without a hard failure (see rt.reflection_chains, or a
-        degenerate Fermat point), inside the rows whose points also lie
-        strictly inside their polygons or edge segments, as an RT pass
-        requires.  A row equals rt.solve_backbone's construction bit for bit.
+        the rows without a hard failure (see rt.reflection_chains and
+        rt.fermat_points), inside the rows whose points also lie strictly
+        inside their polygons or edge segments, as an RT pass requires.  The
+        kernels are rt.solve_backbone's, so a row is its construction.
         """
-        ok = np.ones(t.shape, dtype=bool)
-        inside = np.ones(t.shape, dtype=bool)
-        points = []
         if self.diffraction:
-            a, d, length, e = self.edge_a, self.edge_d, self.edge_len, self.edge_e
+            a, d = self.edge_a, self.edge_d
             disp = self._facet_disp(self.edge_owner, t)
             if disp is not None:
-                a, b = a + disp, self.edge_b + disp
-                d = b - a
-                length = np.sqrt(np.vecdot(d, d))
-                e = d / length[..., None]
-            ta, tb = tx - a, rx - a
-            s1 = np.vecdot(ta, e)
-            s2 = np.vecdot(tb, e)
-            w1 = ta - s1[..., None] * e
-            w2 = tb - s2[..., None] * e
-            r1 = np.sqrt(np.vecdot(w1, w1))
-            r2 = np.sqrt(np.vecdot(w2, w2))
-            ok &= r1 + r2 >= 1e-12
-            u = (s1 + (s2 - s1) * r1 / (r1 + r2)) / length
-            inside &= (u > 0.0) & (u < 1.0)
-            points.append(a + u[..., None] * d)
-        elif self.n_bounce:
-            normals, offsets, polygons = [], [], []
-            for k in range(self.n_bounce):
-                n = self.normal[:, None, k, :]
-                off = self.offset[:, k, None]
-                origins = self.origins[:, None, k]
-                disp = self._facet_disp(self.chain[:, k], t)
-                if disp is not None:
-                    off = off + np.vecdot(n, disp)
-                    origins = origins + disp[:, :, None, :]
-                normals.append(n)
-                offsets.append(off)
-                polygons.append((origins, self.inward[:, k], self.valid[:, k]))
-            points, ok, inside = reflection_chains(tx, rx, normals, offsets, polygons)
-        return [tx] + points + [rx], ok, inside
+                # the moved endpoints' difference, as an RT pass's edge gives it
+                a = a + disp
+                d = (self.edge_b + disp) - a
+            point, ok, inside = fermat_points(tx, rx, a, d)
+            return [tx, point, rx], ok, inside
+        if not self.n_bounce:
+            ok = np.ones(t.shape, dtype=bool)
+            return [tx, rx], ok, ok
+        normals, offsets, polygons = [], [], []
+        for k in range(self.n_bounce):
+            n = self.normal[:, None, k, :]
+            off = self.offset[:, k, None]
+            origins = self.origins[:, None, k]
+            disp = self._facet_disp(self.chain[:, k], t)
+            if disp is not None:
+                off = off + np.vecdot(n, disp)
+                origins = origins + disp[:, :, None, :]
+            normals.append(n)
+            offsets.append(off)
+            polygons.append((origins, self.inward[:, k], self.valid[:, k]))
+        points, ok, inside = reflection_chains(tx, rx, normals, offsets, polygons)
+        return [tx, *points, rx], ok, inside
 
     def resolve(self, tx: np.ndarray, rx: np.ndarray, t: np.ndarray) -> TrajectoryGeometry:
         """construct plus the slab crossings and segment lengths."""
@@ -262,11 +252,9 @@ class _Shape:
             if disp is not None:
                 off = off + np.vecdot(n, disp)
             a = vertices[has, :, seg[has]]
-            d = vertices[has, :, seg[has] + 1] - a
-            denom = np.vecdot(n, d)
-            failed[has] |= np.abs(denom) < 1e-14
-            par = (off - np.vecdot(n, a)) / denom
-            pen_points[has, :, j] = a + par[..., None] * d
+            points, par, parallel = slab_crossings(a, vertices[has, :, seg[has] + 1] - a, n, off)
+            failed[has] |= parallel
+            pen_points[has, :, j] = points
             pen_params[has, :, j] = par
         seg_lengths = np.linalg.norm(np.diff(vertices, axis=2), axis=-1)
         failed |= np.any(seg_lengths < 1e-9, axis=-1)
@@ -378,22 +366,9 @@ class PathTrajectory:
         geom is the scene at that time: penetrations refer to its facets,
         and its Tx and Rx positions, equal to the kernel's, are shared.
         """
-        sig = self.paths[g.index[p]].signature
-        backbone_sig = _backbone_of(sig)
-        verts = [geom.tx, *g.vertices[p, i, 1:-1], geom.rx]
-        backbone = [Interaction(m, gid, verts[k + 1])
-                    for k, (m, gid) in enumerate(backbone_sig)]
-        pens = [PenetrationHit(seg, geom.facet(fid), g.pen_points[p, i, j],
-                               float(g.pen_params[p, i, j]))
-                for j, (fid, seg) in enumerate(_penetration_slots(sig))]
-        seg_lengths = g.seg_lengths[p, i]
-        total = float(g.total_length[p, i])
-        split = None
-        if backbone_sig and backbone_sig[0][0] is Mechanism.DIFFRACTION:
-            s_pre = float(seg_lengths[0])
-            split = (s_pre, total - s_pre)
-        return PathGeometry(sig, verts[0], verts[-1], verts, backbone, pens,
-                            seg_lengths, total, split)
+        return path_geometry_of(geom, self.paths[g.index[p]].signature,
+                                g.vertices[p, i, 1:-1], g.pen_points[p, i], g.pen_params[p, i],
+                                g.seg_lengths[p, i], float(g.total_length[p, i]))
 
     def crossings(self, times, vertices, rows):
         """Occlusion and penetration profiles: (extra, declared), (P, T) each.

@@ -41,7 +41,6 @@ from .rt import (
     GRAZING_COS,
     ConstructionError,
     Interaction,
-    InteractionTrace,
     Mechanism,
     Path,
     PathGeometry,
@@ -288,32 +287,9 @@ def solve_lifetimes(matched: MatchedPaths, scene: Scene, t_start: float,
 # Field extrapolation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class FieldReference:
-    """Everything needed to extrapolate one path's field from its reference.
-
-    Holds the reference field, geometry and the per-interaction coefficient
-    traces recorded during one direct chain walk at the reference time.
-    """
-
-    field2: np.ndarray
-    geometry: PathGeometry
-    traces: list[InteractionTrace]
-    spreading: float
-    total_length: float
-
-    @classmethod
-    def from_reference(cls, scene: Scene, geom: SceneAtTime,
-                       geometry: PathGeometry) -> "FieldReference":
-        traces: list[InteractionTrace] = []
-        field2, _ = field_of_path(scene, geom, geometry, record=traces)
-        return cls(field2=field2, geometry=geometry, traces=traces,
-                   spreading=spreading_factor(geometry),
-                   total_length=geometry.total_length)
-
-
-def extrapolate_field(ref: FieldReference, cur: PathGeometry, scene: Scene):
-    """Extrapolated receiver field for geometry cur from the reference state.
+def extrapolate_field(ref: Path, cur: PathGeometry, scene: Scene):
+    """Extrapolated receiver field for geometry cur from the reference path
+    ref, as make_path returns it (its field, geometry and traces).
 
     Magnitudes follow the exact coefficient/spreading/loss ratios; the phase
     advances by -k times the total length change, keeping each coefficient's
@@ -338,7 +314,7 @@ def extrapolate_fields(refs, batches, scene: Scene):
 
     batches are TrajectoryGeometry row batches (TrajectoryGeometry.rows),
     each of one shape and one number of penetrations, and refs holds the
-    reference of every row of every batch, in order.  Everything runs on
+    reference path of every row of every batch, in order.  Everything runs on
     arrays: each interaction slot of each batch contributes its segment
     vectors, and then per mechanism the incidence cosines or wedge angles,
     the coefficients (one batched call) and their ratios are computed for
@@ -416,10 +392,10 @@ def extrapolate_fields(refs, batches, scene: Scene):
         s_post = totals - s_pre  # zero for a line of sight: its caustic form is unused
         spread = np.where(diffracted, np.sqrt(1.0 / (s_pre * s_post * (s_pre + s_post))),
                           1.0 / totals)
-    spread /= np.array([ref.spreading for ref in refs])
-    phase = np.exp(-1j * scene.wavenumber * (totals - np.array([ref.total_length
+    spread /= np.array([spreading_factor(ref.geometry) for ref in refs])
+    phase = np.exp(-1j * scene.wavenumber * (totals - np.array([ref.geometry.total_length
                                                                for ref in refs])))
-    field2 = np.array([ref.field2 for ref in refs]).reshape(n_all, 2)
+    field2 = np.array([ref.field for ref in refs]).reshape(n_all, 2)
     field2 *= (ratio * spread * phase)[:, None]
     mag = np.hypot(np.abs(field2[:, 0]), np.abs(field2[:, 1]))
     return [(f, power_dbm_from_field(m, scene)) if a else None
@@ -459,9 +435,9 @@ class EdrtRound:
     """Matching, lifetimes and per-instant prediction for one window.
 
     Every path of the round is one row of a PathTrajectory, traj (see
-    round_trajectory; built when not given).  Its field reference is the
-    chain walk its RT pass already recorded, and lo and hi bound the
-    instants [lo, hi) at which it is present.
+    round_trajectory; built when not given).  Its field reference is its
+    RT pass's Path, with the chain walk that pass recorded, and lo and hi
+    bound the instants [lo, hi) at which it is present.
     """
 
     def __init__(self, scene: Scene, matched: MatchedPaths, lifetimes: dict,
@@ -478,11 +454,6 @@ class EdrtRound:
         with self.timer.geometry():
             self.traj = traj if traj is not None else round_trajectory(matched, scene)
             paths = self.traj.paths
-            self.references = [
-                FieldReference(field2=p.field, geometry=p.geometry, traces=p.traces,
-                               spreading=spreading_factor(p.geometry),
-                               total_length=p.geometry.total_length)
-                for p in paths]
             self.lo = np.array([lifetimes[p.signature].birth_time if kind == "born"
                                 else -math.inf for p, kind in self.members])
             self.hi = np.array([lifetimes[p.signature].death_time if kind == "dying"
@@ -545,7 +516,7 @@ class EdrtRound:
         scenes: dict[int, SceneAtTime] = {}
         with self.timer.field():
             results = iter(extrapolate_fields(
-                [self.references[k] for _g, _ip, _it, sub, _i in batches
+                [self.traj.paths[k] for _g, _ip, _it, sub, _i in batches
                  for k in sub.index.tolist()],
                 [sub for _g, _ip, _it, sub, _i in batches], self.scene))
             for g, ip, it, sub, interactions in batches:

@@ -75,25 +75,6 @@ def check_planar_convex(vertices: np.ndarray, tol: float = COPLANAR_TOL) -> np.n
     return n
 
 
-def mirror_point(p: np.ndarray, normal: np.ndarray, offset: float) -> np.ndarray:
-    """Reflect p across the plane {x: normal.x = offset} (normal unit-length)."""
-    return p - 2.0 * (np.dot(p, normal) - offset) * normal
-
-
-def line_plane_intersection(a, b, normal, offset):
-    """Intersection of the infinite line through a, b with a plane.
-
-    Returns (point, t) with point = a + t*(b-a), or (None, None) when the
-    line is parallel to the plane.
-    """
-    d = np.asarray(b, float) - np.asarray(a, float)
-    denom = float(np.dot(normal, d))
-    if abs(denom) < 1e-14:
-        return None, None
-    t = (offset - float(np.dot(normal, a))) / denom
-    return np.asarray(a, float) + t * d, t
-
-
 def polygon_edge_frames(vertices: np.ndarray, normal: np.ndarray):
     """Per-edge origin and inward (in-plane) unit normal of a convex polygon."""
     v = np.asarray(vertices, float)
@@ -103,24 +84,20 @@ def polygon_edge_frames(vertices: np.ndarray, normal: np.ndarray):
     return v, inward
 
 
-def signed_boundary_distance(p, vertices, normal, inward=None,
-                             exact_outside: bool = True) -> float:
+def signed_boundary_distance(p, vertices, normal, inward=None) -> float:
     """Signed in-plane distance from p to the polygon boundary.
 
     Positive inside, negative outside; magnitude is the distance to the
     nearest boundary point.  p is assumed to lie on the polygon plane.
     Precomputed per-edge inward normals may be passed to skip the frame
-    construction (they are invariant under rigid translation).  With
-    exact_outside=False the outside value keeps its sign but is only the
-    most-violated edge-line distance, skipping the nearest-segment search;
-    use it where only the sign matters.
+    construction (they are invariant under rigid translation).
     """
     v = np.asarray(vertices, float)
     if inward is None:
         _origins, inward = polygon_edge_frames(v, normal)
     d = np.einsum("ij,ij->i", p - v, inward)
     d_min = float(np.min(d))
-    if d_min >= 0.0 or not exact_outside:
+    if d_min >= 0.0:
         return d_min
     # outside: distance to the nearest edge segment
     nxt = np.roll(v, -1, axis=0)
@@ -130,28 +107,6 @@ def signed_boundary_distance(p, vertices, normal, inward=None,
     closest = v + t[:, None] * seg
     dist = np.min(np.linalg.norm(closest - p, axis=1))
     return -float(dist)
-
-
-def fermat_point_on_line(tx, rx, a, b):
-    """Unclamped minimizer of |tx-p| + |p-rx| for p on the line through a, b.
-
-    Returns (point, u) with point = a + u*(b-a).  The minimizer satisfies the
-    equal-cone (Keller) condition.  Returns (None, None) when both endpoints
-    project onto the line axis with zero radial distance (degenerate).
-    """
-    a = np.asarray(a, float)
-    d = np.asarray(b, float) - a
-    length = norm(d)
-    e = d / length
-    s1 = float(np.dot(tx - a, e))
-    s2 = float(np.dot(rx - a, e))
-    r1 = norm(tx - a - s1 * e)
-    r2 = norm(rx - a - s2 * e)
-    if r1 + r2 < 1e-12:
-        return None, None
-    s = s1 + (s2 - s1) * r1 / (r1 + r2)
-    u = s / length
-    return a + u * d, u
 
 
 def vertical_pol(s) -> tuple:

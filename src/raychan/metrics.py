@@ -98,6 +98,15 @@ def _position_errors(reference, predicted):
     return rows, skipped_positions, skipped_paths
 
 
+def _epsilons(rows: list[PositionError]) -> tuple[float, float]:
+    """(eps_G, eps_E) of per-position rows: the mean fraction of reference
+    paths missed, and the mean over positions of the relative field errors
+    of the matched paths; 0 when no row contributes."""
+    eps_g = float(np.mean([(r.n_rt - r.n_matched) / r.n_rt for r in rows])) if rows else 0.0
+    per_pos = [np.mean(r.field_errors) for r in rows if r.field_errors]
+    return eps_g, float(np.mean(per_pos)) if per_pos else 0.0
+
+
 def geometry_error(reference, predicted) -> float:
     """Mean fraction of reference paths missed at each predicted position.
 
@@ -105,19 +114,12 @@ def geometry_error(reference, predicted) -> float:
     signature matches a reference path exactly.  Positions with no reference
     paths are excluded from the mean.
     """
-    rows, _sp, _sk = _position_errors(reference, predicted)
-    if not rows:
-        return 0.0
-    return float(np.mean([(r.n_rt - r.n_matched) / r.n_rt for r in rows]))
+    return _epsilons(_position_errors(reference, predicted)[0])[0]
 
 
 def field_error(reference, predicted) -> float:
     """Mean relative field-magnitude error over successfully matched paths."""
-    rows, _sp, _sk = _position_errors(reference, predicted)
-    per_pos = [np.mean(r.field_errors) for r in rows if r.field_errors]
-    if not per_pos:
-        return 0.0
-    return float(np.mean(per_pos))
+    return _epsilons(_position_errors(reference, predicted)[0])[1]
 
 
 def _power_histogram(snapshots: list[Snapshot], keys: set[int]):
@@ -165,10 +167,7 @@ def similarity_index(target, predicted) -> float:
 def error_report(reference, predicted, target_for_si=None) -> ErrorReport:
     """Full evaluation bundle: geometry error, field error, similarity."""
     rows, skipped_positions, skipped_paths = _position_errors(reference, predicted)
-    eps_g = (float(np.mean([(r.n_rt - r.n_matched) / r.n_rt for r in rows]))
-             if rows else 0.0)
-    per_pos = [np.mean(r.field_errors) for r in rows if r.field_errors]
-    eps_e = float(np.mean(per_pos)) if per_pos else 0.0
+    eps_g, eps_e = _epsilons(rows)
     si = similarity_index(target_for_si if target_for_si is not None else reference,
                           predicted)
     return ErrorReport(epsilon_g=eps_g, epsilon_e=eps_e, si=si, per_position=rows,

@@ -4,13 +4,18 @@ Path finding is deterministic image-method enumeration over ordered facet
 tuples (reflection order <= 2), plus one-edge diffraction via the generalized
 Fermat point, each optionally combined with a single penetration through a
 transparent facet.  No ray launching is involved, so path signatures are
-stable across time and can be matched between snapshots.  A candidate is
-decided in four stages (trace_geometry): exact plane-side culling, then
-beam culling of ordered reflection pairs (the second bounce must lie in the
-beam that the first facet casts), then a batched image construction of
-every remaining reflection candidate as arrays (reflection_chains, the
-kernel that the predictions share), which drops a candidate only when a
-predicate fails by more than a rounding margin, then the exact
+stable across time and can be matched between snapshots.
+
+Each mechanism has one construction kernel over arrays of rows, shared with
+the predictions (drt.PathTrajectory runs them over paths x times):
+reflection_chains (the image cascade), fermat_points (the diffraction point)
+and slab_crossings (the penetration points).  An RT candidate calls them as
+a batch of one, and path_geometry_of assembles every PathGeometry.  A
+candidate is decided in four stages (trace_geometry): exact plane-side
+culling, then beam culling of ordered reflection pairs (the second bounce
+must lie in the beam that the first facet casts), then reflection_chains
+over every remaining reflection candidate at once, which drops a candidate
+only when a predicate fails by more than a rounding margin, then the exact
 per-candidate decision (solve_backbone, the occlusion profile,
 build_geometry) for each candidate left.
 
@@ -42,9 +47,6 @@ from .geometry import (
     arrival_basis,
     cross3,
     dot3,
-    fermat_point_on_line,
-    line_plane_intersection,
-    mirror_point,
     norm,
     sub3,
     unit,
@@ -141,40 +143,6 @@ class Snapshot:
 
 class ConstructionError(RuntimeError):
     """A path's geometric construction is impossible at the query time."""
-
-
-# ---------------------------------------------------------------------------
-# Elementary constructions (public operations)
-# ---------------------------------------------------------------------------
-
-def find_reflection_point(tx, rx, f: FacetAtTime):
-    """Specular reflection point of tx->rx on a facet via the image method.
-
-    Mirrors tx across the facet plane, intersects the image-receiver line
-    with the plane and accepts the point only if it falls inside the facet
-    polygon.  Returns None for a parallel line or an outside intersection.
-    """
-    img = mirror_point(np.asarray(tx, float), f.normal, f.offset)
-    p, t = line_plane_intersection(img, rx, f.normal, f.offset)
-    if p is None:
-        return None
-    if f.boundary_distance(p, exact_outside=False) < 0.0:
-        return None
-    return p
-
-
-def find_diffraction_point(tx, rx, e) -> np.ndarray | None:
-    """Generalized Fermat point on an edge segment, or None when clipped.
-
-    The returned point minimizes |tx-p| + |p-rx| over the segment and
-    therefore satisfies the Keller cone condition; minimizers that fall on
-    (or beyond) an endpoint are rejected.
-    """
-    a, b = e.endpoints
-    p, u = fermat_point_on_line(np.asarray(tx, float), np.asarray(rx, float), a, b)
-    if p is None or not 0.0 < u < 1.0:
-        return None
-    return p
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +323,8 @@ def solve_backbone(geom: SceneAtTime, backbone: tuple):
     parallel or degenerate geometry, image side violations and grazing
     bounces, and when a reflection point leaves its polygon or a Fermat
     point leaves its edge segment.  Reflections go through reflection_chains
-    as a batch of one, the kernel of the RT filter and of the predictions.
+    and a diffraction through fermat_points, each as a batch of one: the
+    kernels of the RT filter and of the predictions.
     """
     tx, rx = geom.tx, geom.rx
     refl = [(i, gid) for i, (m, gid) in enumerate(backbone) if m is Mechanism.REFLECTION]
@@ -369,11 +338,11 @@ def solve_backbone(geom: SceneAtTime, backbone: tuple):
     if Mechanism.DIFFRACTION in mechs:
         if len(backbone) != 1:
             raise ValueError("combined reflection+diffraction paths are not enumerated")
-        e = geom.edge(backbone[0][1])
-        p, u = fermat_point_on_line(tx, rx, e.endpoints[0], e.endpoints[1])
-        if p is None:
+        a, b = geom.edge(backbone[0][1]).endpoints
+        p, ok, inside = fermat_points(tx, rx, a, b - a)
+        if not ok:
             raise ConstructionError("degenerate diffraction geometry")
-        if not 0.0 < u < 1.0:
+        if not inside:
             raise ConstructionError("diffraction point clipped by edge segment")
         return [p]
 
@@ -437,6 +406,47 @@ def reflection_chains(tx, rx, normals, offsets, polygons, slack: float = 0.0):
     return points, ok, inside
 
 
+def fermat_points(tx, rx, a, d):
+    """The generalized Fermat construction of one-edge diffraction over rows.
+
+    The one diffraction kernel: solve_backbone (a batch of one) and
+    drt.PathTrajectory (paths x times) call it.  The point a + u d minimizes
+    |tx - p| + |p - rx| on the edge line, so it satisfies the Keller cone
+    condition.  tx, rx, a and d broadcast against each other, coordinates
+    last.  Returns (points, ok, inside): ok marks the rows where tx and rx
+    do not both lie on the edge line, inside the rows whose point lies
+    strictly inside the segment, 0 < u < 1.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        length = np.sqrt(np.vecdot(d, d))
+        e = d / length[..., None]
+        ta, tb = tx - a, rx - a
+        s1 = np.vecdot(ta, e)
+        s2 = np.vecdot(tb, e)
+        w1 = ta - s1[..., None] * e
+        w2 = tb - s2[..., None] * e
+        r1 = np.sqrt(np.vecdot(w1, w1))
+        r2 = np.sqrt(np.vecdot(w2, w2))
+        u = (s1 + (s2 - s1) * r1 / (r1 + r2)) / length
+        return a + u[..., None] * d, r1 + r2 >= 1e-12, (u > 0.0) & (u < 1.0)
+
+
+def slab_crossings(a, d, normal, offset):
+    """Crossings of the lines a + par d with the planes normal . x = offset.
+
+    The one penetration kernel over rows: build_geometry (a batch of one)
+    and drt.PathTrajectory (paths x times) call it.  Arguments broadcast,
+    coordinates last.  Returns (points, par, parallel); parallel marks the
+    rows whose line is parallel to its plane, where the values are
+    meaningless.  par is not clamped: for extrapolated geometry a crossing
+    may drift outside its segment, as the frozen structure implies.
+    """
+    denom = np.vecdot(normal, d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        par = (offset - np.vecdot(normal, a)) / denom
+        return a + par[..., None] * d, par, np.abs(denom) < 1e-14
+
+
 @dataclass
 class PenetrationHit:
     segment: int
@@ -495,37 +505,49 @@ def _penetration_slots(sig: Signature):
 
 
 def build_geometry(geom: SceneAtTime, sig: Signature, backbone_points) -> PathGeometry:
-    """Assemble PathGeometry from solved backbone points.
+    """PathGeometry of an RT candidate from its solved backbone points.
 
-    Penetration points are re-derived as the intersection of the (current)
-    segment line with the slab plane; for extrapolated geometry the crossing
-    parameter may drift outside the segment, mirroring the frozen-structure
-    behavior of geometry prediction.
+    Each penetration point is the crossing of its segment's line with the
+    slab plane (slab_crossings as a batch of one).  Raises ConstructionError
+    for a segment parallel to its slab or of zero length.
     """
-    tx, rx = np.asarray(geom.tx, float), np.asarray(geom.rx, float)
-    vertices = [tx] + [np.asarray(p, float) for p in backbone_points] + [rx]
-    backbone_sig = _backbone_of(sig)
-    backbone = [Interaction(m, gid, np.asarray(p, float))
-                for (m, gid), p in zip(backbone_sig, backbone_points)]
-    pens = []
+    vertices = [geom.tx, *backbone_points, geom.rx]
+    pen_points, pen_params = [], []
     for fid, seg in _penetration_slots(sig):
         f = geom.facet(fid)
-        p, t = line_plane_intersection(vertices[seg], vertices[seg + 1],
-                                       f.normal, f.offset)
-        if p is None:
+        a = vertices[seg]
+        point, par, parallel = slab_crossings(a, vertices[seg + 1] - a, f.normal, f.offset)
+        if parallel:
             raise ConstructionError(f"penetration segment parallel to facet {fid!r}")
-        pens.append(PenetrationHit(seg, f, p, t))
-    seg_vecs = np.diff(np.asarray(vertices), axis=0)
-    seg_lengths = np.linalg.norm(seg_vecs, axis=1)
+        pen_points.append(point)
+        pen_params.append(par)
+    seg_lengths = np.linalg.norm(np.diff(np.asarray(vertices), axis=0), axis=1)
     if np.any(seg_lengths < 1e-9):
         raise ConstructionError("degenerate zero-length path segment")
-    total = float(seg_lengths.sum())
+    return path_geometry_of(geom, sig, backbone_points, pen_points, pen_params,
+                            seg_lengths, float(seg_lengths.sum()))
+
+
+def path_geometry_of(geom: SceneAtTime, sig: Signature, points, pen_points, pen_params,
+                     seg_lengths: np.ndarray, total: float) -> PathGeometry:
+    """The one PathGeometry assembler, for build_geometry and
+    drt.PathTrajectory.path_geometry.
+
+    points are the backbone points, pen_points and pen_params the slab
+    crossings in signature order, seg_lengths and total the segment lengths
+    and their sum.  geom is the instant: its Tx and Rx end the path and its
+    facets are the penetrated ones.  A diffraction is always a path's only
+    backbone interaction (see solve_backbone).
+    """
+    backbone_sig = _backbone_of(sig)
+    backbone = [Interaction(m, gid, p) for (m, gid), p in zip(backbone_sig, points)]
+    pens = [PenetrationHit(seg, geom.facet(fid), pen_points[j], float(pen_params[j]))
+            for j, (fid, seg) in enumerate(_penetration_slots(sig))]
     split = None
-    for i, (m, _gid) in enumerate(backbone_sig):
-        if m is Mechanism.DIFFRACTION:
-            s_pre = float(seg_lengths[: i + 1].sum())
-            split = (s_pre, total - s_pre)
-    return PathGeometry(sig, tx, rx, vertices, backbone, pens,
+    if backbone_sig and backbone_sig[0][0] is Mechanism.DIFFRACTION:
+        s_pre = float(seg_lengths[0])
+        split = (s_pre, total - s_pre)
+    return PathGeometry(sig, geom.tx, geom.rx, [geom.tx, *points, geom.rx], backbone, pens,
                         seg_lengths, total, split)
 
 
@@ -673,14 +695,12 @@ class InteractionTrace(NamedTuple):
     Captures the coefficient pair that was applied, the polarization
     eigen-channel that carried the field (0 = perp/soft, 1 = par/hard), and
     the static geometry needed to re-evaluate the coefficient at another
-    time (normals, wedge frames and materials are invariant under rigid
-    translation).
+    time (normals and wedge frames are invariant under rigid translation).
     """
 
     kind: Mechanism
     coeff: tuple[complex, complex]
     label: int
-    material: object
     eps: complex = 0.0 + 0.0j  # complex permittivity at the scene frequency
     normal: np.ndarray | None = None
     frame: object | None = None
@@ -748,7 +768,7 @@ def polarization_chain(scene: Scene, geom: SceneAtTime, geometry: PathGeometry,
             e_vec, label = _project(e_vec, pair, e_perp, cross3(e_perp, s_in),
                                     e_perp, cross3(e_perp, s_out))
             trace = InteractionTrace(kind=Mechanism.REFLECTION, coeff=pair, label=label,
-                                     material=f.material, eps=eps, normal=f.normal)
+                                     eps=eps, normal=f.normal)
         else:  # diffraction
             e = geom.edge(inter.geometry_id)
             frame = _frame_of(geom, e)
@@ -762,7 +782,7 @@ def polarization_chain(scene: Scene, geom: SceneAtTime, geometry: PathGeometry,
             e_vec, label = _project(e_vec, pair, cross3(phi_in, s_in), phi_in,
                                     cross3(phi_out, s_out), phi_out)
             trace = InteractionTrace(kind=Mechanism.DIFFRACTION, coeff=pair, label=label,
-                                     material=material, eps=eps, frame=frame)
+                                     eps=eps, frame=frame)
         if record is not None:
             record.append(trace)
 
@@ -781,7 +801,7 @@ def polarization_chain(scene: Scene, geom: SceneAtTime, geometry: PathGeometry,
         if record is not None:
             record.append(InteractionTrace(
                 kind=Mechanism.PENETRATION, coeff=(tr.t_perp, tr.t_par), label=label,
-                material=f.material, eps=eps, normal=f.normal, thickness=f.thickness,
+                eps=eps, normal=f.normal, thickness=f.thickness,
                 alpha=f.material.attenuation_alpha, d_t=tr.d_t))
         loss = tr.loss_factor(f.material.attenuation_alpha)
         e_vec = (e_vec[0] * loss, e_vec[1] * loss, e_vec[2] * loss)
@@ -1008,8 +1028,7 @@ def _candidate_backbones(geom: SceneAtTime, single: np.ndarray, pair: np.ndarray
         yield ((Mechanism.DIFFRACTION, e.id),)
 
 
-def trace_geometry(scene: Scene, t: float, geom: SceneAtTime | None = None,
-                   timer=None):
+def trace_geometry(scene: Scene, t: float, timer=None):
     """Geometric stage of a snapshot: all valid path geometries at time t.
 
     The candidates are line of sight, every reflection on one facet and on
@@ -1035,8 +1054,7 @@ def trace_geometry(scene: Scene, t: float, geom: SceneAtTime | None = None,
     batched construction (rt_prefiltered).  Raises SceneError when Tx and
     Rx are closer than SIDE_EPS, where no path is defined.
     """
-    if geom is None:
-        geom = scene_at(scene, t)
+    geom = scene_at(scene, t)
     if norm(geom.rx - geom.tx) < SIDE_EPS:
         raise SceneError(f"tx and rx coincide at t={geom.time:g} s")
     single, pair, beam_culled = _reflection_culling(geom)

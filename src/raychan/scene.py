@@ -204,11 +204,10 @@ class FacetAtTime:
     thickness: float
     edge_inward: np.ndarray  # (V, 3), shared with the epoch facet
 
-    def boundary_distance(self, p: np.ndarray, exact_outside: bool = True) -> float:
+    def boundary_distance(self, p: np.ndarray) -> float:
         """Signed in-plane distance to the polygon boundary (+ inside)."""
         return signed_boundary_distance(p, self.vertices, self.normal,
-                                        inward=self.edge_inward,
-                                        exact_outside=exact_outside)
+                                        inward=self.edge_inward)
 
 
 @dataclass

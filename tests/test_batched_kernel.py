@@ -35,6 +35,8 @@ from raychan.rt import (
     ConstructionError,
     _backbone_of,
     build_geometry,
+    fermat_points,
+    slab_crossings,
     solve_backbone,
 )
 
@@ -170,6 +172,45 @@ def test_geometry_is_the_rt_construction(scene, t0, times):
                            for a, b in zip(got.penetrations, want.penetrations))
                 compared += 1
     assert compared > times.size
+
+
+def test_kernels_over_rows_equal_a_batch_of_one():
+    """fermat_points and slab_crossings over (P, T) rows equal their calls
+    on each row alone, degenerate, clipped and parallel rows included."""
+    rng = np.random.default_rng(7)
+    n_paths, n_times = 4, 5
+    a = rng.uniform(-3.0, 3.0, (n_paths, 1, 3))
+    d = rng.uniform(-2.0, 2.0, (n_paths, 1, 3))
+    tx = rng.uniform(-6.0, 6.0, (n_paths, n_times, 3))
+    rx = rng.uniform(-6.0, 6.0, (n_paths, n_times, 3))
+    # Tx and Rx on the edge line: degenerate
+    tx[0, 0], rx[0, 0] = a[0, 0] + 0.25 * d[0, 0], a[0, 0] + 2.0 * d[0, 0]
+    # both beyond the far end, on opposite sides of the line: clipped, u >= 1
+    side = np.cross(d[1, 0], [0.0, 0.0, 1.0])
+    tx[1, 1], rx[1, 1] = a[1, 0] + 3.0 * d[1, 0] + side, a[1, 0] + 4.0 * d[1, 0] - side
+    points, ok, inside = fermat_points(tx, rx, a, d)
+    assert not ok[0, 0] and ok[1, 1] and not inside[1, 1] and inside.any()
+
+    normal = rng.normal(size=(n_paths, 1, 3))
+    normal /= np.linalg.norm(normal, axis=-1, keepdims=True)
+    normal[3, 0] = (0.0, 0.0, 1.0)
+    offset = rng.uniform(-1.0, 1.0, (n_paths, 1))
+    seg = rx - tx
+    # parallel to the plane, exactly and within rounding
+    seg[3, 2] = (1.0, 2.0, 0.0)
+    seg[2, 4] = np.cross(normal[2, 0], seg[2, 4])
+    pen_points, par, parallel = slab_crossings(tx, seg, normal, offset)
+    assert parallel[3, 2] and parallel[2, 4] and not parallel.all()
+
+    for p in range(n_paths):
+        for t in range(n_times):
+            one = fermat_points(tx[p, t], rx[p, t], a[p, 0], d[p, 0])
+            assert np.array_equal(points[p, t], one[0], equal_nan=True)
+            assert (ok[p, t], inside[p, t]) == (one[1], one[2])
+            one = slab_crossings(tx[p, t], seg[p, t], normal[p, 0], offset[p, 0])
+            assert np.array_equal(pen_points[p, t], one[0], equal_nan=True)
+            assert np.array_equal(par[p, t], one[1], equal_nan=True)
+            assert parallel[p, t] == one[2]
 
 
 def test_random_scenes_move_facets():

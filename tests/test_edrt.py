@@ -5,7 +5,6 @@ import pytest
 
 from raychan import (
     Facet,
-    FieldReference,
     MatchedPaths,
     Material,
     Motion,
@@ -18,6 +17,7 @@ from raychan import (
     edrt_run,
     extrapolate_field,
     field_of_path,
+    make_path,
     match_paths,
     predict_snapshot_edrt,
     scene_at,
@@ -251,7 +251,7 @@ def _geometry_of(scene, t, sig):
 
 def _extrapolated_magnitude(scene, geom_ref, g_ref, g_cur):
     """|E| extrapolated from the reference geometry to g_cur."""
-    ref = FieldReference.from_reference(scene, geom_ref, g_ref)
+    ref = make_path(scene, geom_ref, g_ref)
     field2, _ = extrapolate_field(ref, g_cur, scene)
     return float(np.linalg.norm(field2))
 
@@ -343,9 +343,8 @@ class TestFieldExtrapolationOps:
                     direct_field, _ = field_of_path(default_scene, geom, g)
                 except Exception:
                     continue
-                ref = FieldReference.from_reference(
-                    default_scene, geom_ref,
-                    traj.geometry_at(t_ref, geom_ref))
+                ref = make_path(default_scene, geom_ref,
+                                traj.geometry_at(t_ref, geom_ref))
                 result = extrapolate_field(ref, g, default_scene)
                 if result is None:
                     continue
@@ -374,7 +373,7 @@ class TestFieldExtrapolationOps:
         sig = ((Mechanism.REFLECTION, "g"),)
         geom, g, _path = _geometry_of(scene, 0.0, sig)
         # ground bounce of a vertical launch is parallel-polarized: null
-        ref = FieldReference.from_reference(scene, geom, g)
+        ref = make_path(scene, geom, g)
         assert extrapolate_field(ref, g, scene) is None
 
 

@@ -13,13 +13,11 @@ from raychan import (
     MotionState,
     Scene,
     field_of_path,
-    find_diffraction_point,
-    find_reflection_point,
     scene_at,
     signature_str,
     trace_snapshot,
 )
-from raychan.rt import Mechanism
+from raychan.rt import ConstructionError, Mechanism, fermat_points, solve_backbone
 from raychan.scene import C_LIGHT
 
 
@@ -105,18 +103,21 @@ class TestTraceSnapshot:
         assert all(signature_str(p.signature) != "LOS" for p in snap.paths)
 
 
+def _fermat(tx, rx, ends):
+    """fermat_points as a batch of one: the edge point, or None when the
+    construction is degenerate or clipped by the segment."""
+    a, b = np.asarray(ends, float)
+    p, ok, inside = fermat_points(np.asarray(tx, float), np.asarray(rx, float), a, b - a)
+    return p if ok and inside else None
+
+
 class TestFindReflectionPoint:
+    """The specular point as solve_backbone constructs it."""
+
     def test_worked_case(self):
         geom = scene_at(_ground_scene(), 0.0)
-        p = find_reflection_point(np.array([0, 0, 1.0]), np.array([0, 4, 1.0]),
-                                  geom.facet("g"))
+        [p] = solve_backbone(geom, ((Mechanism.REFLECTION, "g"),))
         assert np.allclose(p, [0, 2, 0], atol=1e-12)
-
-    def test_degenerate_equal_endpoints(self):
-        geom = scene_at(_ground_scene(), 0.0)
-        p = find_reflection_point(np.array([1.0, 3.0, 2.0]),
-                                  np.array([1.0, 3.0, 2.0]), geom.facet("g"))
-        assert np.allclose(p, [1, 3, 0], atol=1e-12)  # foot of perpendicular
 
     def test_outside_polygon_rejected(self):
         small = Facet(id="s", vertices=np.array(
@@ -126,53 +127,55 @@ class TestFindReflectionPoint:
                       rx_motion=Motion.stationary([0, 12, 1]), frequency=6e9)
         geom = scene_at(scene, 0.0)
         # specular point is at y=6, which is 3.5 m outside the facet
-        assert find_reflection_point(geom.tx, geom.rx, geom.facet("s")) is None
+        with pytest.raises(ConstructionError, match="left its facet"):
+            solve_backbone(geom, ((Mechanism.REFLECTION, "s"),))
 
 
 class TestFindDiffractionPoint:
+    """The generalized Fermat point of fermat_points, a batch of one."""
+
+    _ENDS = np.array([[-2.0, 1.0, 0.5], [3.0, -1.0, 2.0]])
+
     def test_symmetric_midpoint(self):
         e = scene_at(_screen_scene(), 0.0).edge("w_edge")
-        p = find_diffraction_point(np.array([0, -5, 2.0]), np.array([0, 5, 2.0]), e)
+        p = _fermat([0, -5, 2.0], [0, 5, 2.0], e.endpoints)
         assert p is not None
         assert p[2] == pytest.approx(2.0, abs=1e-12)
 
     def test_axis_case(self):
-        scene = _screen_scene()
-        edge = Edge(id="x", endpoints=np.array([[-1, 0, 0], [1, 0, 0]], float),
-                    adjacent_facets=("w", "w"), exterior_wedge_angle=2 * math.pi)
-        # evaluate directly on an EdgeAtTime-like shim
-        class _E:
-            endpoints = edge.endpoints
-        p = find_diffraction_point(np.array([0, -1, 1.0]), np.array([0, 1, 1.0]), _E)
+        p = _fermat([0, -1, 1.0], [0, 1, 1.0], [[-1, 0, 0], [1, 0, 0]])
         assert np.allclose(p, [0, 0, 0], atol=1e-12)
 
     def test_clipped_minimizer_rejected(self):
-        class _E:
-            endpoints = np.array([[-1.0, 0, 0], [1.0, 0, 0]])
         # both endpoints far on one side push the minimizer past u=1
-        p = find_diffraction_point(np.array([5.0, -1, 0]), np.array([5.0, 1, 0]), _E)
-        assert p is None
+        assert _fermat([5.0, -1, 0], [5.0, 1, 0], [[-1.0, 0, 0], [1.0, 0, 0]]) is None
+
+    def test_clipped_in_solve_backbone(self):
+        scene = _screen_scene()
+        geom = scene_at(Scene(facets=scene.facets, edges=scene.edges,
+                              tx_motion=Motion.stationary([-3, -10, 12.0]),
+                              rx_motion=Motion.stationary([-3, 10, 12.0]),
+                              frequency=6e9), 0.0)
+        # the Fermat point lies at z = 12, above the 8 m edge
+        with pytest.raises(ConstructionError, match="clipped"):
+            solve_backbone(geom, ((Mechanism.DIFFRACTION, "w_edge"),))
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(11)
-        class _E:
-            endpoints = np.array([[-2.0, 1.0, 0.5], [3.0, -1.0, 2.0]])
         for _ in range(10):
             tx = rng.uniform(-6, 6, 3)
             rx = rng.uniform(-6, 6, 3)
-            p = find_diffraction_point(tx, rx, _E)
+            p = _fermat(tx, rx, self._ENDS)
             if p is None:
                 continue
-            pb, _ = oracles.fermat_brute(tx, rx, _E.endpoints[0], _E.endpoints[1])
+            pb, _ = oracles.fermat_brute(tx, rx, self._ENDS[0], self._ENDS[1])
             assert np.linalg.norm(p - pb) < 1e-4
 
     def test_keller_cone_condition(self):
-        class _E:
-            endpoints = np.array([[-2.0, 1.0, 0.5], [3.0, -1.0, 2.0]])
         tx = np.array([1.0, 4.0, 0.0])
         rx = np.array([-1.0, -3.0, 2.5])
-        p = find_diffraction_point(tx, rx, _E)
-        e_hat = _E.endpoints[1] - _E.endpoints[0]
+        p = _fermat(tx, rx, self._ENDS)
+        e_hat = self._ENDS[1] - self._ENDS[0]
         e_hat = e_hat / np.linalg.norm(e_hat)
         s_in = (p - tx) / np.linalg.norm(p - tx)
         s_out = (rx - p) / np.linalg.norm(rx - p)
