@@ -268,12 +268,11 @@ class PathTrajectory:
 
     The paths are grouped by shape (shape_of: LOS, R, RR or D, each path
     with or without a penetration), and each shape has one construction
-    kernel over (paths x times) arrays; a single path is a batch of one.  t0
-    is the time of the reference pass the paths come from.  Every query
-    takes times (T,), shared by all paths, or (P, T), one row per path, and
-    re-solves each path's geometric construction (image cascade or Fermat
-    point, then the slab crossings) against the scene displaced to each
-    time; no stepping or integration is involved.
+    kernel over (paths x times) arrays; a single path is a batch of one.
+    Every query takes times (T,), shared by all paths, or (P, T), one row
+    per path, and re-solves each path's geometric construction (image
+    cascade or Fermat point, then the slab crossings) against the scene
+    displaced to each time; no stepping or integration is involved.
 
     - geometry_at: per shape, vertex arrays and a mask of hard failures,
       unclamped, so the structure stays frozen.  For a single path a scalar
@@ -282,13 +281,15 @@ class PathTrajectory:
       all shapes in one facet_crossings call.
     - existence_scan: the strict existence predicates of an RT pass.
     - validity_scan: one of the two existence masks, chosen per path.
+
+    A third argument, a reference time that perfbench/check.py still
+    passes, is accepted and ignored: no trajectory depends on it.
     """
 
-    def __init__(self, paths, scene: Scene, t0: float):
+    def __init__(self, paths, scene: Scene, _reference_time=None):
         paths = [paths] if isinstance(paths, Path) else list(paths)
         self.paths = paths
         self.scene = scene
-        self.t0 = float(t0)
         groups: dict[tuple, list[int]] = {}
         for k, path in enumerate(paths):
             groups.setdefault(shape_of(path.signature), []).append(k)
@@ -526,7 +527,7 @@ def predict_snapshot_drt(reference: Snapshot, scene: Scene, t: float,
     facet; paths whose geometric construction fails outright are dropped and
     logged.  Fields are recomputed directly from the advanced geometry.
     """
-    traj = PathTrajectory(reference.paths, scene, reference.time)
+    traj = PathTrajectory(reference.paths, scene)
     [snap], dropped = _advance(traj, scene, [t], timer or StageTimer())
     if dropped:
         log.warning("drt: dropped %d geometrically impossible path(s) at t=%.3f",
@@ -554,7 +555,7 @@ def drt_run(scene: Scene, config: PredictionConfig,
             rt_times.append(t0)
             snapshots.append(reference)
             times = [t0 + j * config.dt for j in range(1, config.steps_per_round)]
-            predicted, lost = _advance(PathTrajectory(reference.paths, scene, t0), scene,
+            predicted, lost = _advance(PathTrajectory(reference.paths, scene), scene,
                                        times, timer)
             snapshots.extend(predicted)
             dropped += lost

@@ -1,6 +1,6 @@
 """Enhanced dynamic ray tracing: bidirectional geometry and field extrapolation.
 
-Each prediction round is bracketed by two full ray-tracing snapshots.  Paths
+Each prediction window is bracketed by two full ray-tracing snapshots.  Paths
 present in both are extrapolated across the whole window; paths present in
 only one are assigned a birth or death time by locating the instant their
 geometric construction stops (or starts) being valid, so the predicted
@@ -10,16 +10,19 @@ exact ratio of interaction coefficients, spreading factors and slab losses
 between the reference time and the prediction time, forward from the window
 start for surviving paths and backward from the window end for newborn ones.
 
-A round runs on arrays.  Its paths form one drt.PathTrajectory, grouped
-inside by backbone shape, and one construction-and-crossing kernel resolves
-them over (paths x times): the lifetime scans of every dying and born path
-(one existence_scan per 100-sample chunk), their bisection (one
-validity_scan per 80-point level) and the predictions (one geometry_at for
-all instants of the round, then one crossing call for its occlusion and
-penetration profiles).  Field extrapolation reads its geometry from the same
-arrays and computes each mechanism's coefficients in one batched pass; Path
-objects are built only for the output snapshots, and the scene is evaluated
-at an instant only for a direct field fallback.
+A run is solved at run level.  It traces its N + 1 reference passes first,
+matches each window's bracketing pair, and then treats every path of every
+window as one row of a drt.PathTrajectory, grouped inside by backbone shape,
+each row queried over its own window's times.  One construction-and-crossing
+kernel resolves them over (paths x times): the lifetime scans of every dying
+and born path of the run (one existence_scan per 100-sample chunk), their
+bisection (one validity_scan per 80-point level) and the predictions (one
+geometry_at for all instants of all windows, then one crossing call for
+their occlusion and penetration profiles).  Field extrapolation reads its
+geometry from the same arrays and computes each mechanism's coefficients in
+one batched pass; Path objects are built only for the output snapshots, and
+the scene is evaluated at an instant only for a direct field fallback.  A
+single window, or a single path's birth or death, is a batch of one.
 """
 
 from __future__ import annotations
@@ -72,11 +75,20 @@ class MatchedPaths:
     t_end: float
 
 
-def round_trajectory(matched: MatchedPaths, scene: Scene) -> PathTrajectory:
-    """The round's paths as one PathTrajectory: the common ones (from the
-    window start), then the dying and the born ones."""
-    return PathTrajectory([pa for pa, _pb in matched.common] + matched.dying + matched.born,
-                          scene, matched.t_start)
+def _members(windows: list[MatchedPaths]) -> list[tuple[int, Path, str]]:
+    """(window, path, kind) of every path of consecutive windows, window by
+    window: common (from the window start), dying, born.  A path born in one
+    window and dying in the next is a member of both."""
+    return [(w, p, kind) for w, m in enumerate(windows)
+            for kind, paths in (("common", [pa for pa, _pb in m.common]),
+                                ("dying", m.dying), ("born", m.born))
+            for p in paths]
+
+
+def round_trajectory(windows: list[MatchedPaths], scene: Scene) -> PathTrajectory:
+    """The paths of consecutive windows as one PathTrajectory, one row per
+    member (see _members)."""
+    return PathTrajectory([p for _w, p, _kind in _members(windows)], scene)
 
 
 @dataclass
@@ -192,12 +204,13 @@ def _transitions(traj: PathTrajectory, times: np.ndarray, anchors: np.ndarray,
     return out
 
 
-def _lifetime_edges(traj: PathTrajectory, n_dying: int, t_start: float, t_end: float,
-                    dt: float, timer: StageTimer) -> list[tuple[float, bool]]:
-    """(transition time, fallback) of every path of traj: the first n_dying
-    are dying, the others born.
+def _lifetime_edges(traj: PathTrajectory, dying: np.ndarray, t_start: np.ndarray,
+                    t_end: np.ndarray, dt: float, timer: StageTimer) -> list[tuple[float, bool]]:
+    """(transition time, fallback) of every path of traj, dying where dying
+    is set and born elsewhere, each in its own window [t_start, t_end] (P,);
+    the windows are of one length.
 
-    The scan runs away from the reference end of the window on the dt/20
+    The scan runs away from the reference end of each window on the dt/20
     grid: forward from t_start for a dying path, backward from t_end for a
     born one.  All paths are scanned and refined together.  An unresolved
     case is logged and falls back to one step inside the far window edge.
@@ -205,26 +218,26 @@ def _lifetime_edges(traj: PathTrajectory, n_dying: int, t_start: float, t_end: f
     if not traj.paths:
         return []
     step = dt / LIFETIME_SAMPLE_DIVISOR
-    n = round((t_end - t_start) / step)
-    offsets = step * np.arange(1, n + 1)
-    is_dying = np.arange(len(traj.paths)) < n_dying
-    times = np.where(is_dying[:, None], t_start + offsets, t_end - offsets)
-    anchors = np.where(is_dying, t_start, t_end)
+    counts = {round(x) for x in ((t_end - t_start) / step).tolist()}
+    if len(counts) != 1:
+        raise ValueError("lifetime windows must be of one length")
+    offsets = step * np.arange(1, counts.pop() + 1)
+    times = np.where(dying[:, None], t_start[:, None] + offsets, t_end[:, None] - offsets)
+    anchors = np.where(dying, t_start, t_end)
     found = _transitions(traj, times, anchors, timer)
     out = []
-    for path, dies, t in zip(traj.paths, is_dying.tolist(), found.tolist()):
+    for path, dies, t, lo, hi in zip(traj.paths, dying.tolist(), found.tolist(),
+                                     t_start.tolist(), t_end.tolist()):
         if not math.isnan(t):
             out.append((t, False))
         elif dies:
             log.warning("edrt: no geometric death found for %s in (%.3f, %.3f]; "
-                        "falling back to window end minus dt",
-                        path.signature, t_start, t_end)
-            out.append((t_end - dt, True))
+                        "falling back to window end minus dt", path.signature, lo, hi)
+            out.append((hi - dt, True))
         else:
             log.warning("edrt: no geometric birth found for %s in [%.3f, %.3f); "
-                        "falling back to window start plus dt",
-                        path.signature, t_start, t_end)
-            out.append((t_start + dt, True))
+                        "falling back to window start plus dt", path.signature, lo, hi)
+            out.append((lo + dt, True))
     return out
 
 
@@ -237,10 +250,11 @@ def death_time(path: Path, scene: Scene, t_start: float, t_end: float,
     crosses its surface boundary (or the image construction collapses),
     refined by bisection; when no geometric cause exists, the earliest
     occlusion onset is used instead.  If neither is found the path dies at
-    t_end - dt and the case is logged as unresolved.
+    t_end - dt and the case is logged as unresolved.  A batch of one
+    window (solve_lifetimes).
     """
-    return _lifetime_edges(PathTrajectory(path, scene, t_start), 1, t_start, t_end, dt,
-                           StageTimer())[0][0]
+    window = MatchedPaths(common=[], dying=[path], born=[], t_start=t_start, t_end=t_end)
+    return solve_lifetimes([window], scene, dt)[0][path.signature].death_time
 
 
 def birth_time(path: Path, scene: Scene, t_start: float, t_end: float,
@@ -252,34 +266,44 @@ def birth_time(path: Path, scene: Scene, t_start: float, t_end: float,
     the latest time the path was not yet on its geometry (or, when it never
     leaves it, the latest occlusion clearing); the path exists from that
     transition onward.  Falls back to t_start + dt when the whole window
-    scans valid.
+    scans valid.  A batch of one window (solve_lifetimes).
     """
-    return _lifetime_edges(PathTrajectory(path, scene, t_start), 0, t_start, t_end, dt,
-                           StageTimer())[0][0]
+    window = MatchedPaths(common=[], dying=[], born=[path], t_start=t_start, t_end=t_end)
+    return solve_lifetimes([window], scene, dt)[0][path.signature].birth_time
 
 
-def solve_lifetimes(matched: MatchedPaths, scene: Scene, t_start: float,
-                    t_end: float, dt: float, timer: StageTimer | None = None,
-                    traj: PathTrajectory | None = None) -> dict:
-    """Lifetime for every path of a round, keyed by signature.
+def solve_lifetimes(windows: list[MatchedPaths], scene: Scene, dt: float,
+                    timer: StageTimer | None = None,
+                    traj: PathTrajectory | None = None) -> list[dict]:
+    """Lifetime of every path of consecutive windows: one dict per window,
+    keyed by signature.
 
-    Common paths live for the whole window; dying and born paths get solved
-    boundary-crossing times, flagged as fallbacks when unresolved.  A timer,
-    when given, counts the (path, time) samples of the scans
-    (lifetime_scan_samples) and of the bisection (lifetime_bisect_samples).
-    traj is the round's trajectory (round_trajectory), built when not given.
+    Common paths live for their whole window; dying and born paths get
+    solved boundary-crossing times, flagged as fallbacks when unresolved.
+    The dying and born paths of every window are scanned and refined in one
+    batch, each over its own window.  A timer, when given, counts the
+    (path, time) samples of the scans (lifetime_scan_samples) and of the
+    bisection (lifetime_bisect_samples).  traj is the windows' trajectory
+    (round_trajectory), built when not given.
     """
     if traj is None:
-        traj = round_trajectory(matched, scene)
-    edges = _lifetime_edges(traj.take(np.arange(len(matched.common), len(traj.paths))),
-                            len(matched.dying), t_start, t_end, dt, timer or StageTimer())
-    lifetimes: dict = {}
-    for pa, _pb in matched.common:
-        lifetimes[pa.signature] = Lifetime(pa, t_start, t_end)
-    for p, (t, fallback) in zip(matched.dying, edges):
-        lifetimes[p.signature] = Lifetime(p, t_start, t, fallback)
-    for p, (t, fallback) in zip(matched.born, edges[len(matched.dying):]):
-        lifetimes[p.signature] = Lifetime(p, t, t_end, fallback)
+        traj = round_trajectory(windows, scene)
+    members = _members(windows)
+    kinds = np.array([kind for _w, _p, kind in members], dtype=str)
+    rows = np.flatnonzero(kinds != "common")
+    bounds = np.array([(windows[w].t_start, windows[w].t_end) for w, _p, _kind in members],
+                      float).reshape(-1, 2)[rows]
+    edges = iter(_lifetime_edges(traj.take(rows), kinds[rows] == "dying", bounds[:, 0],
+                                 bounds[:, 1], dt, timer or StageTimer()))
+    lifetimes: list[dict] = [{} for _ in windows]
+    for w, p, kind in members:
+        m = windows[w]
+        if kind == "common":
+            lifetimes[w][p.signature] = Lifetime(p, m.t_start, m.t_end)
+            continue
+        t, fallback = next(edges)
+        lifetimes[w][p.signature] = (Lifetime(p, m.t_start, t, fallback) if kind == "dying"
+                                     else Lifetime(p, t, m.t_end, fallback))
     return lifetimes
 
 
@@ -428,82 +452,90 @@ def _wedge_arrays(frames, d_in, length_in, d_out, d_inc, totals):
 
 
 # ---------------------------------------------------------------------------
-# Round prediction
+# Prediction over windows
 # ---------------------------------------------------------------------------
 
 class EdrtRound:
-    """Matching, lifetimes and per-instant prediction for one window.
+    """Matching, lifetimes and per-instant prediction for one or more
+    consecutive windows.
 
-    Every path of the round is one row of a PathTrajectory, traj (see
-    round_trajectory; built when not given).  Its field reference is its
-    RT pass's Path, with the chain walk that pass recorded, and lo and hi
-    bound the instants [lo, hi) at which it is present.
+    windows holds each window's MatchedPaths and lifetimes its
+    solve_lifetimes result.  Every path of every window is one row of a
+    PathTrajectory, traj (see round_trajectory; built when not given),
+    window by window, so that a path born in one window and dying in the
+    next has a row in each.  A row's field reference is its RT pass's Path,
+    with the chain walk that pass recorded; window gives each row's window,
+    and lo and hi bound the instants [lo, hi) at which it is present.
     """
 
-    def __init__(self, scene: Scene, matched: MatchedPaths, lifetimes: dict,
+    def __init__(self, scene: Scene, windows: list[MatchedPaths], lifetimes: list[dict],
                  timer: StageTimer | None = None, traj: PathTrajectory | None = None):
         self.scene = scene
-        self.t_start = matched.t_start
-        self.t_end = matched.t_end
         self.timer = timer or StageTimer()
-        self.matched = matched
+        self.windows = windows
         self.lifetimes = lifetimes
-        self.members = ([(pa, "common") for pa, _pb in matched.common]
-                        + [(p, "dying") for p in matched.dying]
-                        + [(p, "born") for p in matched.born])
+        self.members = _members(windows)
         with self.timer.geometry():
-            self.traj = traj if traj is not None else round_trajectory(matched, scene)
-            paths = self.traj.paths
-            self.lo = np.array([lifetimes[p.signature].birth_time if kind == "born"
-                                else -math.inf for p, kind in self.members])
-            self.hi = np.array([lifetimes[p.signature].death_time if kind == "dying"
-                                else math.inf for p, kind in self.members])
-            self.points = [_interaction_points(p.signature) for p in paths]
-            self.rank = signature_ranks(paths)
+            self.traj = traj if traj is not None else round_trajectory(windows, scene)
+            spans = [(lifetimes[w][p.signature], kind) for w, p, kind in self.members]
+            self.window = [w for w, _p, _kind in self.members]
+            self.lo = np.array([lt.birth_time if kind == "born" else -math.inf
+                                for lt, kind in spans])
+            self.hi = np.array([lt.death_time if kind == "dying" else math.inf
+                                for lt, kind in spans])
+            self.points = [_interaction_points(p.signature) for p in self.traj.paths]
+            # a snapshot holds the paths of one window: rank them per window
+            self.rank = [r for w in range(len(windows)) for r in signature_ranks(
+                [p for v, p, _kind in self.members if v == w])]
         self.fallbacks = 0
         self.dropped = 0
 
     @classmethod
-    def from_snapshots(cls, scene: Scene, snap_a: Snapshot, snap_b: Snapshot,
-                       dt: float, timer: StageTimer | None = None) -> "EdrtRound":
+    def from_snapshots(cls, scene: Scene, references: list[Snapshot], dt: float,
+                       timer: StageTimer | None = None) -> "EdrtRound":
+        """The windows between consecutive reference snapshots: one
+        match_paths call per window, then one solve_lifetimes call for all."""
         timer = timer or StageTimer()
         with timer.geometry():
-            matched = match_paths(snap_a, snap_b)
-            traj = round_trajectory(matched, scene)
-            lifetimes = solve_lifetimes(matched, scene, snap_a.time, snap_b.time, dt,
-                                        timer, traj)
-        return cls(scene, matched, lifetimes, timer, traj)
+            windows = [match_paths(a, b) for a, b in zip(references, references[1:])]
+            traj = round_trajectory(windows, scene)
+            lifetimes = solve_lifetimes(windows, scene, dt, timer, traj)
+        return cls(scene, windows, lifetimes, timer, traj)
 
     def lifetime_records(self) -> list[LifetimeRecord]:
+        """One record per row, window by window: common, dying, born."""
         out = []
-        for path, kind in self.members:
-            lt = self.lifetimes[path.signature]
+        for w, path, kind in self.members:
+            lt = self.lifetimes[w][path.signature]
             out.append(LifetimeRecord(signature_str(path.signature),
                                       lt.birth_time, lt.death_time, kind))
         return out
 
     def predict_batch(self, times) -> list[Snapshot]:
-        """Predicted snapshots for several instants of this window.
+        """Predicted snapshots at one row of instants per window, (W, T),
+        or (T,) for a single window; window by window, in time order.
 
-        One geometry_at call resolves every path at every instant and one
-        crossing call gives the round's occlusion and penetration profiles:
-        a transient blockage within the window suppresses a path for that
+        Each path is queried at its own window's instants, so one
+        geometry_at call resolves every path of every window and one
+        crossing call gives their occlusion and penetration profiles: a
+        transient blockage within a window suppresses a path for that
         snapshot only, its lifetime is not affected.  The field
         extrapolation of every included (path, instant) row then runs on the
         arrays in one extrapolate_fields call; the scene is evaluated at an
         instant only for a direct fallback.
         """
-        times = [float(t) for t in times]
-        t_arr = np.array(times)
+        times = np.reshape(np.asarray(times, float), (len(self.windows), -1))
+        n_times = times.shape[1]
+        t_rows = times[self.window]
         batches = []  # (geometry, path rows, time rows, their rows of g, interactions)
         with self.timer.geometry():
-            present = (t_arr >= self.lo[:, None]) & (t_arr < self.hi[:, None])
-            resolved = self.traj.geometry_at(t_arr)
+            present = (t_rows >= self.lo[:, None]) & (t_rows < self.hi[:, None])
+            resolved = self.traj.geometry_at(t_rows)
             rows = [present[g.index] & ~g.failed for g in resolved]
             self.dropped += sum(int(np.count_nonzero(present[g.index] & g.failed))
                                 for g in resolved)
             extra, declared = self.traj.crossings(
-                t_arr, [list(np.moveaxis(g.vertices, 2, 0)) for g in resolved], rows)
+                t_rows, [list(np.moveaxis(g.vertices, 2, 0)) for g in resolved], rows)
             for g, mask in zip(resolved, rows):
                 ip, it = np.nonzero(mask & ~extra[g.index] & declared[g.index])
                 n_pen = np.count_nonzero(g.pen_segments >= 0, axis=1).take(ip)
@@ -512,7 +544,8 @@ class EdrtRound:
                     sub = g.rows(ip[same], it[same])
                     batches.append((g, ip[same].tolist(), it[same].tolist(), sub,
                                     self._interactions(sub)))
-        per_time: list[list[tuple[int, Path]]] = [[] for _ in times]
+        flat_times = times.ravel().tolist()
+        per_time: list[list[tuple[int, Path]]] = [[] for _ in flat_times]
         scenes: dict[int, SceneAtTime] = {}
         with self.timer.field():
             results = iter(extrapolate_fields(
@@ -523,23 +556,24 @@ class EdrtRound:
                 for p, i, k, length, inter, result in zip(
                         ip, it, sub.index.tolist(), sub.total_length.tolist(), interactions,
                         results):
+                    slot = self.window[k] * n_times + i
                     if result is None:
                         self.fallbacks += 1
-                        if i not in scenes:
-                            scenes[i] = scene_at(self.scene, times[i])
+                        if slot not in scenes:
+                            scenes[slot] = scene_at(self.scene, flat_times[slot])
                         try:
                             result = field_of_path(
-                                self.scene, scenes[i],
-                                self.traj.path_geometry(g, p, i, scenes[i]))
+                                self.scene, scenes[slot],
+                                self.traj.path_geometry(g, p, i, scenes[slot]))
                         except ConstructionError:
                             self.dropped += 1
                             continue
                     field2, p_dbm = result
-                    per_time[i].append((self.rank[k], Path(
+                    per_time[slot].append((self.rank[k], Path(
                         signature=self.traj.paths[k].signature, interactions=inter,
                         delay=length / C_LIGHT, field=field2, power_dbm=p_dbm)))
         return [Snapshot(time=t, paths=[path for _rank, path in sorted(ranked)])
-                for t, ranked in zip(times, per_time)]
+                for t, ranked in zip(flat_times, per_time)]
 
     def _interactions(self, rows: TrajectoryGeometry) -> list[list[Interaction]]:
         """The interactions of each row of rows, in signature order."""
@@ -567,59 +601,51 @@ def _interaction_points(signature) -> list[tuple[bool, int]]:
 
 def predict_snapshot_edrt(matched: MatchedPaths, lifetimes: dict, scene: Scene,
                           t: float) -> Snapshot:
-    """Predicted snapshot at time t from matched bracketing snapshots.
+    """Predicted snapshot at time t from matched bracketing snapshots and
+    their lifetimes (one window's solve_lifetimes dict).
 
     Common paths are advanced across the whole window (with a transient
     occlusion check); dying paths are included only before their death time;
     born paths only from their birth time, advanced backward from the window
-    end.  Fields are extrapolated from the reference end of each path.
+    end.  Fields are extrapolated from the reference end of each path.  A
+    batch of one window and one instant (EdrtRound.predict_batch).
     """
-    return EdrtRound(scene, matched, lifetimes).predict_batch([t])[0]
+    return EdrtRound(scene, [matched], [lifetimes]).predict_batch([t])[0]
 
 
 def edrt_run(scene: Scene, config: PredictionConfig,
              timer: StageTimer | None = None) -> RunResult:
-    """Bidirectional prediction over all rounds.
+    """Bidirectional prediction over all windows.
 
-    Round n is bracketed by the reference snapshots at n*t_c (already
-    available from the previous round) and (n+1)*t_c (traced now), so the
-    total number of full ray-tracing passes over N rounds is N + 1: the run
-    merely advances each reference pass one window early.  The returned
+    Window n is bracketed by the reference snapshots at n*t_c and
+    (n+1)*t_c, so a run over N windows makes N + 1 full ray-tracing passes.
+    The run traces every reference pass first and then solves all windows
+    at once (EdrtRound.from_snapshots): one match_paths call per window, one
+    solve_lifetimes call and one predict_batch call for all.  The returned
     sequence covers the closed grid [0, rounds*t_c].
     """
     timer = timer or StageTimer()
-    snapshots: list[Snapshot] = []
-    rt_times: list[float] = []
-    lifetimes_log: list[LifetimeRecord] = []
-    fallbacks = 0
-    lifetime_fallbacks = 0
-    dropped = 0
+    steps = config.steps_per_round
     with timer.total():
-        snap_next = trace_snapshot(scene, 0.0, timer)
-        rt_times.append(0.0)
-        for n in range(config.rounds):
-            snap_a = snap_next
-            t1 = (n + 1) * config.t_c
-            snap_b = trace_snapshot(scene, t1, timer)
-            rt_times.append(t1)
-            rnd = EdrtRound.from_snapshots(scene, snap_a, snap_b, config.dt, timer)
-            lifetimes_log.extend(rnd.lifetime_records())
-            snapshots.append(snap_a)
-            snapshots.extend(rnd.predict_batch(
-                [snap_a.time + j * config.dt
-                 for j in range(1, config.steps_per_round)]))
-            fallbacks += rnd.fallbacks
-            lifetime_fallbacks += sum(lt.fallback for lt in rnd.lifetimes.values())
-            dropped += rnd.dropped
-            snap_next = snap_b
-        snapshots.append(snap_next)
-    if dropped:
-        log.warning("edrt run: dropped %d path instance(s)", dropped)
-    return RunResult(mode="edrt", snapshots=snapshots, rt_times=rt_times,
+        references = [trace_snapshot(scene, n * config.t_c, timer)
+                      for n in range(config.rounds + 1)]
+        rnd = EdrtRound.from_snapshots(scene, references, config.dt, timer)
+        predicted = rnd.predict_batch([[ref.time + j * config.dt for j in range(1, steps)]
+                                       for ref in references[:-1]])
+        snapshots: list[Snapshot] = []
+        for n, ref in enumerate(references[:-1]):
+            snapshots.append(ref)
+            snapshots.extend(predicted[n * (steps - 1):(n + 1) * (steps - 1)])
+        snapshots.append(references[-1])
+    if rnd.dropped:
+        log.warning("edrt run: dropped %d path instance(s)", rnd.dropped)
+    return RunResult(mode="edrt", snapshots=snapshots,
+                     rt_times=[ref.time for ref in references],
                      timing=timer, t_c=config.t_c, dt=config.dt,
                      duration=config.rounds * config.t_c,
                      counters={**timer.counters,
-                               "dropped_paths": dropped,
-                               "direct_fallbacks": fallbacks,
-                               "lifetime_fallbacks": lifetime_fallbacks},
-                     lifetimes=lifetimes_log)
+                               "dropped_paths": rnd.dropped,
+                               "direct_fallbacks": rnd.fallbacks,
+                               "lifetime_fallbacks": sum(lt.fallback for window in rnd.lifetimes
+                                                         for lt in window.values())},
+                     lifetimes=rnd.lifetime_records())

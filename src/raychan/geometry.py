@@ -51,8 +51,11 @@ def unit3(v) -> tuple:
 
 
 def polygon_normal(vertices: np.ndarray) -> np.ndarray:
-    """Outward unit normal of a CCW-ordered planar polygon (Newell's method)."""
+    """Outward unit normal of a CCW-ordered planar polygon (Newell's method
+    on the vertices relative to the first: on absolute coordinates the cross
+    products of a thin facet away from the origin cancel and tilt it)."""
     v = np.asarray(vertices, float)
+    v = v - v[0]
     nxt = np.roll(v, -1, axis=0)
     n = np.sum(np.cross(v, nxt), axis=0)
     return unit(n)

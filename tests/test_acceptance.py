@@ -58,7 +58,7 @@ class TestAcceptance:
                 continue
             geom = scene_at(default_scene, snap.time)
             for p in snap.paths:
-                traj = PathTrajectory(p, default_scene, snap.time)
+                traj = PathTrajectory(p, default_scene)
                 g = traj.geometry_at(snap.time, geom)
                 field2, _ = field_of_path(default_scene, geom, g)
                 direct = float(np.linalg.norm(field2))

@@ -74,7 +74,7 @@ def _per_path_times(times, n_paths):
 @pytest.mark.parametrize("scene, t0, times", CASES, ids=IDS)
 def test_scans_equal_single_path_scans(scene, t0, times):
     paths = _paths(scene, t0)
-    batch = PathTrajectory(paths, scene, t0)
+    batch = PathTrajectory(paths, scene)
     rows = _per_path_times(times, len(paths))
     include = np.arange(len(paths)) % 2 == 0
     for query in (times, rows):
@@ -82,7 +82,7 @@ def test_scans_equal_single_path_scans(scene, t0, times):
         valid = batch.validity_scan(query, include)
         assert geo.shape == full.shape == (len(paths), times.size)
         for p, path in enumerate(paths):
-            single = PathTrajectory(path, scene, t0)
+            single = PathTrajectory(path, scene)
             own = query if query.ndim == 1 else query[p:p + 1]
             g1, f1 = single.existence_scan(own)
             assert np.array_equal(geo[p], g1[0])
@@ -94,7 +94,7 @@ def test_cases_see_transitions():
     """The comparisons above cover paths that stop or start existing."""
     with_transitions = 0
     for scene, t0, times in CASES:
-        _geo, full = PathTrajectory(_paths(scene, t0), scene, t0).existence_scan(times)
+        _geo, full = PathTrajectory(_paths(scene, t0), scene).existence_scan(times)
         with_transitions += not full.all()
     assert with_transitions >= len(CASES) // 2
 
@@ -112,7 +112,7 @@ def test_validity_without_occlusion_is_geometric():
                   frequency=6e9)
     [path] = _paths(scene, 0.0)
     assert [m for m, _gid in path.signature] == [Mechanism.PENETRATION]
-    traj = PathTrajectory(path, scene, 0.0)
+    traj = PathTrajectory(path, scene)
     times = np.linspace(0.0, 1.0, 41)
     geo, full = traj.existence_scan(times)
     assert geo.all() and not full.all()
@@ -123,7 +123,7 @@ def test_validity_without_occlusion_is_geometric():
 @pytest.mark.parametrize("scene, t0, times", CASES, ids=IDS)
 def test_geometry_equals_single_path_geometry(scene, t0, times):
     paths = _paths(scene, t0)
-    batch = PathTrajectory(paths, scene, t0)
+    batch = PathTrajectory(paths, scene)
     rows = _per_path_times(times, len(paths))
     for query in (times, rows):
         resolved = batch.geometry_at(query)
@@ -132,7 +132,7 @@ def test_geometry_equals_single_path_geometry(scene, t0, times):
         for g in resolved:
             for p, k in enumerate(g.index):
                 own = query if query.ndim == 1 else query[k:k + 1]
-                [one] = PathTrajectory(paths[k], scene, t0).geometry_at(own)
+                [one] = PathTrajectory(paths[k], scene).geometry_at(own)
                 for field in ("vertices", "pen_points", "pen_params", "seg_lengths",
                               "total_length", "failed"):
                     got = getattr(g, field)[p]
@@ -147,7 +147,7 @@ def test_geometry_equals_single_path_geometry(scene, t0, times):
 def test_geometry_is_the_rt_construction(scene, t0, times):
     """Wherever solve_backbone constructs, geometry_at returns its geometry."""
     paths = _paths(scene, t0)
-    batch = PathTrajectory(paths, scene, t0)
+    batch = PathTrajectory(paths, scene)
     resolved = batch.geometry_at(times)
     compared = 0
     for i, t in enumerate(times.tolist()):

@@ -49,7 +49,7 @@ class TestInteractionTrajectory:
         scene = _paper_reflection_scene(v_y=0.0)
         snap = trace_snapshot(scene, 0.0)
         path = snap.by_signature()[((Mechanism.REFLECTION, "pi"),)]
-        traj = PathTrajectory(path, scene, 0.0)
+        traj = PathTrajectory(path, scene)
         p0 = traj.geometry_at(0.0).interactions()[0].point
         for t in (0.5, 3.0, 9.0):
             assert np.allclose(traj.geometry_at(t).interactions()[0].point, p0,
@@ -59,7 +59,7 @@ class TestInteractionTrajectory:
         scene = _paper_reflection_scene(v_y=2.0)
         snap = trace_snapshot(scene, 0.0)
         path = snap.by_signature()[((Mechanism.REFLECTION, "pi"),)]
-        traj = PathTrajectory(path, scene, 0.0)
+        traj = PathTrajectory(path, scene)
         h = 1e-4
         p_minus = traj.geometry_at(1.0 - h).interactions()[0].point
         p_plus = traj.geometry_at(1.0 + h).interactions()[0].point
@@ -73,7 +73,7 @@ class TestInteractionTrajectory:
                    if sum(m is Mechanism.REFLECTION for m, _ in p.signature) == 2]
         assert doubles, "corridor should produce zig-zag paths"
         path = doubles[0]
-        traj = PathTrajectory(path, scene, 0.0)
+        traj = PathTrajectory(path, scene)
         for t in np.arange(0.0, 1.0, 0.01):
             ref = trace_snapshot(scene, float(t)).by_signature().get(path.signature)
             assert ref is not None
@@ -91,7 +91,7 @@ class TestInteractionTrajectory:
                     tx_motion=scene.tx_motion,
                     rx_motion=Motion((MotionState(r0=[0, 6, 5.0], v0=[0, 0, -2]),)),
                     frequency=6e9)
-        traj = PathTrajectory(path, bad, 0.0)
+        traj = PathTrajectory(path, bad)
         from raychan import ConstructionError
         with pytest.raises(ConstructionError):
             traj.geometry_at(4.0)

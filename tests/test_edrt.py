@@ -12,6 +12,7 @@ from raychan import (
     PathTrajectory,
     PredictionConfig,
     Scene,
+    StageTimer,
     birth_time,
     death_time,
     edrt_run,
@@ -20,10 +21,12 @@ from raychan import (
     make_path,
     match_paths,
     predict_snapshot_edrt,
+    random_scene,
     scene_at,
     solve_lifetimes,
     trace_snapshot,
 )
+from raychan.edrt import EdrtRound
 from raychan.rt import Mechanism, Path, Snapshot
 
 
@@ -128,7 +131,7 @@ class TestLifetimes:
         path = snap_b.by_signature()[sig]
         birth = birth_time(path, scene, 0.0, 1.0, dt=0.1)
         # per-point entry instants from the trajectory's polygon containment
-        traj = PathTrajectory(path, scene, 1.0)
+        traj = PathTrajectory(path, scene)
         entries = []
         for idx in (0, 1):
             entered = None
@@ -151,7 +154,7 @@ class TestLifetimes:
         path = trace_snapshot(scene, 0.0).by_signature()[sig]
         m = MatchedPaths(common=[], dying=[path], born=[], t_start=0.0, t_end=1.0)
         with caplog.at_level("WARNING", logger="raychan.edrt"):
-            lifetimes = solve_lifetimes(m, scene, 0.0, 1.0, 0.1)
+            lifetimes = solve_lifetimes([m], scene, 0.1)[0]
         assert sum(lt.fallback for lt in lifetimes.values()) == 1
         assert lifetimes[sig].death_time == pytest.approx(0.9)
         assert [r.getMessage()[:24] for r in caplog.records] == \
@@ -204,7 +207,7 @@ class TestPredictSnapshotEdrt:
         a = trace_snapshot(default_scene, 1.0)
         b = trace_snapshot(default_scene, 2.0)
         m = match_paths(a, b)
-        lifetimes = solve_lifetimes(m, default_scene, 1.0, 2.0, 0.1)
+        lifetimes = solve_lifetimes([m], default_scene, 0.1)[0]
         pred = predict_snapshot_edrt(m, lifetimes, default_scene, 1.0)
         assert pred.signature_set() == a.signature_set()
         a_by = a.by_signature()
@@ -217,7 +220,7 @@ class TestPredictSnapshotEdrt:
         a = trace_snapshot(scene, 0.0)
         b = trace_snapshot(scene, 2.0)
         m = match_paths(a, b)
-        lifetimes = solve_lifetimes(m, scene, 0.0, 2.0, 0.1)
+        lifetimes = solve_lifetimes([m], scene, 0.1)[0]
         sig = ((Mechanism.REFLECTION, "pi"),)
         assert sig in {p.signature for p in m.born}
         before = predict_snapshot_edrt(m, lifetimes, scene, 0.5)
@@ -233,7 +236,7 @@ class TestPredictSnapshotEdrt:
         b = trace_snapshot(scene, 2.0)
         assert sig in a.signature_set() and sig not in b.signature_set()
         m = match_paths(a, b)
-        lifetimes = solve_lifetimes(m, scene, 0.0, 2.0, 0.1)
+        lifetimes = solve_lifetimes([m], scene, 0.1)[0]
         death = lifetimes[sig].death_time
         early = predict_snapshot_edrt(m, lifetimes, scene, death - 0.05)
         late = predict_snapshot_edrt(m, lifetimes, scene, death + 0.05)
@@ -245,7 +248,7 @@ def _geometry_of(scene, t, sig):
     geom = scene_at(scene, t)
     snap = trace_snapshot(scene, t)
     path = snap.by_signature()[sig]
-    traj = PathTrajectory(path, scene, t)
+    traj = PathTrajectory(path, scene)
     return geom, traj.geometry_at(t, geom), path
 
 
@@ -335,7 +338,7 @@ class TestFieldExtrapolationOps:
         snap = trace_snapshot(default_scene, t_ref)
         count = 0
         for path in snap.paths:
-            traj = PathTrajectory(path, default_scene, t_ref)
+            traj = PathTrajectory(path, default_scene)
             for t in t_ref + rng.uniform(0.01, 0.99, size=3):
                 geom = scene_at(default_scene, float(t))
                 try:
@@ -410,7 +413,7 @@ class TestEdrtRun:
         a = trace_snapshot(default_scene, 2.0)
         b = trace_snapshot(default_scene, 3.0)
         m = match_paths(a, b)
-        lifetimes = solve_lifetimes(m, default_scene, 2.0, 3.0, 0.1)
+        lifetimes = solve_lifetimes([m], default_scene, 0.1)[0]
         t_last = 3.0 - 0.05
         pred = predict_snapshot_edrt(m, lifetimes, default_scene, t_last)
         for p in m.born:
@@ -419,3 +422,95 @@ class TestEdrtRun:
         for p in m.dying:
             if lifetimes[p.signature].death_time <= t_last:
                 assert p.signature not in pred.signature_set()
+
+
+def _snapshot_bytes(snap):
+    """Everything a snapshot holds, with its floats as bytes."""
+    return (np.float64(snap.time).tobytes(),
+            [(p.signature, np.float64(p.delay).tobytes(), np.float64(p.power_dbm).tobytes(),
+              np.asarray(p.field).tobytes(),
+              [(i.mechanism, i.geometry_id, np.asarray(i.point).tobytes())
+               for i in p.interactions]) for p in snap.paths])
+
+
+def _records(records):
+    return [(r.signature, np.float64(r.birth_s).tobytes(), np.float64(r.death_s).tobytes(),
+             r.classification) for r in records]
+
+
+COUNTERS = ("lifetime_scan_samples", "lifetime_bisect_samples", "lifetime_fallbacks",
+            "dropped_paths", "direct_fallbacks")
+
+
+def _window_by_window(scene, run, cfg):
+    """The run's predictions, lifetime records and counters solved one
+    window at a time from the run's own reference snapshots."""
+    references = [run.snapshot_at(t) for t in run.rt_times]
+    snapshots, records = [], []
+    counters = dict.fromkeys(COUNTERS, 0)
+    for a, b in zip(references, references[1:]):
+        timer = StageTimer()
+        rnd = EdrtRound.from_snapshots(scene, [a, b], cfg.dt, timer)
+        snapshots.append(a)
+        snapshots.extend(rnd.predict_batch(
+            [a.time + j * cfg.dt for j in range(1, cfg.steps_per_round)]))
+        records.extend(rnd.lifetime_records())
+        for name, n in timer.counters.items():
+            counters[name] += n
+        counters["lifetime_fallbacks"] += sum(lt.fallback for lt in rnd.lifetimes[0].values())
+        counters["dropped_paths"] += rnd.dropped
+        counters["direct_fallbacks"] += rnd.fallbacks
+    snapshots.append(references[-1])
+    return snapshots, records, counters
+
+
+def _assert_run_is_window_by_window(scene, run, cfg):
+    snapshots, records, counters = _window_by_window(scene, run, cfg)
+    assert [_snapshot_bytes(s) for s in run.snapshots] == [_snapshot_bytes(s) for s in snapshots]
+    assert _records(run.lifetimes) == _records(records)
+    assert {name: run.counters.get(name, 0) for name in COUNTERS} == counters
+    return records
+
+
+class TestRunLevel:
+    """edrt_run solves every window at once; each window alone must give
+    the same bytes."""
+
+    def test_default_run_equals_window_by_window(self, default_scene, edrt_default):
+        cfg = PredictionConfig(t_c=1.0, dt=0.1, rounds=6)
+        records = _assert_run_is_window_by_window(default_scene, edrt_default, cfg)
+        assert sum(r.classification != "common" for r in records) >= 20
+        assert edrt_default.counters["lifetime_scan_samples"] > 0
+
+    def test_random_runs_equal_window_by_window(self):
+        cfg = PredictionConfig(t_c=1.0, dt=0.1, rounds=3)
+        changing = 0
+        for seed in range(12):
+            scene = random_scene(seed)
+            records = _assert_run_is_window_by_window(scene, edrt_run(scene, cfg), cfg)
+            changing += sum(r.classification != "common" for r in records)
+        assert changing >= 10
+
+    def test_path_born_in_one_window_and_dying_in_the_next(self):
+        # the specular point of a reflection on the strip 4 <= y <= 6 enters
+        # it at t = 0.75 (window [0, 2]) and leaves it at t = 2.75 (window
+        # [2, 4]);
+        # the reference pass at t = 2 holds the one Path of both windows
+        strip = Facet(id="pi", vertices=np.array(
+            [[-20, 4, 0], [20, 4, 0], [20, 6, 0], [-20, 6, 0]], float))
+        scene = Scene(facets=(strip,), edges=(),
+                      tx_motion=Motion.stationary([0, 0, 5.0]),
+                      rx_motion=Motion((MotionState(r0=[0, 6.5, 5.0], v0=[0, 2.0, 0]),)),
+                      frequency=6e9)
+        cfg = PredictionConfig(t_c=2.0, dt=0.5, rounds=2)
+        run = edrt_run(scene, cfg)
+        [born, dying] = [r for r in run.lifetimes if r.classification != "common"]
+        assert (born.classification, dying.classification) == ("born", "dying")
+        assert born.signature == dying.signature
+        assert abs(born.birth_s - 0.75) <= 1e-6 and born.death_s == 2.0
+        assert dying.birth_s == 2.0 and abs(dying.death_s - 2.75) <= 1e-6
+        sig = ((Mechanism.REFLECTION, "pi"),)
+        present = [sig in snap.signature_set() for snap in run.snapshots]
+        assert present == [False, False, True, True, True, True, False, False, False]
+        assert run.counters["lifetime_fallbacks"] == 0
+        _assert_run_is_window_by_window(scene, run, cfg)

@@ -20,6 +20,7 @@ from raychan import (
     save_scene,
     scene_at,
 )
+from raychan.geometry import polygon_normal
 
 NAN = float("nan")
 INF = float("inf")
@@ -146,6 +147,35 @@ class TestSceneAt:
         g0, g1 = scene_at(sc, 0.0), scene_at(sc, 0.1)
         assert np.linalg.norm(g1.tx - g0.tx) == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.norm(g1.rx - g0.rx) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestFacetNormal:
+    """Newell's method runs on the vertices relative to the first one, so a
+    facet's normal does not depend on where it sits."""
+
+    def test_thin_oblique_needle_on_a_plane(self):
+        # 1e-5 m x 2 m, oblique within y = -5: on absolute coordinates its
+        # normal tilted by about 2e-11
+        along = np.array([math.cos(0.7), 0.0, math.sin(0.7)])
+        out = np.array([-along[2], 0.0, along[0]])
+        corner = np.array([1.3, -5.0, 0.9])
+        needle = np.array([corner, corner - 2.0 * out,
+                           corner - 2.0 * out + 1e-5 * along, corner + 1e-5 * along])
+        needle[:, 1] = -5.0
+        assert Facet(id="needle", vertices=needle).normal.tolist() == [0.0, -1.0, 0.0]
+
+    def test_translated_copy_has_the_same_normal(self):
+        # thin quads on a 2**-20 grid moved by multiples of 2**10: the copies'
+        # vertices are exact, and so are their differences
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            corner, u = rng.normal(size=3), 2.0 * rng.normal(size=3)
+            w = np.cross(u, rng.normal(size=3))
+            w *= 1e-3 / np.linalg.norm(w)
+            quad = np.round(np.array([corner, corner + u, corner + u + w, corner + w])
+                            * 2.0 ** 20) / 2.0 ** 20
+            shift = rng.integers(-1000, 1000, size=3) * 1024.0
+            assert np.array_equal(polygon_normal(quad + shift), polygon_normal(quad))
 
 
 class TestPointInFacet:
