@@ -50,54 +50,44 @@ def unit3(v) -> tuple:
     return (v[0] / n, v[1] / n, v[2] / n)
 
 
-def polygon_normal(vertices: np.ndarray) -> np.ndarray:
-    """Outward unit normal of a CCW-ordered planar polygon (Newell's method
-    on the vertices relative to the first: on absolute coordinates the cross
-    products of a thin facet away from the origin cancel and tilt it)."""
-    v = np.asarray(vertices, float)
-    v = v - v[0]
-    nxt = np.roll(v, -1, axis=0)
-    n = np.sum(np.cross(v, nxt), axis=0)
-    return unit(n)
+POLYGON_FAILURES = ("vertices must be finite", "polygon has zero area",
+                    "polygon vertices are not coplanar within tolerance",
+                    "polygon is not convex / not CCW around its normal",
+                    "polygon has a zero-length edge")
 
 
-def check_planar_convex(vertices: np.ndarray, tol: float = COPLANAR_TOL) -> np.ndarray:
-    """Validate planarity and convexity; returns the outward unit normal."""
-    v = np.asarray(vertices, float)
-    if v.ndim != 2 or v.shape[0] < 3 or v.shape[1] != 3:
-        raise ValueError("polygon needs >= 3 vertices of dimension 3")
-    n = polygon_normal(v)
-    d = v @ n
-    if np.max(d) - np.min(d) > tol:
-        raise ValueError("polygon vertices are not coplanar within tolerance")
-    edges = np.roll(v, -1, axis=0) - v
-    turns = np.cross(edges, np.roll(edges, -1, axis=0)) @ n
-    scale = np.max(np.linalg.norm(edges, axis=1)) ** 2
-    if np.any(turns < -tol * scale):
-        raise ValueError("polygon is not convex / not CCW around its normal")
-    return n
+def polygon_frames(v: np.ndarray):
+    """(unit normals (F, 3), inward unit edge normals (F, V, 3), index into
+    POLYGON_FAILURES of the first failed check or -1 (F,)) of the polygons v,
+    (F, V, 3).  Newell's normal sums on the vertices relative to the first:
+    on absolute ones a thin facet far from the origin tilts.
+    """
+    with np.errstate(all="ignore"):
+        rel = v - v[:, :1]
+        n = np.sum(np.cross(rel, np.roll(rel, -1, axis=1)), axis=1)
+        length = np.sqrt(np.vecdot(n, n))
+        n = n / length[:, None]
+        edges = np.roll(v, -1, axis=1) - v
+        turns = np.vecdot(np.cross(edges, np.roll(edges, -1, axis=1)), n[:, None, :])
+        scale = np.max(np.linalg.norm(edges, axis=-1), axis=1) ** 2
+        inward = np.cross(n[:, None, :], edges)
+        inward_len = np.linalg.norm(inward, axis=-1)
+        inward /= inward_len[..., None]
+        failed = np.stack([~np.isfinite(v).all(axis=(1, 2)), ~(length >= UNIT_TOL),
+                           np.ptp(np.vecdot(v, n[:, None, :]), axis=1) > COPLANAR_TOL,
+                           np.any(turns < -COPLANAR_TOL * scale[:, None], axis=1),
+                           np.any(~(inward_len >= UNIT_TOL), axis=1)], axis=1)
+    return n, inward, np.where(failed.any(axis=1), failed.argmax(axis=1), -1)
 
 
-def polygon_edge_frames(vertices: np.ndarray, normal: np.ndarray):
-    """Per-edge origin and inward (in-plane) unit normal of a convex polygon."""
-    v = np.asarray(vertices, float)
-    edges = np.roll(v, -1, axis=0) - v
-    inward = np.cross(normal, edges)
-    inward /= np.linalg.norm(inward, axis=1)[:, None]
-    return v, inward
-
-
-def signed_boundary_distance(p, vertices, normal, inward=None) -> float:
+def signed_boundary_distance(p, vertices, inward) -> float:
     """Signed in-plane distance from p to the polygon boundary.
 
     Positive inside, negative outside; magnitude is the distance to the
-    nearest boundary point.  p is assumed to lie on the polygon plane.
-    Precomputed per-edge inward normals may be passed to skip the frame
-    construction (they are invariant under rigid translation).
+    nearest boundary point.  p is assumed to lie on the polygon plane, and
+    inward holds the polygon's inward edge normals (see polygon_frames).
     """
     v = np.asarray(vertices, float)
-    if inward is None:
-        _origins, inward = polygon_edge_frames(v, normal)
     d = np.einsum("ij,ij->i", p - v, inward)
     d_min = float(np.min(d))
     if d_min >= 0.0:

@@ -31,6 +31,10 @@ Facet motion states describe the entity's reference-point trajectory; vertices
 are displaced by position(t) - position(0).  Edges move with their first
 adjacent facet, so the two facets sharing an edge must translate together;
 a scene whose edge joins facets that move differently is rejected.
+
+`load_scene` validates and frames all facets in one array pass, one
+`polygon_frames` call per vertex count, and names the first invalid facet in
+file order; facets with equal motion or material entries share one object.
 """
 
 from __future__ import annotations
@@ -44,8 +48,8 @@ import numpy as np
 
 from .geometry import (
     COPLANAR_TOL,
-    check_planar_convex,
-    polygon_edge_frames,
+    POLYGON_FAILURES,
+    polygon_frames,
     signed_boundary_distance,
 )
 from .motion import Motion, MotionState
@@ -87,17 +91,38 @@ class Facet:
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=float)
-        object.__setattr__(self, "vertices", v)
-        if not np.all(np.isfinite(v)):
-            raise SceneError(f"facet {self.id!r}: vertices must be finite")
-        try:
-            object.__setattr__(self, "normal", check_planar_convex(v))
-        except ValueError as exc:
-            raise SceneError(f"facet {self.id!r}: {exc}") from exc
-        _origins, inward = polygon_edge_frames(v, self.normal)
-        object.__setattr__(self, "edge_inward", inward)
-        if not np.isfinite(self.thickness) or self.thickness <= 0.0:
-            raise SceneError(f"facet {self.id!r}: thickness must be finite and positive")
+        (normal,), (inward,) = _facet_frames([self.id], [v], [self.thickness])
+        for name, value in zip(("vertices", "normal", "edge_inward"), (v, normal, inward)):
+            object.__setattr__(self, name, value)
+
+
+FACET_FAILURES = ("polygon needs >= 3 vertices of dimension 3", *POLYGON_FAILURES,
+                  "thickness must be finite and positive")
+
+
+def _facet_frames(ids, vertices, thickness):
+    """(normals, edge_inward) of facets given as parallel sequences, from
+    one polygon_frames call per vertex count.  Raises SceneError naming the
+    first invalid facet and its first failed check (FACET_FAILURES).
+    """
+    first = np.where(np.isfinite(thickness) & np.greater(thickness, 0.0), -1,
+                     len(FACET_FAILURES) - 1)
+    by_count: dict[int, list[int]] = {}
+    for i, v in enumerate(vertices):
+        if v.ndim == 2 and v.shape[0] >= 3 and v.shape[1] == 3:
+            by_count.setdefault(len(v), []).append(i)
+        else:
+            first[i] = 0
+    normals, inward = [None] * len(ids), [None] * len(ids)
+    for rows in by_count.values():
+        n, e, failed = polygon_frames(np.stack([vertices[i] for i in rows]))
+        first[rows] = np.where(failed >= 0, failed + 1, first[rows])
+        for k, i in enumerate(rows):
+            normals[i], inward[i] = n[k], e[k]
+    bad = np.flatnonzero(first >= 0)
+    if bad.size:
+        raise SceneError(f"facet {ids[bad[0]]!r}: {FACET_FAILURES[first[bad[0]]]}")
+    return normals, inward
 
 
 @dataclass(frozen=True)
@@ -206,8 +231,7 @@ class FacetAtTime:
 
     def boundary_distance(self, p: np.ndarray) -> float:
         """Signed in-plane distance to the polygon boundary (+ inside)."""
-        return signed_boundary_distance(p, self.vertices, self.normal,
-                                        inward=self.edge_inward)
+        return signed_boundary_distance(p, self.vertices, self.edge_inward)
 
 
 @dataclass
@@ -374,19 +398,14 @@ def point_in_facet(p: np.ndarray, f: FacetAtTime, plane_tol: float = COPLANAR_TO
 # Scene file I/O
 # ---------------------------------------------------------------------------
 
-def _motion_from_json(obj) -> Motion:
-    segs = obj.get("motion_segments")
+def _motion_from_json(segs) -> Motion:
     if not segs:
         raise SceneError("missing motion_segments")
-    states = []
-    for s in segs:
-        states.append(MotionState(
-            r0=np.asarray(s.get("r0", [0.0, 0.0, 0.0]), float),
-            v0=np.asarray(s.get("v0", [0.0, 0.0, 0.0]), float),
-            a0=np.asarray(s.get("a0", [0.0, 0.0, 0.0]), float),
-            t_ref=float(s.get("t_ref", 0.0)),
-        ))
-    return Motion(tuple(states))
+    return Motion(tuple(MotionState(
+        r0=np.asarray(s.get("r0", [0.0, 0.0, 0.0]), float),
+        v0=np.asarray(s.get("v0", [0.0, 0.0, 0.0]), float),
+        a0=np.asarray(s.get("a0", [0.0, 0.0, 0.0]), float),
+        t_ref=float(s.get("t_ref", 0.0))) for s in segs))
 
 
 def _motion_to_json(m: Motion):
@@ -407,37 +426,47 @@ def _material_from_json(obj) -> Material:
 
 
 def load_scene(path) -> Scene:
+    """Read a scene file.  One array pass validates and frames every facet,
+    naming the first invalid one in file order; facets share one Motion per
+    distinct motion_segments entry and one Material per material entry.
+    """
     try:
         doc = json.loads(FilePath(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise SceneError(f"cannot read scene file {path}: {exc}") from exc
+    cache: dict = {}
+
+    def shared(build, entry):   # build(entry) once per distinct entry
+        key = (build, repr(entry))
+        return cache[key] if key in cache else cache.setdefault(key, build(entry))
+
     try:
-        facets = []
+        rows, failure = [], None
         for f in doc.get("facets", []):
-            facets.append(Facet(
-                id=str(f["id"]),
-                vertices=np.asarray(f["vertices"], float),
-                material=_material_from_json(f.get("material")),
-                motion=_motion_from_json(f) if f.get("motion_segments")
-                else Motion.stationary(np.zeros(3)),
-                thickness=float(f.get("thickness_m", DEFAULT_THICKNESS)),
-            ))
-        edges = []
-        for e in doc.get("edges", []):
-            edges.append(Edge(
-                id=str(e["id"]),
-                endpoints=np.asarray(e["endpoints"], float),
-                adjacent_facets=tuple(e["adjacent_facets"]),
-                exterior_wedge_angle=float(e["exterior_wedge_angle"]),
-            ))
-        return Scene(
-            facets=tuple(facets),
-            edges=tuple(edges),
-            tx_motion=_motion_from_json(doc["tx"]),
-            rx_motion=_motion_from_json(doc["rx"]),
-            frequency=float(doc["frequency_hz"]),
-            tx_power_dbm=float(doc.get("tx_power_dbm", 30.0)),
-        )
+            try:   # a facet without motion_segments rests at the origin
+                rows.append((str(f["id"]), np.asarray(f["vertices"], float),
+                             shared(_material_from_json, f.get("material")),
+                             shared(_motion_from_json, f.get("motion_segments") or [{}]),
+                             float(f.get("thickness_m", DEFAULT_THICKNESS))))
+            except (KeyError, TypeError, ValueError) as exc:
+                failure = exc   # raised unless an earlier facet is invalid
+                break
+        ids, vertices, materials, motions, thickness = list(zip(*rows)) or [()] * 5
+        normals, inward = _facet_frames(ids, vertices, thickness)
+        if failure is not None:
+            raise failure
+        facets = []
+        for fields in zip(ids, vertices, materials, motions, thickness, normals, inward):
+            facets.append(object.__new__(Facet))   # validated by _facet_frames
+            for name, value in zip(Facet.__dataclass_fields__, fields):
+                object.__setattr__(facets[-1], name, value)
+        edges = [Edge(str(e["id"]), e["endpoints"], e["adjacent_facets"],
+                      float(e["exterior_wedge_angle"])) for e in doc.get("edges", [])]
+        return Scene(facets=facets, edges=edges,
+                     tx_motion=_motion_from_json(doc["tx"].get("motion_segments")),
+                     rx_motion=_motion_from_json(doc["rx"].get("motion_segments")),
+                     frequency=float(doc["frequency_hz"]),
+                     tx_power_dbm=float(doc.get("tx_power_dbm", 30.0)))
     except SceneError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

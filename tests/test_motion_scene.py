@@ -20,7 +20,7 @@ from raychan import (
     save_scene,
     scene_at,
 )
-from raychan.geometry import polygon_normal
+from raychan.geometry import polygon_frames
 
 NAN = float("nan")
 INF = float("inf")
@@ -175,7 +175,8 @@ class TestFacetNormal:
             quad = np.round(np.array([corner, corner + u, corner + u + w, corner + w])
                             * 2.0 ** 20) / 2.0 ** 20
             shift = rng.integers(-1000, 1000, size=3) * 1024.0
-            assert np.array_equal(polygon_normal(quad + shift), polygon_normal(quad))
+            normals = polygon_frames(np.stack([quad + shift, quad]))[0]
+            assert np.array_equal(normals[0], normals[1])
 
 
 class TestPointInFacet:
