@@ -16,12 +16,7 @@ from .coefficients import (
     transmission_coefficient,
     utd_coefficient,
 )
-from .drt import (
-    PathTrajectory,
-    PredictionConfig,
-    drt_run,
-    predict_snapshot_drt,
-)
+from .drt import PathTrajectory, drt_run, predict_snapshot_drt
 from .edrt import (
     Lifetime,
     MatchedPaths,
@@ -56,7 +51,7 @@ from .rt import (
     signature_str,
     trace_snapshot,
 )
-from .runs import RunResult, StageTimer, oracle_run, rt_run, time_grid
+from .runs import PredictionConfig, RunResult, StageTimer, oracle_run, rt_run, time_grid
 from .scene import (
     Edge,
     Facet,

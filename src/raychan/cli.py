@@ -20,10 +20,10 @@ import sys
 from pathlib import Path as FilePath
 
 from . import io as artifact_io
-from .drt import PredictionConfig, drt_run
+from .drt import drt_run
 from .edrt import edrt_run
 from .metrics import error_report, pdp_extract
-from .runs import RunResult, oracle_run, rt_run
+from .runs import PredictionConfig, RunResult, oracle_run, rt_run
 from .scene import Scene, SceneError, load_scene, save_scene
 from .scenario import generate_v2v_scenario
 

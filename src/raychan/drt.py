@@ -1,29 +1,32 @@
 """Baseline dynamic ray tracing: geometry extrapolation with frozen structure.
 
 Within each prediction window the multipath structure found by the reference
-ray-tracing pass is kept fixed; only the interaction points are moved.  The
-reference paths of a round form one batched PathTrajectory, grouped inside
-by backbone shape (line of sight, one or two reflections, or one
-diffraction, each path with or without a penetration).  A round resolves
-every path at all of its prediction instants in one call, as arrays over
-(paths x times), one kernel per shape: the exact geometric construction is
-re-solved against the scene displaced to each query time, which is exact
-for the polynomial motion model.  The constructions are the RT pass's own
-kernels: rt.reflection_chains (the image cascade), rt.fermat_points (the
-diffraction point) and rt.slab_crossings (the penetrations), and
-rt.path_geometry_of assembles a row's PathGeometry.  Fields are then
-computed directly, path by path (make_path is DRT's field stage).  A
-reflection point is allowed to slide off its facet and a stale line-of-sight
-path is kept when it becomes blocked: those are the documented error modes
-of the approach, resolved only by the next reference pass.  E-DRT reuses the
-same kernel for its lifetime scans, its bisection and its predictions.
+ray-tracing pass at its start is kept fixed; only the interaction points are
+moved.  A run follows the schedule it shares with E-DRT
+(runs.prediction_run): it traces its N + 1 reference passes first.  Then
+every path of every window's start pass is one row of one batched
+PathTrajectory, grouped inside by backbone shape (line of sight, one or two
+reflections, or one diffraction, each path with or without a penetration),
+and one call resolves every row at its own window's prediction instants, as
+arrays over (rows x times), one kernel per shape: the exact geometric
+construction is re-solved against the scene displaced to each query time,
+which is exact for the polynomial motion model.  WindowRows keeps each row's
+window and assembles the predicted snapshots, for E-DRT as well.  The
+constructions are the RT pass's own kernels: rt.reflection_chains (the image
+cascade), rt.fermat_points (the diffraction point) and rt.slab_crossings
+(the penetrations), and rt.path_geometry_of assembles a row's PathGeometry.
+Fields are then computed directly, path by path (make_path is DRT's field
+stage).  A reflection point is allowed to slide off its facet and a stale
+line-of-sight path is kept when it becomes blocked: those are the documented
+error modes of the approach, resolved only by the next reference pass.
+E-DRT reuses the same kernel for its lifetime scans, its bisection and its
+predictions.
 """
 
 from __future__ import annotations
 
 import copy
 import logging
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -44,32 +47,11 @@ from .rt import (
     reflection_chains,
     signature_sort_key,
     slab_crossings,
-    trace_snapshot,
 )
-from .runs import RunResult, StageTimer
+from .runs import PredictionConfig, RunResult, StageTimer, prediction_run
 from .scene import Scene, SceneAtTime, scene_at
 
 log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class PredictionConfig:
-    t_c: float      # extrapolation window between full RT passes, s
-    dt: float       # prediction step, s
-    rounds: int
-
-    def __post_init__(self):
-        if not 0.0 < self.dt < self.t_c:
-            raise ValueError("need 0 < dt < t_c")
-        steps = self.t_c / self.dt
-        if abs(steps - round(steps)) > 1e-9:
-            raise ValueError("t_c must be an integer multiple of dt")
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
-
-    @property
-    def steps_per_round(self) -> int:
-        return round(self.t_c / self.dt)
 
 
 def shape_of(signature) -> tuple:
@@ -477,46 +459,78 @@ class PathTrajectory:
         return np.where(np.reshape(include_occlusion, (-1, 1)), full_ok, geo_ok)
 
 
-def signature_ranks(paths) -> list[int]:
-    """Each path's place in a snapshot's signature order."""
-    order = sorted(range(len(paths)), key=lambda k: signature_sort_key(paths[k].signature))
-    rank = [0] * len(paths)
-    for position, k in enumerate(order):
-        rank[k] = position
-    return rank
+class WindowRows:
+    """The rows of a run-level PathTrajectory, one per (window, path), and
+    the predicted snapshots they fill.
 
-
-def _advance(traj: PathTrajectory, scene: Scene, times,
-             timer: StageTimer) -> tuple[list[Snapshot], int]:
-    """Snapshots of every path of traj re-solved at times, and the number of
-    path instances dropped.
-
-    One geometry_at call covers all shapes and instants.  Paths whose
-    geometric construction fails outright are dropped; fields are recomputed
-    directly from the advanced geometry, path by path.
+    window gives each row's window and rank its place in the signature
+    order of all rows: a predicted snapshot holds one window's paths, whose
+    signatures differ, in that order.  drt_run has a row per path of each
+    window's start pass, edrt_run one per common, dying and born path of
+    each window.
     """
-    times = [float(t) for t in times]
+
+    def __init__(self, members):
+        """members: (window, path) pairs."""
+        self.paths = [p for _w, p in members]
+        self.window = np.array([w for w, _p in members], dtype=int)
+        order = sorted(range(len(self.paths)),
+                       key=lambda k: signature_sort_key(self.paths[k].signature))
+        self.rank = [0] * len(order)
+        for position, k in enumerate(order):
+            self.rank[k] = position
+
+    def snapshots(self, times: np.ndarray, placed) -> list[Snapshot]:
+        """The snapshots at times (W, T), window by window, in time order.
+        placed holds (row, instant index, Path) for every predicted path."""
+        n_times, window = times.shape[1], self.window.tolist()
+        slots: list[list[tuple]] = [[] for _ in range(times.size)]
+        for k, i, path in placed:
+            slots[window[k] * n_times + i].append((self.rank[k], path))
+        return [Snapshot(time=t, paths=[path for _rank, path in sorted(slot)])
+                for t, slot in zip(times.ravel().tolist(), slots)]
+
+
+def _advance(rows: WindowRows, scene: Scene, times, timer: StageTimer) -> list[Snapshot]:
+    """Snapshots of every row of rows re-solved at its window's instants,
+    times (W, T), window by window.
+
+    One PathTrajectory holds every row, and one geometry_at call resolves
+    each row at times[window].  Paths whose geometric construction fails
+    outright are dropped, counted (dropped_paths) and logged; fields are
+    recomputed directly from the advanced geometry, path by path, one
+    predicted instant at a time.
+    """
+    times = np.asarray(times, float)
+    n_times = times.shape[1]
     with timer.geometry():
-        resolved = traj.geometry_at(times)
-    rank = signature_ranks(traj.paths)
-    snapshots = []
+        traj = PathTrajectory(rows.paths, scene)
+        resolved = traj.geometry_at(times[rows.window])
+    picked: list[list[tuple]] = [[] for _ in range(times.size)]
     dropped = 0
-    for i, t in enumerate(times):
+    for g in resolved:
+        dropped += int(np.count_nonzero(g.failed))
+        ip, it = np.nonzero(~g.failed)
+        index = g.index[ip]
+        for slot, p, i, k in zip((rows.window[index] * n_times + it).tolist(), ip.tolist(),
+                                 it.tolist(), index.tolist()):
+            picked[slot].append((g, p, i, k))
+    placed = []
+    for t, slot in zip(times.ravel().tolist(), picked):
         geom = scene_at(scene, t)
         with timer.geometry():
-            rows = sorted((rank[g.index[p]], k, p) for k, g in enumerate(resolved)
-                          for p in np.flatnonzero(~g.failed[:, i]))
-            dropped += sum(int(np.count_nonzero(g.failed[:, i])) for g in resolved)
-            geometries = [traj.path_geometry(resolved[k], p, i, geom) for _r, k, p in rows]
-        paths = []
+            geometries = [(k, i, traj.path_geometry(g, p, i, geom)) for g, p, i, k in slot]
         with timer.field():
-            for geometry in geometries:
+            for k, i, geometry in geometries:
                 try:
-                    paths.append(make_path(scene, geom, geometry))
+                    placed.append((k, i, make_path(scene, geom, geometry)))
                 except ConstructionError:
                     dropped += 1
-        snapshots.append(Snapshot(time=t, paths=paths))
-    return snapshots, dropped
+    timer.count("dropped_paths", dropped)
+    if dropped:
+        log.warning("drt: dropped %d geometrically impossible path instance(s) in "
+                    "[%.3f, %.3f]", dropped, times.min(), times.max())
+    return rows.snapshots(times, placed)
 
 
 def predict_snapshot_drt(reference: Snapshot, scene: Scene, t: float,
@@ -524,46 +538,25 @@ def predict_snapshot_drt(reference: Snapshot, scene: Scene, t: float,
     """Advance every reference path to time t, structure frozen.
 
     No path is added or removed even when an interaction point leaves its
-    facet; paths whose geometric construction fails outright are dropped and
-    logged.  Fields are recomputed directly from the advanced geometry.
+    facet; paths whose geometric construction fails outright are dropped,
+    logged and counted in timer.  Fields are recomputed directly from the
+    advanced geometry.  A batch of one window and one instant (_advance).
     """
-    traj = PathTrajectory(reference.paths, scene)
-    [snap], dropped = _advance(traj, scene, [t], timer or StageTimer())
-    if dropped:
-        log.warning("drt: dropped %d geometrically impossible path(s) at t=%.3f",
-                    dropped, t)
-    return snap
+    rows = WindowRows([(0, p) for p in reference.paths])
+    return _advance(rows, scene, [[t]], timer or StageTimer())[0]
 
 
 def drt_run(scene: Scene, config: PredictionConfig,
             timer: StageTimer | None = None) -> RunResult:
-    """One RT pass per round followed by frozen-structure predictions.
+    """Frozen-structure predictions between reference passes.
 
-    Covers the closed grid [0, rounds*t_c] on the dt grid: each round
-    contributes its reference snapshot and steps_per_round - 1 predictions,
-    and a final RT pass at rounds*t_c closes the grid, so a run makes
-    rounds + 1 passes, as edrt_run does.
+    runs.prediction_run traces the N + 1 passes first.  Then every path of
+    every window's start pass is one row of one PathTrajectory, advanced
+    over its window's instants by one _advance call for the whole run.
     """
-    timer = timer or StageTimer()
-    snapshots: list[Snapshot] = []
-    rt_times: list[float] = []
-    dropped = 0
-    with timer.total():
-        for n in range(config.rounds):
-            t0 = n * config.t_c
-            reference = trace_snapshot(scene, t0, timer)
-            rt_times.append(t0)
-            snapshots.append(reference)
-            times = [t0 + j * config.dt for j in range(1, config.steps_per_round)]
-            predicted, lost = _advance(PathTrajectory(reference.paths, scene), scene,
-                                       times, timer)
-            snapshots.extend(predicted)
-            dropped += lost
-        t_end = config.rounds * config.t_c
-        snapshots.append(trace_snapshot(scene, t_end, timer))
-        rt_times.append(t_end)
-    if dropped:
-        log.warning("drt run: dropped %d path instance(s) across all rounds", dropped)
-    return RunResult(mode="drt", snapshots=snapshots, rt_times=rt_times, timing=timer,
-                     t_c=config.t_c, dt=config.dt, duration=config.rounds * config.t_c,
-                     counters={**timer.counters, "dropped_paths": dropped})
+    def predict(references, times, timer):
+        rows = WindowRows([(w, p) for w, ref in enumerate(references[:-1])
+                           for p in ref.paths])
+        return _advance(rows, scene, times, timer), []
+
+    return prediction_run("drt", scene, config, predict, timer)

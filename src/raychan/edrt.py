@@ -10,10 +10,11 @@ exact ratio of interaction coefficients, spreading factors and slab losses
 between the reference time and the prediction time, forward from the window
 start for surviving paths and backward from the window end for newborn ones.
 
-A run is solved at run level.  It traces its N + 1 reference passes first,
-matches each window's bracketing pair, and then treats every path of every
-window as one row of a drt.PathTrajectory, grouped inside by backbone shape,
-each row queried over its own window's times.  One construction-and-crossing
+A run is solved at run level, on the schedule it shares with DRT
+(runs.prediction_run).  It traces its N + 1 reference passes first, matches
+each window's bracketing pair, and then treats every path of every window as
+one row of a drt.PathTrajectory, grouped inside by backbone shape, each row
+queried over its own window's times.  One construction-and-crossing
 kernel resolves them over (paths x times): the lifetime scans of every dying
 and born path of the run (one existence_scan per 100-sample chunk), their
 bisection (one validity_scan per 80-point level) and the predictions (one
@@ -39,7 +40,7 @@ from .coefficients import (
     transmission_from_cos,
     utd_coefficient_batch,
 )
-from .drt import PathTrajectory, PredictionConfig, TrajectoryGeometry, signature_ranks
+from .drt import PathTrajectory, TrajectoryGeometry, WindowRows
 from .rt import (
     GRAZING_COS,
     ConstructionError,
@@ -48,13 +49,13 @@ from .rt import (
     Path,
     PathGeometry,
     Snapshot,
+    _interaction_slots,
     field_of_path,
     power_dbm_from_field,
     signature_str,
     spreading_factor,
-    trace_snapshot,
 )
-from .runs import RunResult, StageTimer
+from .runs import PredictionConfig, RunResult, StageTimer, prediction_run
 from .scene import C_LIGHT, Scene, SceneAtTime, scene_at
 
 log = logging.getLogger(__name__)
@@ -463,9 +464,10 @@ class EdrtRound:
     solve_lifetimes result.  Every path of every window is one row of a
     PathTrajectory, traj (see round_trajectory; built when not given),
     window by window, so that a path born in one window and dying in the
-    next has a row in each.  A row's field reference is its RT pass's Path,
-    with the chain walk that pass recorded; window gives each row's window,
-    and lo and hi bound the instants [lo, hi) at which it is present.
+    next has a row in each; rows (drt.WindowRows) gives each row's window
+    and signature rank.  A row's field reference is its RT pass's Path, with the chain
+    walk that pass recorded, and lo and hi bound the instants [lo, hi) at
+    which it is present.
     """
 
     def __init__(self, scene: Scene, windows: list[MatchedPaths], lifetimes: list[dict],
@@ -478,15 +480,12 @@ class EdrtRound:
         with self.timer.geometry():
             self.traj = traj if traj is not None else round_trajectory(windows, scene)
             spans = [(lifetimes[w][p.signature], kind) for w, p, kind in self.members]
-            self.window = [w for w, _p, _kind in self.members]
+            self.rows = WindowRows([(w, p) for w, p, _kind in self.members])
+            self.slots = [_interaction_slots(p.signature) for p in self.traj.paths]
             self.lo = np.array([lt.birth_time if kind == "born" else -math.inf
                                 for lt, kind in spans])
             self.hi = np.array([lt.death_time if kind == "dying" else math.inf
                                 for lt, kind in spans])
-            self.points = [_interaction_points(p.signature) for p in self.traj.paths]
-            # a snapshot holds the paths of one window: rank them per window
-            self.rank = [r for w in range(len(windows)) for r in signature_ranks(
-                [p for v, p, _kind in self.members if v == w])]
         self.fallbacks = 0
         self.dropped = 0
 
@@ -525,8 +524,7 @@ class EdrtRound:
         instant only for a direct fallback.
         """
         times = np.reshape(np.asarray(times, float), (len(self.windows), -1))
-        n_times = times.shape[1]
-        t_rows = times[self.window]
+        t_rows = times[self.rows.window]
         batches = []  # (geometry, path rows, time rows, their rows of g, interactions)
         with self.timer.geometry():
             present = (t_rows >= self.lo[:, None]) & (t_rows < self.hi[:, None])
@@ -544,9 +542,8 @@ class EdrtRound:
                     sub = g.rows(ip[same], it[same])
                     batches.append((g, ip[same].tolist(), it[same].tolist(), sub,
                                     self._interactions(sub)))
-        flat_times = times.ravel().tolist()
-        per_time: list[list[tuple[int, Path]]] = [[] for _ in flat_times]
-        scenes: dict[int, SceneAtTime] = {}
+        placed = []
+        scenes: dict[tuple, SceneAtTime] = {}
         with self.timer.field():
             results = iter(extrapolate_fields(
                 [self.traj.paths[k] for _g, _ip, _it, sub, _i in batches
@@ -556,11 +553,11 @@ class EdrtRound:
                 for p, i, k, length, inter, result in zip(
                         ip, it, sub.index.tolist(), sub.total_length.tolist(), interactions,
                         results):
-                    slot = self.window[k] * n_times + i
                     if result is None:
                         self.fallbacks += 1
+                        slot = (self.rows.window[k], i)
                         if slot not in scenes:
-                            scenes[slot] = scene_at(self.scene, flat_times[slot])
+                            scenes[slot] = scene_at(self.scene, float(times[slot]))
                         try:
                             result = field_of_path(
                                 self.scene, scenes[slot],
@@ -569,11 +566,10 @@ class EdrtRound:
                             self.dropped += 1
                             continue
                     field2, p_dbm = result
-                    per_time[slot].append((self.rank[k], Path(
+                    placed.append((k, i, Path(
                         signature=self.traj.paths[k].signature, interactions=inter,
                         delay=length / C_LIGHT, field=field2, power_dbm=p_dbm)))
-        return [Snapshot(time=t, paths=[path for _rank, path in sorted(ranked)])
-                for t, ranked in zip(flat_times, per_time)]
+        return self.rows.snapshots(times, placed)
 
     def _interactions(self, rows: TrajectoryGeometry) -> list[list[Interaction]]:
         """The interactions of each row of rows, in signature order."""
@@ -581,22 +577,8 @@ class EdrtRound:
         for k, verts, pens in zip(rows.index.tolist(), rows.vertices, rows.pen_points):
             out.append([Interaction(m, gid, verts[j] if on_vertex else pens[j])
                         for (m, gid), (on_vertex, j)
-                        in zip(self.traj.paths[k].signature, self.points[k])])
+                        in zip(self.traj.paths[k].signature, self.slots[k])])
         return out
-
-
-def _interaction_points(signature) -> list[tuple[bool, int]]:
-    """Where each interaction's point sits in a TrajectoryGeometry, in
-    signature order: (True, vertex index) or (False, penetration index)."""
-    out = []
-    n_pen = 0
-    for m, _gid in signature:
-        if m is Mechanism.PENETRATION:
-            out.append((False, n_pen))
-            n_pen += 1
-        else:
-            out.append((True, len(out) - n_pen + 1))
-    return out
 
 
 def predict_snapshot_edrt(matched: MatchedPaths, lifetimes: dict, scene: Scene,
@@ -618,34 +600,20 @@ def edrt_run(scene: Scene, config: PredictionConfig,
     """Bidirectional prediction over all windows.
 
     Window n is bracketed by the reference snapshots at n*t_c and
-    (n+1)*t_c, so a run over N windows makes N + 1 full ray-tracing passes.
-    The run traces every reference pass first and then solves all windows
-    at once (EdrtRound.from_snapshots): one match_paths call per window, one
-    solve_lifetimes call and one predict_batch call for all.  The returned
-    sequence covers the closed grid [0, rounds*t_c].
+    (n+1)*t_c, which runs.prediction_run traces first, N + 1 passes for N
+    windows.  All windows are then solved at once
+    (EdrtRound.from_snapshots): one match_paths call per window, one
+    solve_lifetimes call and one predict_batch call for all.
     """
-    timer = timer or StageTimer()
-    steps = config.steps_per_round
-    with timer.total():
-        references = [trace_snapshot(scene, n * config.t_c, timer)
-                      for n in range(config.rounds + 1)]
+    def predict(references, times, timer):
         rnd = EdrtRound.from_snapshots(scene, references, config.dt, timer)
-        predicted = rnd.predict_batch([[ref.time + j * config.dt for j in range(1, steps)]
-                                       for ref in references[:-1]])
-        snapshots: list[Snapshot] = []
-        for n, ref in enumerate(references[:-1]):
-            snapshots.append(ref)
-            snapshots.extend(predicted[n * (steps - 1):(n + 1) * (steps - 1)])
-        snapshots.append(references[-1])
-    if rnd.dropped:
-        log.warning("edrt run: dropped %d path instance(s)", rnd.dropped)
-    return RunResult(mode="edrt", snapshots=snapshots,
-                     rt_times=[ref.time for ref in references],
-                     timing=timer, t_c=config.t_c, dt=config.dt,
-                     duration=config.rounds * config.t_c,
-                     counters={**timer.counters,
-                               "dropped_paths": rnd.dropped,
-                               "direct_fallbacks": rnd.fallbacks,
-                               "lifetime_fallbacks": sum(lt.fallback for window in rnd.lifetimes
-                                                         for lt in window.values())},
-                     lifetimes=rnd.lifetime_records())
+        snapshots = rnd.predict_batch(times)
+        if rnd.dropped:
+            log.warning("edrt run: dropped %d path instance(s)", rnd.dropped)
+        timer.count("dropped_paths", rnd.dropped)
+        timer.count("direct_fallbacks", rnd.fallbacks)
+        timer.count("lifetime_fallbacks", sum(lt.fallback for window in rnd.lifetimes
+                                              for lt in window.values()))
+        return snapshots, rnd.lifetime_records()
+
+    return prediction_run("edrt", scene, config, predict, timer)

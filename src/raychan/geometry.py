@@ -8,11 +8,16 @@ coplanarity 1e-6 m, direction normalization 1e-9.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 COPLANAR_TOL = 1e-6
 UNIT_TOL = 1e-9
+
+
+class ConstructionError(RuntimeError):
+    """A path's geometric construction is impossible at the query time."""
 
 
 def norm(v) -> float:
@@ -122,3 +127,60 @@ def arrival_basis(s):
     """(v-hat, h-hat) ray-fixed polarization basis at the receiver."""
     v = vertical_pol(s)
     return v, cross3(v, s)
+
+
+@dataclass
+class WedgeFrame:
+    e_hat: np.ndarray
+    a_o: np.ndarray   # in-plane direction from the edge into the o-face
+    n_o: np.ndarray   # o-face normal oriented so angles sweep the exterior
+    n_index: float    # exterior angle / pi
+
+    def __post_init__(self):
+        # plain-float copies for the hot angle computation
+        object.__setattr__(self, "ef", tuple(map(float, self.e_hat)))
+        object.__setattr__(self, "af", tuple(map(float, self.a_o)))
+        object.__setattr__(self, "nf", tuple(map(float, self.n_o)))
+
+    def angle_components(self, dx: float, dy: float, dz: float) -> float:
+        """Exterior angle of a (not necessarily unit) edge-pointing ray."""
+        e, a, n = self.ef, self.af, self.nf
+        axial = dx * e[0] + dy * e[1] + dz * e[2]
+        px, py, pz = dx - axial * e[0], dy - axial * e[1], dz - axial * e[2]
+        along = px * a[0] + py * a[1] + pz * a[2]
+        out = px * n[0] + py * n[1] + pz * n[2]
+        if along * along + out * out < 1e-18:
+            raise ConstructionError("ray parallel to diffraction edge")
+        phi = math.atan2(out, along)
+        if phi < 0.0:
+            phi += 2.0 * math.pi
+        return min(phi, self.n_index * math.pi)
+
+
+def wedge_frame(endpoints, o_vertices, o_normal, n_vertices,
+                exterior_angle: float) -> WedgeFrame:
+    """Edge-fixed frame for UTD angle measurement.
+
+    The o-face tangent points from the edge into the first adjacent facet
+    (vertices o_vertices, unit normal o_normal); the o-face normal is
+    oriented so that the second facet (n_vertices) sits at the declared
+    exterior angle (for a thin screen the two coincide and either
+    orientation is valid).  The vectors are invariant under rigid
+    translation.  Raises ValueError when no orientation matches the angle.
+    """
+    p0, p1 = endpoints
+    e_hat = unit(p1 - p0)
+    mid = 0.5 * (p0 + p1)
+
+    def into_face(vertices):
+        w = vertices.mean(axis=0) - mid
+        w = w - np.dot(w, e_hat) * e_hat
+        return unit(w)
+
+    a_o, a_n = into_face(o_vertices), into_face(n_vertices)
+    n_o = unit(o_normal - np.dot(o_normal, e_hat) * e_hat)
+    if abs(float(np.dot(a_n, a_o)) - math.cos(exterior_angle)) < 1e-6:
+        for n_o in (n_o, -n_o):
+            if abs(float(np.dot(a_n, n_o)) - math.sin(exterior_angle)) < 1e-6:
+                return WedgeFrame(e_hat, a_o, n_o, exterior_angle / math.pi)
+    raise ValueError("declared exterior angle inconsistent with adjacent facets")

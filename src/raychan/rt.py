@@ -44,12 +44,13 @@ from .coefficients import (
 )
 from .geometry import (
     UNIT_TOL,
+    ConstructionError,
+    WedgeFrame,
     arrival_basis,
     cross3,
     dot3,
     norm,
     sub3,
-    unit,
     unit3,
     vertical_pol,
 )
@@ -139,10 +140,6 @@ class Snapshot:
 
     def signature_set(self) -> set[Signature]:
         return {p.signature for p in self.paths}
-
-
-class ConstructionError(RuntimeError):
-    """A path's geometric construction is impossible at the query time."""
 
 
 # ---------------------------------------------------------------------------
@@ -470,20 +467,12 @@ class PathGeometry:
     diffraction_split: tuple[float, float] | None  # (s_pre, s_post)
 
     def interactions(self) -> list[Interaction]:
-        """All interactions in traversal order, penetrations interleaved."""
-        if not self.penetrations:
+        """All interactions in signature order (see _interaction_slots)."""
+        if not self.penetrations:   # the common case: the backbone alone
             return list(self.backbone)
-        out: list[Interaction] = []
-        pens = sorted(self.penetrations, key=lambda h: (h.segment, h.t))
-        pi = 0
-        for k in range(len(self.vertices) - 1):
-            while pi < len(pens) and pens[pi].segment == k:
-                h = pens[pi]
-                out.append(Interaction(Mechanism.PENETRATION, h.facet.id, h.point))
-                pi += 1
-            if k + 1 < len(self.vertices) - 1:
-                out.append(self.backbone[k])
-        return out
+        return [Interaction(m, gid, self.vertices[j] if on_vertex else self.penetrations[j].point)
+                for (m, gid), (on_vertex, j) in zip(self.signature,
+                                                    _interaction_slots(self.signature))]
 
 
 @functools.lru_cache(maxsize=4096)
@@ -501,6 +490,23 @@ def _penetration_slots(sig: Signature):
             out.append((gid, seg))
         else:
             seg += 1
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=4096)
+def _interaction_slots(sig: Signature):
+    """Where each interaction's point sits, in signature order: (True,
+    vertex index) among Tx, the backbone points and Rx, or (False,
+    penetration index).  Signature order is traversal order: an RT pass
+    admits at most one penetration per path (trace_geometry)."""
+    out = []
+    n_pen = 0
+    for m, _gid in sig:
+        if m is Mechanism.PENETRATION:
+            out.append((False, n_pen))
+            n_pen += 1
+        else:
+            out.append((True, len(out) - n_pen + 1))
     return tuple(out)
 
 
@@ -549,86 +555,6 @@ def path_geometry_of(geom: SceneAtTime, sig: Signature, points, pen_points, pen_
         split = (s_pre, total - s_pre)
     return PathGeometry(sig, geom.tx, geom.rx, [geom.tx, *points, geom.rx], backbone, pens,
                         seg_lengths, total, split)
-
-
-# ---------------------------------------------------------------------------
-# Wedge frame
-# ---------------------------------------------------------------------------
-
-@dataclass
-class WedgeFrame:
-    e_hat: np.ndarray
-    a_o: np.ndarray   # in-plane direction from the edge into the o-face
-    n_o: np.ndarray   # o-face normal oriented so angles sweep the exterior
-    n_index: float    # exterior angle / pi
-
-    def __post_init__(self):
-        # plain-float copies for the hot angle computation
-        object.__setattr__(self, "ef", tuple(map(float, self.e_hat)))
-        object.__setattr__(self, "af", tuple(map(float, self.a_o)))
-        object.__setattr__(self, "nf", tuple(map(float, self.n_o)))
-
-    def angle_components(self, dx: float, dy: float, dz: float) -> float:
-        """Exterior angle of a (not necessarily unit) edge-pointing ray."""
-        e, a, n = self.ef, self.af, self.nf
-        axial = dx * e[0] + dy * e[1] + dz * e[2]
-        px, py, pz = dx - axial * e[0], dy - axial * e[1], dz - axial * e[2]
-        along = px * a[0] + py * a[1] + pz * a[2]
-        out = px * n[0] + py * n[1] + pz * n[2]
-        if along * along + out * out < 1e-18:
-            raise ConstructionError("ray parallel to diffraction edge")
-        phi = math.atan2(out, along)
-        if phi < 0.0:
-            phi += 2.0 * math.pi
-        return min(phi, self.n_index * math.pi)
-
-    def angle_of(self, direction) -> float:
-        return self.angle_components(float(direction[0]), float(direction[1]),
-                                     float(direction[2]))
-
-
-def _frame_of(geom: SceneAtTime, edge) -> WedgeFrame:
-    """Cached edge frame: its vectors are invariant under rigid translation."""
-    if edge.frame is not None:
-        return edge.frame
-    frame = wedge_frame(edge)
-    edge.frame = frame
-    geom._statics.wedge_frames[edge.id] = frame
-    return frame
-
-
-def wedge_frame(edge) -> WedgeFrame:
-    """Edge-fixed frame for UTD angle measurement.
-
-    The o-face tangent points from the edge into the first adjacent facet;
-    the o-face normal is oriented so that the second facet sits at the
-    declared exterior angle (for a thin screen the two coincide and either
-    orientation is valid).
-    """
-    p0, p1 = edge.endpoints
-    e_hat = unit(p1 - p0)
-    f_o, f_n = edge.adjacent
-    mid = 0.5 * (p0 + p1)
-
-    def into_face(f):
-        w = f.vertices.mean(axis=0) - mid
-        w = w - np.dot(w, e_hat) * e_hat
-        return unit(w)
-
-    a_o = into_face(f_o)
-    a_n = into_face(f_n)
-    n_idx = edge.exterior_wedge_angle / math.pi
-    want_cos = math.cos(edge.exterior_wedge_angle)
-    want_sin = math.sin(edge.exterior_wedge_angle)
-    for n_o in (f_o.normal - np.dot(f_o.normal, e_hat) * e_hat,
-                -(f_o.normal - np.dot(f_o.normal, e_hat) * e_hat)):
-        n_o = unit(n_o)
-        got_cos = float(np.dot(a_n, a_o))
-        got_sin = float(np.dot(a_n, n_o))
-        if abs(got_cos - want_cos) < 1e-6 and abs(got_sin - want_sin) < 1e-6:
-            return WedgeFrame(e_hat, a_o, n_o, n_idx)
-    raise ConstructionError(
-        f"edge {edge.id!r}: declared exterior angle inconsistent with adjacent facets")
 
 
 # ---------------------------------------------------------------------------
@@ -771,7 +697,7 @@ def polarization_chain(scene: Scene, geom: SceneAtTime, geometry: PathGeometry,
                                      eps=eps, normal=f.normal)
         else:  # diffraction
             e = geom.edge(inter.geometry_id)
-            frame = _frame_of(geom, e)
+            frame = e.frame
             material = e.adjacent[0].material
             eps = complex_permittivity(material, freq)
             pair = utd_coefficient(wedge_geometry_of(frame, verts, geometry.seg_lengths.tolist(),
@@ -1090,17 +1016,11 @@ def trace_geometry(scene: Scene, t: float, timer=None):
 
 
 def _signature_with_penetrations(backbone: tuple, pens) -> Signature:
-    entries = []
-    pens = sorted(pens, key=lambda h: (h[0], h[3]))
-    pi = 0
-    n_backbone = len(backbone)
-    for seg in range(n_backbone + 1):
-        while pi < len(pens) and pens[pi][0] == seg:
-            entries.append((Mechanism.PENETRATION, pens[pi][1].id))
-            pi += 1
-        if seg < n_backbone:
-            entries.append(backbone[seg])
-    return tuple(entries)
+    """backbone with its one penetration, if any, in traversal order."""
+    if not pens:
+        return backbone
+    seg, facet = pens[0][:2]
+    return backbone[:seg] + ((Mechanism.PENETRATION, facet.id),) + backbone[seg:]
 
 
 def trace_snapshot(scene: Scene, t: float, timer=None) -> Snapshot:

@@ -1,8 +1,11 @@
-"""Run-level plumbing shared by all prediction modes.
+"""Run-level plumbing shared by all modes, and the one prediction schedule.
 
 A run is a sequence of snapshots over a uniform time grid, together with the
 set of grid times at which a full ray-tracing pass (rather than a prediction)
 produced the snapshot, stage timing, and bookkeeping counters.
+
+DRT and E-DRT share one schedule of reference passes and predicted instants
+(prediction_run).
 """
 
 from __future__ import annotations
@@ -69,6 +72,26 @@ def time_key(t: float) -> int:
     return round(t * 1e6)
 
 
+@dataclass(frozen=True)
+class PredictionConfig:
+    t_c: float      # extrapolation window between full RT passes, s
+    dt: float       # prediction step, s
+    rounds: int
+
+    def __post_init__(self):
+        if not 0.0 < self.dt < self.t_c:
+            raise ValueError("need 0 < dt < t_c")
+        steps = self.t_c / self.dt
+        if abs(steps - round(steps)) > 1e-9:
+            raise ValueError("t_c must be an integer multiple of dt")
+        if self.rounds < 1:
+            raise ValueError("rounds must be >= 1")
+
+    @property
+    def steps_per_round(self) -> int:
+        return round(self.t_c / self.dt)
+
+
 @dataclass
 class RunResult:
     mode: str
@@ -113,3 +136,33 @@ def oracle_run(scene: Scene, dt: float, duration: float) -> RunResult:
     run = rt_run(scene, dt / 10.0, duration, mode="oracle")
     run.dt = dt / 10.0
     return run
+
+
+def prediction_run(mode: str, scene: Scene, config: PredictionConfig, predict,
+                   timer: StageTimer | None = None) -> RunResult:
+    """The schedule of drt_run and edrt_run.
+
+    Traces the N + 1 reference passes at n*t_c first.  Then
+    predict(references, times, timer) gets them with the (W, T) grid of
+    predicted instants, times[w][j] = w*t_c + (j + 1)*dt, and returns the
+    snapshots at those instants, window by window, and the run's lifetime
+    records; it counts its own events in timer.  The snapshots interleave
+    with the passes into the closed grid [0, N*t_c].
+    """
+    timer = timer or StageTimer()
+    steps = config.steps_per_round - 1
+    with timer.total():
+        references = [trace_snapshot(scene, n * config.t_c, timer)
+                      for n in range(config.rounds + 1)]
+        times = [[ref.time + j * config.dt for j in range(1, steps + 1)]
+                 for ref in references[:-1]]
+        predicted, lifetimes = predict(references, times, timer)
+        snapshots: list[Snapshot] = []
+        for n, ref in enumerate(references[:-1]):
+            snapshots.append(ref)
+            snapshots.extend(predicted[n * steps:(n + 1) * steps])
+        snapshots.append(references[-1])
+    return RunResult(mode=mode, snapshots=snapshots, rt_times=[ref.time for ref in references],
+                     timing=timer, t_c=config.t_c, dt=config.dt,
+                     duration=config.rounds * config.t_c, counters=dict(timer.counters),
+                     lifetimes=lifetimes)

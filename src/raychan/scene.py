@@ -29,8 +29,10 @@ Scene file schema (JSON, lengths in meters, times in seconds):
 
 Facet motion states describe the entity's reference-point trajectory; vertices
 are displaced by position(t) - position(0).  Edges move with their first
-adjacent facet, so the two facets sharing an edge must translate together;
-a scene whose edge joins facets that move differently is rejected.
+adjacent facet, so the two facets sharing an edge must translate together.
+Each edge's wedge frame is built once, from the epoch geometry, when the
+Scene is built: a scene whose edge joins facets that move differently, or
+that meet at another exterior angle than the edge declares, is rejected.
 
 `load_scene` validates and frames all facets in one array pass, one
 `polygon_frames` call per vertex count, and names the first invalid facet in
@@ -49,8 +51,10 @@ import numpy as np
 from .geometry import (
     COPLANAR_TOL,
     POLYGON_FAILURES,
+    WedgeFrame,
     polygon_frames,
     signed_boundary_distance,
+    wedge_frame,
 )
 from .motion import Motion, MotionState
 
@@ -156,10 +160,13 @@ class Scene:
     rx_motion: Motion
     frequency: float  # Hz
     tx_power_dbm: float = 30.0
+    # each edge's wedge frame by id, from the epoch geometry
+    frames: dict[str, WedgeFrame] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "facets", tuple(self.facets))
         object.__setattr__(self, "edges", tuple(self.edges))
+        object.__setattr__(self, "frames", {})
         if not np.isfinite(self.frequency) or self.frequency <= 0.0:
             raise SceneError("frequency must be finite and positive")
         if not np.isfinite(self.tx_power_dbm):
@@ -183,6 +190,11 @@ class Scene:
                 raise SceneError(
                     f"edge {e.id!r}: adjacent facets {first.id!r} and {second.id!r} "
                     "move differently")
+            try:
+                self.frames[e.id] = wedge_frame(e.endpoints, first.vertices, first.normal,
+                                                second.vertices, e.exterior_wedge_angle)
+            except ValueError as exc:
+                raise SceneError(f"edge {e.id!r}: {exc}") from None
         # a shared trajectory puts Tx and Rx at one point at every time
         if (self.tx_motion.moves_with(self.rx_motion)
                 and np.linalg.norm(self.tx_motion.position(0.0)
@@ -239,8 +251,7 @@ class EdgeAtTime:
     id: str
     endpoints: np.ndarray
     adjacent: tuple[FacetAtTime, FacetAtTime]
-    exterior_wedge_angle: float
-    frame: object = None  # WedgeFrame, cached by the ray tracer
+    frame: WedgeFrame  # the scene's, shared by every instant
 
 
 class FacetArrays(NamedTuple):
@@ -301,7 +312,6 @@ class _SceneStatics:
         self.all_static = not self.moving
         self.id_index = {fid: i for i, fid in enumerate(self.ids)}
         self.facet_by_id = {f.id: f for f in facets}
-        self.wedge_frames: dict[str, object] = {}
         self.at_rest = None  # SceneAtTime._evaluate of a static scene
 
 
@@ -316,8 +326,7 @@ class SceneAtTime:
         statics = scene.statics()
         self._statics = statics
         # a static scene's facets and edges are the same at every instant,
-        # so its instants share one evaluation; the one attribute set after
-        # it, an edge's wedge frame, is translation-invariant
+        # so its instants share one evaluation
         evaluated = statics.at_rest or self._evaluate(scene, t)
         if statics.all_static:
             statics.at_rest = evaluated
@@ -351,8 +360,7 @@ class SceneAtTime:
                    else e.endpoints + owner.motion.displacement(t))
             eat = EdgeAtTime(e.id, pts,
                              (by_id[e.adjacent_facets[0]], by_id[e.adjacent_facets[1]]),
-                             e.exterior_wedge_angle)
-            eat.frame = statics.wedge_frames.get(e.id)
+                             scene.frames[e.id])
             edges.append(eat)
             edge_by_id[e.id] = eat
         return facets, by_id, edges, edge_by_id, disp

@@ -8,13 +8,17 @@ from raychan import (
     PathTrajectory,
     PredictionConfig,
     Scene,
+    StageTimer,
     drt_run,
     predict_snapshot_drt,
+    random_scene,
     scene_at,
     signature_str,
     trace_snapshot,
 )
 from raychan.rt import Mechanism
+
+from test_edrt import _snapshot_bytes
 
 
 def _paper_reflection_scene(y_lo=-100.0, y_hi=100.0, v_y=2.0):
@@ -173,3 +177,37 @@ class TestDrtRun:
             if round(float(t0), 6) not in ref_sets:
                 continue
             assert snap.signature_set() <= ref_sets[round(float(t0), 6)]
+
+
+def _assert_run_is_instant_by_instant(scene, run, cfg):
+    """Every prediction of run equals predict_snapshot_drt from its window's
+    start pass, byte for byte, and so does the dropped_paths counter.
+    Returns the number of dropped path instances."""
+    references = [run.snapshot_at(t) for t in run.rt_times]
+    timer = StageTimer()
+    snapshots = []
+    for ref in references[:-1]:
+        snapshots.append(ref)
+        snapshots.extend(predict_snapshot_drt(ref, scene, ref.time + j * cfg.dt, timer)
+                         for j in range(1, cfg.steps_per_round))
+    snapshots.append(references[-1])
+    assert [_snapshot_bytes(s) for s in run.snapshots] == [_snapshot_bytes(s) for s in snapshots]
+    assert run.counters["dropped_paths"] == timer.counters["dropped_paths"]
+    return timer.counters["dropped_paths"]
+
+
+class TestRunLevel:
+    """drt_run advances every window in one query; each instant alone must
+    give the same bytes."""
+
+    def test_default_run_equals_instant_by_instant(self, default_scene, drt_default):
+        cfg = PredictionConfig(t_c=1.0, dt=0.1, rounds=6)
+        _assert_run_is_instant_by_instant(default_scene, drt_default, cfg)
+        assert len(drt_default.snapshots) == 61
+
+    def test_random_runs_equal_instant_by_instant(self):
+        cfg = PredictionConfig(t_c=1.0, dt=0.1, rounds=3)
+        dropped = {seed: _assert_run_is_instant_by_instant(scene, drt_run(scene, cfg), cfg)
+                   for seed, scene in ((seed, random_scene(seed)) for seed in range(12))}
+        # seeds 3 and 9 drop path instances whose construction fails
+        assert dropped[3] > 0 and dropped[9] > 0

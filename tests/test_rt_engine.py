@@ -252,14 +252,14 @@ class TestFieldOfPath:
         d_l = float(np.linalg.norm(pt - geom.tx))
         d_p = float(np.linalg.norm(geom.rx - pt))
         from raychan.coefficients import WedgeGeometry, utd_coefficient
-        from raychan.rt import launch_amplitude, wedge_frame
-        frame = wedge_frame(geom.edge("w_edge"))
+        from raychan.rt import launch_amplitude
+        frame = geom.edge("w_edge").frame
         s_in = (pt - geom.tx) / d_l
         wg = WedgeGeometry(
             n=2.0,
             beta0=math.acos(float(np.dot(s_in, frame.e_hat))),
-            phi_inc=frame.angle_of(geom.tx - pt),
-            phi_dif=frame.angle_of(geom.rx - pt),
+            phi_inc=frame.angle_components(*(geom.tx - pt).tolist()),
+            phi_dif=frame.angle_components(*(geom.rx - pt).tolist()),
             d_inc=d_l, d_dif=d_p)
         # vertical polarization, vertical edge: soft component
         d_soft, _ = utd_coefficient(wg, Material(), 6e9)

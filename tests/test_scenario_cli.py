@@ -196,6 +196,18 @@ class TestCli:
                      "--out", str(tmp_path / "c")]) == 1
         assert "move differently" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["rt", "drt", "edrt"])
+    def test_contradictory_edge_exits_one(self, tmp_path, capsys, mode):
+        save_scene(generate_v2v_scenario(seed=0), tmp_path / "scene.json")
+        doc = json.loads((tmp_path / "scene.json").read_text())
+        doc["edges"][0]["exterior_wedge_angle"] = 1.25 * math.pi
+        (tmp_path / "scene.json").write_text(json.dumps(doc))
+        assert main(["run", "--scene", str(tmp_path / "scene.json"), "--mode", mode,
+                     "--duration", "1", "--out", str(tmp_path / mode)]) == 1
+        err = capsys.readouterr().err
+        assert f"edge {doc['edges'][0]['id']!r}" in err
+        assert "exterior angle inconsistent" in err
+
     def test_runtime_value_error_exits_two(self, tiny_scene_file, tmp_path,
                                            monkeypatch):
         import raychan.cli

@@ -1,5 +1,6 @@
 """One-pass facet validation: the batched polygon kernel, the loader built on
-it, and the order in which invalid facets are reported."""
+it, and the order in which invalid facets are reported; and the edge frames
+that a scene builds once, at construction."""
 
 import json
 import math
@@ -11,15 +12,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from raychan import (
+    Edge,
     Facet,
     Material,
+    Scene,
     SceneError,
     generate_v2v_scenario,
     load_scene,
     random_scene,
     save_scene,
+    scene_at,
+    trace_snapshot,
 )
-from raychan.geometry import POLYGON_FAILURES, polygon_frames
+from raychan.geometry import POLYGON_FAILURES, polygon_frames, wedge_frame
 
 
 def _rotation(a, b, c):
@@ -223,3 +228,50 @@ class TestInvalidFacets:
             Facet(id="wall", vertices=np.array(wall), material=Material())
         with _raises(ZERO_EDGE, "wall"):
             load_scene(_write(tmp_path / "scene.json", [{"id": "wall", "vertices": wall}]))
+
+
+INCONSISTENT = "declared exterior angle inconsistent with adjacent facets"
+
+
+def _with_first_edge_angle(scene, angle):
+    first, *rest = scene.edges
+    bad = Edge(first.id, first.endpoints, first.adjacent_facets, angle)
+    return Scene(facets=scene.facets, edges=(bad, *rest), tx_motion=scene.tx_motion,
+                 rx_motion=scene.rx_motion, frequency=scene.frequency)
+
+
+class TestEdgeFrames:
+    def test_contradictory_edge_fails_at_construction(self):
+        scene = generate_v2v_scenario(seed=0)
+        edge_id = scene.edges[0].id
+        with pytest.raises(SceneError, match=f"^edge {re.escape(repr(edge_id))}: "
+                                             f"{INCONSISTENT}$"):
+            _with_first_edge_angle(scene, 1.25 * math.pi)
+
+    def test_contradictory_edge_fails_at_load(self, tmp_path):
+        save_scene(generate_v2v_scenario(seed=0), tmp_path / "scene.json")
+        doc = json.loads((tmp_path / "scene.json").read_text())
+        doc["edges"][0]["exterior_wedge_angle"] = 1.25 * math.pi
+        (tmp_path / "scene.json").write_text(json.dumps(doc))
+        with pytest.raises(SceneError, match=f"edge {re.escape(repr(doc['edges'][0]['id']))}"):
+            load_scene(tmp_path / "scene.json")
+
+    def test_frames_come_from_the_epoch_and_serve_every_instant(self):
+        # seed 25 diffracts on a moving edge first at t = 1.5 s: the frame is
+        # the epoch's, whichever pass needs it first
+        moving = 0
+        for scene in (generate_v2v_scenario(seed=0), random_scene(25)):
+            by_id = {f.id: f for f in scene.facets}
+            trace_snapshot(scene, 1.5)
+            for e in scene.edges:
+                first, second = (by_id[fid] for fid in e.adjacent_facets)
+                want = wedge_frame(e.endpoints, first.vertices, first.normal,
+                                   second.vertices, e.exterior_wedge_angle)
+                got = scene.frames[e.id]
+                for name in ("e_hat", "a_o", "n_o"):
+                    assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+                assert got.n_index == want.n_index
+                for t in (0.0, 1.5, 2.7):
+                    assert scene_at(scene, t).edge(e.id).frame is got
+                moving += not first.motion.is_static
+        assert moving
