@@ -10,8 +10,9 @@ reflections, or one diffraction, each path with or without a penetration),
 and one call resolves every row at its own window's prediction instants, as
 arrays over (rows x times), one kernel per shape: the exact geometric
 construction is re-solved against the scene displaced to each query time,
-which is exact for the polynomial motion model.  WindowRows keeps each row's
-window and assembles the predicted snapshots, for E-DRT as well.  The
+which is exact for the polynomial motion model.  WindowRows holds that
+trajectory with each row's window and signature rank, and assembles the
+predicted snapshots, for E-DRT as well.  The
 constructions are the RT pass's own kernels: rt.reflection_chains (the image
 cascade), rt.fermat_points (the diffraction point) and rt.slab_crossings
 (the penetrations), and rt.path_geometry_of assembles a row's PathGeometry.
@@ -460,8 +461,8 @@ class PathTrajectory:
 
 
 class WindowRows:
-    """The rows of a run-level PathTrajectory, one per (window, path), and
-    the predicted snapshots they fill.
+    """A run-level PathTrajectory, traj, with one row per (window, path),
+    and the predicted snapshots its rows fill.
 
     window gives each row's window and rank its place in the signature
     order of all rows: a predicted snapshot holds one window's paths, whose
@@ -470,12 +471,12 @@ class WindowRows:
     each window.
     """
 
-    def __init__(self, members):
+    def __init__(self, members, scene: Scene):
         """members: (window, path) pairs."""
-        self.paths = [p for _w, p in members]
+        self.traj = PathTrajectory([p for _w, p in members], scene)
         self.window = np.array([w for w, _p in members], dtype=int)
-        order = sorted(range(len(self.paths)),
-                       key=lambda k: signature_sort_key(self.paths[k].signature))
+        paths = self.traj.paths
+        order = sorted(range(len(paths)), key=lambda k: signature_sort_key(paths[k].signature))
         self.rank = [0] * len(order)
         for position, k in enumerate(order):
             self.rank[k] = position
@@ -491,21 +492,21 @@ class WindowRows:
                 for t, slot in zip(times.ravel().tolist(), slots)]
 
 
-def _advance(rows: WindowRows, scene: Scene, times, timer: StageTimer) -> list[Snapshot]:
-    """Snapshots of every row of rows re-solved at its window's instants,
-    times (W, T), window by window.
+def _advance(members, scene: Scene, times, timer: StageTimer) -> list[Snapshot]:
+    """Snapshots of the (window, path) members re-solved at their windows'
+    instants, times (W, T), window by window.
 
-    One PathTrajectory holds every row, and one geometry_at call resolves
-    each row at times[window].  Paths whose geometric construction fails
-    outright are dropped, counted (dropped_paths) and logged; fields are
-    recomputed directly from the advanced geometry, path by path, one
+    One WindowRows trajectory holds every member, and one geometry_at call
+    resolves each row at times[window].  Paths whose geometric construction
+    fails outright are dropped, counted (dropped_paths) and logged; fields
+    are recomputed directly from the advanced geometry, path by path, one
     predicted instant at a time.
     """
     times = np.asarray(times, float)
     n_times = times.shape[1]
     with timer.geometry():
-        traj = PathTrajectory(rows.paths, scene)
-        resolved = traj.geometry_at(times[rows.window])
+        rows = WindowRows(members, scene)
+        resolved = rows.traj.geometry_at(times[rows.window])
     picked: list[list[tuple]] = [[] for _ in range(times.size)]
     dropped = 0
     for g in resolved:
@@ -519,7 +520,7 @@ def _advance(rows: WindowRows, scene: Scene, times, timer: StageTimer) -> list[S
     for t, slot in zip(times.ravel().tolist(), picked):
         geom = scene_at(scene, t)
         with timer.geometry():
-            geometries = [(k, i, traj.path_geometry(g, p, i, geom)) for g, p, i, k in slot]
+            geometries = [(k, i, rows.traj.path_geometry(g, p, i, geom)) for g, p, i, k in slot]
         with timer.field():
             for k, i, geometry in geometries:
                 try:
@@ -542,8 +543,7 @@ def predict_snapshot_drt(reference: Snapshot, scene: Scene, t: float,
     logged and counted in timer.  Fields are recomputed directly from the
     advanced geometry.  A batch of one window and one instant (_advance).
     """
-    rows = WindowRows([(0, p) for p in reference.paths])
-    return _advance(rows, scene, [[t]], timer or StageTimer())[0]
+    return _advance([(0, p) for p in reference.paths], scene, [[t]], timer or StageTimer())[0]
 
 
 def drt_run(scene: Scene, config: PredictionConfig,
@@ -555,8 +555,7 @@ def drt_run(scene: Scene, config: PredictionConfig,
     over its window's instants by one _advance call for the whole run.
     """
     def predict(references, times, timer):
-        rows = WindowRows([(w, p) for w, ref in enumerate(references[:-1])
-                           for p in ref.paths])
-        return _advance(rows, scene, times, timer), []
+        members = [(w, p) for w, ref in enumerate(references[:-1]) for p in ref.paths]
+        return _advance(members, scene, times, timer), []
 
     return prediction_run("drt", scene, config, predict, timer)

@@ -86,12 +86,6 @@ def _members(windows: list[MatchedPaths]) -> list[tuple[int, Path, str]]:
             for p in paths]
 
 
-def round_trajectory(windows: list[MatchedPaths], scene: Scene) -> PathTrajectory:
-    """The paths of consecutive windows as one PathTrajectory, one row per
-    member (see _members)."""
-    return PathTrajectory([p for _w, p, _kind in _members(windows)], scene)
-
-
 @dataclass
 class Lifetime:
     path: Path
@@ -284,12 +278,12 @@ def solve_lifetimes(windows: list[MatchedPaths], scene: Scene, dt: float,
     The dying and born paths of every window are scanned and refined in one
     batch, each over its own window.  A timer, when given, counts the
     (path, time) samples of the scans (lifetime_scan_samples) and of the
-    bisection (lifetime_bisect_samples).  traj is the windows' trajectory
-    (round_trajectory), built when not given.
+    bisection (lifetime_bisect_samples).  traj is the windows' trajectory,
+    one row per member (_members), built when not given.
     """
-    if traj is None:
-        traj = round_trajectory(windows, scene)
     members = _members(windows)
+    if traj is None:
+        traj = PathTrajectory([p for _w, p, _kind in members], scene)
     kinds = np.array([kind for _w, _p, kind in members], dtype=str)
     rows = np.flatnonzero(kinds != "common")
     bounds = np.array([(windows[w].t_start, windows[w].t_end) for w, _p, _kind in members],
@@ -461,26 +455,26 @@ class EdrtRound:
     consecutive windows.
 
     windows holds each window's MatchedPaths and lifetimes its
-    solve_lifetimes result.  Every path of every window is one row of a
-    PathTrajectory, traj (see round_trajectory; built when not given),
-    window by window, so that a path born in one window and dying in the
-    next has a row in each; rows (drt.WindowRows) gives each row's window
-    and signature rank.  A row's field reference is its RT pass's Path, with the chain
-    walk that pass recorded, and lo and hi bound the instants [lo, hi) at
-    which it is present.
+    solve_lifetimes result.  Every path of every window is one row of
+    rows (a drt.WindowRows, built when not given), window by window, so
+    that a path born in one window and dying in the next has a row in each;
+    traj is rows' trajectory.  A row's field reference is its RT pass's
+    Path, with the chain walk that pass recorded, and lo and hi bound the
+    instants [lo, hi) at which it is present.
     """
 
     def __init__(self, scene: Scene, windows: list[MatchedPaths], lifetimes: list[dict],
-                 timer: StageTimer | None = None, traj: PathTrajectory | None = None):
+                 timer: StageTimer | None = None, rows: WindowRows | None = None):
         self.scene = scene
         self.timer = timer or StageTimer()
         self.windows = windows
         self.lifetimes = lifetimes
         self.members = _members(windows)
         with self.timer.geometry():
-            self.traj = traj if traj is not None else round_trajectory(windows, scene)
+            self.rows = rows if rows is not None else WindowRows(
+                [(w, p) for w, p, _kind in self.members], scene)
+            self.traj = self.rows.traj
             spans = [(lifetimes[w][p.signature], kind) for w, p, kind in self.members]
-            self.rows = WindowRows([(w, p) for w, p, _kind in self.members])
             self.slots = [_interaction_slots(p.signature) for p in self.traj.paths]
             self.lo = np.array([lt.birth_time if kind == "born" else -math.inf
                                 for lt, kind in spans])
@@ -497,9 +491,9 @@ class EdrtRound:
         timer = timer or StageTimer()
         with timer.geometry():
             windows = [match_paths(a, b) for a, b in zip(references, references[1:])]
-            traj = round_trajectory(windows, scene)
-            lifetimes = solve_lifetimes(windows, scene, dt, timer, traj)
-        return cls(scene, windows, lifetimes, timer, traj)
+            rows = WindowRows([(w, p) for w, p, _kind in _members(windows)], scene)
+            lifetimes = solve_lifetimes(windows, scene, dt, timer, rows.traj)
+        return cls(scene, windows, lifetimes, timer, rows)
 
     def lifetime_records(self) -> list[LifetimeRecord]:
         """One record per row, window by window: common, dying, born."""
