@@ -16,6 +16,7 @@ SceneError, a missing file); 2 any other failure at run time.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path as FilePath
 
@@ -66,7 +67,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def execute_run(scene: Scene, mode: str, t_c: float, dt: float,
                 duration: float) -> RunResult:
-    """Run one mode over the closed grid [0, duration]."""
+    """Run one mode over the closed grid [0, duration].
+
+    In every mode t_c, dt and duration must be positive and finite, t_c a
+    multiple of dt and duration a multiple of t_c; ValidationError otherwise.
+    """
+    if not all(0.0 < x < math.inf for x in (t_c, dt, duration)):
+        raise ValidationError("tc, dt and duration must be positive and finite")
+    steps = t_c / dt
+    if abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
+        raise ValidationError("tc must be an integer multiple of dt")
     rounds = round(duration / t_c)
     if abs(rounds * t_c - duration) > 1e-9 or rounds < 1:
         raise ValidationError("duration must be a positive multiple of tc")
@@ -98,11 +108,6 @@ def _cmd_generate(args) -> int:
 
 def _cmd_run(args) -> int:
     scene = load_scene(args.scene)
-    if args.dt <= 0 or args.tc <= 0 or args.duration <= 0:
-        raise ValidationError("tc, dt and duration must be positive")
-    steps = args.tc / args.dt
-    if abs(steps - round(steps)) > 1e-9:
-        raise ValidationError("tc must be an integer multiple of dt")
     run = execute_run(scene, args.mode, args.tc, args.dt, args.duration)
     outdir = FilePath(args.out)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -29,21 +29,25 @@ here before; importing `scipy.special` for this one function took about
 
 Which routine serves which caller
 ---------------------------------
-The ray tracer's and DRT's field chain, one path at a time on Python
-floats, calls the scalar forms; E-DRT's extrapolation calls the same
-routines with arrays, and `utd_coefficient_batch`, once per round.  Each
-coefficient has one implementation and an array element equals the scalar
-result bit for bit: `fresnel_from_cos` runs its formula on arrays with
-numpy's complex sqrt (equal to cmath's) and `_quotient` (CPython's complex
-division), `transition_function` adds the same groups of series terms
-(`_series_group`) to a float or to an array, and `transmission_from_cos`
-goes element by element.  On 300 arguments the array Fresnel pair and F
-take about 0.11 and 0.13 ms against 0.24 and 0.34 ms element by element,
-which kept E-DRT's street field stage about 30% faster and its ratio to
-DRT's under the bound of 0.5 (2-core Xeon, numpy 2.4).  A batch of 75
-wedge events takes 0.4-0.7 ms against about 1.1 ms as scalar
-`utd_coefficient` calls (about 15 us each) and agrees with them to
-machine precision.
+Each coefficient has one implementation.  The ray tracer's and DRT's
+field chain calls it one path at a time on Python floats; E-DRT's
+extrapolation calls it with arrays, for all rows of a mechanism at once.
+`fresnel_from_cos`, `transition_function` and `transmission_from_cos` give
+each array element the scalar result bit for bit: `fresnel_from_cos` runs
+its formula on arrays with numpy's complex sqrt (equal to cmath's) and
+`_quotient` (CPython's complex division), `transition_function` adds the
+same groups of series terms (`_series_group`) to a float or to an array,
+and `transmission_from_cos` goes element by element.  On 300 arguments the
+array Fresnel pair and F take about 0.11 and 0.13 ms against 0.24 and 0.34
+ms element by element, which kept E-DRT's street field stage about 30%
+faster and its ratio to DRT's under the bound of 0.5 (2-core Xeon, numpy
+2.4).  `utd_coefficient` picks its function set (math's or numpy's,
+`geometry.functions_for`) once from the argument type; after that it
+branches only to choose, term by term, between the cot * F product and its
+small-argument expansion near a boundary.  Its array elements agree with
+the scalar results to about 3e-14 relative, not bit for bit: numpy's
+complex multiplication uses FMA.  The chain does not call it as a batch of
+one, which takes about 0.5 ms against about 15 us on floats.
 """
 
 from __future__ import annotations
@@ -54,6 +58,8 @@ import operator
 from typing import NamedTuple
 
 import numpy as np
+
+from .geometry import functions_for
 
 EPS0 = 8.8541878128e-12
 
@@ -274,35 +280,36 @@ def _series_group(term, re, im, n, h):
     return term, re + term, im
 
 
-def _four_terms(k: float, n: float, phi: float, phip: float, L: float):
-    """The four cot * F(kLa) products of the wedge coefficient.
+def _cot_f(sign: float, beta, n, k, L, m):
+    """One of the four cot * F(kLa) products of the wedge coefficient, with
+    the function set m (geometry.functions_for).
 
-    Terms whose cotangent argument is near a boundary are replaced by their
-    small-argument expansion.
+    Where the cotangent argument is near a boundary the product is replaced
+    by its small-argument expansion.
     """
-    out = []
-    two_pi_n, kl = 2.0 * math.pi * n, k * L
-    for sign, beta in ((1.0, phi - phip), (-1.0, phi - phip),
-                       (1.0, phi + phip), (-1.0, phi + phip)):
-        # the integer nearest to the GO boundary index
-        big_n = round((beta + sign * math.pi) / two_pi_n)
-        eps = beta - sign * (two_pi_n * big_n - math.pi)
-        if abs(eps) < _SINGULAR_EPS:
-            # cot ~ 2n/(sign*eps) and F ~ sqrt(pi*k*L*a) with a ~ eps^2/2,
-            # so the product tends to sign * n * e^{j pi/4} * sqrt(2 pi k L)
-            sgn = 1.0 if eps >= 0.0 else -1.0
-            out.append(sign * n * _E_J_PI_4 * (math.sqrt(2.0 * math.pi * k * L) * sgn
-                                               - 2.0 * k * L * eps * _E_J_PI_4))
-        else:
-            arg = (math.pi + sign * beta) / (2.0 * n)
-            a = 2.0 * math.cos((two_pi_n * big_n - beta) / 2.0) ** 2
-            out.append(math.cos(arg) / math.sin(arg) * transition_function(kl * a))
-    return out
+    two_pi_n = 2.0 * math.pi * n
+    # the integer nearest to the GO boundary index
+    big_n = m.round((beta + sign * math.pi) / two_pi_n)
+    eps = beta - sign * (two_pi_n * big_n - math.pi)
+    near = abs(eps) < _SINGULAR_EPS
+    term = 0j
+    if not m.all(near):
+        # 0.5 stands in for the cotangent argument where the expansion serves
+        arg = m.where(near, 0.5, (math.pi + sign * beta) / (2.0 * n))
+        a = 2.0 * m.cos((two_pi_n * big_n - beta) / 2.0) ** 2
+        term = m.cos(arg) / m.sin(arg) * transition_function(k * L * a)
+    if m.any(near):
+        # cot ~ 2n/(sign*eps) and F ~ sqrt(pi*k*L*a) with a ~ eps^2/2,
+        # so the product tends to sign * n * e^{j pi/4} * sqrt(2 pi k L)
+        sgn = m.where(eps >= 0.0, 1.0, -1.0)
+        term = m.where(near, sign * n * _E_J_PI_4 * (m.sqrt(2.0 * math.pi * k * L) * sgn
+                                                     - 2.0 * k * L * eps * _E_J_PI_4), term)
+    return term
 
 
 class WedgeGeometry(NamedTuple):
-    """Edge-local angles for one diffraction event, or for a batch of them
-    as arrays (utd_coefficient_batch).
+    """Edge-local angles for one diffraction event (floats), or for N events
+    ((N,) arrays).
 
     phi_inc / phi_dif are measured from the o-face around the exterior of the
     wedge, in (0, n*pi); beta0 is the cone half-angle between the rays and
@@ -317,91 +324,41 @@ class WedgeGeometry(NamedTuple):
     d_inc: float
     d_dif: float
 
-    @property
-    def distance_parameter(self) -> float:
-        return (self.d_inc * self.d_dif / (self.d_inc + self.d_dif)
-                * math.sin(self.beta0) ** 2)
 
-
-def utd_coefficient(geom: WedgeGeometry, material, frequency: float,
-                    eps: complex | None = None):
+def utd_coefficient(geom: WedgeGeometry, material, frequency: float, eps=None):
     """Soft/hard wedge diffraction coefficients (D_soft, D_hard).
 
     The pair is the diagonal of the dyadic applied to the edge-fixed field
     components: the soft entry multiplies the component along the incidence
     beta-vector, the hard entry the component along the phi-vector.  Exactly
     reciprocal under exchange of the incident and diffracted rays.
+
+    geom holds floats for one event, or (N,) arrays for N events; eps is
+    the faces' complex permittivity (from material when None), an (N,)
+    array for N events, and the pair is then two complex (N,) arrays.
     """
-    k = 2.0 * math.pi * frequency / 299792458.0
-    n, phi, phip, L = geom.n, geom.phi_dif, geom.phi_inc, geom.distance_parameter
-    if not (1.0 < n <= 2.0 + 1e-12):
+    n, beta0, phip, phi, d_inc, d_dif = geom
+    m = functions_for(phi)
+    if not m.all((n > 1.0) & (n <= 2.0 + 1e-12)):
         raise ValueError("exterior wedge angle must be in (pi, 2*pi]")
+    k = 2.0 * math.pi * frequency / 299792458.0
+    # L, the distance parameter
+    L = d_inc * d_dif / (d_inc + d_dif) * m.sin(beta0) ** 2
+    d1 = _cot_f(1.0, phi - phip, n, k, L, m)
+    d2 = _cot_f(-1.0, phi - phip, n, k, L, m)
     # d3 is singular at the n-face reflection boundary, d4 at the o-face one
-    d1, d2, d3, d4 = _four_terms(k, n, phi, phip, L)
+    d3 = _cot_f(1.0, phi + phip, n, k, L, m)
+    d4 = _cot_f(-1.0, phi + phip, n, k, L, m)
     if eps is None:
         eps = complex_permittivity(material, frequency)
-    r_o = _face_reflection(phip, phi, eps)
-    r_n = _face_reflection(n * math.pi - phip, n * math.pi - phi, eps)
-    pref = _MINUS_E_MJ_PI_4 / (2.0 * n * math.sqrt(2.0 * math.pi * k) * math.sin(geom.beta0))
-    d_soft = pref * (d1 + d2 + r_n[0] * d3 + r_o[0] * d4)
-    d_hard = pref * (d1 + d2 + r_n[1] * d3 + r_o[1] * d4)
-    return d_soft, d_hard
-
-
-def utd_coefficient_batch(geoms, eps_list, frequency: float):
-    """utd_coefficient evaluated for many wedge events in one pass.
-
-    geoms is a WedgeGeometry of (N,) arrays or a sequence of WedgeGeometry.
-    Returns complex arrays (d_soft, d_hard) aligned with geoms, empty for no
-    geoms; agrees with the scalar routine to machine precision.
-    """
-    k = 2.0 * math.pi * frequency / 299792458.0
-    if not isinstance(geoms, WedgeGeometry):
-        geoms = WedgeGeometry(*np.reshape(np.array(geoms, float), (-1, 6)).T)
-    n, beta0, phip, phi = geoms.n, geoms.beta0, geoms.phi_inc, geoms.phi_dif
-    L = geoms.d_inc * geoms.d_dif / (geoms.d_inc + geoms.d_dif) * np.sin(beta0) ** 2
-    eps = np.asarray(eps_list, complex)
-
-    # all four cot*F terms at once: rows are (d1, d2, d3, d4)
-    sign = np.array([1.0, -1.0, 1.0, -1.0])[:, None]
-    beta = np.stack([phi - phip, phi - phip, phi + phip, phi + phip])
-    big_n = np.round((beta + sign * math.pi) / (2.0 * math.pi * n))
-    eps_s = beta - sign * (2.0 * math.pi * n * big_n - math.pi)
-    singular = np.abs(eps_s) < _SINGULAR_EPS
-    arg = (math.pi + sign * beta) / (2.0 * n)
-    arg = np.where(singular, 0.5, arg)  # placeholder, overwritten below
-    kl = k * L
-    a = 2.0 * np.cos((2.0 * math.pi * n * big_n - beta) / 2.0) ** 2
-    regular = (np.cos(arg) / np.sin(arg)) * transition_function(kl * a)
-    root = complex(math.cos(math.pi / 4), math.sin(math.pi / 4))
-    sgn = np.where(eps_s >= 0.0, 1.0, -1.0)
-    expansion = sign * n * root * (np.sqrt(2.0 * math.pi * kl) * sgn
-                                   - 2.0 * kl * eps_s * root)
-    terms = np.where(singular, expansion, regular)
-
-    # face multipliers, symmetrized as in _face_reflection
-    graze = np.stack([phip, phi, n * math.pi - phip, n * math.pi - phi])
-    r_perp, r_par = fresnel_from_cos(np.abs(np.sin(graze)), eps[None, :])
-    r_o_perp = 0.5 * (r_perp[0] + r_perp[1])
-    r_o_par = 0.5 * (r_par[0] + r_par[1])
-    r_n_perp = 0.5 * (r_perp[2] + r_perp[3])
-    r_n_par = 0.5 * (r_par[2] + r_par[3])
-
-    pref = (-root.conjugate()
-            / (2.0 * n * np.sqrt(2.0 * math.pi * k) * np.sin(beta0)))
-    d_soft = pref * (terms[0] + terms[1] + r_n_perp * terms[2] + r_o_perp * terms[3])
-    d_hard = pref * (terms[0] + terms[1] + r_n_par * terms[2] + r_o_par * terms[3])
-    return d_soft, d_hard
-
-
-def _face_reflection(graze_a: float, graze_b: float, eps: complex):
-    """Face Fresnel multipliers, symmetrized over the two ray grazing angles.
-
-    At a reflection boundary the two grazing angles coincide, so the average
-    equals the exact specular coefficient there and the GO field jump is
-    cancelled; away from the boundaries the average keeps the coefficient
-    reciprocal.
-    """
-    ra = fresnel_from_cos(abs(math.sin(graze_a)), eps)
-    rb = fresnel_from_cos(abs(math.sin(graze_b)), eps)
-    return 0.5 * (ra[0] + rb[0]), 0.5 * (ra[1] + rb[1])
+    # the face multipliers, each the mean over the two rays' grazing angles
+    # (see Conventions): at a reflection boundary the two coincide
+    o_inc = fresnel_from_cos(abs(m.sin(phip)), eps)
+    o_dif = fresnel_from_cos(abs(m.sin(phi)), eps)
+    n_inc = fresnel_from_cos(abs(m.sin(n * math.pi - phip)), eps)
+    n_dif = fresnel_from_cos(abs(m.sin(n * math.pi - phi)), eps)
+    pref = _MINUS_E_MJ_PI_4 / (2.0 * n * m.sqrt(2.0 * math.pi * k) * m.sin(beta0))
+    return (pref * (d1 + d2 + 0.5 * (n_inc[0] + n_dif[0]) * d3
+                    + 0.5 * (o_inc[0] + o_dif[0]) * d4),
+            pref * (d1 + d2 + 0.5 * (n_inc[1] + n_dif[1]) * d3
+                    + 0.5 * (o_inc[1] + o_dif[1]) * d4))

@@ -176,9 +176,8 @@ class _Shape:
             return None
         out = np.zeros(t.shape + (3,))
         for f in moving:
-            motion = self.scene.facets[f].motion
             rows = facet_index == f
-            out[rows] = motion.position(t[rows]) - motion.position(0.0)
+            out[rows] = self.scene.facets[f].motion.displacement(t[rows])
         return out
 
     def construct(self, tx: np.ndarray, rx: np.ndarray, t: np.ndarray):
@@ -395,9 +394,8 @@ class PathTrajectory:
                     tracks[block] = label + k * n_paths + ip
                     if disp is not None:
                         for f in statics.moving:
-                            motion = self.scene.facets[f].motion
-                            disp[block, f] = (motion.position(t[s.index[ip], it])
-                                              - motion.position(0.0))
+                            disp[block, f] = self.scene.facets[f].motion.displacement(
+                                t[s.index[ip], it])
                     start = end
                     row += ip.size
             label += n_seg * n_paths

@@ -21,9 +21,12 @@ bisection (one validity_scan per 80-point level) and the predictions (one
 geometry_at for all instants of all windows, then one crossing call for
 their occlusion and penetration profiles).  Field extrapolation reads its
 geometry from the same arrays and computes each mechanism's coefficients in
-one batched pass; Path objects are built only for the output snapshots, and
-the scene is evaluated at an instant only for a direct field fallback.  A
-single window, or a single path's birth or death, is a batch of one.
+one pass over arrays; for diffractions it runs the ray tracer's formulas
+(geometry.wedge_angles, coefficients.utd_coefficient and
+rt.spreading_factor) on arrays instead of floats.  Path objects are built
+only for the output snapshots, and the scene is evaluated at an instant
+only for a direct field fallback.  A single window, or a single path's
+birth or death, is a batch of one.
 """
 
 from __future__ import annotations
@@ -38,9 +41,10 @@ from .coefficients import (
     WedgeGeometry,
     fresnel_from_cos,
     transmission_from_cos,
-    utd_coefficient_batch,
+    utd_coefficient,
 )
 from .drt import PathTrajectory, TrajectoryGeometry, WindowRows
+from .geometry import dot3, wedge_angles
 from .rt import (
     GRAZING_COS,
     ConstructionError,
@@ -387,14 +391,20 @@ def extrapolate_fields(refs, batches, scene: Scene):
             eps = np.array([tr.eps for tr in traces], complex)
             dead = np.abs(coeff) < COEFF_FLOOR
             if kind is Mechanism.DIFFRACTION:
-                wedge, dead_wedge = _wedge_arrays([tr.frame for tr in traces], d_in, length,
-                                                  joined(d_out), joined(before), totals[at])
-                dead |= dead_wedge
-                c0, c1 = utd_coefficient_batch(wedge, eps, scene.frequency)
+                frames = [tr.frame for tr in traces]
+                e, a, n = (np.array([getattr(f, name) for f in frames]).T
+                           for name in ("ef", "af", "nf"))
+                n_index = np.array([f.n_index for f in frames])
+                beta0, phi_inc, phi_dif, along_edge = wedge_angles(
+                    e, a, n, n_index, d_in.T, length, joined(d_out).T)
+                dead |= along_edge
+                d_inc = joined(before)
+                c0, c1 = utd_coefficient(WedgeGeometry(n_index, beta0, phi_inc, phi_dif, d_inc,
+                                                       totals[at] - d_inc),
+                                         None, scene.frequency, eps)
             else:
                 n = np.array([tr.normal for tr in traces])
-                dot = d_in[:, 0] * n[:, 0] + d_in[:, 1] * n[:, 1] + d_in[:, 2] * n[:, 2]
-                cos_th = np.minimum(np.abs(dot) / length, 1.0)
+                cos_th = np.minimum(np.abs(dot3(d_in.T, n.T)) / length, 1.0)
                 if kind is Mechanism.REFLECTION:
                     c0, c1 = fresnel_from_cos(cos_th, eps)
                 else:
@@ -408,10 +418,10 @@ def extrapolate_fields(refs, batches, scene: Scene):
                 alpha = np.array([tr.alpha for tr in traces])
                 np.multiply.at(ratio, at, np.exp(
                     -alpha * (d_t - np.array([tr.d_t for tr in traces]))))
-        s_post = totals - s_pre  # zero for a line of sight: its caustic form is unused
-        spread = np.where(diffracted, np.sqrt(1.0 / (s_pre * s_post * (s_pre + s_post))),
-                          1.0 / totals)
-    spread /= np.array([spreading_factor(ref.geometry) for ref in refs])
+    spread = (spreading_factor(totals, s_pre, diffracted)
+              / spreading_factor(np.array([ref.geometry.total_length for ref in refs]),
+                                 np.array([ref.geometry.seg_lengths[0] for ref in refs]),
+                                 diffracted))
     phase = np.exp(-1j * scene.wavenumber * (totals - np.array([ref.geometry.total_length
                                                                for ref in refs])))
     field2 = np.array([ref.field for ref in refs]).reshape(n_all, 2)
@@ -423,27 +433,6 @@ def extrapolate_fields(refs, batches, scene: Scene):
 
 # the order of the ratio product
 _PRODUCT_ORDER = (Mechanism.REFLECTION, Mechanism.PENETRATION, Mechanism.DIFFRACTION)
-
-
-def _wedge_arrays(frames, d_in, length_in, d_out, d_inc, totals):
-    """rt.wedge_geometry_of over arrays: the edge-local angles of each row's
-    diffraction, as a WedgeGeometry of arrays, and a mask of the rows with a
-    ray along the edge (no angle defined).  frames holds each row's edge
-    frame, d_in and d_out the segments into and out of the edge point,
-    length_in and d_inc the length of the first and of the path before it."""
-    e, a, n = (np.array([getattr(f, name) for f in frames]) for name in ("ef", "af", "nf"))
-    n_index = np.array([f.n_index for f in frames])
-    cos_b = np.vecdot(d_in, e) / length_in
-    angles, along_edge = [], False
-    for ray in (-d_in, d_out):
-        p = ray - np.vecdot(ray, e)[:, None] * e
-        along, out = np.vecdot(p, a), np.vecdot(p, n)
-        along_edge = along_edge | (along * along + out * out < 1e-18)
-        phi = np.arctan2(out, along)
-        angles.append(np.minimum(np.where(phi < 0.0, phi + 2.0 * math.pi, phi),
-                                 n_index * math.pi))
-    return (WedgeGeometry(n_index, np.arccos(np.clip(cos_b, -1.0, 1.0)), *angles, d_inc,
-                          totals - d_inc), along_edge)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -31,8 +32,29 @@ def unit(v) -> np.ndarray:
     return np.asarray(v, float) / n
 
 
-# Single 3-vectors as tuples of Python floats or complex numbers, for the
-# field chain walk, where numpy's per-call overhead would dominate.
+# The function sets of the formulas that run on Python floats or on numpy
+# arrays (functions_for picks one): the field chain walks one path at a time
+# on floats, where numpy's per-call overhead would dominate, and E-DRT runs
+# the same formulas once over arrays.  Each float operation rounds as the
+# matching array element does, except where math and numpy differ (atan2,
+# acos, and complex multiplication, which numpy does with FMA).
+FLOATS = SimpleNamespace(sqrt=math.sqrt, sin=math.sin, cos=math.cos, acos=math.acos,
+                         atan2=math.atan2, round=round, minimum=min, all=bool, any=bool,
+                         clip=lambda x, lo, hi: min(max(x, lo), hi),
+                         where=lambda mask, a, b: a if mask else b)
+ARRAYS = SimpleNamespace(sqrt=np.sqrt, sin=np.sin, cos=np.cos, acos=np.arccos,
+                         atan2=np.arctan2, round=np.round, minimum=np.minimum, all=np.all,
+                         any=np.any, clip=np.clip, where=np.where)
+
+
+def functions_for(x) -> SimpleNamespace:
+    """ARRAYS for a numpy array x, else FLOATS."""
+    return ARRAYS if isinstance(x, np.ndarray) else FLOATS
+
+
+# 3-vectors component-first: tuples of Python floats or complex numbers for
+# one vector; sub3, dot3 and cross3 also take tuples of arrays, or (3, N)
+# arrays, for N vectors.
 
 def sub3(a, b) -> tuple:
     return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
@@ -137,24 +159,10 @@ class WedgeFrame:
     n_index: float    # exterior angle / pi
 
     def __post_init__(self):
-        # plain-float copies for the hot angle computation
+        # plain-float copies for the chain walk's wedge_angles
         object.__setattr__(self, "ef", tuple(map(float, self.e_hat)))
         object.__setattr__(self, "af", tuple(map(float, self.a_o)))
         object.__setattr__(self, "nf", tuple(map(float, self.n_o)))
-
-    def angle_components(self, dx: float, dy: float, dz: float) -> float:
-        """Exterior angle of a (not necessarily unit) edge-pointing ray."""
-        e, a, n = self.ef, self.af, self.nf
-        axial = dx * e[0] + dy * e[1] + dz * e[2]
-        px, py, pz = dx - axial * e[0], dy - axial * e[1], dz - axial * e[2]
-        along = px * a[0] + py * a[1] + pz * a[2]
-        out = px * n[0] + py * n[1] + pz * n[2]
-        if along * along + out * out < 1e-18:
-            raise ConstructionError("ray parallel to diffraction edge")
-        phi = math.atan2(out, along)
-        if phi < 0.0:
-            phi += 2.0 * math.pi
-        return min(phi, self.n_index * math.pi)
 
 
 def wedge_frame(endpoints, o_vertices, o_normal, n_vertices,
@@ -184,3 +192,35 @@ def wedge_frame(endpoints, o_vertices, o_normal, n_vertices,
             if abs(float(np.dot(a_n, n_o)) - math.sin(exterior_angle)) < 1e-6:
                 return WedgeFrame(e_hat, a_o, n_o, exterior_angle / math.pi)
     raise ValueError("declared exterior angle inconsistent with adjacent facets")
+
+
+def wedge_angles(e, a, n, n_index, d_in, length_in, d_out):
+    """Edge-local angles of diffractions: (beta0, phi_inc, phi_dif,
+    along_edge).
+
+    e, a and n are the vectors of each edge's WedgeFrame (e_hat, a_o, n_o)
+    and n_index its exterior angle / pi; d_in is the ray into the
+    diffraction point, of length length_in, and d_out the ray out of it.
+    The vectors are component-first: 3-tuples of floats for one event, or
+    (3, N) arrays for N events.  beta0 is the cone half-angle between d_in
+    and the edge; phi_inc and phi_dif are the angles of the source and the
+    observer, measured from the o-face around the exterior of the wedge,
+    in [0, n_index*pi].  along_edge is set where a ray runs along the edge,
+    whose angle is then undefined.
+    """
+    m = functions_for(length_in)
+    beta0 = m.acos(m.clip(dot3(d_in, e) / length_in, -1.0, 1.0))
+    phi_inc, edge_in = _exterior_angle((-d_in[0], -d_in[1], -d_in[2]), e, a, n, n_index, m)
+    phi_dif, edge_out = _exterior_angle(d_out, e, a, n, n_index, m)
+    return beta0, phi_inc, phi_dif, edge_in | edge_out
+
+
+def _exterior_angle(ray, e, a, n, n_index, m):
+    """Exterior angle of a (not necessarily unit) edge-pointing ray, and
+    whether the ray runs along the edge (wedge_angles)."""
+    axial = dot3(ray, e)
+    p = (ray[0] - axial * e[0], ray[1] - axial * e[1], ray[2] - axial * e[2])
+    along, out = dot3(p, a), dot3(p, n)
+    phi = m.atan2(out, along)
+    return (m.minimum(m.where(phi < 0.0, phi + 2.0 * math.pi, phi), n_index * math.pi),
+            along * along + out * out < 1e-18)

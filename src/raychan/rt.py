@@ -21,7 +21,11 @@ build_geometry) for each candidate left.
 
 The electric field is propagated as a complex 3-vector with per-interface
 polarization decomposition, on Python floats, and reported at the receiver
-as a 2-vector in the ray-fixed (vertical, horizontal) arrival basis.
+as a 2-vector in the ray-fixed (vertical, horizontal) arrival basis.  At an
+edge the chain takes the angles from geometry.wedge_angles, the coefficient
+from coefficients.utd_coefficient and the caustic spreading from
+spreading_factor: formulas that run on floats here and on arrays in
+E-DRT's field extrapolation.
 """
 
 from __future__ import annotations
@@ -45,14 +49,15 @@ from .coefficients import (
 from .geometry import (
     UNIT_TOL,
     ConstructionError,
-    WedgeFrame,
     arrival_basis,
     cross3,
     dot3,
+    functions_for,
     norm,
     sub3,
     unit3,
     vertical_pol,
+    wedge_angles,
 )
 from .scene import (
     C_LIGHT,
@@ -635,28 +640,6 @@ class InteractionTrace(NamedTuple):
     d_t: float = 0.0
 
 
-def wedge_geometry_of(frame: WedgeFrame, verts, seg_lengths, total_length: float,
-                      index: int) -> WedgeGeometry:
-    """Edge-local angles of the diffraction at backbone position index.
-
-    verts are the path's vertices (Tx, backbone points, Rx) and seg_lengths
-    its segment lengths, as sequences of floats.
-    """
-    a, b, c = verts[index], verts[index + 1], verts[index + 2]
-    dx, dy, dz = b[0] - a[0], b[1] - a[1], b[2] - a[2]
-    e = frame.ef
-    d_in = sum(seg_lengths[: index + 1])
-    cos_b = (dx * e[0] + dy * e[1] + dz * e[2]) / seg_lengths[index]
-    return WedgeGeometry(
-        n=frame.n_index,
-        beta0=math.acos(min(max(cos_b, -1.0), 1.0)),
-        phi_inc=frame.angle_components(-dx, -dy, -dz),
-        phi_dif=frame.angle_components(c[0] - b[0], c[1] - b[1], c[2] - b[2]),
-        d_inc=d_in,
-        d_dif=total_length - d_in,
-    )
-
-
 def _project(e_vec, pair, u_in, v_in, u_out, v_out):
     """One interaction: the field's components along (u_in, v_in) scaled by
     the coefficient pair onto (u_out, v_out), and the carrying channel."""
@@ -700,8 +683,15 @@ def polarization_chain(scene: Scene, geom: SceneAtTime, geometry: PathGeometry,
             frame = e.frame
             material = e.adjacent[0].material
             eps = complex_permittivity(material, freq)
-            pair = utd_coefficient(wedge_geometry_of(frame, verts, geometry.seg_lengths.tolist(),
-                                                     geometry.total_length, i),
+            seg_lengths = geometry.seg_lengths.tolist()
+            beta0, phi_inc, phi_dif, along_edge = wedge_angles(
+                frame.ef, frame.af, frame.nf, frame.n_index, sub3(verts[i + 1], verts[i]),
+                seg_lengths[i], sub3(verts[i + 2], verts[i + 1]))
+            if along_edge:
+                raise ConstructionError("ray parallel to diffraction edge")
+            d_inc = sum(seg_lengths[:i + 1])
+            pair = utd_coefficient(WedgeGeometry(frame.n_index, beta0, phi_inc, phi_dif, d_inc,
+                                                 geometry.total_length - d_inc),
                                    material, freq, eps)
             a, b = unit3(cross3(frame.ef, s_in)), unit3(cross3(frame.ef, s_out))
             phi_in, phi_out = (-a[0], -a[1], -a[2]), (-b[0], -b[1], -b[2])
@@ -735,13 +725,18 @@ def polarization_chain(scene: Scene, geom: SceneAtTime, geometry: PathGeometry,
     return e_vec
 
 
-def spreading_factor(geometry: PathGeometry) -> float:
-    """Amplitude spreading of the whole path (1/length, or the diffraction
-    caustic form when an edge is involved)."""
-    if geometry.diffraction_split is None:
-        return 1.0 / geometry.total_length
-    s_pre, s_post = geometry.diffraction_split
-    return math.sqrt(1.0 / (s_pre * s_post * (s_pre + s_post)))
+def spreading_factor(total_length, s_pre, diffracted):
+    """Amplitude spreading of whole paths: 1/length, or the diffraction
+    caustic form for a path diffracted after its first s_pre metres.
+
+    Takes floats for one path, or arrays for many, diffracted then a mask.
+    """
+    m = functions_for(total_length)
+    s_post = total_length - s_pre
+    # 1.0 stands in for the caustic product of an undiffracted path (0 for a
+    # line of sight)
+    caustic = m.where(diffracted, s_pre * s_post * (s_pre + s_post), 1.0)
+    return m.where(diffracted, m.sqrt(1.0 / caustic), 1.0 / total_length)
 
 
 def field_of_path(scene: Scene, geom: SceneAtTime, geometry: PathGeometry,
@@ -756,7 +751,9 @@ def field_of_path(scene: Scene, geom: SceneAtTime, geometry: PathGeometry,
     _check_on_geometry(geometry, geom)
     verts = geometry.vertices
     e_vec = polarization_chain(scene, geom, geometry, record)
-    scale = (spreading_factor(geometry)
+    split = geometry.diffraction_split
+    scale = (spreading_factor(geometry.total_length, split[0] if split else 0.0,
+                              split is not None)
              * cmath.exp(-1j * scene.wavenumber * geometry.total_length))
     e_vec = (e_vec[0] * scale, e_vec[1] * scale, e_vec[2] * scale)
     v_hat, h_hat = arrival_basis(unit3(sub3(verts[-1].tolist(), verts[-2].tolist())))

@@ -22,8 +22,8 @@ from raychan.coefficients import (
     complex_permittivity,
     fresnel_from_cos,
     transmission_from_cos,
-    utd_coefficient_batch,
 )
+from raychan.geometry import wedge_angles
 
 import oracles
 
@@ -194,7 +194,8 @@ class TestArrayContract:
         assert [a.dtype for a in slab] == [complex, complex, float]
 
     def test_empty_utd_batch(self):
-        d_soft, d_hard = utd_coefficient_batch([], [], 6e9)
+        d_soft, d_hard = utd_coefficient(WedgeGeometry(*np.zeros((6, 0))), None, 6e9,
+                                         np.zeros(0, complex))
         assert d_soft.shape == d_hard.shape == (0,)
         assert d_soft.dtype == d_hard.dtype == complex
 
@@ -252,17 +253,31 @@ def _pec() -> Material:
     return Material(rel_permittivity=1.0, conductivity=1e12)
 
 
+def _utd_scalar(geoms, material, frequency=6e9):
+    """utd_coefficient on each WedgeGeometry of floats in turn."""
+    return [utd_coefficient(g, material, frequency) for g in geoms]
+
+
+def _utd_stacked(geoms, material, frequency=6e9):
+    """utd_coefficient on the geoms stacked into one array batch."""
+    eps = np.full(len(geoms), complex_permittivity(material, frequency))
+    d_soft, d_hard = utd_coefficient(WedgeGeometry(*np.array(geoms, float).T), None,
+                                     frequency, eps)
+    return list(zip(d_soft.tolist(), d_hard.tolist()))
+
+
 class TestUtdCoefficient:
+    """The physics checks of the wedge coefficient on Python floats;
+    TestUtdCoefficientStacked runs them on one array batch."""
+
+    utd = staticmethod(_utd_scalar)
+
     def test_half_plane_frozen_value(self):
         # frozen from the quadrature oracle (PEC faces, n=2)
         wg = WedgeGeometry(n=2.0, beta0=math.pi / 2,
                            phi_inc=math.radians(40.0), phi_dif=math.radians(200.0),
-                           d_inc=11.0, d_dif=7.0)
-        assert wg.distance_parameter == pytest.approx(11.0 * 7.0 / 18.0, rel=1e-12)
-        wg = WedgeGeometry(n=2.0, beta0=math.pi / 2,
-                           phi_inc=math.radians(40.0), phi_dif=math.radians(200.0),
                            d_inc=7.4, d_dif=7.4)  # L = 3.7
-        d_soft, d_hard = utd_coefficient(wg, _pec(), 6e9)
+        [(d_soft, d_hard)] = self.utd([wg], _pec())
         assert d_soft == pytest.approx(-0.09885956312764943 + 0.09618208671203886j,
                                        abs=1e-6)
         assert d_hard == pytest.approx(-0.04844033480363845 + 0.04597910914045394j,
@@ -274,11 +289,11 @@ class TestUtdCoefficient:
                            phi_inc=math.radians(phip_deg),
                            phi_dif=math.radians(phi_deg),
                            d_inc=9.0, d_dif=5.0)
-        got = utd_coefficient(wg, _pec(), 6e9)
+        [got] = self.utd([wg], _pec())
         k = 2 * math.pi * 6e9 / 299792458.0
         want = oracles.utd_wedge_quadrature(
             k, 2.0, math.pi / 2, math.radians(phi_deg), math.radians(phip_deg),
-            wg.distance_parameter)
+            9.0 * 5.0 / 14.0)  # L at normal incidence
         assert got[0] == pytest.approx(want[0], abs=1e-6)
         assert got[1] == pytest.approx(want[1], abs=1e-6)
 
@@ -288,28 +303,98 @@ class TestUtdCoefficient:
         phi, phip = angles
         phi = min(phi, n * math.pi - 0.05)
         for material in (_pec(), CONCRETE):
-            a = utd_coefficient(WedgeGeometry(n, 1.1, phip, phi, 12.0, 6.0),
-                                material, 6e9)
-            b = utd_coefficient(WedgeGeometry(n, 1.1, phi, phip, 12.0, 6.0),
-                                material, 6e9)
+            a, b = self.utd([WedgeGeometry(n, 1.1, phip, phi, 12.0, 6.0),
+                             WedgeGeometry(n, 1.1, phi, phip, 12.0, 6.0)], material)
             assert abs(a[0] - b[0]) < 1e-9
             assert abs(a[1] - b[1]) < 1e-9
 
     def test_rejects_interior_wedge(self):
         with pytest.raises(ValueError):
-            utd_coefficient(WedgeGeometry(0.8, 1.0, 0.3, 1.0, 5.0, 5.0),
-                            CONCRETE, 6e9)
+            self.utd([WedgeGeometry(2.0, 1.0, 0.3, 1.0, 5.0, 5.0),
+                      WedgeGeometry(0.8, 1.0, 0.3, 1.0, 5.0, 5.0)], CONCRETE)
+
+
+class TestUtdCoefficientStacked(TestUtdCoefficient):
+    utd = staticmethod(_utd_stacked)
+
+    @staticmethod
+    def _events():
+        """(WedgeGeometry, eps, frequency) of random events, and of events on
+        and 1e-8 and 1e-6 rad to either side of shadow and reflection
+        boundaries, where the small-argument expansion serves."""
+        rng = np.random.default_rng(7)
+        events = []
+        for _ in range(400):
+            n = rng.choice([1.5, 1.8, 2.0, rng.uniform(1.01, 2.0)])
+            phip = rng.uniform(0.05, n * math.pi - 0.05)
+            phis = [rng.uniform(0.0, n * math.pi)]
+            for boundary in (math.pi + phip, math.pi - phip, phip - math.pi,
+                             (2.0 * n - 1.0) * math.pi - phip):
+                phis += [boundary + d for d in (-1e-6, -1e-8, 1e-8, 1e-6)
+                         if 0.0 <= boundary + d <= n * math.pi]
+            for phi in phis:
+                events.append((WedgeGeometry(n, rng.uniform(0.3, 2.8), phip, phi,
+                                             rng.uniform(0.5, 50.0), rng.uniform(0.5, 50.0)),
+                               complex(rng.uniform(2.0, 9.0), -rng.uniform(0.0, 2.0)),
+                               float(rng.choice([2.4e9, 6e9, 28e9]))))
+        # phi + phip == pi exactly, where the cotangent argument of d4 is 0
+        events += [(WedgeGeometry(n, 1.2, 1.0, math.pi - 1.0, 5.0, 7.0), 5.0 - 0.1j, 6e9)
+                   for n in (1.5, 2.0)]
+        return events
+
+    def test_array_agrees_with_scalar(self):
+        events = self._events()
+        assert len(events) > 2000
+        for frequency in (2.4e9, 6e9, 28e9):
+            group = [(g, e) for g, e, f in events if f == frequency]
+            d_soft, d_hard = utd_coefficient(
+                WedgeGeometry(*np.array([g for g, _ in group]).T), None, frequency,
+                np.array([e for _, e in group]))
+            for i, (g, e) in enumerate(group):
+                want = utd_coefficient(g, None, frequency, e)
+                for got, one in zip((d_soft[i], d_hard[i]), want):
+                    assert abs(got - one) <= 1e-13 * abs(one)
+
+
+class TestWedgeAngles:
+    def test_array_agrees_with_scalar(self):
+        rng = np.random.default_rng(8)
+        n_events = 500
+        e = rng.normal(size=(n_events, 3))
+        e /= np.linalg.norm(e, axis=1)[:, None]
+        a = rng.normal(size=(n_events, 3))
+        a -= np.vecdot(a, e)[:, None] * e
+        a /= np.linalg.norm(a, axis=1)[:, None]
+        n = np.cross(e, a) * rng.choice([-1.0, 1.0], size=(n_events, 1))
+        n_index = rng.uniform(1.01, 2.0, n_events)
+        d_in, d_out = rng.normal(size=(2, n_events, 3)) * rng.uniform(1.0, 30.0, (2, n_events, 1))
+        d_in[0] = 3.0 * e[0]   # rays along the edge
+        d_out[1] = -2.0 * e[1]
+        length = np.linalg.norm(d_in, axis=1)
+        beta0, phi_inc, phi_dif, along_edge = wedge_angles(
+            e.T, a.T, n.T, n_index, d_in.T, length, d_out.T)
+        assert along_edge[:2].all() and not along_edge[2:].any()
+        for i in range(n_events):
+            one = wedge_angles(*(tuple(v[i].tolist()) for v in (e, a, n)), float(n_index[i]),
+                               tuple(d_in[i].tolist()), float(length[i]),
+                               tuple(d_out[i].tolist()))
+            assert one[3] == along_edge[i]
+            if one[3]:
+                continue  # the angle of a ray along the edge is undefined
+            for got, want in zip((beta0[i], phi_inc[i], phi_dif[i]), one[:3]):
+                assert got == pytest.approx(want, rel=1e-13, abs=1e-13)
+            assert 0.0 <= one[1] <= n_index[i] * math.pi
+            assert 0.0 <= one[2] <= n_index[i] * math.pi
 
 
 class TestBoundaryContinuity:
     """Total field (GO + diffracted) continuity across the shadow and
     reflection boundaries of a half-plane, swept with a fine angular step."""
 
+    utd = staticmethod(_utd_scalar)
+
     @staticmethod
-    def _total_field(phi, phip, d_l, d_p, k, material, pol):
-        wg = WedgeGeometry(n=2.0, beta0=math.pi / 2, phi_inc=phip, phi_dif=phi,
-                           d_inc=d_l, d_dif=d_p)
-        d_coeff = utd_coefficient(wg, material, 6e9)[pol]
+    def _total_field(phi, phip, d_l, d_p, k, material, pol, d_coeff):
         src = d_l * np.array([math.cos(phip), math.sin(phip)])
         obs = d_p * np.array([math.cos(phi), math.sin(phi)])
         direct = np.linalg.norm(obs - src)
@@ -328,12 +413,17 @@ class TestBoundaryContinuity:
         k = 2 * math.pi * 6e9 / 299792458.0
         phip = 0.9
         d_l, d_p = 11.0, 7.0
-        # 1e-6 sweeps the regular terms; 1e-8 lands inside the
-        # small-argument expansion branch of the boundary terms
-        for delta in (1e-6, 1e-8):
-            for boundary in (phip + math.pi, math.pi - phip):
-                lo = self._total_field(boundary - delta, phip, d_l, d_p, k,
-                                       material, pol)
-                hi = self._total_field(boundary + delta, phip, d_l, d_p, k,
-                                       material, pol)
-                assert abs(lo - hi) <= 0.01 * abs(lo)
+        # both offsets land inside the small-argument expansion branch of the
+        # boundary terms (within 1e-4 rad of the boundary)
+        phis = [boundary + side * delta for delta in (1e-6, 1e-8)
+                for boundary in (phip + math.pi, math.pi - phip) for side in (-1.0, 1.0)]
+        coeffs = self.utd([WedgeGeometry(n=2.0, beta0=math.pi / 2, phi_inc=phip, phi_dif=phi,
+                                         d_inc=d_l, d_dif=d_p) for phi in phis], material)
+        total = [self._total_field(phi, phip, d_l, d_p, k, material, pol, d[pol])
+                 for phi, d in zip(phis, coeffs)]
+        for lo, hi in zip(total[::2], total[1::2]):
+            assert abs(lo - hi) <= 0.01 * abs(lo)
+
+
+class TestBoundaryContinuityStacked(TestBoundaryContinuity):
+    utd = staticmethod(_utd_stacked)

@@ -252,14 +252,19 @@ class TestFieldOfPath:
         d_l = float(np.linalg.norm(pt - geom.tx))
         d_p = float(np.linalg.norm(geom.rx - pt))
         from raychan.coefficients import WedgeGeometry, utd_coefficient
+        from raychan.geometry import wedge_angles
         from raychan.rt import launch_amplitude
         frame = geom.edge("w_edge").frame
         s_in = (pt - geom.tx) / d_l
+        _, phi_inc, phi_dif, along_edge = wedge_angles(
+            frame.ef, frame.af, frame.nf, frame.n_index, tuple((pt - geom.tx).tolist()), d_l,
+            tuple((geom.rx - pt).tolist()))
+        assert not along_edge
         wg = WedgeGeometry(
             n=2.0,
             beta0=math.acos(float(np.dot(s_in, frame.e_hat))),
-            phi_inc=frame.angle_components(*(geom.tx - pt).tolist()),
-            phi_dif=frame.angle_components(*(geom.rx - pt).tolist()),
+            phi_inc=phi_inc,
+            phi_dif=phi_dif,
             d_inc=d_l, d_dif=d_p)
         # vertical polarization, vertical edge: soft component
         d_soft, _ = utd_coefficient(wg, Material(), 6e9)

@@ -7,11 +7,12 @@ import pytest
 
 from raychan import (
     generate_v2v_scenario,
+    load_scene,
     save_scene,
     signature_str,
     trace_snapshot,
 )
-from raychan.cli import main
+from raychan.cli import MODES, ValidationError, execute_run, main
 from raychan.io import read_snapshots_csv
 from raychan.runs import time_key
 
@@ -153,7 +154,7 @@ class TestCli:
         assert main(["run", "--scene", str(tiny_scene_file), "--mode", "drt",
                      "--tc", "1.0", "--dt", "0.3", "--duration", "1.0",
                      "--out", str(tmp_path / "z")]) == 1
-        # dt == tc passes the CLI's own checks and fails PredictionConfig
+        # dt == tc passes execute_run's step checks and fails PredictionConfig
         assert main(["run", "--scene", str(tiny_scene_file), "--mode", "drt",
                      "--tc", "1.0", "--dt", "1.0", "--duration", "1.0",
                      "--out", str(tmp_path / "w")]) == 1
@@ -167,6 +168,23 @@ class TestCli:
                      "--duration", "1.0", "--out", str(tmp_path / "v")]) == 1
         assert main(["generate", "--out", str(tmp_path / "g.json"),
                      "--length", "-1"]) == 1
+
+    # (tc, dt, duration) that no mode accepts
+    BAD_STEPS = [(1.0, -0.1, 6.0), (1.0, 0.0, 1.0), (0.0, 0.1, 1.0), (1.0, 0.1, -1.0),
+                 (1.0, 0.1, 0.0), (1.0, 0.3, 1.0), (1.0, 0.1, 1.5), (1.0, 2.0, 2.0),
+                 (1.0, float("nan"), 1.0), (float("inf"), 0.1, 1.0),
+                 (1.0, 0.1, float("inf"))]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_invalid_steps_rejected_in_every_mode(self, mode, tiny_scene_file, tmp_path):
+        scene = load_scene(tiny_scene_file)
+        for i, (t_c, dt, duration) in enumerate(self.BAD_STEPS):
+            with pytest.raises(ValidationError):
+                execute_run(scene, mode, t_c, dt, duration)
+            assert main(["run", "--scene", str(tiny_scene_file), "--mode", mode,
+                         "--tc", str(t_c), "--dt", str(dt), "--duration", str(duration),
+                         "--out", str(tmp_path / str(i))]) == 1
+            assert not (tmp_path / str(i)).exists()
 
     def test_non_finite_frequency_exits_one(self, tiny_scene_file, tmp_path):
         doc = json.loads(tiny_scene_file.read_text())
