@@ -8,14 +8,16 @@
 
 `run` writes snapshots.csv, manifest.json, timing.json, pdp.csv, and (for
 mode edrt) lifetimes.csv into the output directory; when --reference points
-at a directory holding another run's snapshots.csv, errors.json is written
-as well.  Exit codes: 0 success; 1 invalid input (ValidationError,
-SceneError, a missing file); 2 any other failure at run time.
+at a directory holding another run's snapshots.csv and manifest.json,
+errors.json is written as well.  Exit codes: 0 success; 1 invalid input
+(ValidationError, SceneError, a missing file); 2 any other failure at run
+time.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 from pathlib import Path as FilePath
@@ -24,7 +26,8 @@ from . import io as artifact_io
 from .drt import drt_run
 from .edrt import edrt_run
 from .metrics import error_report, pdp_extract
-from .runs import PredictionConfig, RunResult, oracle_run, rt_run
+from .rt import Snapshot
+from .runs import PredictionConfig, RunResult, oracle_run, rt_run, time_grid, time_key
 from .scene import Scene, SceneError, load_scene, save_scene
 from .scenario import generate_v2v_scenario
 
@@ -106,6 +109,24 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+def _read_reference(directory: FilePath) -> list[Snapshot]:
+    """The snapshots of the run in directory, on its whole grid.
+
+    snapshots.csv has no row for an instant without paths, so the grid comes
+    from the run's manifest.json (dt, duration), and the instants absent
+    from the CSV are empty snapshots.  A missing manifest is a
+    ValidationError.
+    """
+    manifest = directory / "manifest.json"
+    if not manifest.is_file():
+        raise ValidationError(f"reference run has no manifest: {manifest}")
+    doc = json.loads(manifest.read_text())
+    by_key = {time_key(s.time): s
+              for s in artifact_io.read_snapshots_csv(directory / "snapshots.csv")}
+    return [by_key.get(time_key(t), Snapshot(time=t, paths=[]))
+            for t in time_grid(doc["duration"], doc["dt"])]
+
+
 def _cmd_run(args) -> int:
     scene = load_scene(args.scene)
     run = execute_run(scene, args.mode, args.tc, args.dt, args.duration)
@@ -121,9 +142,7 @@ def _cmd_run(args) -> int:
     if run.mode == "edrt":
         artifact_io.write_lifetimes_csv(run, outdir / "lifetimes.csv")
     if args.reference:
-        ref_csv = FilePath(args.reference) / "snapshots.csv"
-        reference = artifact_io.read_snapshots_csv(ref_csv)
-        report = error_report(reference, run)
+        report = error_report(_read_reference(FilePath(args.reference)), run)
         artifact_io.write_error_json(report, outdir / "errors.json")
     n_pred = len(run.predicted_times())
     print(f"{run.mode}: {len(run.snapshots)} snapshots "

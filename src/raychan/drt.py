@@ -15,11 +15,12 @@ trajectory with each row's window and signature rank, and assembles the
 predicted snapshots, for E-DRT as well.  The
 constructions are the RT pass's own kernels: rt.reflection_chains (the image
 cascade), rt.fermat_points (the diffraction point) and rt.slab_crossings
-(the penetrations), and rt.path_geometry_of assembles a row's PathGeometry.
-Fields are then computed directly, path by path (make_path is DRT's field
-stage).  A reflection point is allowed to slide off its facet and a stale
-line-of-sight path is kept when it becomes blocked: those are the documented
-error modes of the approach, resolved only by the next reference pass.
+(the penetrations), and a row's PathGeometry is a slice of the arrays
+(PathTrajectory.path_geometry).  Fields are then computed directly, path by
+path (make_path is DRT's field stage).  A reflection point is allowed to
+slide off its facet and a stale line-of-sight path is kept when it becomes
+blocked: those are the documented error modes of the approach, resolved
+only by the next reference pass.
 E-DRT reuses the same kernel for its lifetime scans, its bisection and its
 predictions.
 """
@@ -38,16 +39,14 @@ from .rt import (
     Path,
     PathGeometry,
     Snapshot,
-    _backbone_of,
     _owner_ids_for,
-    _penetration_slots,
     facet_crossings,
     fermat_points,
     make_path,
-    path_geometry_of,
     reflection_chains,
     signature_sort_key,
     slab_crossings,
+    slots_of,
 )
 from .runs import PredictionConfig, RunResult, StageTimer, prediction_run
 from .scene import Scene, SceneAtTime, scene_at
@@ -67,7 +66,8 @@ class TrajectoryGeometry(NamedTuple):
     The leading axes are (paths, times) as returned by
     PathTrajectory.geometry_at, or one axis of (path, instant) rows after
     rows().  index gives each path's (or row's) position in the trajectory.
-    Values in failed rows are meaningless.
+    Values in failed rows are meaningless.  One (path, instant) row, with
+    its signature, is an rt.PathGeometry (PathTrajectory.path_geometry).
     """
 
     index: np.ndarray         # (P,) or (N,)
@@ -120,14 +120,14 @@ class _Shape:
         self.scene = scene
         self.index = index
         self.diffraction = Mechanism.DIFFRACTION in shape_of(paths[0].signature)
-        backbones = [_backbone_of(p.signature) for p in paths]
+        slots = [slots_of(p.signature) for p in paths]
+        backbones = [sl.backbone for sl in slots]
         n_paths, n_seg = len(paths), len(backbones[0]) + 1
-        slots = [_penetration_slots(p.signature) for p in paths]
-        n_pen = max(len(sl) for sl in slots)
+        n_pen = max(len(sl.penetrations) for sl in slots)
         pen_seg = np.full((n_paths, n_pen), -1)
         pen_facet = np.full((n_paths, n_pen), -1)
         for p, sl in enumerate(slots):
-            for j, (fid, seg) in enumerate(sl):
+            for j, (fid, seg) in enumerate(sl.penetrations):
                 pen_seg[p, j], pen_facet[p, j] = seg, ids[fid]
         exclude = np.zeros((n_paths, n_seg, statics.n_facets), dtype=bool)
         for p, backbone in enumerate(backbones):
@@ -259,13 +259,16 @@ class PathTrajectory:
     - geometry_at: per shape, vertex arrays and a mask of hard failures,
       unclamped, so the structure stays frozen.  For a single path a scalar
       time gives the PathGeometry of that instant instead.
+    - path_geometry: one (path, instant) row of those arrays as a
+      PathGeometry.
     - crossings: the occlusion and penetration profiles of resolved rows,
       all shapes in one facet_crossings call.
     - existence_scan: the strict existence predicates of an RT pass.
     - validity_scan: one of the two existence masks, chosen per path.
 
     A third argument, a reference time that perfbench/check.py still
-    passes, is accepted and ignored: no trajectory depends on it.
+    passes, is accepted and ignored: no trajectory depends on it.  So is
+    the scene that check.py passes to a scalar geometry_at.
     """
 
     def __init__(self, paths, scene: Scene, _reference_time=None):
@@ -321,37 +324,33 @@ class PathTrajectory:
         self.shapes; its failed mask marks the rows where the construction
         itself is impossible (see _Shape.construct, plus a slab crossing
         parallel to its segment or a zero-length segment).  For a single
-        path and a scalar time, returns that instant's PathGeometry (its
-        penetrations refer to geom, evaluated when not given) and raises
-        ConstructionError instead.
+        path and a scalar time, returns that instant's PathGeometry and
+        raises ConstructionError instead; geom is then ignored.
         """
         if np.ndim(times) == 0:
-            return self._path_geometry_at(float(times), geom)
+            return self._path_geometry_at(float(times))
         t, tx, rx = self._times(times)
         with np.errstate(divide="ignore", invalid="ignore"):
             return [s.resolve(tx.take(s.index, axis=0), rx.take(s.index, axis=0),
                               t.take(s.index, axis=0)) for s in self.shapes]
 
-    def _path_geometry_at(self, t: float, geom: SceneAtTime | None) -> PathGeometry:
+    def _path_geometry_at(self, t: float) -> PathGeometry:
         if len(self.paths) != 1:
             raise ValueError("a scalar time needs a single-path trajectory")
         [g] = self.geometry_at(np.array([t]))
         if g.failed[0, 0]:
             raise ConstructionError(
                 f"construction of {self.paths[0].signature} impossible at t={t:g}")
-        return self.path_geometry(g, 0, 0, geom if geom is not None
-                                  else scene_at(self.scene, t))
+        return self.path_geometry(g, 0, 0)
 
-    def path_geometry(self, g: TrajectoryGeometry, p: int, i: int,
-                      geom: SceneAtTime) -> PathGeometry:
-        """PathGeometry of row p of g at its i-th time (not a failed row).
-
-        geom is the scene at that time: penetrations refer to its facets,
-        and its Tx and Rx positions, equal to the kernel's, are shared.
-        """
-        return path_geometry_of(geom, self.paths[g.index[p]].signature,
-                                g.vertices[p, i, 1:-1], g.pen_points[p, i], g.pen_params[p, i],
-                                g.seg_lengths[p, i], float(g.total_length[p, i]))
+    def path_geometry(self, g: TrajectoryGeometry, p: int, i: int) -> PathGeometry:
+        """PathGeometry of row p of g at its i-th time (not a failed row):
+        a slice of g's arrays, cut to the path's own penetrations."""
+        sig = self.paths[g.index[p]].signature
+        n_pen = len(slots_of(sig).penetrations)
+        return PathGeometry(sig, g.vertices[p, i], g.pen_points[p, i, :n_pen],
+                            g.pen_params[p, i, :n_pen], g.seg_lengths[p, i],
+                            float(g.total_length[p, i]))
 
     def crossings(self, times, vertices, rows):
         """Occlusion and penetration profiles: (extra, declared), (P, T) each.
@@ -518,7 +517,7 @@ def _advance(members, scene: Scene, times, timer: StageTimer) -> list[Snapshot]:
     for t, slot in zip(times.ravel().tolist(), picked):
         geom = scene_at(scene, t)
         with timer.geometry():
-            geometries = [(k, i, rows.traj.path_geometry(g, p, i, geom)) for g, p, i, k in slot]
+            geometries = [(k, i, rows.traj.path_geometry(g, p, i)) for g, p, i, k in slot]
         with timer.field():
             for k, i, geometry in geometries:
                 try:

@@ -24,7 +24,8 @@ geometry from the same arrays and computes each mechanism's coefficients in
 one pass over arrays; for diffractions it runs the ray tracer's formulas
 (geometry.wedge_angles, coefficients.utd_coefficient and
 rt.spreading_factor) on arrays instead of floats.  Path objects are built
-only for the output snapshots, and the scene is evaluated at an instant
+only for the output snapshots, their interactions by rt.interactions_of,
+the rule of RT and DRT paths, and the scene is evaluated at an instant
 only for a direct field fallback.  A single window, or a single path's
 birth or death, is a batch of one.
 """
@@ -53,10 +54,11 @@ from .rt import (
     Path,
     PathGeometry,
     Snapshot,
-    _interaction_slots,
     field_of_path,
+    interactions_of,
     power_dbm_from_field,
     signature_str,
+    slots_of,
     spreading_factor,
 )
 from .runs import PredictionConfig, RunResult, StageTimer, prediction_run
@@ -317,18 +319,14 @@ def extrapolate_field(ref: Path, cur: PathGeometry, scene: Scene):
     Magnitudes follow the exact coefficient/spreading/loss ratios; the phase
     advances by -k times the total length change, keeping each coefficient's
     phase at its reference value.  Returns (field2, power_dbm) or None when
-    the Brewster-null fallback applies.
+    the Brewster-null fallback applies.  cur goes in as a batch of one row.
     """
-    pens = cur.penetrations
+    segments = [seg for _fid, seg in slots_of(cur.signature).penetrations]
     row = TrajectoryGeometry(
-        index=np.zeros(1, dtype=int),
-        vertices=np.asarray(cur.vertices)[None],
-        pen_points=np.array([h.point for h in pens]).reshape(1, len(pens), 3),
-        pen_params=np.array([[h.t for h in pens]]).reshape(1, len(pens)),
-        seg_lengths=np.asarray(cur.seg_lengths)[None],
-        total_length=np.array([cur.total_length]),
-        failed=np.zeros(1, dtype=bool),
-        pen_segments=np.array([[h.segment for h in pens]]).reshape(1, len(pens)))
+        np.zeros(1, dtype=int),
+        *(np.asarray(a)[None] for a in (cur.vertices, cur.pen_points, cur.pen_params,
+                                         cur.seg_lengths, cur.total_length)),
+        failed=np.zeros(1, dtype=bool), pen_segments=np.array([segments], dtype=int))
     return extrapolate_fields([ref], [row], scene)[0]
 
 
@@ -424,7 +422,7 @@ def extrapolate_fields(refs, batches, scene: Scene):
                                  diffracted))
     phase = np.exp(-1j * scene.wavenumber * (totals - np.array([ref.geometry.total_length
                                                                for ref in refs])))
-    field2 = np.array([ref.field for ref in refs]).reshape(n_all, 2)
+    field2 = np.array([ref.field for ref in refs], complex).reshape(n_all, 2)
     field2 *= (ratio * spread * phase)[:, None]
     mag = np.hypot(np.abs(field2[:, 0]), np.abs(field2[:, 1]))
     return [(f, power_dbm_from_field(m, scene)) if a else None
@@ -464,7 +462,7 @@ class EdrtRound:
                 [(w, p) for w, p, _kind in self.members], scene)
             self.traj = self.rows.traj
             spans = [(lifetimes[w][p.signature], kind) for w, p, kind in self.members]
-            self.slots = [_interaction_slots(p.signature) for p in self.traj.paths]
+            self.slots = [slots_of(p.signature) for p in self.traj.paths]
             self.lo = np.array([lt.birth_time if kind == "born" else -math.inf
                                 for lt, kind in spans])
             self.hi = np.array([lt.death_time if kind == "dying" else math.inf
@@ -542,9 +540,8 @@ class EdrtRound:
                         if slot not in scenes:
                             scenes[slot] = scene_at(self.scene, float(times[slot]))
                         try:
-                            result = field_of_path(
-                                self.scene, scenes[slot],
-                                self.traj.path_geometry(g, p, i, scenes[slot]))
+                            result = field_of_path(self.scene, scenes[slot],
+                                                   self.traj.path_geometry(g, p, i))
                         except ConstructionError:
                             self.dropped += 1
                             continue
@@ -556,12 +553,8 @@ class EdrtRound:
 
     def _interactions(self, rows: TrajectoryGeometry) -> list[list[Interaction]]:
         """The interactions of each row of rows, in signature order."""
-        out = []
-        for k, verts, pens in zip(rows.index.tolist(), rows.vertices, rows.pen_points):
-            out.append([Interaction(m, gid, verts[j] if on_vertex else pens[j])
-                        for (m, gid), (on_vertex, j)
-                        in zip(self.traj.paths[k].signature, self.slots[k])])
-        return out
+        return [interactions_of(self.slots[k], verts, pens)
+                for k, verts, pens in zip(rows.index.tolist(), rows.vertices, rows.pen_points)]
 
 
 def predict_snapshot_edrt(matched: MatchedPaths, lifetimes: dict, scene: Scene,

@@ -10,7 +10,8 @@ Each mechanism has one construction kernel over arrays of rows, shared with
 the predictions (drt.PathTrajectory runs them over paths x times):
 reflection_chains (the image cascade), fermat_points (the diffraction point)
 and slab_crossings (the penetration points).  An RT candidate calls them as
-a batch of one, and path_geometry_of assembles every PathGeometry.  A
+a batch of one, and build_geometry returns its PathGeometry: one row of the
+arrays that a drt.TrajectoryGeometry holds for many paths and instants.  A
 candidate is decided in four stages (trace_geometry): exact plane-side
 culling, then beam culling of ordered reflection pairs (the second bounce
 must lie in the beam that the first facet casts), then reflection_chains
@@ -21,11 +22,14 @@ build_geometry) for each candidate left.
 
 The electric field is propagated as a complex 3-vector with per-interface
 polarization decomposition, on Python floats, and reported at the receiver
-as a 2-vector in the ray-fixed (vertical, horizontal) arrival basis.  At an
-edge the chain takes the angles from geometry.wedge_angles, the coefficient
-from coefficients.utd_coefficient and the caustic spreading from
-spreading_factor: formulas that run on floats here and on arrays in
-E-DRT's field extrapolation.
+as a 2-vector in the ray-fixed (vertical, horizontal) arrival basis.  The
+chain reads each path's mechanisms, penetrated facets and segments from its
+signature (slots_of, cached per signature), and interactions_of lists the
+interactions of RT, DRT and E-DRT paths alike.  At an edge the chain takes
+the angles from geometry.wedge_angles, the coefficient from
+coefficients.utd_coefficient and the caustic spreading from
+spreading_factor: formulas that run on floats here and on arrays in E-DRT's
+field extrapolation.
 """
 
 from __future__ import annotations
@@ -62,7 +66,6 @@ from .geometry import (
 from .scene import (
     C_LIGHT,
     FacetArrays,
-    FacetAtTime,
     Scene,
     SceneAtTime,
     SceneError,
@@ -449,70 +452,58 @@ def slab_crossings(a, d, normal, offset):
         return a + par[..., None] * d, par, np.abs(denom) < 1e-14
 
 
-@dataclass
-class PenetrationHit:
-    segment: int
-    facet: FacetAtTime
-    point: np.ndarray
-    t: float
+class PathGeometry(NamedTuple):
+    """Resolved geometry of one path at one instant: one row of the arrays
+    of a drt.TrajectoryGeometry, with its signature.
 
-
-@dataclass
-class PathGeometry:
-    """Fully resolved geometry of one path at one time instant."""
+    The mechanisms, the penetrated facets and their segments follow from the
+    signature (slots_of).
+    """
 
     signature: Signature
-    tx: np.ndarray
-    rx: np.ndarray
-    vertices: list[np.ndarray]      # tx, backbone points, rx
-    backbone: list[Interaction]
-    penetrations: list[PenetrationHit]
-    seg_lengths: np.ndarray
+    vertices: np.ndarray      # (V, 3): Tx, backbone points, Rx
+    pen_points: np.ndarray    # (n_pen, 3) slab crossing points, signature order
+    pen_params: np.ndarray    # (n_pen,) their parameters along their segments
+    seg_lengths: np.ndarray   # (V - 1,)
     total_length: float
-    diffraction_split: tuple[float, float] | None  # (s_pre, s_post)
 
     def interactions(self) -> list[Interaction]:
-        """All interactions in signature order (see _interaction_slots)."""
-        if not self.penetrations:   # the common case: the backbone alone
-            return list(self.backbone)
-        return [Interaction(m, gid, self.vertices[j] if on_vertex else self.penetrations[j].point)
-                for (m, gid), (on_vertex, j) in zip(self.signature,
-                                                    _interaction_slots(self.signature))]
+        return interactions_of(slots_of(self.signature), self.vertices, self.pen_points)
+
+
+class Slots(NamedTuple):
+    """Where a signature's interactions sit along its path (slots_of)."""
+
+    backbone: tuple        # (mechanism, id) of the reflections and diffractions
+    penetrations: tuple    # (facet id, segment index) of each penetration
+    interactions: tuple    # (mechanism, id, on_vertex, index) in signature order:
+                           # a vertex among Tx, the backbone points and Rx, or a
+                           # penetration
 
 
 @functools.lru_cache(maxsize=4096)
-def _backbone_of(sig: Signature):
-    return tuple((m, gid) for m, gid in sig if m is not Mechanism.PENETRATION)
-
-
-@functools.lru_cache(maxsize=4096)
-def _penetration_slots(sig: Signature):
-    """(facet_id, segment_index) for each penetration, from signature order."""
-    out = []
-    seg = 0
+def slots_of(sig: Signature) -> Slots:
+    """The slots of a signature.  Signature order is traversal order: an RT
+    pass admits at most one penetration per path (trace_geometry), and a
+    diffraction is always a path's only backbone interaction
+    (solve_backbone)."""
+    backbone, pens, inters = [], [], []
     for m, gid in sig:
         if m is Mechanism.PENETRATION:
-            out.append((gid, seg))
+            inters.append((m, gid, False, len(pens)))
+            pens.append((gid, len(backbone)))
         else:
-            seg += 1
-    return tuple(out)
+            backbone.append((m, gid))
+            inters.append((m, gid, True, len(backbone)))
+    return Slots(tuple(backbone), tuple(pens), tuple(inters))
 
 
-@functools.lru_cache(maxsize=4096)
-def _interaction_slots(sig: Signature):
-    """Where each interaction's point sits, in signature order: (True,
-    vertex index) among Tx, the backbone points and Rx, or (False,
-    penetration index).  Signature order is traversal order: an RT pass
-    admits at most one penetration per path (trace_geometry)."""
-    out = []
-    n_pen = 0
-    for m, _gid in sig:
-        if m is Mechanism.PENETRATION:
-            out.append((False, n_pen))
-            n_pen += 1
-        else:
-            out.append((True, len(out) - n_pen + 1))
-    return tuple(out)
+def interactions_of(slots: Slots, vertices, pen_points) -> list[Interaction]:
+    """A path's interactions in signature order, from its vertices (Tx,
+    backbone points, Rx) and penetration points: the one rule of RT, DRT and
+    E-DRT paths."""
+    return [Interaction(m, gid, vertices[j] if on_vertex else pen_points[j])
+            for m, gid, on_vertex, j in slots.interactions]
 
 
 def build_geometry(geom: SceneAtTime, sig: Signature, backbone_points) -> PathGeometry:
@@ -522,9 +513,9 @@ def build_geometry(geom: SceneAtTime, sig: Signature, backbone_points) -> PathGe
     slab plane (slab_crossings as a batch of one).  Raises ConstructionError
     for a segment parallel to its slab or of zero length.
     """
-    vertices = [geom.tx, *backbone_points, geom.rx]
+    vertices = np.array([geom.tx, *backbone_points, geom.rx])
     pen_points, pen_params = [], []
-    for fid, seg in _penetration_slots(sig):
+    for fid, seg in slots_of(sig).penetrations:
         f = geom.facet(fid)
         a = vertices[seg]
         point, par, parallel = slab_crossings(a, vertices[seg + 1] - a, f.normal, f.offset)
@@ -532,34 +523,11 @@ def build_geometry(geom: SceneAtTime, sig: Signature, backbone_points) -> PathGe
             raise ConstructionError(f"penetration segment parallel to facet {fid!r}")
         pen_points.append(point)
         pen_params.append(par)
-    seg_lengths = np.linalg.norm(np.diff(np.asarray(vertices), axis=0), axis=1)
+    seg_lengths = np.linalg.norm(np.diff(vertices, axis=0), axis=1)
     if np.any(seg_lengths < 1e-9):
         raise ConstructionError("degenerate zero-length path segment")
-    return path_geometry_of(geom, sig, backbone_points, pen_points, pen_params,
-                            seg_lengths, float(seg_lengths.sum()))
-
-
-def path_geometry_of(geom: SceneAtTime, sig: Signature, points, pen_points, pen_params,
-                     seg_lengths: np.ndarray, total: float) -> PathGeometry:
-    """The one PathGeometry assembler, for build_geometry and
-    drt.PathTrajectory.path_geometry.
-
-    points are the backbone points, pen_points and pen_params the slab
-    crossings in signature order, seg_lengths and total the segment lengths
-    and their sum.  geom is the instant: its Tx and Rx end the path and its
-    facets are the penetrated ones.  A diffraction is always a path's only
-    backbone interaction (see solve_backbone).
-    """
-    backbone_sig = _backbone_of(sig)
-    backbone = [Interaction(m, gid, p) for (m, gid), p in zip(backbone_sig, points)]
-    pens = [PenetrationHit(seg, geom.facet(fid), pen_points[j], float(pen_params[j]))
-            for j, (fid, seg) in enumerate(_penetration_slots(sig))]
-    split = None
-    if backbone_sig and backbone_sig[0][0] is Mechanism.DIFFRACTION:
-        s_pre = float(seg_lengths[0])
-        split = (s_pre, total - s_pre)
-    return PathGeometry(sig, geom.tx, geom.rx, [geom.tx, *points, geom.rx], backbone, pens,
-                        seg_lengths, total, split)
+    return PathGeometry(sig, vertices, np.reshape(pen_points, (-1, 3)),
+                        np.array(pen_params, float), seg_lengths, float(seg_lengths.sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -601,23 +569,21 @@ def _reflection_basis(s_in, normal) -> tuple:
     return (perp[0] / m, perp[1] / m, perp[2] / m)
 
 
-def _check_on_geometry(geometry: PathGeometry, geom: SceneAtTime) -> None:
-    for inter in geometry.backbone:
-        p = inter.point.tolist()
-        if inter.mechanism is Mechanism.REFLECTION:
-            f = geom.facet(inter.geometry_id)
+def _check_on_geometry(geometry: PathGeometry, geom: SceneAtTime, slots: Slots) -> None:
+    for (mechanism, gid), vertex in zip(slots.backbone, geometry.vertices[1:]):
+        p = vertex.tolist()
+        if mechanism is Mechanism.REFLECTION:
+            f = geom.facet(gid)
             if abs(dot3(f.normal.tolist(), p) - f.offset) > ON_GEOMETRY_TOL:
-                raise ConstructionError(
-                    f"reflection point off the plane of facet {inter.geometry_id!r}")
+                raise ConstructionError(f"reflection point off the plane of facet {gid!r}")
         else:
-            a, b = geom.edge(inter.geometry_id).endpoints.tolist()
+            a, b = geom.edge(gid).endpoints.tolist()
             d = unit3(sub3(b, a))
             w = sub3(p, a)
             along = dot3(w, d)
             off = (w[0] - along * d[0], w[1] - along * d[1], w[2] - along * d[2])
             if math.sqrt(dot3(off, off)) > ON_GEOMETRY_TOL:
-                raise ConstructionError(
-                    f"diffraction point off the line of edge {inter.geometry_id!r}")
+                raise ConstructionError(f"diffraction point off the line of edge {gid!r}")
 
 
 class InteractionTrace(NamedTuple):
@@ -649,27 +615,28 @@ def _project(e_vec, pair, u_in, v_in, u_out, v_out):
              a * u_out[2] + b * v_out[2]), 0 if abs(c0) >= abs(c1) else 1)
 
 
-def polarization_chain(scene: Scene, geom: SceneAtTime, geometry: PathGeometry,
+def polarization_chain(scene: Scene, geom: SceneAtTime, geometry: PathGeometry, slots: Slots,
                        record: list[InteractionTrace] | None = None) -> tuple:
     """Propagate the launch polarization through all interactions.
 
     Returns the complex 3-vector (a tuple) of field direction times
-    coefficients, before spreading and propagation phase.  When record is
-    given, an InteractionTrace per interaction (backbone order, then
-    penetrations) is appended for later coefficient re-evaluation.  The walk
-    runs on Python floats, and every coefficient comes from the incidence
-    cosine, as in E-DRT's re-evaluation.
+    coefficients, before spreading and propagation phase.  slots are the
+    signature's (slots_of).  When record is given, an InteractionTrace per
+    interaction (backbone order, then penetrations) is appended for later
+    coefficient re-evaluation.  The walk runs on Python floats, and every
+    coefficient comes from the incidence cosine, as in E-DRT's
+    re-evaluation.
     """
-    verts = [v.tolist() for v in geometry.vertices]
+    verts = geometry.vertices.tolist()
     freq = scene.frequency
     amp = launch_amplitude(scene)
     v = vertical_pol(unit3(sub3(verts[1], verts[0])))
     e_vec = (complex(amp * v[0]), complex(amp * v[1]), complex(amp * v[2]))
-    for i, inter in enumerate(geometry.backbone):
+    for i, (mechanism, gid) in enumerate(slots.backbone):
         s_in = unit3(sub3(verts[i + 1], verts[i]))
         s_out = unit3(sub3(verts[i + 2], verts[i + 1]))
-        if inter.mechanism is Mechanism.REFLECTION:
-            f = geom.facet(inter.geometry_id)
+        if mechanism is Mechanism.REFLECTION:
+            f = geom.facet(gid)
             normal = f.normal.tolist()
             eps = complex_permittivity(f.material, freq)
             pair = fresnel_from_cos(min(abs(dot3(s_in, normal)), 1.0), eps)
@@ -679,7 +646,7 @@ def polarization_chain(scene: Scene, geom: SceneAtTime, geometry: PathGeometry,
             trace = InteractionTrace(kind=Mechanism.REFLECTION, coeff=pair, label=label,
                                      eps=eps, normal=f.normal)
         else:  # diffraction
-            e = geom.edge(inter.geometry_id)
+            e = geom.edge(gid)
             frame = e.frame
             material = e.adjacent[0].material
             eps = complex_permittivity(material, freq)
@@ -702,10 +669,10 @@ def polarization_chain(scene: Scene, geom: SceneAtTime, geometry: PathGeometry,
         if record is not None:
             record.append(trace)
 
-    for hit in geometry.penetrations:
-        f = hit.facet
+    for fid, seg in slots.penetrations:
+        f = geom.facet(fid)
         normal = f.normal.tolist()
-        s_dir = unit3(sub3(verts[hit.segment + 1], verts[hit.segment]))
+        s_dir = unit3(sub3(verts[seg + 1], verts[seg]))
         cos_th = min(abs(dot3(s_dir, normal)), 1.0)
         if cos_th < GRAZING_COS:
             raise ConstructionError(f"grazing penetration through facet {f.id!r}")
@@ -740,20 +707,23 @@ def spreading_factor(total_length, s_pre, diffracted):
 
 
 def field_of_path(scene: Scene, geom: SceneAtTime, geometry: PathGeometry,
-                  record: list[InteractionTrace] | None = None):
+                  record: list[InteractionTrace] | None = None, slots: Slots | None = None):
     """Direct electric-field computation for a resolved path.
 
     Free-space spherical spreading from the transmitter, per-interaction
     coefficient application with polarization decomposition at each
-    interface, and slab penetration loss.  Returns (field_2vector,
-    power_dbm) with the field expressed in the receiver's (v, h) basis.
+    interface, and slab penetration loss.  slots are the signature's, looked
+    up when not given.  Returns (field_2vector, power_dbm) with the field
+    expressed in the receiver's (v, h) basis.
     """
-    _check_on_geometry(geometry, geom)
+    if slots is None:
+        slots = slots_of(geometry.signature)
+    _check_on_geometry(geometry, geom, slots)
     verts = geometry.vertices
-    e_vec = polarization_chain(scene, geom, geometry, record)
-    split = geometry.diffraction_split
-    scale = (spreading_factor(geometry.total_length, split[0] if split else 0.0,
-                              split is not None)
+    e_vec = polarization_chain(scene, geom, geometry, slots, record)
+    diffracted = bool(slots.backbone) and slots.backbone[0][0] is Mechanism.DIFFRACTION
+    s_pre = float(geometry.seg_lengths[0]) if diffracted else 0.0
+    scale = (spreading_factor(geometry.total_length, s_pre, diffracted)
              * cmath.exp(-1j * scene.wavenumber * geometry.total_length))
     e_vec = (e_vec[0] * scale, e_vec[1] * scale, e_vec[2] * scale)
     v_hat, h_hat = arrival_basis(unit3(sub3(verts[-1].tolist(), verts[-2].tolist())))
@@ -769,11 +739,12 @@ def make_path(scene: Scene, geom: SceneAtTime, geometry: PathGeometry) -> Path:
     always kept on the path: E-DRT extrapolates fields from them, and keeping
     them costs less than walking the chain a second time.
     """
+    slots = slots_of(geometry.signature)
     traces: list[InteractionTrace] = []
-    field2, p_dbm = field_of_path(scene, geom, geometry, record=traces)
+    field2, p_dbm = field_of_path(scene, geom, geometry, traces, slots)
     return Path(
         signature=geometry.signature,
-        interactions=geometry.interactions(),
+        interactions=interactions_of(slots, geometry.vertices, geometry.pen_points),
         delay=geometry.total_length / C_LIGHT,
         field=field2,
         power_dbm=p_dbm,

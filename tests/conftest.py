@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # local oracle helpers
 
-from raychan import PredictionConfig, drt_run, edrt_run, generate_v2v_scenario
+from raychan import generate_v2v_scenario
 from raychan.cli import execute_run
 from raychan.runs import oracle_run
 

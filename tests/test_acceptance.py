@@ -6,11 +6,9 @@ are fixed here, not tuned at runtime.
 """
 
 import json
-import math
 import time
 
 import numpy as np
-import pytest
 
 from raychan import (
     PathTrajectory,

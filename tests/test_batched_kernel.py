@@ -33,10 +33,10 @@ from raychan.io import write_manifest_json
 from raychan.rt import (
     SIDE_EPS,
     ConstructionError,
-    _backbone_of,
     build_geometry,
     fermat_points,
     slab_crossings,
+    slots_of,
     solve_backbone,
 )
 
@@ -156,20 +156,16 @@ def test_geometry_is_the_rt_construction(scene, t0, times):
             for p, k in enumerate(g.index):
                 sig = paths[k].signature
                 try:
-                    points = solve_backbone(geom, _backbone_of(sig))
+                    points = solve_backbone(geom, slots_of(sig).backbone)
                     want = build_geometry(geom, sig, points)
                 except ConstructionError:
                     continue
                 assert not g.failed[p, i]
-                got = batch.path_geometry(g, p, i, geom)
-                assert all(np.array_equal(a, b) for a, b in zip(got.vertices, want.vertices))
-                assert np.array_equal(got.seg_lengths, want.seg_lengths)
+                got = batch.path_geometry(g, p, i)
+                assert got.signature == want.signature
+                for name in ("vertices", "pen_points", "pen_params", "seg_lengths"):
+                    assert np.array_equal(getattr(got, name), getattr(want, name)), name
                 assert got.total_length == want.total_length
-                assert got.diffraction_split == want.diffraction_split
-                assert [(h.segment, h.facet.id, h.t) for h in got.penetrations] == \
-                    [(h.segment, h.facet.id, h.t) for h in want.penetrations]
-                assert all(np.array_equal(a.point, b.point)
-                           for a, b in zip(got.penetrations, want.penetrations))
                 compared += 1
     assert compared > times.size
 

@@ -13,7 +13,6 @@ from raychan import (
     predict_snapshot_drt,
     random_scene,
     scene_at,
-    signature_str,
     trace_snapshot,
 )
 from raychan.rt import Mechanism

@@ -138,7 +138,7 @@ class TestLifetimes:
             for t in np.arange(1.0, 0.0, -0.001):
                 g = traj.geometry_at(float(t))
                 geom = scene_at(scene, float(t))
-                inter = g.backbone[idx]
+                inter = g.interactions()[idx]
                 fac = geom.facet(inter.geometry_id)
                 if fac.boundary_distance(inter.point) < 0.0:
                     entered = float(t) + 0.001

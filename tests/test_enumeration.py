@@ -76,9 +76,8 @@ def _assert_same_geometries(scene, t, timer=None):
     full = _unculled_geometry(scene, t)
     assert [g.signature for g in culled] == [g.signature for g in full]
     for a, b in zip(culled, full):
-        assert all(np.array_equal(p, q) for p, q in zip(a.vertices, b.vertices))
-        assert [h.facet.id for h in a.penetrations] == \
-            [h.facet.id for h in b.penetrations]
+        assert np.array_equal(a.vertices, b.vertices)
+        assert np.array_equal(a.pen_points, b.pen_points)
     return full
 
 

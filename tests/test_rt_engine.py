@@ -10,9 +10,7 @@ from raychan import (
     Facet,
     Material,
     Motion,
-    MotionState,
     Scene,
-    field_of_path,
     scene_at,
     signature_str,
     trace_snapshot,

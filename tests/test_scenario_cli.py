@@ -1,6 +1,5 @@
 import json
 import math
-from pathlib import Path as FilePath
 
 import numpy as np
 import pytest
@@ -246,3 +245,43 @@ class TestCli:
         assert [time_key(s.time) for s in snaps] == [0, 500000, 1000000]
         text = (out / "snapshots.csv").read_text().splitlines()
         assert text[0] == "time_s,path_index,signature,delay_ns,power_dbm,n_interactions"
+
+
+def _wall_scene_file(path, half_width: float):
+    """One opaque wall, 2 * half_width wide, between Tx at rest and an Rx
+    passing behind it, with no edge to diffract: at dt 0.1 s over 3 s a
+    1 m half-width hides Rx at t = 1.1-2.0 s, a 100 m one throughout."""
+    h = half_width
+    path.write_text(json.dumps({
+        "frequency_hz": 6e9,
+        "facets": [{"id": "wall", "vertices": [[5, -h, 0], [5, h, 0], [5, h, 4], [5, -h, 4]]}],
+        "tx": {"motion_segments": [{"r0": [0, 0, 1.5]}]},
+        "rx": {"motion_segments": [{"r0": [10, -6.05, 1.5], "v0": [0, 4, 0]}]}}))
+    return path
+
+
+class TestBlockedReceiver:
+    def test_no_path_anywhere_gives_empty_snapshots_in_every_mode(self, tmp_path):
+        scene = load_scene(_wall_scene_file(tmp_path / "wall.json", 100.0))
+        runs = [execute_run(scene, mode, 1.0, 0.1, 3.0) for mode in ("rt", "drt", "edrt")]
+        for run in runs:
+            assert [time_key(s.time) for s in run.snapshots] == \
+                [time_key(0.1 * i) for i in range(31)]
+            assert not any(s.paths for s in run.snapshots)
+
+    def test_reference_instants_without_paths(self, tmp_path):
+        scene = _wall_scene_file(tmp_path / "wall.json", 1.0)
+        run = ["run", "--scene", str(scene), "--duration", "3"]
+        assert main([*run, "--mode", "rt", "--out", str(tmp_path / "rt")]) == 0
+        # snapshots.csv has no row for the ten instants without a path
+        assert len(read_snapshots_csv(tmp_path / "rt" / "snapshots.csv")) == 21
+        drt = [*run, "--mode", "drt", "--out", str(tmp_path / "drt"),
+               "--reference", str(tmp_path / "rt")]
+        assert main(drt) == 0
+        report = json.loads((tmp_path / "drt" / "errors.json").read_text())
+        # the predicted instants 1.1-1.9 s have no reference path
+        assert report["skipped_positions"] == 9
+        assert len(report["per_position"]) == 27 - 9
+        # without its manifest the reference's grid is unknown
+        (tmp_path / "rt" / "manifest.json").unlink()
+        assert main(drt) == 1
