@@ -10,8 +10,8 @@
 mode edrt) lifetimes.csv into the output directory; when --reference points
 at a directory holding another run's snapshots.csv and manifest.json,
 errors.json is written as well.  Exit codes: 0 success; 1 invalid input
-(ValidationError, SceneError, a missing file); 2 any other failure at run
-time.
+(ValidationError, SceneError, a missing file, a reference run that cannot
+be compared); 2 any other failure at run time.
 """
 
 from __future__ import annotations
@@ -109,8 +109,9 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _read_reference(directory: FilePath) -> list[Snapshot]:
-    """The snapshots of the run in directory, on its whole grid.
+def _read_reference(directory: FilePath, wavelength: float) -> list[Snapshot]:
+    """The snapshots of the run in directory, on its whole grid, with field
+    magnitudes at wavelength (io.read_snapshots_csv).
 
     snapshots.csv has no row for an instant without paths, so the grid comes
     from the run's manifest.json (dt, duration), and the instants absent
@@ -122,9 +123,28 @@ def _read_reference(directory: FilePath) -> list[Snapshot]:
         raise ValidationError(f"reference run has no manifest: {manifest}")
     doc = json.loads(manifest.read_text())
     by_key = {time_key(s.time): s
-              for s in artifact_io.read_snapshots_csv(directory / "snapshots.csv")}
+              for s in artifact_io.read_snapshots_csv(directory / "snapshots.csv", wavelength)}
     return [by_key.get(time_key(t), Snapshot(time=t, paths=[]))
             for t in time_grid(doc["duration"], doc["dt"])]
+
+
+def _compare(reference: list[Snapshot], run: RunResult):
+    """The error report of run against reference.  ValidationError when the
+    two cannot be compared: the reference has no snapshot at some instant of
+    the run (it is on another grid), or one of the two runs has no path with
+    power at the run's instants."""
+    listed = {time_key(s.time) for s in reference}
+    missing = [s.time for s in run.snapshots if time_key(s.time) not in listed]
+    if missing:
+        raise ValidationError(f"reference run has no snapshot at t={missing[0]:g} s: "
+                              "it is on another time grid")
+    keys = {time_key(s.time) for s in run.snapshots}
+    for name, snapshots in (("reference", reference), (run.mode, run.snapshots)):
+        if not any(math.isfinite(p.power_dbm) for s in snapshots
+                   if time_key(s.time) in keys for p in s.paths):
+            raise ValidationError(f"cannot compare with the reference: the {name} run "
+                                  "has no path with power")
+    return error_report(reference, run)
 
 
 def _cmd_run(args) -> int:
@@ -142,7 +162,7 @@ def _cmd_run(args) -> int:
     if run.mode == "edrt":
         artifact_io.write_lifetimes_csv(run, outdir / "lifetimes.csv")
     if args.reference:
-        report = error_report(_read_reference(FilePath(args.reference)), run)
+        report = _compare(_read_reference(FilePath(args.reference), scene.wavelength), run)
         artifact_io.write_error_json(report, outdir / "errors.json")
     n_pred = len(run.predicted_times())
     print(f"{run.mode}: {len(run.snapshots)} snapshots "

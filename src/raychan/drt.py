@@ -10,17 +10,20 @@ reflections, or one diffraction, each path with or without a penetration),
 and one call resolves every row at its own window's prediction instants, as
 arrays over (rows x times), one kernel per shape: the exact geometric
 construction is re-solved against the scene displaced to each query time,
-which is exact for the polynomial motion model.  WindowRows holds that
-trajectory with each row's window and signature rank, and assembles the
-predicted snapshots, for E-DRT as well.  The
-constructions are the RT pass's own kernels: rt.reflection_chains (the image
-cascade), rt.fermat_points (the diffraction point) and rt.slab_crossings
-(the penetrations), and a row's PathGeometry is a slice of the arrays
-(PathTrajectory.path_geometry).  Fields are then computed directly, path by
-path (make_path is DRT's field stage).  A reflection point is allowed to
-slide off its facet and a stale line-of-sight path is kept when it becomes
-blocked: those are the documented error modes of the approach, resolved
-only by the next reference pass.
+which is exact for the polynomial motion model.  A shape keeps only indices
+into the scene and moves the epoch arrays it gathers by the scene's one
+displacement rule (Scene.facet_displacement, scene.shifted_offsets), the
+rule scene_at applies for an RT pass, so a row is that pass's construction
+bit for bit.  WindowRows holds that trajectory with each row's window and
+signature rank, and assembles the predicted snapshots, for E-DRT as well.
+The constructions are the RT pass's own kernels: rt.reflection_chains (the
+image cascade), rt.fermat_points (the diffraction point) and
+rt.slab_crossings (the penetrations), and a row's PathGeometry is a slice
+of the arrays (PathTrajectory.path_geometry).  Fields are then computed
+directly, path by path (make_path is DRT's field stage).  A reflection
+point is allowed to slide off its facet and a stale line-of-sight path is
+kept when it becomes blocked: those are the documented error modes of the
+approach, resolved only by the next reference pass.
 E-DRT reuses the same kernel for its lifetime scans, its bisection and its
 predictions.
 """
@@ -39,11 +42,12 @@ from .rt import (
     Path,
     PathGeometry,
     Snapshot,
-    _owner_ids_for,
+    _bounces,
     facet_crossings,
     fermat_points,
     make_path,
     reflection_chains,
+    segment_exclusions,
     signature_sort_key,
     slab_crossings,
     slots_of,
@@ -98,65 +102,39 @@ def _take_rows(a: np.ndarray, flat: np.ndarray) -> np.ndarray:
 
 
 class _Shape:
-    """The paths of one shape within a PathTrajectory: per-path arrays and
-    their displacement to the query times.
+    """The paths of one shape within a PathTrajectory, as indices into the
+    scene.
 
     index gives each path's position in the trajectory.  The per-path
     arrays (_PER_PATH, path axis first) hold the facets each segment ignores
-    (its owners), each path's penetrations (slab facet and segment, padded
-    with -1 up to the most any path of the shape has), and the facets of
-    each reflection with their planes and polygons or the diffraction edge.
-    The constructions themselves are the rt kernels (reflection_chains,
-    fermat_points, slab_crossings), run on these arrays moved to each time.
+    (segment_exclusions), each path's penetrations (slab facet and segment,
+    padded with -1 up to the most any path of the shape has), and the facets
+    of its reflections (chain) or its diffraction edge (edge).  construct
+    and resolve gather planes, polygons and endpoints from the scene's epoch
+    arrays and move them to each query time by the scene's one displacement
+    rule; the constructions themselves are the rt kernels
+    (reflection_chains, fermat_points, slab_crossings).
     """
 
-    _PER_PATH = ("exclude", "pen_seg", "pen_facet", "pen_normal", "pen_offset",
-                 "edge_a", "edge_b", "edge_d", "edge_owner",
-                 "chain", "normal", "offset", "origins", "inward", "valid")
+    _PER_PATH = ("exclude", "pen_seg", "pen_facet", "chain", "edge")
 
     def __init__(self, scene: Scene, paths: list[Path], index: np.ndarray):
-        statics = scene.statics()
-        epoch, ids = statics.epoch, statics.id_index
         self.scene = scene
         self.index = index
         self.diffraction = Mechanism.DIFFRACTION in shape_of(paths[0].signature)
         slots = [slots_of(p.signature) for p in paths]
         backbones = [sl.backbone for sl in slots]
-        n_paths, n_seg = len(paths), len(backbones[0]) + 1
-        n_pen = max(len(sl.penetrations) for sl in slots)
-        pen_seg = np.full((n_paths, n_pen), -1)
-        pen_facet = np.full((n_paths, n_pen), -1)
+        n_paths, n_pen = len(paths), max(len(sl.penetrations) for sl in slots)
+        self.pen_seg = np.full((n_paths, n_pen), -1)
+        self.pen_facet = np.full((n_paths, n_pen), -1)
         for p, sl in enumerate(slots):
             for j, (fid, seg) in enumerate(sl.penetrations):
-                pen_seg[p, j], pen_facet[p, j] = seg, ids[fid]
-        exclude = np.zeros((n_paths, n_seg, statics.n_facets), dtype=bool)
-        for p, backbone in enumerate(backbones):
-            owners = _owner_ids_for(scene, backbone)
-            for s in range(n_seg):
-                for gid in owners[s] | owners[s + 1]:
-                    exclude[p, s, ids[gid]] = True
-        self.exclude, self.pen_seg, self.pen_facet = exclude, pen_seg, pen_facet
-        self.pen_normal = epoch.normals[pen_facet]
-        self.pen_offset = epoch.offsets[pen_facet]
-        self.edge_a = self.edge_b = self.edge_d = None
-        self.edge_owner = self.chain = self.normal = self.offset = None
-        self.origins = self.inward = self.valid = None
-        if self.diffraction:
-            edges = [scene.edge_by_id(backbone[0][1]) for backbone in backbones]
-            ends = np.stack([e.endpoints for e in edges])[:, :, None, :]
-            # the edge at the scene epoch, (P, 1, 3): endpoints and direction
-            self.edge_a, self.edge_b = ends[:, 0], ends[:, 1]
-            self.edge_d = self.edge_b - self.edge_a
-            self.edge_owner = np.array([ids[e.adjacent_facets[0]] for e in edges])
-            self.n_bounce = 0
-        else:
-            self.chain = np.array([[ids[gid] for _m, gid in backbone]
-                                   for backbone in backbones],
-                                  dtype=int).reshape(n_paths, n_seg - 1)
-            self.n_bounce = n_seg - 1
-            self.normal, self.offset = epoch.normals[self.chain], epoch.offsets[self.chain]
-            self.origins, self.inward = epoch.origins[self.chain], epoch.inward[self.chain]
-            self.valid = epoch.valid[self.chain]
+                self.pen_seg[p, j], self.pen_facet[p, j] = seg, scene.facet_index[fid]
+        self.exclude = np.stack([segment_exclusions(scene, b) for b in backbones])
+        ids = scene.edge_index if self.diffraction else scene.facet_index
+        gids = np.array([[ids[gid] for _m, gid in b] for b in backbones],
+                        dtype=int).reshape(n_paths, len(backbones[0]))
+        self.chain, self.edge = (None, gids[:, 0]) if self.diffraction else (gids, None)
 
     def take(self, rows: np.ndarray, index: np.ndarray) -> "_Shape":
         """The paths rows of this shape, at positions index of a new trajectory."""
@@ -166,18 +144,6 @@ class _Shape:
             value = getattr(self, name)
             if value is not None:
                 setattr(out, name, value[rows])
-        return out
-
-    def _facet_disp(self, facet_index: np.ndarray, t: np.ndarray):
-        """Displacement of facet facet_index[p] at times t[p], (P, T, 3), or
-        None when those facets are static."""
-        moving = [f for f in self.scene.statics().moving if np.any(facet_index == f)]
-        if not moving:
-            return None
-        out = np.zeros(t.shape + (3,))
-        for f in moving:
-            rows = facet_index == f
-            out[rows] = self.scene.facets[f].motion.displacement(t[rows])
         return out
 
     def construct(self, tx: np.ndarray, rx: np.ndarray, t: np.ndarray):
@@ -190,31 +156,23 @@ class _Shape:
         inside their polygons or edge segments, as an RT pass requires.  The
         kernels are rt.solve_backbone's, so a row is its construction.
         """
+        scene = self.scene
+        statics = scene.statics()
         if self.diffraction:
-            a, d = self.edge_a, self.edge_d
-            disp = self._facet_disp(self.edge_owner, t)
+            ends = statics.edge_ends.take(self.edge, axis=0)[:, :, None, :]
+            a, b = ends[:, 0], ends[:, 1]
+            disp = scene.facet_displacement(statics.edge_facets[self.edge, :1], t)
             if disp is not None:
                 # the moved endpoints' difference, as an RT pass's edge gives it
-                a = a + disp
-                d = (self.edge_b + disp) - a
-            point, ok, inside = fermat_points(tx, rx, a, d)
+                a, b = a + disp, b + disp
+            point, ok, inside = fermat_points(tx, rx, a, b - a)
             return [tx, point, rx], ok, inside
-        if not self.n_bounce:
+        if not self.chain.shape[1]:
             ok = np.ones(t.shape, dtype=bool)
             return [tx, rx], ok, ok
-        normals, offsets, polygons = [], [], []
-        for k in range(self.n_bounce):
-            n = self.normal[:, None, k, :]
-            off = self.offset[:, k, None]
-            origins = self.origins[:, None, k]
-            disp = self._facet_disp(self.chain[:, k], t)
-            if disp is not None:
-                off = off + np.vecdot(n, disp)
-                origins = origins + disp[:, :, None, :]
-            normals.append(n)
-            offsets.append(off)
-            polygons.append((origins, self.inward[:, k], self.valid[:, k]))
-        points, ok, inside = reflection_chains(tx, rx, normals, offsets, polygons)
+        index = list(self.chain.T)
+        points, ok, inside = reflection_chains(tx, rx, *_bounces(
+            statics.epoch, index, [scene.facet_displacement(i[:, None], t) for i in index]))
         return [tx, *points, rx], ok, inside
 
     def resolve(self, tx: np.ndarray, rx: np.ndarray, t: np.ndarray) -> TrajectoryGeometry:
@@ -222,17 +180,15 @@ class _Shape:
         vertices, ok, _inside = self.construct(tx, rx, t)
         vertices = np.stack(np.broadcast_arrays(*vertices), axis=2)
         failed = ~ok
-        n_paths, n_pen = self.pen_seg.shape
+        n_pen = self.pen_seg.shape[1]
         pen_points = np.zeros(t.shape + (n_pen, 3))
         pen_params = np.zeros(t.shape + (n_pen,))
         for j in range(n_pen):
             seg = self.pen_seg[:, j]
             has = np.flatnonzero(seg >= 0)
-            n = self.pen_normal[has, None, j, :]
-            off = self.pen_offset[has, j, None]
-            disp = self._facet_disp(self.pen_facet[has, j], t[has])
-            if disp is not None:
-                off = off + np.vecdot(n, disp)
+            facet = self.pen_facet[has, j]
+            n, off = self.scene.statics().epoch.planes(
+                facet, self.scene.facet_displacement(facet[:, None], t[has]))
             a = vertices[has, :, seg[has]]
             points, par, parallel = slab_crossings(a, vertices[has, :, seg[has] + 1] - a, n, off)
             failed[has] |= parallel
@@ -364,7 +320,6 @@ class PathTrajectory:
         declared that every penetration of the signature is crossed.
         """
         t = np.broadcast_to(np.asarray(times, float), (len(self.paths), np.shape(times)[-1]))
-        statics = self.scene.statics()
         picked = [np.nonzero(mask) for mask in rows]
         n_rows = sum(ip.size * (s.exclude.shape[1]) for s, (ip, _it) in zip(self.shapes, picked))
         extra = np.zeros(t.shape, dtype=bool)
@@ -374,7 +329,7 @@ class PathTrajectory:
         # the segment rows of every shape, filled in place
         seg_a, seg_d = np.empty((n_rows, 3)), np.empty((n_rows, 3))
         tracks = np.empty(n_rows, dtype=int)
-        disp = np.zeros((n_rows, statics.n_facets, 3)) if statics.moving else None
+        row_times = np.empty(n_rows)
         exclude = []
         parts = []  # (first row, rows per segment, path, time) of each shape's block
         label = row = 0
@@ -384,6 +339,7 @@ class PathTrajectory:
             if ip.size:
                 flat = ip * t.shape[1] + it
                 parts.append((row, ip.size, s.index[ip], it))
+                times = t[s.index[ip], it]
                 start = _take_rows(verts[0], flat)
                 for k in range(n_seg):
                     block = slice(row, row + ip.size)
@@ -391,16 +347,16 @@ class PathTrajectory:
                     seg_a[block] = start
                     np.subtract(end, start, out=seg_d[block])
                     tracks[block] = label + k * n_paths + ip
-                    if disp is not None:
-                        for f in statics.moving:
-                            disp[block, f] = self.scene.facets[f].motion.displacement(
-                                t[s.index[ip], it])
+                    row_times[block] = times
                     start = end
                     row += ip.size
             label += n_seg * n_paths
+        # every facet at each row's time
+        disp = self.scene.facet_displacement(np.arange(len(self.scene.facets)),
+                                             row_times[:, None])
         hit, facet, _u, _points = facet_crossings(
-            statics.epoch, seg_a, seg_d, exclude=np.concatenate(exclude), disp=disp,
-            track=tracks)
+            self.scene.statics().epoch, seg_a, seg_d, exclude=np.concatenate(exclude),
+            disp=disp, track=tracks)
         # each hit's path, time and segment
         part = np.searchsorted([first for first, *_ in parts], hit, side="right") - 1
         p, ti, seg = (np.empty(hit.size, dtype=int) for _ in range(3))

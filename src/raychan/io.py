@@ -44,12 +44,13 @@ def write_snapshots_csv(run, path) -> None:
     FilePath(path).write_text("\n".join(lines) + "\n")
 
 
-def read_snapshots_csv(path) -> list[Snapshot]:
+def read_snapshots_csv(path, wavelength: float) -> list[Snapshot]:
     """Round-trip reader: paths carry signature/delay/power only.
 
-    Field vectors are reconstructed as vertically polarized with a magnitude
-    in fixed proportion to sqrt(power); the error metrics only consume
-    magnitude ratios and powers, so the unknown wavelength scale cancels.
+    Field vectors are reconstructed as vertically polarized, with the
+    magnitude that gives each path's power at wavelength (m), the inverse of
+    rt.power_dbm_from_field: the field error compares these magnitudes with
+    a run's own, so wavelength must be that run's.
     """
     text = FilePath(path).read_text().strip().splitlines()
     if not text or text[0] != "time_s,path_index,signature,delay_ns,power_dbm,n_interactions":
@@ -67,18 +68,19 @@ def read_snapshots_csv(path) -> list[Snapshot]:
             signature=parse_signature(sig),
             interactions=[],
             delay=float(delay_ns) * 1e-9,
-            field=np.array([_magnitude_for(p_dbm), 0.0], dtype=complex),
+            field=np.array([_magnitude_for(p_dbm, wavelength), 0.0], dtype=complex),
             power_dbm=p_dbm,
         ))
     return [snaps[t] for t in order]
 
 
-def _magnitude_for(power_dbm: float) -> float:
+def _magnitude_for(power_dbm: float, wavelength: float) -> float:
+    """|E| = sqrt(8 pi eta0 P) / wavelength."""
     from .rt import ETA0
     if not math.isfinite(power_dbm):
         return 0.0
     p_w = 10.0 ** ((power_dbm - 30.0) / 10.0)
-    return math.sqrt(p_w * 8.0 * math.pi * ETA0)
+    return math.sqrt(p_w * 8.0 * math.pi * ETA0) / wavelength
 
 
 def write_lifetimes_csv(run: RunResult, path) -> None:

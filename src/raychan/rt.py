@@ -6,6 +6,13 @@ Fermat point, each optionally combined with a single penetration through a
 transparent facet.  No ray launching is involved, so path signatures are
 stable across time and can be matched between snapshots.
 
+An instant is the scene's arrays (scene.scene_at): every stage reads the
+facets' planes and polygons and the edges' endpoints from them by index,
+and what translation leaves unchanged (materials, thicknesses, wedge
+frames) from the Scene.  One exclusion rule (segment_exclusions) gives the
+facets that each segment of a path ignores in its crossing tests, for RT
+candidates and predicted paths alike.
+
 Each mechanism has one construction kernel over arrays of rows, shared with
 the predictions (drt.PathTrajectory runs them over paths x times):
 reflection_chains (the image cascade), fermat_points (the diffraction point)
@@ -70,6 +77,7 @@ from .scene import (
     SceneAtTime,
     SceneError,
     scene_at,
+    shifted_offsets,
 )
 
 ETA0 = 376.730313668  # free-space impedance, ohms
@@ -250,7 +258,7 @@ def _exact_crossings(facets: FacetArrays, a, d, si, fi, disp):
     offsets = facets.offsets.take(fi)
     if disp is not None:
         shift = disp[si, fi]
-        offsets = offsets + np.einsum("kc,kc->k", normals, shift)
+        offsets = shifted_offsets(normals, offsets, shift)
     num = offsets - np.einsum("kc,kc->k", a_k, normals)
     with np.errstate(divide="ignore", invalid="ignore"):
         u = num / denom
@@ -271,31 +279,24 @@ def _exact_crossings(facets: FacetArrays, a, d, si, fi, disp):
 def occlusion_profiles_batch(geom: SceneAtTime, polylines):
     """Crossed facets along many polylines Tx -> interactions -> Rx.
 
-    polylines is a list of (vertices, owner_ids) pairs: vertices are the
-    backbone points including both endpoints, owner_ids gives per vertex the
-    facet ids that own it (empty for Tx/Rx).  All segments go through
-    facet_crossings in one call; crossings on a segment's owner facets are
-    ignored.  Returns per polyline (opaque_blocked, penetrations),
-    penetrations being the parameter-ordered list of (segment_index,
-    facet_at_time, point, t).
+    polylines is a list of (vertices, exclude) pairs: vertices are the
+    backbone points including both endpoints, exclude the (segments, F)
+    facets that each segment ignores (segment_exclusions).  All segments go
+    through facet_crossings in one call.  Returns per polyline
+    (opaque_blocked, penetrations), penetrations being the parameter-ordered
+    list of (segment_index, facet_id, point, t).
     """
-    facets = geom.occlusion_arrays()
-    id_index = geom._statics.id_index
-    n_f = facets.normals.shape[0]
-    if n_f == 0 or not polylines:
+    facets = geom.facets
+    if facets.normals.shape[0] == 0 or not polylines:
         return [(False, []) for _ in polylines]
-    seg_a, seg_d, seg_owner, excl_rows = [], [], [], []
-    for item, (vertices, owners) in enumerate(polylines):
+    seg_a, seg_d, seg_owner = [], [], []
+    for item, (vertices, _exclude) in enumerate(polylines):
         for k in range(len(vertices) - 1):
             seg_a.append(vertices[k])
             seg_d.append(vertices[k + 1] - vertices[k])
             seg_owner.append((item, k))
-            row = np.zeros(n_f, dtype=bool)
-            for fid in owners[k] | owners[k + 1]:
-                row[id_index[fid]] = True
-            excl_rows.append(row)
     hits = facet_crossings(facets, np.asarray(seg_a), np.asarray(seg_d),
-                           exclude=np.asarray(excl_rows))
+                           exclude=np.concatenate([exclude for _v, exclude in polylines]))
     results = [[False, []] for _ in polylines]
     for s, i, t, point in zip(*hits):
         item, k = seg_owner[s]
@@ -305,15 +306,15 @@ def occlusion_profiles_batch(geom: SceneAtTime, polylines):
             results[item][0] = True
             results[item][1] = []
         else:
-            results[item][1].append((k, geom.facets[i], point, float(t)))
+            results[item][1].append((k, geom.scene.facets[i].id, point, float(t)))
     for r in results:
         r[1].sort(key=lambda h: (h[0], h[3]))
     return [(blocked, pens) for blocked, pens in results]
 
 
-def occlusion_profile(geom: SceneAtTime, vertices, owner_ids):
+def occlusion_profile(geom: SceneAtTime, vertices, exclude):
     """occlusion_profiles_batch for a single polyline."""
-    return occlusion_profiles_batch(geom, [(vertices, owner_ids)])[0]
+    return occlusion_profiles_batch(geom, [(vertices, exclude)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +344,7 @@ def solve_backbone(geom: SceneAtTime, backbone: tuple):
     if Mechanism.DIFFRACTION in mechs:
         if len(backbone) != 1:
             raise ValueError("combined reflection+diffraction paths are not enumerated")
-        a, b = geom.edge(backbone[0][1]).endpoints
+        a, b = geom.edges[geom.scene.edge_index[backbone[0][1]]]
         p, ok, inside = fermat_points(tx, rx, a, b - a)
         if not ok:
             raise ConstructionError("degenerate diffraction geometry")
@@ -353,18 +354,26 @@ def solve_backbone(geom: SceneAtTime, backbone: tuple):
 
     # pure reflections: reflection_chains on a batch of one, with the
     # planes and polygons of this instant's facets
-    facets = [geom.facet(gid) for _, gid in backbone]
+    index = [np.array([geom.scene.facet_index[gid]]) for _, gid in backbone]
     with np.errstate(all="ignore"):
         points, ok, inside = reflection_chains(
-            np.asarray(tx, float), np.asarray(rx, float), [f.normal[None, None] for f in facets],
-            [np.array([[f.offset]]) for f in facets],
-            [(f.vertices[None, None], f.edge_inward[None], np.ones((1, len(f.vertices)), bool))
-             for f in facets])
+            np.asarray(tx, float), np.asarray(rx, float),
+            *_bounces(geom.facets, index))
     if not ok[0, 0]:
         raise ConstructionError(f"no specular construction for {backbone}")
     if not inside[0, 0]:
         raise ConstructionError(f"a reflection point of {backbone} left its facet")
     return [p[0, 0] for p in points]
+
+
+def _bounces(facets: FacetArrays, index, disp=None):
+    """The (normals, offsets, polygons) arguments of reflection_chains for
+    the bounces on facets index[k] (P,), each translated by disp[k] (P, T,
+    3) when given."""
+    disp = [None] * len(index) if disp is None else disp
+    planes = [facets.planes(i, d) for i, d in zip(index, disp)]
+    return ([n for n, _off in planes], [off for _n, off in planes],
+            [facets.polygons(i, d) for i, d in zip(index, disp)])
 
 
 def reflection_chains(tx, rx, normals, offsets, polygons, slack: float = 0.0):
@@ -516,9 +525,10 @@ def build_geometry(geom: SceneAtTime, sig: Signature, backbone_points) -> PathGe
     vertices = np.array([geom.tx, *backbone_points, geom.rx])
     pen_points, pen_params = [], []
     for fid, seg in slots_of(sig).penetrations:
-        f = geom.facet(fid)
+        i = geom.scene.facet_index[fid]
         a = vertices[seg]
-        point, par, parallel = slab_crossings(a, vertices[seg + 1] - a, f.normal, f.offset)
+        point, par, parallel = slab_crossings(a, vertices[seg + 1] - a,
+                                              geom.facets.normals[i], geom.facets.offsets[i])
         if parallel:
             raise ConstructionError(f"penetration segment parallel to facet {fid!r}")
         pen_points.append(point)
@@ -570,14 +580,15 @@ def _reflection_basis(s_in, normal) -> tuple:
 
 
 def _check_on_geometry(geometry: PathGeometry, geom: SceneAtTime, slots: Slots) -> None:
+    facets, scene = geom.facets, geom.scene
     for (mechanism, gid), vertex in zip(slots.backbone, geometry.vertices[1:]):
         p = vertex.tolist()
         if mechanism is Mechanism.REFLECTION:
-            f = geom.facet(gid)
-            if abs(dot3(f.normal.tolist(), p) - f.offset) > ON_GEOMETRY_TOL:
+            i = scene.facet_index[gid]
+            if abs(dot3(facets.normals[i].tolist(), p) - facets.offsets[i]) > ON_GEOMETRY_TOL:
                 raise ConstructionError(f"reflection point off the plane of facet {gid!r}")
         else:
-            a, b = geom.edge(gid).endpoints.tolist()
+            a, b = geom.edges[scene.edge_index[gid]].tolist()
             d = unit3(sub3(b, a))
             w = sub3(p, a)
             along = dot3(w, d)
@@ -615,7 +626,7 @@ def _project(e_vec, pair, u_in, v_in, u_out, v_out):
              a * u_out[2] + b * v_out[2]), 0 if abs(c0) >= abs(c1) else 1)
 
 
-def polarization_chain(scene: Scene, geom: SceneAtTime, geometry: PathGeometry, slots: Slots,
+def polarization_chain(scene: Scene, geometry: PathGeometry, slots: Slots,
                        record: list[InteractionTrace] | None = None) -> tuple:
     """Propagate the launch polarization through all interactions.
 
@@ -625,7 +636,8 @@ def polarization_chain(scene: Scene, geom: SceneAtTime, geometry: PathGeometry, 
     interaction (backbone order, then penetrations) is appended for later
     coefficient re-evaluation.  The walk runs on Python floats, and every
     coefficient comes from the incidence cosine, as in E-DRT's
-    re-evaluation.
+    re-evaluation.  It reads only what translation leaves unchanged, from
+    the Scene by index: normals, materials, thicknesses and wedge frames.
     """
     verts = geometry.vertices.tolist()
     freq = scene.frequency
@@ -636,7 +648,7 @@ def polarization_chain(scene: Scene, geom: SceneAtTime, geometry: PathGeometry, 
         s_in = unit3(sub3(verts[i + 1], verts[i]))
         s_out = unit3(sub3(verts[i + 2], verts[i + 1]))
         if mechanism is Mechanism.REFLECTION:
-            f = geom.facet(gid)
+            f = scene.facets[scene.facet_index[gid]]
             normal = f.normal.tolist()
             eps = complex_permittivity(f.material, freq)
             pair = fresnel_from_cos(min(abs(dot3(s_in, normal)), 1.0), eps)
@@ -646,9 +658,9 @@ def polarization_chain(scene: Scene, geom: SceneAtTime, geometry: PathGeometry, 
             trace = InteractionTrace(kind=Mechanism.REFLECTION, coeff=pair, label=label,
                                      eps=eps, normal=f.normal)
         else:  # diffraction
-            e = geom.edge(gid)
-            frame = e.frame
-            material = e.adjacent[0].material
+            frame = scene.frames[gid]
+            edge = scene.edges[scene.edge_index[gid]]
+            material = scene.facets[scene.facet_index[edge.adjacent_facets[0]]].material
             eps = complex_permittivity(material, freq)
             seg_lengths = geometry.seg_lengths.tolist()
             beta0, phi_inc, phi_dif, along_edge = wedge_angles(
@@ -670,7 +682,7 @@ def polarization_chain(scene: Scene, geom: SceneAtTime, geometry: PathGeometry, 
             record.append(trace)
 
     for fid, seg in slots.penetrations:
-        f = geom.facet(fid)
+        f = scene.facets[scene.facet_index[fid]]
         normal = f.normal.tolist()
         s_dir = unit3(sub3(verts[seg + 1], verts[seg]))
         cos_th = min(abs(dot3(s_dir, normal)), 1.0)
@@ -720,7 +732,7 @@ def field_of_path(scene: Scene, geom: SceneAtTime, geometry: PathGeometry,
         slots = slots_of(geometry.signature)
     _check_on_geometry(geometry, geom, slots)
     verts = geometry.vertices
-    e_vec = polarization_chain(scene, geom, geometry, slots, record)
+    e_vec = polarization_chain(scene, geometry, slots, record)
     diffracted = bool(slots.backbone) and slots.backbone[0][0] is Mechanism.DIFFRACTION
     s_pre = float(geometry.seg_lengths[0]) if diffracted else 0.0
     scale = (spreading_factor(geometry.total_length, s_pre, diffracted)
@@ -757,18 +769,26 @@ def make_path(scene: Scene, geom: SceneAtTime, geometry: PathGeometry) -> Path:
 # Snapshot tracing
 # ---------------------------------------------------------------------------
 
-def _owner_ids_for(scene: Scene, backbone: tuple):
-    """Facet-id exclusion sets per path vertex (Tx/Rx own nothing).
+def segment_exclusions(scene: Scene, backbone: tuple) -> np.ndarray:
+    """The one exclusion rule: (segments, F), the facets that each segment
+    of a path with this backbone ignores in its crossing tests.
 
-    Ids are scene-level, so the sets hold at every instant.
+    A segment ignores the facets that own either of its ends: a
+    reflection's facet, both facets of a diffraction's edge; Tx and Rx own
+    nothing.  Ids are scene-level, so the rows hold at every instant: they
+    are built once per backbone and shared, read-only.
     """
-    owners = [set() for _ in range(len(backbone) + 2)]
-    for i, (m, gid) in enumerate(backbone):
-        if m is Mechanism.REFLECTION:
-            owners[i + 1].add(gid)
-        else:
-            owners[i + 1].update(scene.edge_by_id(gid).adjacent_facets)
-    return owners
+    statics = scene.statics()
+    rows = statics.exclusions.get(backbone)
+    if rows is None:
+        owners = np.zeros((len(backbone) + 2, len(scene.facets)), dtype=bool)
+        for i, (m, gid) in enumerate(backbone):
+            owners[i + 1, (scene.facet_index[gid] if m is Mechanism.REFLECTION
+                           else statics.edge_facets[scene.edge_index[gid]])] = True
+        rows = owners[:-1] | owners[1:]
+        rows.flags.writeable = False
+        statics.exclusions[backbone] = rows
+    return rows
 
 
 def _reflection_culling(geom: SceneAtTime):
@@ -820,7 +840,7 @@ def _reflection_culling(geom: SceneAtTime):
     largest when a transceiver is within a few SIDE_EPS of the plane, where
     the beam spans nearly a half-space and culls almost nothing.
     """
-    facets = geom.occlusion_arrays()
+    facets = geom.facets
     normals, offsets = facets.normals, facets.offsets
     n_f = normals.shape[0]
     tau = SIDE_EPS - CULL_MARGIN
@@ -894,16 +914,12 @@ def _constructible(geom: SceneAtTime, chains) -> np.ndarray:
     chunks of FILTER_CHUNK, with FILTER_SLACK: a candidate is dropped only
     when some predicate of solve_backbone fails by more than that margin.
     """
-    facets = geom.occlusion_arrays()
     keep = np.empty(chains[0].size, dtype=bool)
     with np.errstate(all="ignore"):
         for lo in range(0, keep.size, FILTER_CHUNK):
             idx = [c[lo:lo + FILTER_CHUNK] for c in chains]
             _points, ok, inside = reflection_chains(
-                geom.tx, geom.rx, [facets.normals.take(i, axis=0)[:, None] for i in idx],
-                [facets.offsets.take(i)[:, None] for i in idx],
-                [(facets.origins.take(i, axis=0)[:, None], facets.inward.take(i, axis=0),
-                  facets.valid.take(i, axis=0)) for i in idx], FILTER_SLACK)
+                geom.tx, geom.rx, *_bounces(geom.facets, idx), FILTER_SLACK)
             keep[lo:lo + FILTER_CHUNK] = (ok & inside)[:, 0]
     return keep
 
@@ -911,14 +927,14 @@ def _constructible(geom: SceneAtTime, chains) -> np.ndarray:
 def _candidate_backbones(geom: SceneAtTime, single: np.ndarray, pair: np.ndarray):
     """Backbones left to solve after the culling and the filter, in
     enumeration order."""
-    fids = [f.id for f in geom.facets]
+    fids = [f.id for f in geom.scene.facets]
     refl = Mechanism.REFLECTION
     yield ()
     for i in np.flatnonzero(single):
         yield ((refl, fids[i]),)
     for i, j in zip(*np.nonzero(pair)):
         yield ((refl, fids[i]), (refl, fids[j]))
-    for e in geom.edges:
+    for e in geom.scene.edges:
         yield ((Mechanism.DIFFRACTION, e.id),)
 
 
@@ -958,8 +974,8 @@ def trace_geometry(scene: Scene, t: float, timer=None):
     first, second = np.nonzero(pair)
     pair[first, second] = _constructible(geom, [first, second])
     if timer is not None:
-        timer.count("rt_candidates", 1 + beam_culled + kept + len(geom.edges))
-        timer.count("rt_culled", len(geom.facets) ** 2 - beam_culled - kept)
+        timer.count("rt_candidates", 1 + beam_culled + kept + len(scene.edges))
+        timer.count("rt_culled", len(scene.facets) ** 2 - beam_culled - kept)
         timer.count("rt_beam_culled", beam_culled)
         timer.count("rt_prefiltered", kept - int(single.sum()) - int(pair.sum()))
     results: list[PathGeometry] = []
@@ -970,7 +986,7 @@ def trace_geometry(scene: Scene, t: float, timer=None):
             continue
         vertices = [geom.tx] + points + [geom.rx]
         blocked, pens = occlusion_profile(geom, vertices,
-                                          _owner_ids_for(scene, backbone))
+                                          segment_exclusions(scene, backbone))
         if blocked or len(pens) > 1:
             continue
         sig = _signature_with_penetrations(backbone, pens)
@@ -987,8 +1003,8 @@ def _signature_with_penetrations(backbone: tuple, pens) -> Signature:
     """backbone with its one penetration, if any, in traversal order."""
     if not pens:
         return backbone
-    seg, facet = pens[0][:2]
-    return backbone[:seg] + ((Mechanism.PENETRATION, facet.id),) + backbone[seg:]
+    seg, fid = pens[0][:2]
+    return backbone[:seg] + ((Mechanism.PENETRATION, fid),) + backbone[seg:]
 
 
 def trace_snapshot(scene: Scene, t: float, timer=None) -> Snapshot:

@@ -1,8 +1,9 @@
 """World model: materials, facets, diffraction edges, transceivers.
 
 A Scene is immutable after construction.  All motion is rigid translation;
-facet normals therefore never change and `scene_at` produces an instantaneous
-geometry snapshot by displacing vertices and transceiver positions.
+facet normals therefore never change, and `scene_at` gives the scene at an
+instant as arrays, moved from the epoch by one displacement rule (see
+"Instantaneous geometry" below).
 
 Scene file schema (JSON, lengths in meters, times in seconds):
 
@@ -162,11 +163,16 @@ class Scene:
     tx_power_dbm: float = 30.0
     # each edge's wedge frame by id, from the epoch geometry
     frames: dict[str, WedgeFrame] = field(init=False, repr=False, compare=False)
+    # the position of each facet and edge in its tuple, by id
+    facet_index: dict[str, int] = field(init=False, repr=False, compare=False)
+    edge_index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "facets", tuple(self.facets))
         object.__setattr__(self, "edges", tuple(self.edges))
         object.__setattr__(self, "frames", {})
+        object.__setattr__(self, "facet_index", {f.id: i for i, f in enumerate(self.facets)})
+        object.__setattr__(self, "edge_index", {e.id: i for i, e in enumerate(self.edges)})
         if not np.isfinite(self.frequency) or self.frequency <= 0.0:
             raise SceneError("frequency must be finite and positive")
         if not np.isfinite(self.tx_power_dbm):
@@ -174,18 +180,17 @@ class Scene:
         ids = [f.id for f in self.facets] + [e.id for e in self.edges]
         if len(set(ids)) != len(ids):
             raise SceneError("facet/edge ids must be unique")
-        by_id = {f.id: f for f in self.facets}
         for e in self.edges:
             for fid in e.adjacent_facets:
-                if fid not in by_id:
+                if fid not in self.facet_index:
                     raise SceneError(f"edge {e.id!r}: unknown adjacent facet {fid!r}")
-                f = by_id[fid]
+                f = self.facets[self.facet_index[fid]]
                 d = f.vertices[0] @ f.normal
                 off = np.abs(e.endpoints @ f.normal - d)
                 if np.max(off) > COPLANAR_TOL:
                     raise SceneError(
                         f"edge {e.id!r} does not lie on the plane of facet {fid!r}")
-            first, second = (by_id[fid] for fid in e.adjacent_facets)
+            first, second = (self.facets[self.facet_index[fid]] for fid in e.adjacent_facets)
             if not first.motion.moves_with(second.motion):
                 raise SceneError(
                     f"edge {e.id!r}: adjacent facets {first.id!r} and {second.id!r} "
@@ -210,18 +215,30 @@ class Scene:
         return 2.0 * np.pi / self.wavelength
 
     def statics(self) -> "_SceneStatics":
-        """Lazily built translation-invariant scene arrays."""
+        """The scene's arrays at the epoch, built on first use."""
         cached = getattr(self, "_statics_cache", None)
         if cached is None:
             cached = _SceneStatics(self)
             object.__setattr__(self, "_statics_cache", cached)
         return cached
 
-    def edge_by_id(self, eid: str) -> Edge:
-        for e in self.edges:
-            if e.id == eid:
-                return e
-        raise KeyError(eid)
+    def facet_displacement(self, index, t) -> np.ndarray | None:
+        """The one facet-displacement rule: facet index[...] moved from the
+        epoch to time t[...], index and t broadcast against each other.
+
+        Returns their broadcast shape + (3,), or None when none of those
+        facets moves.  An edge moves with its first adjacent facet.
+        """
+        index = np.asarray(index)
+        moving = [f for f in self.statics().moving.tolist() if np.any(index == f)]
+        if not moving:
+            return None
+        index, t = np.broadcast_arrays(index, np.asarray(t, float))
+        out = np.zeros(index.shape + (3,))
+        for f in moving:
+            rows = index == f
+            out[rows] = self.facets[f].motion.displacement(t[rows])
+        return out
 
 
 C_LIGHT = 299792458.0
@@ -230,28 +247,24 @@ C_LIGHT = 299792458.0
 # ---------------------------------------------------------------------------
 # Instantaneous geometry
 # ---------------------------------------------------------------------------
+#
+# The scene at time t is its arrays: Tx and Rx, every facet as one row of a
+# FacetArrays and every edge's endpoints as one row of an (E, 2, 3) array.
+# Motion is rigid translation, so one rule moves them all.  Facet f at t is
+# its epoch row translated by d = Scene.facet_displacement(f, t): vertices
+# and box by d, the plane offset by shifted_offsets (epoch offset + n . d),
+# normals and edge normals unchanged; an edge translates with its first
+# adjacent facet.  scene_at, the crossing kernel's per-row shift
+# (rt.facet_crossings) and the path trajectories of drt all move facets by
+# these two functions, so an RT pass and a prediction at one instant see
+# the same planes bit for bit.  What translation leaves alone (material,
+# thickness, wedge frame, id) is read from the Scene by index
+# (Scene.facet_index, Scene.edge_index).
 
-@dataclass
-class FacetAtTime:
-    id: str
-    vertices: np.ndarray
-    normal: np.ndarray
-    offset: float  # plane: normal . x = offset
-    material: Material
-    thickness: float
-    edge_inward: np.ndarray  # (V, 3), shared with the epoch facet
-
-    def boundary_distance(self, p: np.ndarray) -> float:
-        """Signed in-plane distance to the polygon boundary (+ inside)."""
-        return signed_boundary_distance(p, self.vertices, self.edge_inward)
-
-
-@dataclass
-class EdgeAtTime:
-    id: str
-    endpoints: np.ndarray
-    adjacent: tuple[FacetAtTime, FacetAtTime]
-    frame: WedgeFrame  # the scene's, shared by every instant
+def shifted_offsets(normals, offsets, disp):
+    """Plane offsets of facets translated by disp: the one offset rule.
+    Arguments broadcast, coordinates last."""
+    return offsets + np.vecdot(normals, disp)
 
 
 class FacetArrays(NamedTuple):
@@ -270,29 +283,47 @@ class FacetArrays(NamedTuple):
     lo: np.ndarray           # (F, 3)
     hi: np.ndarray           # (F, 3)
 
-    def displaced(self, disp: np.ndarray) -> "FacetArrays":
-        """The facets translated by disp, shape (F, 3)."""
-        return self._replace(
-            offsets=self.offsets + np.einsum("fc,fc->f", self.normals, disp),
-            origins=self.origins + disp[:, None, :],
-            lo=self.lo + disp, hi=self.hi + disp)
+    def displaced(self, index: np.ndarray, disp: np.ndarray) -> "FacetArrays":
+        """These facets with facets index (K,) translated by disp (K, 3)."""
+        offsets, origins, lo, hi = (a.copy() for a in (self.offsets, self.origins,
+                                                        self.lo, self.hi))
+        offsets[index] = shifted_offsets(self.normals[index], offsets[index], disp)
+        origins[index] += disp[:, None, :]
+        lo[index] += disp
+        hi[index] += disp
+        return self._replace(offsets=offsets, origins=origins, lo=lo, hi=hi)
+
+    def planes(self, index: np.ndarray, disp: np.ndarray | None = None):
+        """(normals (K, 1, 3), offsets (K, 1)) of facets index (K,), or with
+        disp (K, T, 3) translated to each of T times: offsets (K, T)."""
+        normals = self.normals.take(index, axis=0)[:, None]
+        offsets = self.offsets.take(index)[:, None]
+        if disp is not None:
+            offsets = shifted_offsets(normals, offsets, disp)
+        return normals, offsets
+
+    def polygons(self, index: np.ndarray, disp: np.ndarray | None = None):
+        """(origins (K, 1, V, 3), inward (K, V, 3), valid (K, V)) of facets
+        index (K,), or with disp (K, T, 3) origins (K, T, V, 3)."""
+        origins = self.origins.take(index, axis=0)[:, None]
+        if disp is not None:
+            origins = origins + disp[:, :, None, :]
+        return origins, self.inward.take(index, axis=0), self.valid.take(index, axis=0)
 
 
 class _SceneStatics:
-    """Per-scene arrays that rigid translation leaves unchanged."""
+    """The scene's arrays at the epoch t = 0 and which of them move."""
 
     def __init__(self, scene: "Scene"):
         facets = scene.facets
-        self.n_facets = len(facets)
         maxv = max((f.vertices.shape[0] for f in facets), default=3)
-        F = self.n_facets
+        F = len(facets)
         normals = np.zeros((F, 3))
         offsets = np.zeros(F)
         origins = np.zeros((F, maxv, 3))
         inward = np.zeros((F, maxv, 3))
         valid = np.zeros((F, maxv), dtype=bool)
         transparent = np.zeros(F, dtype=bool)
-        self.ids = []
         for i, f in enumerate(facets):
             nv = f.vertices.shape[0]
             normals[i] = f.normal
@@ -301,104 +332,66 @@ class _SceneStatics:
             inward[i, :nv] = f.edge_inward
             valid[i, :nv] = True
             transparent[i] = f.material.transparent
-            self.ids.append(f.id)
         pad = ~valid[:, :, None]
         lo = np.where(pad, np.inf, origins).min(axis=1)
         hi = np.where(pad, -np.inf, origins).max(axis=1)
-        # the facets at the scene epoch t = 0
         self.epoch = FacetArrays(normals, offsets, origins, inward, valid,
                                  transparent, lo, hi)
-        self.moving = [i for i, f in enumerate(facets) if not f.motion.is_static]
-        self.all_static = not self.moving
-        self.id_index = {fid: i for i, fid in enumerate(self.ids)}
-        self.facet_by_id = {f.id: f for f in facets}
-        self.at_rest = None  # SceneAtTime._evaluate of a static scene
+        self.edge_ends = np.array([e.endpoints for e in scene.edges]).reshape(-1, 2, 3)
+        # each edge's two adjacent facets; the first one carries the edge
+        self.edge_facets = np.array([[scene.facet_index[fid] for fid in e.adjacent_facets]
+                                     for e in scene.edges], dtype=int).reshape(-1, 2)
+        for a in (*self.epoch, self.edge_ends):
+            a.flags.writeable = False   # every static instant shares them
+        self.moving = np.array([i for i, f in enumerate(facets) if not f.motion.is_static],
+                               dtype=int)
+        self.moving_edges = np.flatnonzero(np.isin(self.edge_facets[:, 0], self.moving))
+        self.exclusions: dict[tuple, np.ndarray] = {}   # rt.segment_exclusions by backbone
 
 
-class SceneAtTime:
-    """All scene geometry evaluated at a single time instant."""
+class SceneAtTime(NamedTuple):
+    """The scene at one instant: its arrays and nothing else."""
 
-    def __init__(self, scene: Scene, t: float):
-        self.scene = scene
-        self.time = float(t)
-        self.tx = scene.tx_motion.position(t)
-        self.rx = scene.rx_motion.position(t)
-        statics = scene.statics()
-        self._statics = statics
-        # a static scene's facets and edges are the same at every instant,
-        # so its instants share one evaluation
-        evaluated = statics.at_rest or self._evaluate(scene, t)
-        if statics.all_static:
-            statics.at_rest = evaluated
-        self.facets, self._by_id, self.edges, self._edge_by_id, self._facet_disp = evaluated
-        self._occlusion_arrays = None
-
-    def _evaluate(self, scene: Scene, t: float):
-        """(facets, facets by id, edges, edges by id, facet displacements) at t."""
-        statics = self._statics
-        facets: list[FacetAtTime] = []
-        by_id: dict[str, FacetAtTime] = {}
-        disp = np.zeros((statics.n_facets, 3))
-        for i, f in enumerate(scene.facets):
-            if f.motion.is_static:
-                verts = f.vertices
-                offset = statics.epoch.offsets[i]
-            else:
-                d = f.motion.displacement(t)
-                disp[i] = d
-                verts = f.vertices + d
-                offset = statics.epoch.offsets[i] + float(f.normal @ d)
-            fat = FacetAtTime(f.id, verts, f.normal, float(offset),
-                              f.material, f.thickness, f.edge_inward)
-            facets.append(fat)
-            by_id[f.id] = fat
-        edges: list[EdgeAtTime] = []
-        edge_by_id: dict[str, EdgeAtTime] = {}
-        for e in scene.edges:
-            owner = statics.facet_by_id[e.adjacent_facets[0]]
-            pts = (e.endpoints if owner.motion.is_static
-                   else e.endpoints + owner.motion.displacement(t))
-            eat = EdgeAtTime(e.id, pts,
-                             (by_id[e.adjacent_facets[0]], by_id[e.adjacent_facets[1]]),
-                             scene.frames[e.id])
-            edges.append(eat)
-            edge_by_id[e.id] = eat
-        return facets, by_id, edges, edge_by_id, disp
-
-    def facet(self, fid: str) -> FacetAtTime:
-        return self._by_id[fid]
-
-    def edge(self, eid: str) -> EdgeAtTime:
-        return self._edge_by_id[eid]
-
-    def occlusion_arrays(self) -> FacetArrays:
-        """Stacked facet arrays at this instant, for the vectorized kernels."""
-        if self._occlusion_arrays is None:
-            s = self._statics
-            self._occlusion_arrays = (s.epoch if s.all_static
-                                      else s.epoch.displaced(self._facet_disp))
-        return self._occlusion_arrays
+    scene: Scene
+    time: float
+    tx: np.ndarray          # (3,)
+    rx: np.ndarray          # (3,)
+    facets: FacetArrays     # every facet at this instant
+    edges: np.ndarray       # (E, 2, 3) edge endpoints at this instant
 
 
 def scene_at(scene: Scene, t: float) -> SceneAtTime:
-    """Evaluate all facet, edge and transceiver positions at time t."""
-    return SceneAtTime(scene, t)
+    """The scene's arrays at time t: its epoch arrays with the moving facets
+    and edges translated; the instants of a static scene share them."""
+    s = scene.statics()
+    facets, edges = s.epoch, s.edge_ends
+    if s.moving.size:
+        facets = facets.displaced(s.moving, scene.facet_displacement(s.moving, t))
+    if s.moving_edges.size:
+        edges = edges.copy()
+        edges[s.moving_edges] += scene.facet_displacement(
+            s.edge_facets[s.moving_edges, 0], t)[:, None, :]
+    return SceneAtTime(scene, float(t), scene.tx_motion.position(t),
+                       scene.rx_motion.position(t), facets, edges)
 
 
-def point_in_facet(p: np.ndarray, f: FacetAtTime, plane_tol: float = COPLANAR_TOL):
-    """Convex-polygon containment with signed boundary distance.
+def point_in_facet(p: np.ndarray, geom: SceneAtTime, fid: str,
+                   plane_tol: float = COPLANAR_TOL):
+    """Convex-polygon containment of p in facet fid at geom's instant.
 
     Returns (inside, signed_distance); the distance is positive inside,
     negative outside, with magnitude equal to the distance to the nearest
     boundary point.  Raises SceneError if p is off the facet plane by more
     than plane_tol.
     """
+    i = geom.scene.facet_index[fid]
+    f = geom.facets
     p = np.asarray(p, float)
-    off = abs(float(np.dot(f.normal, p) - f.offset))
+    off = abs(float(np.dot(f.normals[i], p) - f.offsets[i]))
     if off > plane_tol:
         raise SceneError(
-            f"point is {off:.3e} m off the plane of facet {f.id!r} (tol {plane_tol:g})")
-    d = f.boundary_distance(p)
+            f"point is {off:.3e} m off the plane of facet {fid!r} (tol {plane_tol:g})")
+    d = signed_boundary_distance(p, f.origins[i][f.valid[i]], f.inward[i][f.valid[i]])
     return d >= 0.0, d
 
 

@@ -20,6 +20,7 @@ from raychan import (
     field_of_path,
     make_path,
     match_paths,
+    point_in_facet,
     predict_snapshot_edrt,
     random_scene,
     scene_at,
@@ -139,8 +140,7 @@ class TestLifetimes:
                 g = traj.geometry_at(float(t))
                 geom = scene_at(scene, float(t))
                 inter = g.interactions()[idx]
-                fac = geom.facet(inter.geometry_id)
-                if fac.boundary_distance(inter.point) < 0.0:
+                if not point_in_facet(inter.point, geom, inter.geometry_id)[0]:
                     entered = float(t) + 0.001
                     break
             entries.append(entered if entered is not None else 0.0)

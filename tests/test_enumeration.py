@@ -25,12 +25,12 @@ from raychan.runs import StageTimer
 from raychan.rt import (
     ConstructionError,
     Mechanism,
-    _owner_ids_for,
     _signature_with_penetrations,
     build_geometry,
     facet_crossings,
     occlusion_profile,
     signature_sort_key,
+    segment_exclusions,
     solve_backbone,
     trace_geometry,
     trace_snapshot,
@@ -39,13 +39,13 @@ from raychan.rt import (
 
 def _every_backbone(geom):
     refl, diff = Mechanism.REFLECTION, Mechanism.DIFFRACTION
-    fids = [f.id for f in geom.facets]
+    fids = [f.id for f in geom.scene.facets]
     yield ()
     for fid in fids:
         yield ((refl, fid),)
     for f1, f2 in itertools.permutations(fids, 2):
         yield ((refl, f1), (refl, f2))
-    for e in geom.edges:
+    for e in geom.scene.edges:
         yield ((diff, e.id),)
 
 
@@ -59,7 +59,7 @@ def _unculled_geometry(scene, t):
         except ConstructionError:
             continue
         blocked, pens = occlusion_profile(geom, [geom.tx] + points + [geom.rx],
-                                          _owner_ids_for(scene, backbone))
+                                          segment_exclusions(scene, backbone))
         if blocked or len(pens) > 1:
             continue
         try:
@@ -232,7 +232,7 @@ def _filter_keeps_accepted(scene):
     filter and through solve_backbone: the filter must keep each candidate
     that solve_backbone accepts.  Returns (accepted, rejected)."""
     geom = scene_at(scene, 0.0)
-    n = len(geom.facets)
+    n = len(scene.facets)
     accepted = rejected = 0
     for chains in ([(i,) for i in range(n)],
                    list(itertools.permutations(range(n), 2))):
@@ -240,7 +240,7 @@ def _filter_keeps_accepted(scene):
             continue
         keep = rt._constructible(geom, [np.array(c) for c in zip(*chains)])
         for chain, kept in zip(chains, keep.tolist()):
-            backbone = tuple((Mechanism.REFLECTION, geom.facets[i].id) for i in chain)
+            backbone = tuple((Mechanism.REFLECTION, scene.facets[i].id) for i in chain)
             try:
                 solve_backbone(geom, backbone)
             except ConstructionError:

@@ -17,9 +17,11 @@ from raychan import (
     load_scene,
     point_in_facet,
     position_at,
+    random_scene,
     save_scene,
     scene_at,
 )
+from raychan.scene import shifted_offsets
 from raychan.geometry import polygon_frames
 
 NAN = float("nan")
@@ -131,7 +133,7 @@ class TestSceneAt:
         sc = Scene(facets=(f,), edges=(), tx_motion=Motion.stationary([0, 0, 1]),
                    rx_motion=Motion.stationary([0, 1, 1]), frequency=6e9)
         g = scene_at(sc, 17.3)
-        assert np.array_equal(g.facet("sq").vertices, f.vertices)
+        assert np.array_equal(g.facets.origins[0], f.vertices)
 
     def test_moving_facet_shifts_rigidly(self):
         f = Facet(id="sq", vertices=_square_facet().vertices,
@@ -139,7 +141,32 @@ class TestSceneAt:
         sc = Scene(facets=(f,), edges=(), tx_motion=Motion.stationary([0, 0, 1]),
                    rx_motion=Motion.stationary([0, 1, 1]), frequency=6e9)
         g = scene_at(sc, 1.0)
-        assert np.allclose(g.facet("sq").vertices, f.vertices + [1, 0, 0])
+        assert np.allclose(g.facets.origins[0], f.vertices + [1, 0, 0])
+        # every facet and edge of random scenes at t by the one rule, bit for
+        # bit: the epoch arrays translated by each facet's displacement, the
+        # plane offset by shifted_offsets, and each edge by its first facet's
+        moved = [0, 0]
+        for seed in range(12):
+            scene = random_scene(seed)
+            epoch = scene.statics().epoch
+            for t in np.linspace(0.0, 3.0, 31).tolist():
+                g = scene_at(scene, t)
+                for i, facet in enumerate(scene.facets):
+                    d = facet.motion.displacement(t)
+                    nv = len(facet.vertices)
+                    assert np.array_equal(g.facets.origins[i, :nv], facet.vertices + d)
+                    assert g.facets.offsets[i] == shifted_offsets(facet.normal,
+                                                                  epoch.offsets[i], d)
+                    assert np.array_equal(g.facets.lo[i], epoch.lo[i] + d)
+                    assert np.array_equal(g.facets.hi[i], epoch.hi[i] + d)
+                    assert np.array_equal(g.facets.normals[i], facet.normal)
+                    moved[0] += bool(d.any())
+                for k, e in enumerate(scene.edges):
+                    d = scene.facets[scene.facet_index[e.adjacent_facets[0]]].motion \
+                        .displacement(t)
+                    assert np.array_equal(g.edges[k], e.endpoints + d)
+                    moved[1] += bool(d.any())
+        assert min(moved) > 100
 
     def test_generator_vehicles_advance(self):
         from raychan import generate_v2v_scenario
@@ -185,7 +212,7 @@ class TestPointInFacet:
                            tx_motion=Motion.stationary([0, 0, 1]),
                            rx_motion=Motion.stationary([1, 1, 1]),
                            frequency=6e9), 0.0)
-        inside, d = point_in_facet(np.array([0.0, 0.0, 0.0]), g.facet("sq"))
+        inside, d = point_in_facet(np.array([0.0, 0.0, 0.0]), g, "sq")
         assert inside and d == pytest.approx(0.5, abs=1e-12)
 
     def test_outside_distance(self):
@@ -193,7 +220,7 @@ class TestPointInFacet:
                            tx_motion=Motion.stationary([0, 0, 1]),
                            rx_motion=Motion.stationary([1, 1, 1]),
                            frequency=6e9), 0.0)
-        inside, d = point_in_facet(np.array([0.7, 0.0, 0.0]), g.facet("sq"))
+        inside, d = point_in_facet(np.array([0.7, 0.0, 0.0]), g, "sq")
         assert not inside and d == pytest.approx(-0.2, abs=1e-12)
 
     def test_vertex_is_boundary(self):
@@ -201,7 +228,7 @@ class TestPointInFacet:
                            tx_motion=Motion.stationary([0, 0, 1]),
                            rx_motion=Motion.stationary([1, 1, 1]),
                            frequency=6e9), 0.0)
-        _inside, d = point_in_facet(np.array([0.5, 0.5, 0.0]), g.facet("sq"))
+        _inside, d = point_in_facet(np.array([0.5, 0.5, 0.0]), g, "sq")
         assert abs(d) < 1e-9
 
     def test_off_plane_rejected(self):
@@ -210,7 +237,7 @@ class TestPointInFacet:
                            rx_motion=Motion.stationary([1, 1, 1]),
                            frequency=6e9), 0.0)
         with pytest.raises(SceneError):
-            point_in_facet(np.array([0.0, 0.0, 0.01]), g.facet("sq"))
+            point_in_facet(np.array([0.0, 0.0, 0.01]), g, "sq")
 
     def test_sign_changes_once_across_boundary(self):
         g = scene_at(Scene(facets=(_square_facet(),), edges=(),
@@ -219,7 +246,7 @@ class TestPointInFacet:
                            frequency=6e9), 0.0)
         signs = []
         for x in np.linspace(0.0, 1.0, 400):
-            _, d = point_in_facet(np.array([x, 0.11, 0.0]), g.facet("sq"))
+            _, d = point_in_facet(np.array([x, 0.11, 0.0]), g, "sq")
             signs.append(d >= 0.0)
         flips = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
         assert flips == 1

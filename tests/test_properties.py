@@ -65,7 +65,7 @@ def test_image_angle_equality_on_random_scenes(traced_scenes):
                 continue
             chain = [geom.tx] + [i.point for i in refl] + [geom.rx]
             for k, inter in enumerate(refl):
-                n = geom.facet(inter.geometry_id).normal
+                n = geom.facets.normals[scene.facet_index[inter.geometry_id]]
                 s_in = chain[k + 1] - chain[k]
                 s_out = chain[k + 2] - chain[k + 1]
                 s_in = s_in / np.linalg.norm(s_in)

@@ -66,16 +66,15 @@ class TestTraceSnapshot:
         geom = scene_at(scene, 0.0)
         # independent launching/segment oracle confirms the direct ray is blocked
         assert oracles.los_blocked_by_launching(
-            geom.tx, geom.rx, [f.vertices for f in geom.facets])
+            geom.tx, geom.rx, [f.vertices for f in scene.facets])
         kinds = {signature_str(p.signature) for p in snap.paths}
         assert "LOS" not in kinds
         assert any(s.startswith("D:") for s in kinds)
         # the diffraction point agrees with brute-force Fermat minimization
         d_path = next(p for p in snap.paths
                       if p.signature and p.signature[0][0] is Mechanism.DIFFRACTION)
-        p_brute, _u = oracles.fermat_brute(geom.tx, geom.rx,
-                                           geom.edge("w_edge").endpoints[0],
-                                           geom.edge("w_edge").endpoints[1])
+        a, b = geom.edges[scene.edge_index["w_edge"]]
+        p_brute, _u = oracles.fermat_brute(geom.tx, geom.rx, a, b)
         assert np.linalg.norm(d_path.interactions[0].point - p_brute) < 1e-4
 
     def test_empty_snapshot_is_valid(self):
@@ -135,8 +134,9 @@ class TestFindDiffractionPoint:
     _ENDS = np.array([[-2.0, 1.0, 0.5], [3.0, -1.0, 2.0]])
 
     def test_symmetric_midpoint(self):
-        e = scene_at(_screen_scene(), 0.0).edge("w_edge")
-        p = _fermat([0, -5, 2.0], [0, 5, 2.0], e.endpoints)
+        scene = _screen_scene()
+        ends = scene_at(scene, 0.0).edges[scene.edge_index["w_edge"]]
+        p = _fermat([0, -5, 2.0], [0, 5, 2.0], ends)
         assert p is not None
         assert p[2] == pytest.approx(2.0, abs=1e-12)
 
@@ -252,7 +252,7 @@ class TestFieldOfPath:
         from raychan.coefficients import WedgeGeometry, utd_coefficient
         from raychan.geometry import wedge_angles
         from raychan.rt import launch_amplitude
-        frame = geom.edge("w_edge").frame
+        frame = scene.frames["w_edge"]
         s_in = (pt - geom.tx) / d_l
         _, phi_inc, phi_dif, along_edge = wedge_angles(
             frame.ef, frame.af, frame.nf, frame.n_index, tuple((pt - geom.tx).tolist()), d_l,
@@ -302,7 +302,7 @@ class TestInvariants:
                     continue
                 chain = [geom.tx] + [i.point for i in refl] + [geom.rx]
                 for k, inter in enumerate(refl):
-                    n = geom.facet(inter.geometry_id).normal
+                    n = geom.facets.normals[default_scene.facet_index[inter.geometry_id]]
                     s_in = chain[k + 1] - chain[k]
                     s_out = chain[k + 2] - chain[k + 1]
                     s_in = s_in / np.linalg.norm(s_in)
@@ -318,17 +318,19 @@ class TestInvariants:
             pen_ids = {i.geometry_id for i in p.interactions
                        if i.mechanism is Mechanism.PENETRATION}
             own_ids = {i.geometry_id for i in p.interactions}
-            for e in (geom.edge(i.geometry_id) for i in p.interactions
-                      if i.mechanism is Mechanism.DIFFRACTION):
-                own_ids |= {f.id for f in e.adjacent}
+            for e in (default_scene.edges[default_scene.edge_index[i.geometry_id]]
+                      for i in p.interactions if i.mechanism is Mechanism.DIFFRACTION):
+                own_ids |= set(e.adjacent_facets)
             chain = [geom.tx] + [i.point for i in p.interactions
                                  if i.mechanism is not Mechanism.PENETRATION] \
                 + [geom.rx]
+            facets = geom.facets
             for a, b in zip(chain, chain[1:]):
-                for f in geom.facets:
+                for k, f in enumerate(default_scene.facets):
                     if f.id in own_ids or f.material.transparent:
                         continue
-                    assert not oracles.segment_hits_polygon(a, b, f.vertices), \
+                    vertices = facets.origins[k][facets.valid[k]]
+                    assert not oracles.segment_hits_polygon(a, b, vertices), \
                         (signature_str(p.signature), f.id)
 
     def test_reciprocity_swapped_transceivers(self, default_scene):

@@ -112,7 +112,8 @@ class TestCli:
         assert rc == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["rt_times"] == [0.0, 1.0, 2.0]
-        snaps = read_snapshots_csv(out / "snapshots.csv")
+        snaps = read_snapshots_csv(out / "snapshots.csv",
+                                   load_scene(tiny_scene_file).wavelength)
         assert len(snaps) == 21  # 3 traced + 18 predicted
 
     def test_byte_identical_reruns(self, tiny_scene_file, tmp_path):
@@ -241,7 +242,8 @@ class TestCli:
         main(["run", "--scene", str(tiny_scene_file), "--mode", "rt",
               "--tc", "1.0", "--dt", "0.5", "--duration", "1.0",
               "--out", str(out)])
-        snaps = read_snapshots_csv(out / "snapshots.csv")
+        snaps = read_snapshots_csv(out / "snapshots.csv",
+                                   load_scene(tiny_scene_file).wavelength)
         assert [time_key(s.time) for s in snaps] == [0, 500000, 1000000]
         text = (out / "snapshots.csv").read_text().splitlines()
         assert text[0] == "time_s,path_index,signature,delay_ns,power_dbm,n_interactions"
@@ -274,7 +276,8 @@ class TestBlockedReceiver:
         run = ["run", "--scene", str(scene), "--duration", "3"]
         assert main([*run, "--mode", "rt", "--out", str(tmp_path / "rt")]) == 0
         # snapshots.csv has no row for the ten instants without a path
-        assert len(read_snapshots_csv(tmp_path / "rt" / "snapshots.csv")) == 21
+        wavelength = load_scene(scene).wavelength
+        assert len(read_snapshots_csv(tmp_path / "rt" / "snapshots.csv", wavelength)) == 21
         drt = [*run, "--mode", "drt", "--out", str(tmp_path / "drt"),
                "--reference", str(tmp_path / "rt")]
         assert main(drt) == 0
@@ -285,3 +288,30 @@ class TestBlockedReceiver:
         # without its manifest the reference's grid is unknown
         (tmp_path / "rt" / "manifest.json").unlink()
         assert main(drt) == 1
+
+    def test_field_error_against_a_reference_run(self, tmp_path):
+        """drt's line-of-sight path at t = 0.1 s is RT's own, so its field
+        error against an rt reference run is rounding only: the reference's
+        magnitudes are rebuilt at the scene's wavelength."""
+        scene = _wall_scene_file(tmp_path / "wall.json", 1.0)
+        run = ["run", "--scene", str(scene), "--duration", "1"]
+        assert main([*run, "--mode", "rt", "--out", str(tmp_path / "rt")]) == 0
+        assert main([*run, "--mode", "drt", "--out", str(tmp_path / "drt"),
+                     "--reference", str(tmp_path / "rt")]) == 0
+        report = json.loads((tmp_path / "drt" / "errors.json").read_text())
+        [row] = [r for r in report["per_position"] if time_key(r["time_s"]) == time_key(0.1)]
+        assert row["n_rt"] == row["n_s"] >= 1
+        assert row["mean_field_error"] <= 1e-9
+
+    @pytest.mark.parametrize("case", ["another-grid", "no-power"])
+    def test_reference_that_cannot_be_compared_exits_one(self, tmp_path, case):
+        # an rt reference at dt 0.5 s lacks the drt run's 0.1 s instants; behind
+        # the 100 m wall neither run has a path
+        scene = _wall_scene_file(tmp_path / "wall.json", 1.0 if case == "another-grid" else 100.0)
+        run = ["run", "--scene", str(scene), "--duration", "1"]
+        dt = "0.5" if case == "another-grid" else "0.1"
+        assert main([*run, "--mode", "rt", "--dt", dt, "--tc", "0.5",
+                     "--out", str(tmp_path / "rt")]) == 0
+        assert main([*run, "--mode", "drt", "--out", str(tmp_path / "drt"),
+                     "--reference", str(tmp_path / "rt")]) == 1
+        assert not (tmp_path / "drt" / "errors.json").exists()
