@@ -9,14 +9,16 @@
 `run` writes snapshots.csv, manifest.json, timing.json, pdp.csv, and (for
 mode edrt) lifetimes.csv into the output directory; when --reference points
 at a directory holding another run's snapshots.csv and manifest.json,
-errors.json is written as well.  Exit codes: 0 success; 1 invalid input
-(ValidationError, SceneError, a missing file, a reference run that cannot
-be compared); 2 any other failure at run time.
+errors.json is written as well, if that run is of the same scene file and
+frequency.  Exit codes: 0 success; 1 invalid input (ValidationError,
+SceneError, a missing file, a reference run that cannot be compared); 2
+any other failure at run time.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import sys
@@ -109,21 +111,23 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _read_reference(directory: FilePath, wavelength: float) -> list[Snapshot]:
+def _read_reference(directory: FilePath, scene: Scene, provenance: dict) -> list[Snapshot]:
     """The snapshots of the run in directory, on its whole grid, with field
-    magnitudes at wavelength (io.read_snapshots_csv).
+    magnitudes at the scene's wavelength (io.read_snapshots_csv).
 
     snapshots.csv has no row for an instant without paths, so the grid comes
     from the run's manifest.json (dt, duration), and the instants absent
-    from the CSV are empty snapshots.  A missing manifest is a
-    ValidationError.
+    from the CSV are empty snapshots.  A missing manifest, or one without
+    provenance's scene_sha256 and frequency_hz, is a ValidationError.
     """
     manifest = directory / "manifest.json"
     if not manifest.is_file():
         raise ValidationError(f"reference run has no manifest: {manifest}")
     doc = json.loads(manifest.read_text())
-    by_key = {time_key(s.time): s
-              for s in artifact_io.read_snapshots_csv(directory / "snapshots.csv", wavelength)}
+    if {key: doc.get(key) for key in provenance} != provenance:
+        raise ValidationError(f"reference run is of another scene file or frequency: {manifest}")
+    by_key = {time_key(s.time): s for s in artifact_io.read_snapshots_csv(
+        directory / "snapshots.csv", scene.wavelength)}
     return [by_key.get(time_key(t), Snapshot(time=t, paths=[]))
             for t in time_grid(doc["duration"], doc["dt"])]
 
@@ -154,15 +158,17 @@ def _cmd_run(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     artifact_io.write_snapshots_csv(run, outdir / "snapshots.csv")
     artifact_io.write_timing_json(run, outdir / "timing.json")
+    provenance = {"scene_sha256": hashlib.sha256(FilePath(args.scene).read_bytes()).hexdigest(),
+                  "frequency_hz": scene.frequency}
     artifact_io.write_manifest_json(run, outdir / "manifest.json",
-                                    extra={"scene": str(args.scene),
-                                           "seed": args.seed})
+                                    extra={"scene": str(args.scene), "seed": args.seed,
+                                           **provenance})
     artifact_io.write_pdp_csv(pdp_extract(run, rx_motion=scene.rx_motion),
                               outdir / "pdp.csv")
     if run.mode == "edrt":
         artifact_io.write_lifetimes_csv(run, outdir / "lifetimes.csv")
     if args.reference:
-        report = _compare(_read_reference(FilePath(args.reference), scene.wavelength), run)
+        report = _compare(_read_reference(FilePath(args.reference), scene, provenance), run)
         artifact_io.write_error_json(report, outdir / "errors.json")
     n_pred = len(run.predicted_times())
     print(f"{run.mode}: {len(run.snapshots)} snapshots "

@@ -20,7 +20,8 @@ The constructions are the RT pass's own kernels: rt.reflection_chains (the
 image cascade), rt.fermat_points (the diffraction point) and
 rt.slab_crossings (the penetrations), and a row's PathGeometry is a slice
 of the arrays (PathTrajectory.path_geometry).  Fields are then computed
-directly, path by path (make_path is DRT's field stage).  A reflection
+directly: every diffraction's UTD pair in one array call (as E-DRT's
+extrapolation does), then the rest path by path (make_path).  A reflection
 point is allowed to slide off its facet and a stale line-of-sight path is
 kept when it becomes blocked: those are the documented error modes of the
 approach, resolved only by the next reference pass.
@@ -43,6 +44,7 @@ from .rt import (
     PathGeometry,
     Snapshot,
     _bounces,
+    diffraction_coefficients,
     facet_crossings,
     fermat_points,
     make_path,
@@ -452,8 +454,8 @@ def _advance(members, scene: Scene, times, timer: StageTimer) -> list[Snapshot]:
     One WindowRows trajectory holds every member, and one geometry_at call
     resolves each row at times[window].  Paths whose geometric construction
     fails outright are dropped, counted (dropped_paths) and logged; fields
-    are recomputed directly from the advanced geometry, path by path, one
-    predicted instant at a time.
+    are recomputed directly from the advanced geometry, the UTD pairs in one
+    call, the rest path by path, one predicted instant at a time.
     """
     times = np.asarray(times, float)
     n_times = times.shape[1]
@@ -462,22 +464,31 @@ def _advance(members, scene: Scene, times, timer: StageTimer) -> list[Snapshot]:
         resolved = rows.traj.geometry_at(times[rows.window])
     picked: list[list[tuple]] = [[] for _ in range(times.size)]
     dropped = 0
-    for g in resolved:
+    for s, g in zip(rows.traj.shapes, resolved):
         dropped += int(np.count_nonzero(g.failed))
         ip, it = np.nonzero(~g.failed)
         index = g.index[ip]
-        for slot, p, i, k in zip((rows.window[index] * n_times + it).tolist(), ip.tolist(),
-                                 it.tolist(), index.tolist()):
-            picked[slot].append((g, p, i, k))
+        utd = [None] * ip.size  # also where a ray runs along its edge: the chain raises
+        if s.diffraction:
+            with timer.field():
+                (d_soft, d_hard), along = diffraction_coefficients(
+                    scene, s.edge[ip], g.vertices[ip, it], g.seg_lengths[ip, it, 0],
+                    g.total_length[ip, it])
+                utd = [None if a else pair for pair, a in
+                       zip(zip(d_soft.tolist(), d_hard.tolist()), along.tolist())]
+        for slot, p, i, k, pair in zip((rows.window[index] * n_times + it).tolist(),
+                                       ip.tolist(), it.tolist(), index.tolist(), utd):
+            picked[slot].append((g, p, i, k, pair))
     placed = []
     for t, slot in zip(times.ravel().tolist(), picked):
         geom = scene_at(scene, t)
         with timer.geometry():
-            geometries = [(k, i, rows.traj.path_geometry(g, p, i)) for g, p, i, k in slot]
+            geometries = [(k, i, rows.traj.path_geometry(g, p, i), pair)
+                          for g, p, i, k, pair in slot]
         with timer.field():
-            for k, i, geometry in geometries:
+            for k, i, geometry, pair in geometries:
                 try:
-                    placed.append((k, i, make_path(scene, geom, geometry)))
+                    placed.append((k, i, make_path(scene, geom, geometry, pair)))
                 except ConstructionError:
                     dropped += 1
     timer.count("dropped_paths", dropped)

@@ -22,8 +22,9 @@ geometry_at for all instants of all windows, then one crossing call for
 their occlusion and penetration profiles).  Field extrapolation reads its
 geometry from the same arrays and computes each mechanism's coefficients in
 one pass over arrays; for diffractions it runs the ray tracer's formulas
-(geometry.wedge_angles, coefficients.utd_coefficient and
-rt.spreading_factor) on arrays instead of floats.  Path objects are built
+on arrays instead of floats: the wedge angles and the UTD pair by
+rt.diffraction_coefficients, as DRT does, and rt.spreading_factor.  Path
+objects are built
 only for the output snapshots, their interactions by rt.interactions_of,
 the rule of RT and DRT paths, and the scene is evaluated at an instant
 only for a direct field fallback.  A single window, or a single path's
@@ -38,14 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import (
-    WedgeGeometry,
-    fresnel_from_cos,
-    transmission_from_cos,
-    utd_coefficient,
-)
+from .coefficients import fresnel_from_cos, transmission_from_cos
 from .drt import PathTrajectory, TrajectoryGeometry, WindowRows
-from .geometry import dot3, wedge_angles
+from .geometry import dot3
 from .rt import (
     GRAZING_COS,
     ConstructionError,
@@ -54,6 +50,7 @@ from .rt import (
     Path,
     PathGeometry,
     Snapshot,
+    diffraction_coefficients,
     field_of_path,
     interactions_of,
     power_dbm_from_field,
@@ -347,7 +344,7 @@ def extrapolate_fields(refs, batches, scene: Scene):
     diffracted = np.zeros(n_all, dtype=bool)
     # per mechanism, in slot order: each slot's rows and reference traces,
     # the segment into the interaction (vector and length), and for an edge
-    # the segment out of it and the path length before it
+    # the points before, at and after it and the edge's index
     gathered = {kind: ([], [], [], [], [], []) for kind in _PRODUCT_ORDER}
     start = 0
     for rows in batches:
@@ -363,44 +360,34 @@ def extrapolate_fields(refs, batches, scene: Scene):
         for q, trace in enumerate(refs[start - n_rows].traces):
             seg = (rows.pen_segments[:, q - n_backbone] if trace.kind is Mechanism.PENETRATION
                    else np.full(n_rows, q))
-            at, traces, d_in, length, d_out, before = gathered[trace.kind]
+            at, traces, d_in, length, around, edge = gathered[trace.kind]
             at.append(batch)
             traces.extend(ref.traces[q] for ref in refs[start - n_rows:start])
             d_in.append(verts[r, seg + 1] - verts[r, seg])
             length.append(seg_lengths[r, seg])
             if trace.kind is Mechanism.DIFFRACTION:
                 diffracted[batch] = True
-                d_out.append(verts[:, q + 2] - verts[:, q + 1])
-                before.append(seg_lengths[:, :q + 1].sum(axis=1))
-
-    def joined(parts):
-        return np.concatenate(parts)
+                around.append(verts[:, q:q + 3])
+                edge.extend(scene.edge_index[slots_of(ref.signature).backbone[q][1]]
+                            for ref in refs[start - n_rows:start])
 
     # the ratio product per row: reflections, then penetrations, then
     # diffractions, each in slot order (ufunc.at applies repeated rows in order)
     alive = np.ones(n_all, dtype=bool)
     ratio = np.ones(n_all, complex)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for kind, (at, traces, d_in, length, d_out, before) in gathered.items():
+        for kind, (at, traces, d_in, length, around, edge) in gathered.items():
             if not at:
                 continue
-            at, d_in, length = joined(at), joined(d_in), joined(length)
+            at, d_in, length = (np.concatenate(x) for x in (at, d_in, length))
             coeff = np.array([tr.coeff[tr.label] for tr in traces], complex)
-            eps = np.array([tr.eps for tr in traces], complex)
             dead = np.abs(coeff) < COEFF_FLOOR
             if kind is Mechanism.DIFFRACTION:
-                frames = [tr.frame for tr in traces]
-                e, a, n = (np.array([getattr(f, name) for f in frames]).T
-                           for name in ("ef", "af", "nf"))
-                n_index = np.array([f.n_index for f in frames])
-                beta0, phi_inc, phi_dif, along_edge = wedge_angles(
-                    e, a, n, n_index, d_in.T, length, joined(d_out).T)
+                (c0, c1), along_edge = diffraction_coefficients(
+                    scene, np.array(edge, dtype=int), np.concatenate(around), length, totals[at])
                 dead |= along_edge
-                d_inc = joined(before)
-                c0, c1 = utd_coefficient(WedgeGeometry(n_index, beta0, phi_inc, phi_dif, d_inc,
-                                                       totals[at] - d_inc),
-                                         None, scene.frequency, eps)
             else:
+                eps = np.array([tr.eps for tr in traces], complex)
                 n = np.array([tr.normal for tr in traces])
                 cos_th = np.minimum(np.abs(dot3(d_in.T, n.T)) / length, 1.0)
                 if kind is Mechanism.REFLECTION:

@@ -10,7 +10,8 @@ with repr-stable formatting and rows follow the documented stable ordering
     pdp.csv       : position_index, distance_m, delay_ns, power_dbm
     errors.json   : epsilon_g, epsilon_e, si, per-position arrays
     timing.json   : mode, geometry_s, field_s, total_s
-    manifest.json : mode, config echo, per-round reference-pass times
+    manifest.json : mode, config echo, per-round reference-pass times,
+                    counters (the CLI adds scene_sha256 and frequency_hz)
 """
 
 from __future__ import annotations

@@ -24,8 +24,8 @@ culling, then beam culling of ordered reflection pairs (the second bounce
 must lie in the beam that the first facet casts), then reflection_chains
 over every remaining reflection candidate at once, which drops a candidate
 only when a predicate fails by more than a rounding margin, then the exact
-per-candidate decision (solve_backbone, the occlusion profile,
-build_geometry) for each candidate left.
+decision: solve_backbone per candidate, one crossing call for all that
+construct (occlusion_profile), and build_geometry for those it keeps.
 
 The electric field is propagated as a complex 3-vector with per-interface
 polarization decomposition, on Python floats, and reported at the receiver
@@ -35,8 +35,8 @@ signature (slots_of, cached per signature), and interactions_of lists the
 interactions of RT, DRT and E-DRT paths alike.  At an edge the chain takes
 the angles from geometry.wedge_angles, the coefficient from
 coefficients.utd_coefficient and the caustic spreading from
-spreading_factor: formulas that run on floats here and on arrays in E-DRT's
-field extrapolation.
+spreading_factor: formulas that run on floats here, and on arrays in
+E-DRT's field extrapolation and for DRT's UTD pairs (diffraction_coefficients).
 """
 
 from __future__ import annotations
@@ -289,32 +289,36 @@ def occlusion_profiles_batch(geom: SceneAtTime, polylines):
     facets = geom.facets
     if facets.normals.shape[0] == 0 or not polylines:
         return [(False, []) for _ in polylines]
-    seg_a, seg_d, seg_owner = [], [], []
-    for item, (vertices, _exclude) in enumerate(polylines):
-        for k in range(len(vertices) - 1):
-            seg_a.append(vertices[k])
-            seg_d.append(vertices[k + 1] - vertices[k])
-            seg_owner.append((item, k))
-    hits = facet_crossings(facets, np.asarray(seg_a), np.asarray(seg_d),
+    seg_owner = [(item, k) for item, (vertices, _exclude) in enumerate(polylines)
+                 for k in range(len(vertices) - 1)]
+    # segment s starts at vertex s + item: each polyline before leaves out its last
+    start = np.arange(len(seg_owner)) + [item for item, _k in seg_owner]
+    points = np.array([p for vertices, _exclude in polylines for p in vertices], float)
+    hits = facet_crossings(facets, points[start], points[start + 1] - points[start],
                            exclude=np.concatenate([exclude for _v, exclude in polylines]))
     results = [[False, []] for _ in polylines]
-    for s, i, t, point in zip(*hits):
+    for s, i, t, point in zip(hits[0].tolist(), hits[1].tolist(), hits[2].tolist(), hits[3]):
         item, k = seg_owner[s]
         if results[item][0]:
             continue
         if not facets.transparent[i]:
-            results[item][0] = True
-            results[item][1] = []
+            results[item] = [True, []]
         else:
-            results[item][1].append((k, geom.scene.facets[i].id, point, float(t)))
+            results[item][1].append((k, geom.scene.facets[i].id, point, t))
     for r in results:
         r[1].sort(key=lambda h: (h[0], h[3]))
     return [(blocked, pens) for blocked, pens in results]
 
 
-def occlusion_profile(geom: SceneAtTime, vertices, exclude):
-    """occlusion_profiles_batch for a single polyline."""
-    return occlusion_profiles_batch(geom, [(vertices, exclude)])[0]
+def occlusion_profile(geom: SceneAtTime, candidates) -> list[Signature | None]:
+    """The occlusion decision of an RT pass's (backbone, points) candidates
+    in one occlusion_profiles_batch call: per candidate its signature with
+    its one penetration, or None when it is blocked or crosses many slabs."""
+    profiles = occlusion_profiles_batch(geom, [
+        ([geom.tx, *points, geom.rx], segment_exclusions(geom.scene, backbone))
+        for backbone, points in candidates])
+    return [None if blocked or len(pens) > 1 else _signature_with_penetrations(backbone, pens)
+            for (backbone, _points), (blocked, pens) in zip(candidates, profiles)]
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +631,7 @@ def _project(e_vec, pair, u_in, v_in, u_out, v_out):
 
 
 def polarization_chain(scene: Scene, geometry: PathGeometry, slots: Slots,
-                       record: list[InteractionTrace] | None = None) -> tuple:
+                       record: list[InteractionTrace] | None = None, utd=None) -> tuple:
     """Propagate the launch polarization through all interactions.
 
     Returns the complex 3-vector (a tuple) of field direction times
@@ -638,6 +642,8 @@ def polarization_chain(scene: Scene, geometry: PathGeometry, slots: Slots,
     coefficient comes from the incidence cosine, as in E-DRT's
     re-evaluation.  It reads only what translation leaves unchanged, from
     the Scene by index: normals, materials, thicknesses and wedge frames.
+    utd is the diffraction's UTD pair from diffraction_coefficients, or
+    None to compute it here on floats.
     """
     verts = geometry.vertices.tolist()
     freq = scene.frequency
@@ -659,19 +665,19 @@ def polarization_chain(scene: Scene, geometry: PathGeometry, slots: Slots,
                                      eps=eps, normal=f.normal)
         else:  # diffraction
             frame = scene.frames[gid]
-            edge = scene.edges[scene.edge_index[gid]]
-            material = scene.facets[scene.facet_index[edge.adjacent_facets[0]]].material
-            eps = complex_permittivity(material, freq)
-            seg_lengths = geometry.seg_lengths.tolist()
-            beta0, phi_inc, phi_dif, along_edge = wedge_angles(
-                frame.ef, frame.af, frame.nf, frame.n_index, sub3(verts[i + 1], verts[i]),
-                seg_lengths[i], sub3(verts[i + 2], verts[i + 1]))
-            if along_edge:
-                raise ConstructionError("ray parallel to diffraction edge")
-            d_inc = sum(seg_lengths[:i + 1])
-            pair = utd_coefficient(WedgeGeometry(frame.n_index, beta0, phi_inc, phi_dif, d_inc,
-                                                 geometry.total_length - d_inc),
-                                   material, freq, eps)
+            eps = complex(scene.statics().edge_eps[scene.edge_index[gid]])
+            pair = utd
+            if pair is None:
+                seg_lengths = geometry.seg_lengths.tolist()
+                beta0, phi_inc, phi_dif, along_edge = wedge_angles(
+                    frame.ef, frame.af, frame.nf, frame.n_index, sub3(verts[i + 1], verts[i]),
+                    seg_lengths[i], sub3(verts[i + 2], verts[i + 1]))
+                if along_edge:
+                    raise ConstructionError("ray parallel to diffraction edge")
+                d_inc = sum(seg_lengths[:i + 1])
+                pair = utd_coefficient(WedgeGeometry(frame.n_index, beta0, phi_inc, phi_dif,
+                                                     d_inc, geometry.total_length - d_inc),
+                                       None, freq, eps)
             a, b = unit3(cross3(frame.ef, s_in)), unit3(cross3(frame.ef, s_out))
             phi_in, phi_out = (-a[0], -a[1], -a[2]), (-b[0], -b[1], -b[2])
             e_vec, label = _project(e_vec, pair, cross3(phi_in, s_in), phi_in,
@@ -704,6 +710,25 @@ def polarization_chain(scene: Scene, geometry: PathGeometry, slots: Slots,
     return e_vec
 
 
+def diffraction_coefficients(scene: Scene, edge, vertices, d_inc, total_length):
+    """The float chain's UTD pairs on arrays, ((D_soft, D_hard), along_edge),
+    for N diffractions on edges edge (N,), whose frames, n and permittivity
+    are gathered by index.  vertices (N, 3, 3) are the points before, at and
+    after each, d_inc the path length before it, also the ray into it (a
+    diffraction is its path's only backbone interaction).  along_edge marks
+    rays along their edge, whose pairs are meaningless."""
+    statics = scene.statics()
+    e, a, n, n_index = (v.take(edge, axis=0).T for v in statics.wedges)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        beta0, phi_inc, phi_dif, along_edge = wedge_angles(
+            e, a, n, n_index, (vertices[:, 1] - vertices[:, 0]).T, d_inc,
+            (vertices[:, 2] - vertices[:, 1]).T)
+        pair = utd_coefficient(WedgeGeometry(n_index, beta0, phi_inc, phi_dif, d_inc,
+                                             total_length - d_inc),
+                               None, scene.frequency, statics.edge_eps.take(edge))
+    return pair, along_edge
+
+
 def spreading_factor(total_length, s_pre, diffracted):
     """Amplitude spreading of whole paths: 1/length, or the diffraction
     caustic form for a path diffracted after its first s_pre metres.
@@ -719,20 +744,21 @@ def spreading_factor(total_length, s_pre, diffracted):
 
 
 def field_of_path(scene: Scene, geom: SceneAtTime, geometry: PathGeometry,
-                  record: list[InteractionTrace] | None = None, slots: Slots | None = None):
+                  record: list[InteractionTrace] | None = None, slots: Slots | None = None,
+                  utd=None):
     """Direct electric-field computation for a resolved path.
 
     Free-space spherical spreading from the transmitter, per-interaction
     coefficient application with polarization decomposition at each
     interface, and slab penetration loss.  slots are the signature's, looked
-    up when not given.  Returns (field_2vector, power_dbm) with the field
-    expressed in the receiver's (v, h) basis.
+    up when not given; utd see polarization_chain.  Returns (field_2vector,
+    power_dbm) with the field expressed in the receiver's (v, h) basis.
     """
     if slots is None:
         slots = slots_of(geometry.signature)
     _check_on_geometry(geometry, geom, slots)
     verts = geometry.vertices
-    e_vec = polarization_chain(scene, geometry, slots, record)
+    e_vec = polarization_chain(scene, geometry, slots, record, utd)
     diffracted = bool(slots.backbone) and slots.backbone[0][0] is Mechanism.DIFFRACTION
     s_pre = float(geometry.seg_lengths[0]) if diffracted else 0.0
     scale = (spreading_factor(geometry.total_length, s_pre, diffracted)
@@ -744,8 +770,8 @@ def field_of_path(scene: Scene, geom: SceneAtTime, geometry: PathGeometry,
             power_dbm_from_field(math.hypot(abs(f_v), abs(f_h)), scene))
 
 
-def make_path(scene: Scene, geom: SceneAtTime, geometry: PathGeometry) -> Path:
-    """Path with its directly computed field.
+def make_path(scene: Scene, geom: SceneAtTime, geometry: PathGeometry, utd=None) -> Path:
+    """Path with its directly computed field (utd: see polarization_chain).
 
     The resolved geometry and the per-interaction coefficient traces are
     always kept on the path: E-DRT extrapolates fields from them, and keeping
@@ -753,7 +779,7 @@ def make_path(scene: Scene, geom: SceneAtTime, geometry: PathGeometry) -> Path:
     """
     slots = slots_of(geometry.signature)
     traces: list[InteractionTrace] = []
-    field2, p_dbm = field_of_path(scene, geom, geometry, traces, slots)
+    field2, p_dbm = field_of_path(scene, geom, geometry, traces, slots, utd)
     return Path(
         signature=geometry.signature,
         interactions=interactions_of(slots, geometry.vertices, geometry.pen_points),
@@ -955,14 +981,16 @@ def trace_geometry(scene: Scene, t: float, timer=None):
     3. the batched construction (_constructible) runs the image cascade of
        every remaining reflection candidate as arrays and drops those that
        fail a predicate of solve_backbone by more than FILTER_SLACK;
-    4. every candidate left goes through the per-candidate decision:
-       solve_backbone, the occlusion profile and build_geometry.
+    4. solve_backbone constructs each candidate left, one occlusion_profile
+       call tests every segment of all that construct at once, and
+       build_geometry resolves those it keeps.
 
     A timer, when given, counts the candidates that pass the plane-side
     culling (rt_candidates) and those it drops (rt_culled); of the
-    former, those dropped by the beam culling (rt_beam_culled) and by the
-    batched construction (rt_prefiltered).  Raises SceneError when Tx and
-    Rx are closer than SIDE_EPS, where no path is defined.
+    former, those dropped by the beam culling (rt_beam_culled), the batched
+    construction (rt_prefiltered), solve_backbone (rt_unconstructed) and
+    the crossing call (rt_occluded).  Raises SceneError when Tx and Rx are
+    closer than SIDE_EPS, where no path is defined.
     """
     geom = scene_at(scene, t)
     if norm(geom.rx - geom.tx) < SIDE_EPS:
@@ -973,28 +1001,28 @@ def trace_geometry(scene: Scene, t: float, timer=None):
     single[ones] = _constructible(geom, [ones])
     first, second = np.nonzero(pair)
     pair[first, second] = _constructible(geom, [first, second])
+    backbones = list(_candidate_backbones(geom, single, pair))
+    constructed = []
+    for backbone in backbones:
+        try:
+            constructed.append((backbone, solve_backbone(geom, backbone)))
+        except ConstructionError:
+            continue
+    signatures = occlusion_profile(geom, constructed)
+    results: list[PathGeometry] = []
+    for sig, (_backbone, points) in zip(signatures, constructed):
+        try:
+            if sig is not None:
+                results.append(build_geometry(geom, sig, points))
+        except ConstructionError:
+            continue
     if timer is not None:
         timer.count("rt_candidates", 1 + beam_culled + kept + len(scene.edges))
         timer.count("rt_culled", len(scene.facets) ** 2 - beam_culled - kept)
         timer.count("rt_beam_culled", beam_culled)
         timer.count("rt_prefiltered", kept - int(single.sum()) - int(pair.sum()))
-    results: list[PathGeometry] = []
-    for backbone in _candidate_backbones(geom, single, pair):
-        try:
-            points = solve_backbone(geom, backbone)
-        except ConstructionError:
-            continue
-        vertices = [geom.tx] + points + [geom.rx]
-        blocked, pens = occlusion_profile(geom, vertices,
-                                          segment_exclusions(scene, backbone))
-        if blocked or len(pens) > 1:
-            continue
-        sig = _signature_with_penetrations(backbone, pens)
-        try:
-            geometry = build_geometry(geom, sig, points)
-        except ConstructionError:
-            continue
-        results.append(geometry)
+        timer.count("rt_unconstructed", len(backbones) - len(constructed))
+        timer.count("rt_occluded", signatures.count(None))
     results.sort(key=lambda g: signature_sort_key(g.signature))
     return geom, results
 

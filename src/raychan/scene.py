@@ -49,6 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .coefficients import complex_permittivity
 from .geometry import (
     COPLANAR_TOL,
     POLYGON_FAILURES,
@@ -346,6 +347,12 @@ class _SceneStatics:
         self.moving = np.array([i for i, f in enumerate(facets) if not f.motion.is_static],
                                dtype=int)
         self.moving_edges = np.flatnonzero(np.isin(self.edge_facets[:, 0], self.moving))
+        # by edge: frame vectors, n, faces' permittivity (rt.diffraction_coefficients)
+        frames = [scene.frames[e.id] for e in scene.edges]
+        self.wedges = tuple(np.array([getattr(f, k) for f in frames], float)
+                            for k in ("e_hat", "a_o", "n_o", "n_index"))
+        self.edge_eps = np.array([complex_permittivity(facets[i].material, scene.frequency)
+                                  for i in self.edge_facets[:, 0].tolist()], complex)
         self.exclusions: dict[tuple, np.ndarray] = {}   # rt.segment_exclusions by backbone
 
 

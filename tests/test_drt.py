@@ -16,7 +16,11 @@ from raychan import (
     scene_at,
     trace_snapshot,
 )
-from raychan.rt import Mechanism
+import raychan.drt as drt
+from raychan.cli import execute_run
+from raychan.drt import shape_of
+from raychan.rt import Mechanism, field_of_path
+from raychan.runs import time_key
 
 from test_edrt import _snapshot_bytes
 
@@ -211,3 +215,35 @@ class TestRunLevel:
                    for seed, scene in ((seed, random_scene(seed)) for seed in range(12))}
         # seeds 3 and 9 drop path instances whose construction fails
         assert dropped[3] > 0 and dropped[9] > 0
+
+
+class TestArrayDiffractionCoefficients:
+    """DRT computes the UTD pair of every diffraction (row, instant) of a
+    run in one array call (rt.diffraction_coefficients); the rest of each
+    field is the float chain's."""
+
+    @pytest.mark.parametrize("case", ["street", 0, 3, 9, 20, 24])
+    def test_fields_agree_with_the_float_chain(self, case, default_scene, monkeypatch):
+        scene, duration = ((default_scene, 6.0) if case == "street"
+                           else (random_scene(case), 3.0))
+        run = execute_run(scene, "drt", 1.0, 0.1, duration)
+        predicted = {time_key(t) for t in run.predicted_times()}
+        diffracted = 0
+        for snap in run.snapshots:
+            if time_key(snap.time) not in predicted:
+                continue
+            geom = scene_at(scene, snap.time)
+            for p in snap.paths:
+                want, _power = field_of_path(scene, geom, p.geometry)
+                assert np.max(np.abs(p.field - want)) <= 1e-12 * np.linalg.norm(want)
+                diffracted += Mechanism.DIFFRACTION in shape_of(p.signature)
+        assert diffracted >= 10
+        # with the pair left to the float chain, the same rows are dropped
+        monkeypatch.setattr(drt, "diffraction_coefficients", lambda scene, edge, *_: (
+            (np.zeros(edge.size), np.zeros(edge.size)), np.ones(edge.size, dtype=bool)))
+        floats = execute_run(scene, "drt", 1.0, 0.1, duration)
+        assert floats.counters["dropped_paths"] == run.counters["dropped_paths"]
+        assert [s.signature_set() for s in floats.snapshots] == \
+            [s.signature_set() for s in run.snapshots]
+        if case == 24:
+            assert run.counters["dropped_paths"] > 0

@@ -28,7 +28,7 @@ from raychan.rt import (
     _signature_with_penetrations,
     build_geometry,
     facet_crossings,
-    occlusion_profile,
+    occlusion_profiles_batch,
     signature_sort_key,
     segment_exclusions,
     solve_backbone,
@@ -58,8 +58,8 @@ def _unculled_geometry(scene, t):
             points = solve_backbone(geom, backbone)
         except ConstructionError:
             continue
-        blocked, pens = occlusion_profile(geom, [geom.tx] + points + [geom.rx],
-                                          segment_exclusions(scene, backbone))
+        [(blocked, pens)] = occlusion_profiles_batch(
+            geom, [([geom.tx] + points + [geom.rx], segment_exclusions(scene, backbone))])
         if blocked or len(pens) > 1:
             continue
         try:
@@ -111,20 +111,29 @@ class TestCulling:
             assert 0 < prefiltered < tried
             beam_culled = run.counters["rt_beam_culled"]
             assert 0 < beam_culled < tried - prefiltered
+            occluded = run.counters["rt_occluded"]
+            assert 0 < occluded < tried - prefiltered - beam_culled
             write_manifest_json(run, tmp_path / "manifest.json")
             counters = json.loads((tmp_path / "manifest.json").read_text())["counters"]
             assert counters["rt_candidates"] == tried
             assert counters["rt_culled"] == culled
             assert counters["rt_prefiltered"] == prefiltered
             assert counters["rt_beam_culled"] == beam_culled
+            assert counters["rt_occluded"] == occluded
+            assert counters["rt_unconstructed"] == run.counters["rt_unconstructed"]
         # the yield on the default scene at t = 0: of the 1,677 candidates
         # left by the plane-side culling, 1,438 fail the beam test and 179
-        # the batched construction, so neither reaches solve_backbone
+        # the batched construction, so neither reaches solve_backbone; every
+        # one of the 60 that do constructs, and the one crossing call of the
+        # pass drops 47 of them
         timer = StageTimer()
-        trace_snapshot(default_scene, 0.0, timer)
+        snapshot = trace_snapshot(default_scene, 0.0, timer)
         assert timer.counters["rt_candidates"] == 1677
         assert timer.counters["rt_beam_culled"] == 1438
         assert timer.counters["rt_prefiltered"] == 179
+        assert timer.counters["rt_unconstructed"] == 0
+        assert timer.counters["rt_occluded"] == 47
+        assert len(snapshot.paths) == 1677 - 1438 - 179 - 47
 
 
 def _random_facets(rng, n):

@@ -16,6 +16,7 @@ from raychan import (
     trace_snapshot,
 )
 from raychan.rt import ConstructionError, Mechanism, fermat_points, solve_backbone
+from raychan.runs import StageTimer
 from raychan.scene import C_LIGHT
 
 
@@ -157,6 +158,12 @@ class TestFindDiffractionPoint:
         # the Fermat point lies at z = 12, above the 8 m edge
         with pytest.raises(ConstructionError, match="clipped"):
             solve_backbone(geom, ((Mechanism.DIFFRACTION, "w_edge"),))
+        # the pass counts the edge as a candidate that does not construct;
+        # line of sight passes above the screen
+        timer = StageTimer()
+        snap = trace_snapshot(geom.scene, 0.0, timer)
+        assert (timer.counters["rt_unconstructed"], timer.counters["rt_occluded"]) == (1, 0)
+        assert [signature_str(p.signature) for p in snap.paths] == ["LOS"]
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(11)

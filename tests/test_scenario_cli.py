@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -302,6 +303,34 @@ class TestBlockedReceiver:
         [row] = [r for r in report["per_position"] if time_key(r["time_s"]) == time_key(0.1)]
         assert row["n_rt"] == row["n_s"] >= 1
         assert row["mean_field_error"] <= 1e-9
+
+    @pytest.mark.parametrize("case", ["another-frequency", "another-scene", "no-provenance"])
+    def test_reference_of_another_scene_exits_one(self, tmp_path, case):
+        """A reference run of another scene file or frequency is refused, as
+        is one whose manifest does not say which: an rt reference at 6 GHz
+        once gave a drt run at 3 GHz an epsilon_e of 1.0 without a word."""
+        scene = _wall_scene_file(tmp_path / "wall.json", 1.0)
+        other = tmp_path / "other.json"
+        doc = json.loads(scene.read_text())
+        if case == "another-frequency":
+            doc["frequency_hz"] = 3e9
+        elif case == "another-scene":
+            doc["facets"][0]["id"] = "wall-2"   # the same wall under another name
+        other.write_text(json.dumps(doc))
+        run = ["run", "--duration", "1"]
+        assert main([*run, "--scene", str(scene), "--mode", "rt",
+                     "--out", str(tmp_path / "rt")]) == 0
+        manifest = json.loads((tmp_path / "rt" / "manifest.json").read_text())
+        assert manifest["frequency_hz"] == 6e9
+        assert manifest["scene_sha256"] == hashlib.sha256(scene.read_bytes()).hexdigest()
+        if case == "no-provenance":
+            del manifest["scene_sha256"], manifest["frequency_hz"]
+            (tmp_path / "rt" / "manifest.json").write_text(json.dumps(manifest))
+        drt = [*run, "--scene", str(other if case != "no-provenance" else scene),
+               "--mode", "drt", "--out", str(tmp_path / "drt"),
+               "--reference", str(tmp_path / "rt")]
+        assert main(drt) == 1
+        assert not (tmp_path / "drt" / "errors.json").exists()
 
     @pytest.mark.parametrize("case", ["another-grid", "no-power"])
     def test_reference_that_cannot_be_compared_exits_one(self, tmp_path, case):
