@@ -44,10 +44,11 @@ from .rt import (
     PathGeometry,
     Snapshot,
     _bounces,
+    _take_rows,
     diffraction_coefficients,
-    facet_crossings,
     fermat_points,
     make_path,
+    occlusion_profiles_batch,
     reflection_chains,
     segment_exclusions,
     signature_sort_key,
@@ -95,12 +96,6 @@ class TrajectoryGeometry(NamedTuple):
                                             self.pen_params, self.seg_lengths,
                                             self.total_length, self.failed)),
             self.pen_segments.take(ip, axis=0))
-
-
-def _take_rows(a: np.ndarray, flat: np.ndarray) -> np.ndarray:
-    """a[ip, it] for flat = ip * T + it, a being (P, T, ...); ndarray.take
-    copies the same values as fancy indexing at a fraction of its cost."""
-    return a.reshape((a.shape[0] * a.shape[1],) + a.shape[2:]).take(flat, axis=0)
 
 
 class _Shape:
@@ -219,8 +214,9 @@ class PathTrajectory:
       time gives the PathGeometry of that instant instead.
     - path_geometry: one (path, instant) row of those arrays as a
       PathGeometry.
-    - crossings: the occlusion and penetration profiles of resolved rows,
-      all shapes in one facet_crossings call.
+    - crossings: the crossing profile of resolved rows, all shapes in one
+      rt.occlusion_profiles_batch call (the profile of an RT pass), reduced
+      against each signature's declared penetrations.
     - existence_scan: the strict existence predicates of an RT pass.
     - validity_scan: one of the two existence masks, chosen per path.
 
@@ -317,63 +313,25 @@ class PathTrajectory:
         path vertices as a list of (P_s, T, 3) arrays (Tx, backbone points,
         Rx) and a (P_s, T) mask.  Only the marked rows are tested, each
         segment against the facets at its row's own time, in one
-        facet_crossings call whose tracks are one segment of one path.
-        extra marks an opaque blocker or an undeclared slab crossing,
-        declared that every penetration of the signature is crossed.
+        occlusion_profiles_batch call, the crossing profile of an RT pass.
+        Reduced against the declared penetrations of each signature, extra
+        marks an opaque blocker or an undeclared slab crossing, and declared
+        (on the marked rows) that every declared penetration is crossed.
         """
         t = np.broadcast_to(np.asarray(times, float), (len(self.paths), np.shape(times)[-1]))
-        picked = [np.nonzero(mask) for mask in rows]
-        n_rows = sum(ip.size * (s.exclude.shape[1]) for s, (ip, _it) in zip(self.shapes, picked))
-        extra = np.zeros(t.shape, dtype=bool)
+        path, instant, seg, facet, _transparent = occlusion_profiles_batch(
+            self.scene, [(verts, s.exclude, s.index, mask)
+                         for s, verts, mask in zip(self.shapes, vertices, rows)], times=t)
+        listed = np.zeros(path.size, dtype=bool)
         declared = np.ones(t.shape, dtype=bool)
-        if not n_rows:
-            return extra, declared
-        # the segment rows of every shape, filled in place
-        seg_a, seg_d = np.empty((n_rows, 3)), np.empty((n_rows, 3))
-        tracks = np.empty(n_rows, dtype=int)
-        row_times = np.empty(n_rows)
-        exclude = []
-        parts = []  # (first row, rows per segment, path, time) of each shape's block
-        label = row = 0
-        for s, verts, (ip, it) in zip(self.shapes, vertices, picked):
-            n_paths, n_seg = s.exclude.shape[:2]
-            exclude.append(s.exclude.transpose(1, 0, 2).reshape(n_seg * n_paths, -1))
-            if ip.size:
-                flat = ip * t.shape[1] + it
-                parts.append((row, ip.size, s.index[ip], it))
-                times = t[s.index[ip], it]
-                start = _take_rows(verts[0], flat)
-                for k in range(n_seg):
-                    block = slice(row, row + ip.size)
-                    end = _take_rows(verts[k + 1], flat)
-                    seg_a[block] = start
-                    np.subtract(end, start, out=seg_d[block])
-                    tracks[block] = label + k * n_paths + ip
-                    row_times[block] = times
-                    start = end
-                    row += ip.size
-            label += n_seg * n_paths
-        # every facet at each row's time
-        disp = self.scene.facet_displacement(np.arange(len(self.scene.facets)),
-                                             row_times[:, None])
-        hit, facet, _u, _points = facet_crossings(
-            self.scene.statics().epoch, seg_a, seg_d, exclude=np.concatenate(exclude),
-            disp=disp, track=tracks)
-        # each hit's path, time and segment
-        part = np.searchsorted([first for first, *_ in parts], hit, side="right") - 1
-        p, ti, seg = (np.empty(hit.size, dtype=int) for _ in range(3))
-        for k, (first, size, path, time) in enumerate(parts):
-            sel = part == k
-            seg[sel], m = np.divmod(hit[sel] - first, size)
-            p[sel], ti[sel] = path[m], time[m]
-        listed = np.zeros(hit.size, dtype=bool)
         for j in range(self.pen_seg.shape[1]):
-            crossing = (seg == self.pen_seg[p, j]) & (facet == self.pen_facet[p, j])
+            crossing = (seg == self.pen_seg[path, j]) & (facet == self.pen_facet[path, j])
             listed |= crossing
             crossed = np.zeros(t.shape, dtype=bool)
-            crossed[p[crossing], ti[crossing]] = True
+            crossed[path[crossing], instant[crossing]] = True
             declared &= crossed | (self.pen_seg[:, j] < 0)[:, None]
-        extra[p[~listed], ti[~listed]] = True
+        extra = np.zeros(t.shape, dtype=bool)
+        extra[path[~listed], instant[~listed]] = True
         return extra, declared
 
     def existence_scan(self, times):

@@ -19,7 +19,11 @@ kernel resolves them over (paths x times): the lifetime scans of every dying
 and born path of the run (one existence_scan per 100-sample chunk), their
 bisection (one validity_scan per 80-point level) and the predictions (one
 geometry_at for all instants of all windows, then one crossing call for
-their occlusion and penetration profiles).  Field extrapolation reads its
+their occlusion and penetration profiles).  Each crossing call is the
+crossing profile of an RT pass (rt.occlusion_profiles_batch), reduced
+against the penetrations that each signature declares: a path is present
+only while it crosses exactly those slabs and no opaque facet, as an RT
+pass would find it.  Field extrapolation reads its
 geometry from the same arrays and computes each mechanism's coefficients in
 one pass over arrays; for diffractions it runs the ray tracer's formulas
 on arrays instead of floats: the wedge angles and the UTD pair by

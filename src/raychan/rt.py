@@ -10,8 +10,16 @@ An instant is the scene's arrays (scene.scene_at): every stage reads the
 facets' planes and polygons and the edges' endpoints from them by index,
 and what translation leaves unchanged (materials, thicknesses, wedge
 frames) from the Scene.  One exclusion rule (segment_exclusions) gives the
-facets that each segment of a path ignores in its crossing tests, for RT
-candidates and predicted paths alike.
+facets that each segment of a path ignores in its crossing tests, and one
+crossing profile (occlusion_profiles_batch) tests them, for RT candidates
+and predicted paths alike: it lays out the segments of blocks of paths
+(one vertex count each) at their marked instants as rows, makes one
+facet_crossings call, and returns every hit as arrays (path, instant,
+segment, facet, transparent).  An RT pass derives each candidate's
+penetration from its hits (occlusion_profile): blocked by an opaque
+crossing, dropped for more than one slab, or carrying the one slab it
+crosses; the predictions check the slabs their signatures declare
+(drt.PathTrajectory.crossings).
 
 Each mechanism has one construction kernel over arrays of rows, shared with
 the predictions (drt.PathTrajectory runs them over paths x times):
@@ -24,7 +32,7 @@ culling, then beam culling of ordered reflection pairs (the second bounce
 must lie in the beam that the first facet casts), then reflection_chains
 over every remaining reflection candidate at once, which drops a candidate
 only when a predicate fails by more than a rounding margin, then the exact
-decision: solve_backbone per candidate, one crossing call for all that
+decision: solve_backbone per candidate, the crossing profile of all that
 construct (occlusion_profile), and build_geometry for those it keeps.
 
 The electric field is propagated as a complex 3-vector with per-interface
@@ -162,29 +170,26 @@ class Snapshot:
 # Occlusion
 # ---------------------------------------------------------------------------
 
-def facet_crossings(facets: FacetArrays, a: np.ndarray, d: np.ndarray,
-                    exclude: np.ndarray | None = None,
-                    disp: np.ndarray | None = None,
-                    track: np.ndarray | None = None):
+def facet_crossings(facets: FacetArrays, a: np.ndarray, d: np.ndarray, track: np.ndarray,
+                    exclude: np.ndarray | None = None, disp: np.ndarray | None = None):
     """Crossings of segments a -> a + d with facet polygons.
 
-    The one segment-crossing kernel.  a and d are (S, 3).  With disp
-    (S, F, 3) each segment meets the facets translated by its own row of disp
-    (one row per sample time of a moving scene).  track, (S,) and
+    The one segment-crossing kernel.  a and d are (S, 3).  track, (S,) and
     nondecreasing, labels the segment trajectory of each row: one segment of
-    one path at many times, in consecutive rows.  Without it every row is
-    its own trajectory.  exclude, (F,) or one row per trajectory label,
-    marks the (trajectory, facet) pairs that never count.
+    one path at many times, in consecutive rows (a segment of an RT pass is
+    its own track).  With disp (S, F, 3) each segment meets the facets
+    translated by its own row of disp (one row per sample time of a moving
+    scene).  exclude, one (F,) row per track label, marks the (track, facet)
+    pairs that never count.
 
     An axis-aligned box test first discards the pairs that cannot meet: each
-    trajectory's box, swept over its rows and padded by BOX_PAD, against
-    each facet's box, swept over the same rows' disp.  Every row of a
-    trajectory then meets the facets that survived for it in the exact
-    test, at most CROSSING_CHUNK pairs at a time: a plane crossing strictly
-    inside the segment (SEG_PARAM_EPS from either end), then convex
-    containment of the crossing point.  A crossing point lies within
-    rounding of both boxes, so the broad phase never drops a pair that the
-    exact test accepts.
+    track's box, swept over its rows and padded by BOX_PAD, against each
+    facet's box, swept over the same rows' disp.  Every row of a track then
+    meets the facets that survived for it in the exact test, at most
+    CROSSING_CHUNK pairs at a time: a plane crossing strictly inside the
+    segment (SEG_PARAM_EPS from either end), then convex containment of the
+    crossing point.  A crossing point lies within rounding of both boxes, so
+    the broad phase never drops a pair that the exact test accepts.
 
     Returns (seg, facet, u, points) of the crossings in (seg, facet) order,
     u being the segment parameter of each crossing point.
@@ -194,20 +199,13 @@ def facet_crossings(facets: FacetArrays, a: np.ndarray, d: np.ndarray,
     seg_lo -= BOX_PAD
     seg_hi = np.maximum(a, b, out=b)
     seg_hi += BOX_PAD
-    if track is None:
-        starts = None
-        tr_lo, tr_hi = seg_lo, seg_hi
-    else:
-        starts = np.flatnonzero(np.concatenate(([True], track[1:] != track[:-1])))
-        tr_lo = np.minimum.reduceat(seg_lo, starts, axis=0)
-        tr_hi = np.maximum.reduceat(seg_hi, starts, axis=0)
+    starts = np.flatnonzero(np.concatenate(([True], track[1:] != track[:-1])))
+    tr_lo = np.minimum.reduceat(seg_lo, starts, axis=0)
+    tr_hi = np.maximum.reduceat(seg_hi, starts, axis=0)
     f_lo, f_hi = facets.lo, facets.hi
     if disp is not None:
-        if starts is None:
-            f_lo, f_hi = f_lo + disp, f_hi + disp
-        else:
-            f_lo = f_lo + np.minimum.reduceat(disp, starts, axis=0)
-            f_hi = f_hi + np.maximum.reduceat(disp, starts, axis=0)
+        f_lo = f_lo + np.minimum.reduceat(disp, starts, axis=0)
+        f_hi = f_hi + np.maximum.reduceat(disp, starts, axis=0)
         near = slice(None)
     else:
         # drop the facets outside the box of all segments first
@@ -216,14 +214,11 @@ def facet_crossings(facets: FacetArrays, a: np.ndarray, d: np.ndarray,
         f_lo, f_hi = f_lo[near], f_hi[near]
     overlap = np.all((tr_lo[:, None, :] <= f_hi) & (tr_hi[:, None, :] >= f_lo), axis=2)
     if exclude is not None:
-        excl = exclude if starts is None or exclude.ndim == 1 else exclude[track[starts]]
-        overlap &= ~excl[..., near]
+        overlap &= ~exclude[track[starts]][:, near]
     g, k = np.nonzero(overlap)
     fi = np.arange(facets.lo.shape[0])[near][k]
-    if starts is None:
-        return _exact_crossings(facets, a, d, g, fi, disp)
 
-    # every row of a trajectory against the facets that survived for it
+    # every row of a track against the facets that survived for it
     counts = np.append(starts[1:], a.shape[0])[g] - starts[g]
     cum = np.cumsum(counts)
     hits = []
@@ -276,49 +271,94 @@ def _exact_crossings(facets: FacetArrays, a, d, si, fi, disp):
     return si.take(inside), fi.take(inside), u.take(inside), points.take(inside, axis=0)
 
 
-def occlusion_profiles_batch(geom: SceneAtTime, polylines):
-    """Crossed facets along many polylines Tx -> interactions -> Rx.
+def occlusion_profiles_batch(scene: Scene, blocks, facets: FacetArrays | None = None,
+                             times: np.ndarray | None = None):
+    """The one crossing profile: every crossing of marked (path, instant)
+    rows with the facets, in one facet_crossings call.
 
-    polylines is a list of (vertices, exclude) pairs: vertices are the
-    backbone points including both endpoints, exclude the (segments, F)
-    facets that each segment ignores (segment_exclusions).  All segments go
-    through facet_crossings in one call.  Returns per polyline
-    (opaque_blocked, penetrations), penetrations being the parameter-ordered
-    list of (segment_index, facet_id, point, t).
+    blocks hold paths of one vertex count each, as (vertices, exclude,
+    index, rows): vertices are V arrays (N, T, 3), Tx, the backbone points
+    and Rx; exclude (N, V - 1, F) each path's segment_exclusions rows; index
+    (N,) the paths' numbers; rows (N, T) marks the (path, instant) rows to
+    test.  Every row meets facets, an instant's FacetArrays (an RT pass,
+    T = 1), or without them the scene's epoch arrays displaced to the row's
+    own time, times[path, instant] (predictions).  Segment k of a path is
+    one track over its marked instants.
+
+    Returns every hit as arrays (path, instant, segment, facet,
+    transparent), in (block, segment, path, instant, facet) order.
     """
-    facets = geom.facets
-    if facets.normals.shape[0] == 0 or not polylines:
-        return [(False, []) for _ in polylines]
-    seg_owner = [(item, k) for item, (vertices, _exclude) in enumerate(polylines)
-                 for k in range(len(vertices) - 1)]
-    # segment s starts at vertex s + item: each polyline before leaves out its last
-    start = np.arange(len(seg_owner)) + [item for item, _k in seg_owner]
-    points = np.array([p for vertices, _exclude in polylines for p in vertices], float)
-    hits = facet_crossings(facets, points[start], points[start + 1] - points[start],
-                           exclude=np.concatenate([exclude for _v, exclude in polylines]))
-    results = [[False, []] for _ in polylines]
-    for s, i, t, point in zip(hits[0].tolist(), hits[1].tolist(), hits[2].tolist(), hits[3]):
-        item, k = seg_owner[s]
-        if results[item][0]:
-            continue
-        if not facets.transparent[i]:
-            results[item] = [True, []]
-        else:
-            results[item][1].append((k, geom.scene.facets[i].id, point, t))
-    for r in results:
-        r[1].sort(key=lambda h: (h[0], h[3]))
-    return [(blocked, pens) for blocked, pens in results]
+    n_rows = sum(np.count_nonzero(rows) * (len(vertices) - 1)
+                 for vertices, _exclude, _index, rows in blocks)
+    if not n_rows:
+        return (np.zeros(0, dtype=int),) * 4 + (np.zeros(0, dtype=bool),)
+    # the rows of every block, segment by segment, filled in place
+    seg_a, seg_d = np.empty((n_rows, 3)), np.empty((n_rows, 3))
+    track, path, instant, segment = (np.empty(n_rows, dtype=int) for _ in range(4))
+    exclusions = []
+    label = row = 0
+    for vertices, exclude, index, rows in blocks:
+        n_paths, n_seg = exclude.shape[:2]
+        exclusions.append(exclude.transpose(1, 0, 2).reshape(n_seg * n_paths, -1))
+        ip, it = np.nonzero(rows)
+        flat = ip * rows.shape[1] + it
+        ends = np.stack([_take_rows(v, flat) for v in vertices])
+        block, shape = slice(row, row + n_seg * ip.size), (n_seg, ip.size)
+        seg_a[block] = ends[:-1].reshape(-1, 3)
+        np.subtract(ends[1:], ends[:-1], out=seg_d[block].reshape(shape + (3,)))
+        k = np.arange(n_seg)[:, None]
+        track[block].reshape(shape)[...] = label + k * n_paths + ip
+        path[block].reshape(shape)[...] = index[ip]
+        instant[block].reshape(shape)[...] = it
+        segment[block].reshape(shape)[...] = k
+        label += n_seg * n_paths
+        row += n_seg * ip.size
+    disp = None
+    if facets is None:
+        facets = scene.statics().epoch
+        disp = scene.facet_displacement(np.arange(len(scene.facets)),
+                                        times[path, instant][:, None])
+    hit, facet, _u, _points = facet_crossings(facets, seg_a, seg_d, track,
+                                              np.concatenate(exclusions), disp)
+    return path[hit], instant[hit], segment[hit], facet, facets.transparent[facet]
+
+
+def _take_rows(a: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """a[ip, it] for flat = ip * T + it, a being (P, T, ...); ndarray.take
+    copies the same values as fancy indexing at a fraction of its cost."""
+    return a.reshape((a.shape[0] * a.shape[1],) + a.shape[2:]).take(flat, axis=0)
 
 
 def occlusion_profile(geom: SceneAtTime, candidates) -> list[Signature | None]:
-    """The occlusion decision of an RT pass's (backbone, points) candidates
-    in one occlusion_profiles_batch call: per candidate its signature with
-    its one penetration, or None when it is blocked or crosses many slabs."""
-    profiles = occlusion_profiles_batch(geom, [
-        ([geom.tx, *points, geom.rx], segment_exclusions(geom.scene, backbone))
-        for backbone, points in candidates])
-    return [None if blocked or len(pens) > 1 else _signature_with_penetrations(backbone, pens)
-            for (backbone, _points), (blocked, pens) in zip(candidates, profiles)]
+    """The occlusion decision of an RT pass's (backbone, points) candidates,
+    derived from their crossing profile (occlusion_profiles_batch): per
+    candidate None when it crosses an opaque facet or more than one
+    transparent slab, else its signature with the one slab it crosses, if
+    any, on the segment where it crosses it."""
+    scene, n = geom.scene, len(candidates)
+    by_count: dict[int, list[int]] = {}
+    for c, (_backbone, points) in enumerate(candidates):
+        by_count.setdefault(len(points), []).append(c)
+    blocks = []
+    for n_points, index in by_count.items():
+        verts = np.empty((n_points + 2, len(index), 1, 3))
+        verts[0], verts[-1] = geom.tx, geom.rx
+        verts[1:-1] = np.reshape([p for c in index for p in candidates[c][1]],
+                                 (len(index), n_points, 1, 3)).transpose(1, 0, 2, 3)
+        exclude = np.concatenate([segment_exclusions(scene, candidates[c][0]) for c in index])
+        blocks.append((verts, exclude.reshape(len(index), n_points + 1, -1),
+                       np.array(index), np.ones((len(index), 1), dtype=bool)))
+    path, _instant, segment, facet, transparent = occlusion_profiles_batch(
+        scene, blocks, facets=geom.facets)
+    dropped = ((np.bincount(path[~transparent], minlength=n) > 0)
+               | (np.bincount(path[transparent], minlength=n) > 1))
+    pen_segment, pen_facet = np.full(n, -1), np.full(n, -1)
+    pen_segment[path[transparent]], pen_facet[path[transparent]] = (
+        segment[transparent], facet[transparent])
+    return [None if drop else backbone if k < 0
+            else backbone[:k] + ((Mechanism.PENETRATION, scene.facets[f].id),) + backbone[k:]
+            for (backbone, _points), drop, k, f in zip(
+                candidates, dropped.tolist(), pen_segment.tolist(), pen_facet.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -606,8 +646,10 @@ class InteractionTrace(NamedTuple):
 
     Captures the coefficient pair that was applied, the polarization
     eigen-channel that carried the field (0 = perp/soft, 1 = par/hard), and
-    the static geometry needed to re-evaluate the coefficient at another
-    time (normals and wedge frames are invariant under rigid translation).
+    for a reflection or penetration the static data needed to re-evaluate
+    the coefficient at another time (normals are invariant under rigid
+    translation).  A diffraction's frame and permittivity are gathered by
+    edge index instead (diffraction_coefficients).
     """
 
     kind: Mechanism
@@ -615,7 +657,6 @@ class InteractionTrace(NamedTuple):
     label: int
     eps: complex = 0.0 + 0.0j  # complex permittivity at the scene frequency
     normal: np.ndarray | None = None
-    frame: object | None = None
     thickness: float = 0.0
     alpha: float = 0.0
     d_t: float = 0.0
@@ -665,9 +706,9 @@ def polarization_chain(scene: Scene, geometry: PathGeometry, slots: Slots,
                                      eps=eps, normal=f.normal)
         else:  # diffraction
             frame = scene.frames[gid]
-            eps = complex(scene.statics().edge_eps[scene.edge_index[gid]])
             pair = utd
             if pair is None:
+                eps = complex(scene.statics().edge_eps[scene.edge_index[gid]])
                 seg_lengths = geometry.seg_lengths.tolist()
                 beta0, phi_inc, phi_dif, along_edge = wedge_angles(
                     frame.ef, frame.af, frame.nf, frame.n_index, sub3(verts[i + 1], verts[i]),
@@ -682,8 +723,7 @@ def polarization_chain(scene: Scene, geometry: PathGeometry, slots: Slots,
             phi_in, phi_out = (-a[0], -a[1], -a[2]), (-b[0], -b[1], -b[2])
             e_vec, label = _project(e_vec, pair, cross3(phi_in, s_in), phi_in,
                                     cross3(phi_out, s_out), phi_out)
-            trace = InteractionTrace(kind=Mechanism.DIFFRACTION, coeff=pair, label=label,
-                                     eps=eps, frame=frame)
+            trace = InteractionTrace(kind=Mechanism.DIFFRACTION, coeff=pair, label=label)
         if record is not None:
             record.append(trace)
 
@@ -982,7 +1022,8 @@ def trace_geometry(scene: Scene, t: float, timer=None):
        every remaining reflection candidate as arrays and drops those that
        fail a predicate of solve_backbone by more than FILTER_SLACK;
     4. solve_backbone constructs each candidate left, one occlusion_profile
-       call tests every segment of all that construct at once, and
+       call derives the signature of all that construct from their crossing
+       profile (one occlusion_profiles_batch call for every segment), and
        build_geometry resolves those it keeps.
 
     A timer, when given, counts the candidates that pass the plane-side
@@ -1025,14 +1066,6 @@ def trace_geometry(scene: Scene, t: float, timer=None):
         timer.count("rt_occluded", signatures.count(None))
     results.sort(key=lambda g: signature_sort_key(g.signature))
     return geom, results
-
-
-def _signature_with_penetrations(backbone: tuple, pens) -> Signature:
-    """backbone with its one penetration, if any, in traversal order."""
-    if not pens:
-        return backbone
-    seg, fid = pens[0][:2]
-    return backbone[:seg] + ((Mechanism.PENETRATION, fid),) + backbone[seg:]
 
 
 def trace_snapshot(scene: Scene, t: float, timer=None) -> Snapshot:

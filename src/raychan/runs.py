@@ -32,28 +32,22 @@ class StageTimer:
         self.counters[name] = self.counters.get(name, 0) + n
 
     @contextmanager
+    def _accumulate(self, attr: str):
+        """Add the wall time of the block to the attribute attr."""
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            setattr(self, attr, getattr(self, attr) + time.perf_counter() - t0)
+
     def geometry(self):
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.geometry_s += time.perf_counter() - t0
+        return self._accumulate("geometry_s")
 
-    @contextmanager
     def field(self):
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.field_s += time.perf_counter() - t0
+        return self._accumulate("field_s")
 
-    @contextmanager
     def total(self):
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.total_s += time.perf_counter() - t0
+        return self._accumulate("total_s")
 
     def as_dict(self) -> dict:
         return {"geometry_s": self.geometry_s, "field_s": self.field_s,

@@ -25,12 +25,10 @@ from raychan.runs import StageTimer
 from raychan.rt import (
     ConstructionError,
     Mechanism,
-    _signature_with_penetrations,
     build_geometry,
     facet_crossings,
-    occlusion_profiles_batch,
+    occlusion_profile,
     signature_sort_key,
-    segment_exclusions,
     solve_backbone,
     trace_geometry,
     trace_snapshot,
@@ -58,13 +56,11 @@ def _unculled_geometry(scene, t):
             points = solve_backbone(geom, backbone)
         except ConstructionError:
             continue
-        [(blocked, pens)] = occlusion_profiles_batch(
-            geom, [([geom.tx] + points + [geom.rx], segment_exclusions(scene, backbone))])
-        if blocked or len(pens) > 1:
+        [sig] = occlusion_profile(geom, [(backbone, points)])
+        if sig is None:
             continue
         try:
-            out.append(build_geometry(
-                geom, _signature_with_penetrations(backbone, pens), points))
+            out.append(build_geometry(geom, sig, points))
         except ConstructionError:
             continue
     out.sort(key=lambda g: signature_sort_key(g.signature))
@@ -179,9 +175,9 @@ class TestCrossingKernel:
         a, d = _segments(rng, facets, 300)
         exclude = rng.random((300, 12)) < 0.1
         disp = rng.uniform(-3, 3, (300, 12, 3)) if moving else None
-        got = facet_crossings(facets, a, d, exclude=exclude, disp=disp)
+        got = facet_crossings(facets, a, d, track=np.arange(300), exclude=exclude, disp=disp)
         monkeypatch.setattr(rt, "BOX_PAD", math.inf)  # every pair passes
-        want = facet_crossings(facets, a, d, exclude=exclude, disp=disp)
+        want = facet_crossings(facets, a, d, track=np.arange(300), exclude=exclude, disp=disp)
         assert got[0].size > 20
         for x, y in zip(got, want):
             assert np.array_equal(x, y)
@@ -190,7 +186,7 @@ class TestCrossingKernel:
         rng = np.random.default_rng(7)
         facets = _random_facets(rng, 8)
         a, d = _segments(rng, facets, 400)
-        seg, fac, u, _points = facet_crossings(facets, a, d)
+        seg, fac, u, _points = facet_crossings(facets, a, d, track=np.arange(400))
         got = set(zip(seg.tolist(), fac.tolist()))
         want = set()
         for s, f in itertools.product(range(len(a)), range(8)):

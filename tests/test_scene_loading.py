@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import raychan.scene
 from raychan import (
     Edge,
     Facet,
@@ -24,7 +25,7 @@ from raychan import (
     trace_snapshot,
 )
 from raychan.geometry import POLYGON_FAILURES, polygon_frames, wedge_frame
-from raychan.rt import Mechanism, slots_of
+from raychan.rt import Mechanism
 
 
 def _rotation(a, b, c):
@@ -256,17 +257,13 @@ class TestEdgeFrames:
         with pytest.raises(SceneError, match=f"edge {re.escape(repr(doc['edges'][0]['id']))}"):
             load_scene(tmp_path / "scene.json")
 
-    def test_frames_come_from_the_epoch_and_serve_every_instant(self):
+    def test_frames_come_from_the_epoch_and_serve_every_instant(self, monkeypatch):
         # seed 25 diffracts on a moving edge first at t = 1.5 s: the frame is
         # the epoch's, whichever pass needs it first
-        moving = served = 0
-        for scene in (generate_v2v_scenario(seed=0), random_scene(25)):
+        scenes = (generate_v2v_scenario(seed=0), random_scene(25))
+        moving = 0
+        for scene in scenes:
             by_id = {f.id: f for f in scene.facets}
-            snaps = [trace_snapshot(scene, t) for t in (1.5, 0.0, 2.7)]
-            # the frame that each traced diffraction records, by edge
-            recorded = [(gid, trace.frame) for snap in snaps for p in snap.paths
-                        for trace, (m, gid) in zip(p.traces, slots_of(p.signature).backbone)
-                        if m is Mechanism.DIFFRACTION]
             for e in scene.edges:
                 first, second = (by_id[fid] for fid in e.adjacent_facets)
                 want = wedge_frame(e.endpoints, first.vertices, first.normal,
@@ -275,9 +272,16 @@ class TestEdgeFrames:
                 for name in ("e_hat", "a_o", "n_o"):
                     assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
                 assert got.n_index == want.n_index
-                for gid, frame in recorded:
-                    if gid == e.id:
-                        assert frame is got
-                        served += 1
                 moving += not first.motion.is_static
-        assert moving and served
+        assert moving
+
+        # no pass builds a frame of its own: every diffraction it traces is
+        # served by the frames its scene built
+        def no_frame(*_args):
+            raise AssertionError("a wedge frame was built after its scene")
+
+        monkeypatch.setattr(raychan.scene, "wedge_frame", no_frame)
+        for scene in scenes:
+            snaps = [trace_snapshot(scene, t) for t in (1.5, 0.0, 2.7)]
+            assert any(m is Mechanism.DIFFRACTION for snap in snaps for p in snap.paths
+                       for m, _gid in p.signature)
