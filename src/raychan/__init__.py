@@ -6,66 +6,51 @@ Three engines over one scene model:
 * drt   - geometry extrapolation between reference passes, structure frozen
 * edrt  - bidirectional geometry extrapolation with multipath birth/death
           prediction and ratio-based field extrapolation
+
+Importing the package loads none of its modules.  Each public name is
+looked up in its home module (`_HOMES`) when it is first read (PEP 562), so
+`load_scene` and `scene_at` load only `scene`, `geometry` and `motion`, and
+the coefficient, engine, run, metric and scenario modules load when one of
+their names is read (or imported directly, as `raychan.cli` does).  The
+package keeps no copy of a name: every lookup goes to the home module, so
+what a module's namespace holds, the package gives.
 """
 
-from .coefficients import (
-    Transmission,
-    WedgeGeometry,
-    fresnel_coefficients,
-    transition_function,
-    transmission_coefficient,
-    utd_coefficient,
-)
-from .drt import PathTrajectory, drt_run, predict_snapshot_drt
-from .edrt import (
-    Lifetime,
-    MatchedPaths,
-    birth_time,
-    death_time,
-    edrt_run,
-    extrapolate_field,
-    match_paths,
-    predict_snapshot_edrt,
-    solve_lifetimes,
-)
-from .metrics import (
-    PDP,
-    ErrorReport,
-    error_report,
-    field_error,
-    geometry_error,
-    pdp_extract,
-    similarity_index,
-)
-from .motion import Motion, MotionState, position_at, velocity_at
-from .rt import (
-    ConstructionError,
-    Interaction,
-    Mechanism,
-    Path,
-    PathGeometry,
-    Snapshot,
-    field_of_path,
-    make_path,
-    parse_signature,
-    signature_str,
-    trace_snapshot,
-)
-from .runs import PredictionConfig, RunResult, StageTimer, oracle_run, rt_run, time_grid
-from .scene import (
-    Edge,
-    Facet,
-    Material,
-    Scene,
-    SceneAtTime,
-    SceneError,
-    load_scene,
-    point_in_facet,
-    save_scene,
-    scene_at,
-)
-from .scenario import generate_v2v_scenario, random_scene
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+_HOMES = {
+    "coefficients": ("Transmission", "WedgeGeometry", "fresnel_coefficients",
+                     "transition_function", "transmission_coefficient",
+                     "utd_coefficient"),
+    "drt": ("PathTrajectory", "drt_run"),
+    "edrt": ("Lifetime", "MatchedPaths", "edrt_run", "match_paths", "solve_lifetimes"),
+    "geometry": ("ConstructionError",),
+    "metrics": ("PDP", "ErrorReport", "error_report", "field_error", "geometry_error",
+                "pdp_extract", "similarity_index"),
+    "motion": ("Motion", "MotionState", "position_at", "velocity_at"),
+    "rt": ("Interaction", "Mechanism", "Path", "PathGeometry", "Snapshot",
+           "field_of_path", "make_path", "parse_signature", "signature_str",
+           "trace_snapshot"),
+    "runs": ("PredictionConfig", "RunResult", "StageTimer", "oracle_run", "rt_run",
+             "time_grid"),
+    "scene": ("Edge", "Facet", "Material", "Scene", "SceneAtTime", "SceneError",
+              "load_scene", "save_scene", "scene_at"),
+    "scenario": ("generate_v2v_scenario", "random_scene"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    try:
+        module = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -3,7 +3,9 @@ diffraction (UTD).
 
 Conventions
 -----------
-* Complex relative permittivity: eps = eps_r - j*sigma/(omega*eps0).
+* Complex relative permittivity: eps = eps_r - j*sigma/(omega*eps0), from
+  `scene.complex_permittivity` (it lives beside `Material`, so that loading
+  a scene does not import this module; it is re-exported here).
 * Incidence angles are measured from the surface normal, in [0, pi/2).
 * The perpendicular (soft) component is the E-field component along
   s_in x n; the parallel (hard) component lies in the plane of incidence.
@@ -60,18 +62,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import functions_for
-
-EPS0 = 8.8541878128e-12
+from .scene import complex_permittivity
 
 # Switch D3/D4 to their small-argument expansion when the observation angle is
 # within this distance (radians) of a boundary; the raw cot*F product loses
 # precision to cancellation there.
 _SINGULAR_EPS = 1e-4
-
-
-def complex_permittivity(material, frequency: float) -> complex:
-    omega = 2.0 * math.pi * frequency
-    return material.rel_permittivity - 1j * material.conductivity / (omega * EPS0)
 
 
 def fresnel_coefficients(incidence_angle: float, material, frequency: float):

@@ -456,18 +456,6 @@ def _advance(members, scene: Scene, times, timer: StageTimer) -> list[Snapshot]:
     return rows.snapshots(times, placed)
 
 
-def predict_snapshot_drt(reference: Snapshot, scene: Scene, t: float,
-                         timer: StageTimer | None = None) -> Snapshot:
-    """Advance every reference path to time t, structure frozen.
-
-    No path is added or removed even when an interaction point leaves its
-    facet; paths whose geometric construction fails outright are dropped,
-    logged and counted in timer.  Fields are recomputed directly from the
-    advanced geometry.  A batch of one window and one instant (_advance).
-    """
-    return _advance([(0, p) for p in reference.paths], scene, [[t]], timer or StageTimer())[0]
-
-
 def drt_run(scene: Scene, config: PredictionConfig,
             timer: StageTimer | None = None) -> RunResult:
     """Frozen-structure predictions between reference passes.

@@ -52,7 +52,6 @@ from .rt import (
     Interaction,
     Mechanism,
     Path,
-    PathGeometry,
     Snapshot,
     diffraction_coefficients,
     field_of_path,
@@ -243,37 +242,6 @@ def _lifetime_edges(traj: PathTrajectory, dying: np.ndarray, t_start: np.ndarray
     return out
 
 
-def death_time(path: Path, scene: Scene, t_start: float, t_end: float,
-               dt: float) -> float:
-    """Earliest instant in (t_start, t_end] at which a dying path stops
-    existing.
-
-    Scans the window at dt/20 for the first time an interaction point
-    crosses its surface boundary (or the image construction collapses),
-    refined by bisection; when no geometric cause exists, the earliest
-    occlusion onset is used instead.  If neither is found the path dies at
-    t_end - dt and the case is logged as unresolved.  A batch of one
-    window (solve_lifetimes).
-    """
-    window = MatchedPaths(common=[], dying=[path], born=[], t_start=t_start, t_end=t_end)
-    return solve_lifetimes([window], scene, dt)[0][path.signature].death_time
-
-
-def birth_time(path: Path, scene: Scene, t_start: float, t_end: float,
-               dt: float) -> float:
-    """Latest instant in [t_start, t_end) at which a born path starts
-    existing.
-
-    Propagates the interaction points backward from the window end and finds
-    the latest time the path was not yet on its geometry (or, when it never
-    leaves it, the latest occlusion clearing); the path exists from that
-    transition onward.  Falls back to t_start + dt when the whole window
-    scans valid.  A batch of one window (solve_lifetimes).
-    """
-    window = MatchedPaths(common=[], dying=[], born=[path], t_start=t_start, t_end=t_end)
-    return solve_lifetimes([window], scene, dt)[0][path.signature].birth_time
-
-
 def solve_lifetimes(windows: list[MatchedPaths], scene: Scene, dt: float,
                     timer: StageTimer | None = None,
                     traj: PathTrajectory | None = None) -> list[dict]:
@@ -313,26 +281,13 @@ def solve_lifetimes(windows: list[MatchedPaths], scene: Scene, dt: float,
 # Field extrapolation
 # ---------------------------------------------------------------------------
 
-def extrapolate_field(ref: Path, cur: PathGeometry, scene: Scene):
-    """Extrapolated receiver field for geometry cur from the reference path
-    ref, as make_path returns it (its field, geometry and traces).
+def extrapolate_fields(refs, batches, scene: Scene):
+    """Extrapolated receiver fields of many (reference, geometry) pairs at
+    once: one (field2, power_dbm) entry per row, or None.
 
     Magnitudes follow the exact coefficient/spreading/loss ratios; the phase
     advances by -k times the total length change, keeping each coefficient's
-    phase at its reference value.  Returns (field2, power_dbm) or None when
-    the Brewster-null fallback applies.  cur goes in as a batch of one row.
-    """
-    segments = [seg for _fid, seg in slots_of(cur.signature).penetrations]
-    row = TrajectoryGeometry(
-        np.zeros(1, dtype=int),
-        *(np.asarray(a)[None] for a in (cur.vertices, cur.pen_points, cur.pen_params,
-                                         cur.seg_lengths, cur.total_length)),
-        failed=np.zeros(1, dtype=bool), pen_segments=np.array([segments], dtype=int))
-    return extrapolate_fields([ref], [row], scene)[0]
-
-
-def extrapolate_fields(refs, batches, scene: Scene):
-    """extrapolate_field over many (reference, geometry) pairs at once.
+    phase at its reference value.
 
     batches are TrajectoryGeometry row batches (TrajectoryGeometry.rows),
     each of one shape and one number of penetrations, and refs holds the
@@ -546,20 +501,6 @@ class EdrtRound:
         """The interactions of each row of rows, in signature order."""
         return [interactions_of(self.slots[k], verts, pens)
                 for k, verts, pens in zip(rows.index.tolist(), rows.vertices, rows.pen_points)]
-
-
-def predict_snapshot_edrt(matched: MatchedPaths, lifetimes: dict, scene: Scene,
-                          t: float) -> Snapshot:
-    """Predicted snapshot at time t from matched bracketing snapshots and
-    their lifetimes (one window's solve_lifetimes dict).
-
-    Common paths are advanced across the whole window (with a transient
-    occlusion check); dying paths are included only before their death time;
-    born paths only from their birth time, advanced backward from the window
-    end.  Fields are extrapolated from the reference end of each path.  A
-    batch of one window and one instant (EdrtRound.predict_batch).
-    """
-    return EdrtRound(scene, [matched], [lifetimes]).predict_batch([t])[0]
 
 
 def edrt_run(scene: Scene, config: PredictionConfig,

@@ -60,7 +60,6 @@ import numpy as np
 
 from .coefficients import (
     WedgeGeometry,
-    complex_permittivity,
     fresnel_from_cos,
     transmission_from_cos,
     utd_coefficient,
@@ -84,6 +83,7 @@ from .scene import (
     Scene,
     SceneAtTime,
     SceneError,
+    complex_permittivity,
     scene_at,
     shifted_offsets,
 )

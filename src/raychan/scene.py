@@ -38,24 +38,29 @@ that meet at another exterior angle than the edge declares, is rejected.
 `load_scene` validates and frames all facets in one array pass, one
 `polygon_frames` call per vertex count, and names the first invalid facet in
 file order; facets with equal motion or material entries share one object.
+
+A material's complex relative permittivity at a frequency,
+eps = eps_r - j*sigma/(omega*eps0), is `complex_permittivity`, kept here
+beside `Material` so that loading a scene and building its edge arrays need
+neither the coefficient nor the ray-tracing modules; `coefficients` and `rt`
+import it from here.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path as FilePath
 from typing import NamedTuple
 
 import numpy as np
 
-from .coefficients import complex_permittivity
 from .geometry import (
     COPLANAR_TOL,
     POLYGON_FAILURES,
     WedgeFrame,
     polygon_frames,
-    signed_boundary_distance,
     wedge_frame,
 )
 from .motion import Motion, MotionState
@@ -63,6 +68,7 @@ from .motion import Motion, MotionState
 DEFAULT_MATERIAL_PERMITTIVITY = 5.31   # concrete
 DEFAULT_MATERIAL_CONDUCTIVITY = 0.0326  # S/m
 DEFAULT_THICKNESS = 0.2                 # m
+EPS0 = 8.8541878128e-12                 # F/m, vacuum permittivity
 
 
 class SceneError(ValueError):
@@ -83,6 +89,12 @@ class Material:
             raise SceneError("conductivity must be finite and >= 0")
         if not np.isfinite(self.attenuation_alpha) or self.attenuation_alpha < 0.0:
             raise SceneError("attenuation_alpha must be finite and >= 0")
+
+
+def complex_permittivity(material: Material, frequency: float) -> complex:
+    """Complex relative permittivity eps = eps_r - j*sigma/(omega*eps0)."""
+    omega = 2.0 * math.pi * frequency
+    return material.rel_permittivity - 1j * material.conductivity / (omega * EPS0)
 
 
 @dataclass(frozen=True)
@@ -380,26 +392,6 @@ def scene_at(scene: Scene, t: float) -> SceneAtTime:
             s.edge_facets[s.moving_edges, 0], t)[:, None, :]
     return SceneAtTime(scene, float(t), scene.tx_motion.position(t),
                        scene.rx_motion.position(t), facets, edges)
-
-
-def point_in_facet(p: np.ndarray, geom: SceneAtTime, fid: str,
-                   plane_tol: float = COPLANAR_TOL):
-    """Convex-polygon containment of p in facet fid at geom's instant.
-
-    Returns (inside, signed_distance); the distance is positive inside,
-    negative outside, with magnitude equal to the distance to the nearest
-    boundary point.  Raises SceneError if p is off the facet plane by more
-    than plane_tol.
-    """
-    i = geom.scene.facet_index[fid]
-    f = geom.facets
-    p = np.asarray(p, float)
-    off = abs(float(np.dot(f.normals[i], p) - f.offsets[i]))
-    if off > plane_tol:
-        raise SceneError(
-            f"point is {off:.3e} m off the plane of facet {fid!r} (tol {plane_tol:g})")
-    d = signed_boundary_distance(p, f.origins[i][f.valid[i]], f.inward[i][f.valid[i]])
-    return d >= 0.0, d
 
 
 # ---------------------------------------------------------------------------

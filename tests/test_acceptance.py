@@ -125,7 +125,7 @@ class TestAcceptance:
         # closed-form boundary-crossing case: birth exactly one second
         # before the window end
         from test_edrt import _analytic_birth_scene
-        from raychan import birth_time
+        from scalar_forms import birth_time
         scene = _analytic_birth_scene(v_y=2.0)
         sig = ((Mechanism.REFLECTION, "pi"),)
         path = trace_snapshot(scene, 2.0).by_signature()[sig]

@@ -10,8 +10,6 @@ from raychan import (
     Scene,
     StageTimer,
     drt_run,
-    point_in_facet,
-    predict_snapshot_drt,
     random_scene,
     scene_at,
     trace_snapshot,
@@ -22,6 +20,7 @@ from raychan.drt import shape_of
 from raychan.rt import Mechanism, field_of_path
 from raychan.runs import time_key
 
+from scalar_forms import point_in_facet, predict_snapshot_drt
 from test_edrt import _snapshot_bytes
 
 

@@ -13,15 +13,10 @@ from raychan import (
     PredictionConfig,
     Scene,
     StageTimer,
-    birth_time,
-    death_time,
     edrt_run,
-    extrapolate_field,
     field_of_path,
     make_path,
     match_paths,
-    point_in_facet,
-    predict_snapshot_edrt,
     random_scene,
     scene_at,
     solve_lifetimes,
@@ -29,6 +24,14 @@ from raychan import (
 )
 from raychan.edrt import EdrtRound
 from raychan.rt import Mechanism, Path, Snapshot
+
+from scalar_forms import (
+    birth_time,
+    death_time,
+    extrapolate_field,
+    point_in_facet,
+    predict_snapshot_edrt,
+)
 
 
 def _fake_path(sig):

@@ -15,7 +15,6 @@ from raychan import (
     Scene,
     SceneError,
     load_scene,
-    point_in_facet,
     position_at,
     random_scene,
     save_scene,
@@ -23,6 +22,8 @@ from raychan import (
 )
 from raychan.scene import shifted_offsets
 from raychan.geometry import polygon_frames
+
+from scalar_forms import point_in_facet
 
 NAN = float("nan")
 INF = float("inf")

@@ -10,7 +10,9 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import raychan
 import raychan.rt
+import raychan.scene
 from raychan import generate_v2v_scenario, signature_str
 from raychan.cli import execute_run
 
@@ -43,6 +45,10 @@ def test_every_span_fires_and_tracing_changes_no_output():
     untraced = [_rows(execute_run(scene, mode, t_c, 0.1, duration))
                 for mode, t_c, duration in RUNS]
     original = raychan.rt.occlusion_profile
+    # the package looks these up in their home modules, which the tracer
+    # patches; after uninstall it must give the originals again
+    homes = {"scene_at": raychan.scene, "trace_snapshot": raychan.rt, "make_path": raychan.rt}
+    originals = {name: getattr(home, name) for name, home in homes.items()}
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -51,6 +57,7 @@ def test_every_span_fires_and_tracing_changes_no_output():
     finally:
         tracer.uninstall()
     assert raychan.rt.occlusion_profile is original
+    assert all(getattr(raychan, name) is originals[name] for name in homes)
     assert traced == untraced
     assert all(rows for rows in traced)
     silent = [name for name in tracing.SPAN_NAMES if tracer.spans[name][0] == 0]
