@@ -25,7 +25,8 @@ extrapolation does), then the rest path by path (make_path).  A reflection
 point is allowed to slide off its facet and a stale line-of-sight path is
 kept when it becomes blocked: those are the documented error modes of the
 approach, resolved only by the next reference pass.
-E-DRT reuses the same kernel for its lifetime scans, its bisection and its
+E-DRT reuses the same kernel for its lifetime scans, the root finding of
+its event times (on signed margins, PathTrajectory.existence_scan) and its
 predictions.
 """
 
@@ -52,6 +53,7 @@ from .rt import (
     reflection_chains,
     segment_exclusions,
     signature_sort_key,
+    signed_margin,
     slab_crossings,
     slots_of,
 )
@@ -143,15 +145,17 @@ class _Shape:
                 setattr(out, name, value[rows])
         return out
 
-    def construct(self, tx: np.ndarray, rx: np.ndarray, t: np.ndarray):
+    def construct(self, tx: np.ndarray, rx: np.ndarray, t: np.ndarray, margins=False):
         """Backbone construction at times t, (P, T), for Tx and Rx at tx, rx.
 
         Returns (vertices, ok, inside).  vertices are V arrays (P, T, 3),
         some of them broadcast: Tx, the backbone points and Rx.  ok marks
         the rows without a hard failure (see rt.reflection_chains and
         rt.fermat_points), inside the rows whose points also lie strictly
-        inside their polygons or edge segments, as an RT pass requires.  The
-        kernels are rt.solve_backbone's, so a row is its construction.
+        inside their polygons or edge segments, as an RT pass requires.
+        With margins, inside is the kernel's margin instead, >= 0 exactly
+        where inside holds (inf for a line of sight).  The kernels are
+        rt.solve_backbone's, so a row is its construction.
         """
         scene = self.scene
         statics = scene.statics()
@@ -162,14 +166,15 @@ class _Shape:
             if disp is not None:
                 # the moved endpoints' difference, as an RT pass's edge gives it
                 a, b = a + disp, b + disp
-            point, ok, inside = fermat_points(tx, rx, a, b - a)
+            point, ok, inside = fermat_points(tx, rx, a, b - a, margins)
             return [tx, point, rx], ok, inside
         if not self.chain.shape[1]:
             ok = np.ones(t.shape, dtype=bool)
-            return [tx, rx], ok, ok
+            return [tx, rx], ok, np.full(t.shape, np.inf) if margins else ok
         index = list(self.chain.T)
         points, ok, inside = reflection_chains(tx, rx, *_bounces(
-            statics.epoch, index, [scene.facet_displacement(i[:, None], t) for i in index]))
+            statics.epoch, index, [scene.facet_displacement(i[:, None], t) for i in index]),
+            margins=margins)
         return [tx, *points, rx], ok, inside
 
     def resolve(self, tx: np.ndarray, rx: np.ndarray, t: np.ndarray) -> TrajectoryGeometry:
@@ -217,8 +222,18 @@ class PathTrajectory:
     - crossings: the crossing profile of resolved rows, all shapes in one
       rt.occlusion_profiles_batch call (the profile of an RT pass), reduced
       against each signature's declared penetrations.
-    - existence_scan: the strict existence predicates of an RT pass.
-    - validity_scan: one of the two existence masks, chosen per path.
+    - existence_scan: the strict existence predicates of an RT pass, as
+      masks or as signed margins.
+    - validity_scan: one of the two existence margins, chosen per path.
+
+    A margin is a continuous quantity whose sign decides a predicate: >= 0
+    exactly where the mask is true (rt.signed_margin).  The geometric margin
+    of a row is the least of its construction's margin (the least signed
+    edge distance of a reflection point in its polygon, or a diffraction
+    point's distance to the nearer end of its edge; -inf where a hard
+    predicate fails) and the blocking margin of each declared slab crossing
+    (rt.facet_crossings).  The full margin adds the negated largest
+    blocking margin of the other pairs that the crossing test meets.
 
     A third argument, a reference time that perfbench/check.py still
     passes, is accepted and ignored: no trajectory depends on it.  So is
@@ -306,23 +321,41 @@ class PathTrajectory:
                             g.pen_params[p, i, :n_pen], g.seg_lengths[p, i],
                             float(g.total_length[p, i]))
 
-    def crossings(self, times, vertices, rows):
-        """Occlusion and penetration profiles: (extra, declared), (P, T) each.
+    def crossings(self, times, vertices, rows, margins=False):
+        """Occlusion and penetration profiles: (clear, declared), (P, T) each.
 
         vertices and rows hold, per shape in the order of self.shapes, the
         path vertices as a list of (P_s, T, 3) arrays (Tx, backbone points,
         Rx) and a (P_s, T) mask.  Only the marked rows are tested, each
         segment against the facets at its row's own time, in one
         occlusion_profiles_batch call, the crossing profile of an RT pass.
-        Reduced against the declared penetrations of each signature, extra
-        marks an opaque blocker or an undeclared slab crossing, and declared
-        (on the marked rows) that every declared penetration is crossed.
+        Reduced against the declared penetrations of each signature, clear
+        marks the rows without an opaque blocker or an undeclared slab
+        crossing, and declared (on the marked rows) that every declared
+        penetration is crossed.  With margins both are signed margins: the
+        negated largest blocking margin of the undeclared pairs (inf where
+        the crossing test meets none), and the least blocking margin of the
+        declared ones (-inf where one is not met).
         """
         t = np.broadcast_to(np.asarray(times, float), (len(self.paths), np.shape(times)[-1]))
-        path, instant, seg, facet, _transparent = occlusion_profiles_batch(
+        path, instant, seg, facet, _transparent, *margin = occlusion_profiles_batch(
             self.scene, [(verts, s.exclude, s.index, mask)
-                         for s, verts, mask in zip(self.shapes, vertices, rows)], times=t)
+                         for s, verts, mask in zip(self.shapes, vertices, rows)],
+            times=t, margins=margins)
         listed = np.zeros(path.size, dtype=bool)
+        if margins:
+            [margin] = margin
+            declared = np.full(t.shape, np.inf)
+            for j in range(self.pen_seg.shape[1]):
+                crossing = (seg == self.pen_seg[path, j]) & (facet == self.pen_facet[path, j])
+                listed |= crossing
+                crossed = np.full(t.shape, -np.inf)
+                crossed[path[crossing], instant[crossing]] = margin[crossing]
+                crossed[self.pen_seg[:, j] < 0] = np.inf
+                declared = np.minimum(declared, crossed)
+            blocking = np.full(t.shape, -np.inf)
+            np.maximum.at(blocking, (path[~listed], instant[~listed]), margin[~listed])
+            return signed_margin(-blocking, blocking < 0.0), declared
         declared = np.ones(t.shape, dtype=bool)
         for j in range(self.pen_seg.shape[1]):
             crossing = (seg == self.pen_seg[path, j]) & (facet == self.pen_facet[path, j])
@@ -330,11 +363,11 @@ class PathTrajectory:
             crossed = np.zeros(t.shape, dtype=bool)
             crossed[path[crossing], instant[crossing]] = True
             declared &= crossed | (self.pen_seg[:, j] < 0)[:, None]
-        extra = np.zeros(t.shape, dtype=bool)
-        extra[path[~listed], instant[~listed]] = True
-        return extra, declared
+        clear = np.ones(t.shape, dtype=bool)
+        clear[path[~listed], instant[~listed]] = False
+        return clear, declared
 
-    def existence_scan(self, times):
+    def existence_scan(self, times, crossing=None, margins=False):
         """(geometric_ok, fully_ok), (P, T) each, over sample times.
 
         geometric_ok covers the construction with strict polygon and edge
@@ -342,35 +375,46 @@ class PathTrajectory:
         requires the occlusion profile to match the signature exactly.
         Computing both in one pass lets lifetime solving look for geometric
         boundary crossings first and fall back to occlusion onsets without
-        rescanning.
+        rescanning.  crossing (P,), when given, marks the paths whose rows
+        go to the crossing call; a path left out must declare no
+        penetration, and its fully_ok is then its geometric_ok.  With
+        margins, both are the signed margins instead (see the class
+        docstring), and every row whose construction succeeds goes to the
+        crossing call, so that a declared slab crossing has a margin on
+        both sides of a geometric transition.
         """
         t, tx, rx = self._times(times)
-        geo = np.zeros(t.shape, dtype=bool)
+        geo = np.full(t.shape, -np.inf) if margins else np.zeros(t.shape, dtype=bool)
         vertices, rows = [], []
         with np.errstate(divide="ignore", invalid="ignore"):
             for s in self.shapes:
                 verts, ok, inside = s.construct(tx.take(s.index, axis=0),
                                                 rx.take(s.index, axis=0),
-                                                t.take(s.index, axis=0))
+                                                t.take(s.index, axis=0), margins)
                 vertices.append(verts)
-                rows.append(ok & inside)
-                geo[s.index] = rows[-1]
-        extra, declared = self.crossings(t, vertices, rows)
+                geo[s.index] = np.where(ok, inside, -np.inf) if margins else ok & inside
+                rows.append(ok if margins else geo[s.index])
+                if crossing is not None:
+                    rows[-1] = rows[-1] & crossing[s.index, None]
+        clear, declared = self.crossings(t, vertices, rows, margins)
+        if margins:
+            geo_margin = np.minimum(geo, declared)
+            return geo_margin, np.minimum(geo_margin, clear)
         geo_ok = geo & declared
-        return geo_ok, geo_ok & ~extra
+        return geo_ok, geo_ok & clear
 
     def validity_scan(self, times, include_occlusion=True) -> np.ndarray:
-        """Strict existence over sample times: would a full RT pass at each
-        time contain each path?  (P, T).
+        """Strict existence over sample times as a signed margin: >= 0 where
+        a full RT pass at each time would contain each path.  (P, T).
 
-        include_occlusion, one flag or one per path, picks fully_ok over
-        geometric_ok (see existence_scan).  Without occlusion only the
-        geometric predicates apply, which is the primary existence notion
-        for lifetime solving (occlusion is transient and handled per
+        include_occlusion, one flag or one per path, picks the full margin
+        over the geometric one (see existence_scan).  Without occlusion only
+        the geometric predicates apply, which is the primary existence
+        notion for lifetime solving (occlusion is transient and handled per
         snapshot).
         """
-        geo_ok, full_ok = self.existence_scan(times)
-        return np.where(np.reshape(include_occlusion, (-1, 1)), full_ok, geo_ok)
+        geo, full = self.existence_scan(times, margins=True)
+        return np.where(np.reshape(include_occlusion, (-1, 1)), full, geo)
 
 
 class WindowRows:

@@ -5,10 +5,13 @@ present in both are extrapolated across the whole window; paths present in
 only one are assigned a birth or death time by locating the instant their
 geometric construction stops (or starts) being valid, so the predicted
 multipath structure changes inside the window instead of waiting for the next
-reference pass.  Field magnitudes are not recomputed: they are scaled by the
-exact ratio of interaction coefficients, spreading factors and slab losses
-between the reference time and the prediction time, forward from the window
-start for surviving paths and backward from the window end for newborn ones.
+reference pass.  That instant is the root of a signed margin: a continuous
+quantity, such as a reflection point's least signed edge distance in its
+polygon, whose sign is the path's existence (drt.PathTrajectory).  Field
+magnitudes are not recomputed: they are scaled by the exact ratio of
+interaction coefficients, spreading factors and slab losses between the
+reference time and the prediction time, forward from the window start for
+surviving paths and backward from the window end for newborn ones.
 
 A run is solved at run level, on the schedule it shares with DRT
 (runs.prediction_run).  It traces its N + 1 reference passes first, matches
@@ -16,11 +19,13 @@ each window's bracketing pair, and then treats every path of every window as
 one row of a drt.PathTrajectory, grouped inside by backbone shape, each row
 queried over its own window's times.  One construction-and-crossing
 kernel resolves them over (paths x times): the lifetime scans of every dying
-and born path of the run (one existence_scan per 100-sample chunk), their
-bisection (one validity_scan per 80-point level) and the predictions (one
-geometry_at for all instants of all windows, then one crossing call for
-their occlusion and penetration profiles).  Each crossing call is the
-crossing profile of an RT pass (rt.occlusion_profiles_batch), reduced
+and born path of the run (one existence_scan per 100-sample chunk, on
+masks), the refinement of the brackets they find to the roots of their
+margins (one validity_scan per root-finder call, three samples per pending
+path) and the predictions (one geometry_at for all instants of all windows,
+then one crossing call for their occlusion and penetration profiles).  Each
+crossing call is the crossing profile of an RT pass
+(rt.occlusion_profiles_batch), reduced
 against the penetrations that each signature declares: a path is present
 only while it crosses exactly those slabs and no opaque facet, as an RT
 pass would find it.  Field extrapolation reads its
@@ -67,7 +72,7 @@ from .scene import C_LIGHT, Scene, SceneAtTime, scene_at
 log = logging.getLogger(__name__)
 
 LIFETIME_SAMPLE_DIVISOR = 20   # boundary scan step = dt / 20
-BISECTION_TOL = 8.0e-7         # s; transition bracket refined to 2x this
+BISECTION_TOL = 1e-12          # s; the root finder stops at brackets 2x this wide
 COEFF_FLOOR = 1e-12            # Brewster-null reference guard
 
 
@@ -129,38 +134,94 @@ def match_paths(a: Snapshot, b: Snapshot) -> MatchedPaths:
 # ---------------------------------------------------------------------------
 
 _SCAN_CHUNK = 100
-_BISECTION_GRID = 80
+_ROOT_CALLS = 64  # most root-finder calls; a bracket left then gives its midpoint
 
 
-def _bisect_transitions(traj: PathTrajectory, t_valid: np.ndarray,
+def _refine_transitions(traj: PathTrajectory, t_valid: np.ndarray,
                         t_invalid: np.ndarray, include_occlusion: np.ndarray,
                         timer: StageTimer) -> np.ndarray:
-    """Refine the validity transitions bracketed by valid and invalid times,
-    one per path of traj.
+    """The validity transitions bracketed by valid and invalid times, one
+    per path of traj, refined to the roots of their margins.
 
-    Batched multi-section refinement: each level evaluates the validity scan
-    of every pending bracket on an interior grid in one call and re-brackets
-    each path at its first transition, until every bracket is tighter than
-    the bisection tolerance.
+    A batched, safeguarded root finder on each row's signed margin
+    (PathTrajectory.validity_scan: the full margin where include_occlusion
+    is set, the geometric one elsewhere).  Each call evaluates every pending
+    row at three times in one validity_scan: first the bracket's ends and
+    midpoint, then the inverse quadratic interpolate of the bracket's ends
+    and the nearest other sample, flanked by two guards at twice its
+    distance from the secant root (at least BISECTION_TOL), so that the
+    bracket closes from both sides.  A row whose margin is not finite at an
+    end of its bracket, or whose bracket did not halve, takes the quarter
+    points instead.  The new bracket is the first sign change from the valid
+    end, as in the scan.  A row is done when its bracket is at most
+    2 BISECTION_TOL wide (or four float spacings); its time is the secant
+    root inside it.
     """
-    t_valid, t_invalid = t_valid.copy(), t_invalid.copy()
-    frac = np.arange(1, _BISECTION_GRID + 1)
-    while True:
-        pending = np.flatnonzero(np.abs(t_invalid - t_valid) > 2.0 * BISECTION_TOL)
-        if not pending.size:
-            return 0.5 * (t_valid + t_invalid)
-        lo, hi = t_valid[pending, None], t_invalid[pending, None]
-        ts = lo + (hi - lo) * frac / (_BISECTION_GRID + 1)
-        batch = traj if pending.size == t_valid.size else traj.take(pending)
-        valid = batch.validity_scan(ts, include_occlusion[pending])
+    n_rows = t_valid.size
+    lo, hi = t_valid.astype(float), t_invalid.astype(float)
+    f_lo, f_hi = np.full(n_rows, np.inf), np.full(n_rows, -np.inf)
+    c, f_c = np.full(n_rows, np.nan), np.full(n_rows, np.nan)
+    out = np.full(n_rows, np.nan)
+    rows = np.arange(n_rows)
+    theta = np.tile([0.0, 0.5, 1.0], (n_rows, 1))  # fractions of each bracket
+    for call in range(_ROOT_CALLS):
+        width = hi[rows] - lo[rows]
+        ts = lo[rows, None] + theta * width[:, None]
+        batch = traj if rows.size == n_rows else traj.take(rows)
+        f = batch.validity_scan(ts, include_occlusion[rows])
         timer.count("lifetime_bisect_samples", ts.size)
-        bad = ~valid
-        found = bad.any(axis=1)
-        i = bad.argmax(axis=1)
-        rows = np.arange(pending.size)
-        t_invalid[pending] = np.where(found, ts[rows, i], t_invalid[pending])
-        t_valid[pending] = np.where(~found, ts[:, -1],
-                                    np.where(i > 0, ts[rows, i - 1], t_valid[pending]))
+        if call == 0:
+            # the scan's signs hold at the ends: a reference instant is
+            # valid without its margin saying so
+            f[:, 0] = np.where(f[:, 0] >= 0.0, f[:, 0], np.inf)
+            f[:, -1] = np.where(f[:, -1] < 0.0, f[:, -1], -np.inf)
+            points, margins = ts, f
+        else:
+            points = np.column_stack([lo[rows], ts, hi[rows]])
+            margins = np.column_stack([f_lo[rows], f, f_hi[rows]])
+        r = np.arange(rows.size)
+        i = np.argmax(~(margins >= 0.0), axis=1)  # every row has its invalid end
+        lo[rows], f_lo[rows] = points[r, i - 1], margins[r, i - 1]
+        hi[rows], f_hi[rows] = points[r, i], margins[r, i]
+        # the third point: the nearer neighbour of the bracket with a margin
+        last = points.shape[1] - 1
+        before, after = np.maximum(i - 2, 0), np.minimum(i + 1, last)
+        gap_before = np.where((i >= 2) & np.isfinite(margins[r, before]),
+                              np.abs(points[r, before] - points[r, i - 1]), np.inf)
+        gap_after = np.where((i < last) & np.isfinite(margins[r, after]),
+                             np.abs(points[r, after] - points[r, i]), np.inf)
+        third = np.where(gap_before <= gap_after, before, after)
+        c[rows] = points[r, third]
+        f_c[rows] = np.where(np.minimum(gap_before, gap_after) < np.inf,
+                             margins[r, third], np.nan)
+        slow = (call > 0) & (np.abs(hi[rows] - lo[rows]) > 0.5 * np.abs(width))
+        width = hi[rows] - lo[rows]
+        finite = np.isfinite(f_lo[rows]) & np.isfinite(f_hi[rows])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            secant = np.where(finite, f_lo[rows] / (f_lo[rows] - f_hi[rows]), 0.5)
+            tol = np.maximum(BISECTION_TOL, 2.0 * np.spacing(np.abs(hi[rows])))
+            done = np.abs(width) <= 2.0 * tol
+            out[rows[done]] = lo[rows[done]] + secant[done] * width[done]
+            keep = ~done
+            rows, width, slow, finite, secant, tol = (
+                x[keep] for x in (rows, width, slow, finite, secant, tol))
+            if not rows.size:
+                return out
+            # inverse quadratic interpolation through the bracket's ends,
+            # at fractions 0 and 1, and the third point, at fraction x
+            y0, y1, y2 = f_lo[rows], f_hi[rows], f_c[rows]
+            x = (c[rows] - lo[rows]) / width
+            quad = (y0 * y2 / ((y1 - y0) * (y1 - y2))
+                    + x * y0 * y1 / ((y2 - y0) * (y2 - y1)))
+            good = finite & np.isfinite(quad) & (quad > 0.0) & (quad < 1.0)
+            guess = np.where(good, quad, secant)
+            guard = np.clip(2.0 * np.abs(quad - secant), tol / np.abs(width), 0.25)
+        guard = np.where(good, guard, 0.25)
+        theta = np.column_stack([np.maximum(guess - guard, 0.5 * guess), guess,
+                                 np.minimum(guess + guard, 0.5 * (1.0 + guess))])
+        theta[~finite | slow] = (0.25, 0.5, 0.75)
+    out[rows] = 0.5 * (lo[rows] + hi[rows])
+    return out
 
 
 def _transitions(traj: PathTrajectory, times: np.ndarray, anchors: np.ndarray,
@@ -173,19 +234,24 @@ def _transitions(traj: PathTrajectory, times: np.ndarray, anchors: np.ndarray,
     stopping at its first geometric failure; only a path with no geometric
     cause anywhere in the window falls back to its earliest
     occlusion-profile deviation.  Both predicates come from one combined
-    scan pass.  anchors (P,) are the valid reference instants before each
-    row; the found brackets are then refined together.
+    scan pass (existence_scan, as masks), whose crossing call takes only
+    the paths that still need it: no occlusion onset found yet, or a
+    declared penetration.  anchors (P,) are the valid reference instants
+    before each row; the found brackets, one scan step wide, are then
+    refined together to the roots of their margins (_refine_transitions).
     """
     n_paths, n_times = times.shape
     first_geo = np.full(n_paths, -1)
     first_full = np.full(n_paths, -1)
+    penetrates = (traj.pen_seg >= 0).any(axis=1)
     for start in range(0, n_times, _SCAN_CHUNK):
         active = np.flatnonzero(first_geo < 0)
         if not active.size:
             break
         chunk = times[active, start:start + _SCAN_CHUNK]
         batch = traj if active.size == n_paths else traj.take(active)
-        geo_ok, full_ok = batch.existence_scan(chunk)
+        crossing = (first_full[active] < 0) | penetrates[active]
+        geo_ok, full_ok = batch.existence_scan(chunk, None if crossing.all() else crossing)
         timer.count("lifetime_scan_samples", chunk.size)
         bad_geo = ~geo_ok
         hit = bad_geo.any(axis=1)
@@ -200,7 +266,7 @@ def _transitions(traj: PathTrajectory, times: np.ndarray, anchors: np.ndarray,
         i = first[found]
         t_prev = np.where(i == 0, anchors[found], times[found, np.maximum(i - 1, 0)])
         batch = traj if found.size == n_paths else traj.take(found)
-        out[found] = _bisect_transitions(batch, t_prev, times[found, i],
+        out[found] = _refine_transitions(batch, t_prev, times[found, i],
                                          first_geo[found] < 0, timer)
     return out
 
@@ -213,8 +279,10 @@ def _lifetime_edges(traj: PathTrajectory, dying: np.ndarray, t_start: np.ndarray
 
     The scan runs away from the reference end of each window on the dt/20
     grid: forward from t_start for a dying path, backward from t_end for a
-    born one.  All paths are scanned and refined together.  An unresolved
-    case is logged and falls back to one step inside the far window edge.
+    born one.  All paths are scanned together, and the brackets found are
+    refined together to the roots of their margins, to BISECTION_TOL
+    (_transitions).  An unresolved case is logged and falls back to one
+    step inside the far window edge.
     """
     if not traj.paths:
         return []
@@ -249,12 +317,13 @@ def solve_lifetimes(windows: list[MatchedPaths], scene: Scene, dt: float,
     keyed by signature.
 
     Common paths live for their whole window; dying and born paths get
-    solved boundary-crossing times, flagged as fallbacks when unresolved.
-    The dying and born paths of every window are scanned and refined in one
-    batch, each over its own window.  A timer, when given, counts the
-    (path, time) samples of the scans (lifetime_scan_samples) and of the
-    bisection (lifetime_bisect_samples).  traj is the windows' trajectory,
-    one row per member (_members), built when not given.
+    solved boundary-crossing times, the roots of their margins, flagged as
+    fallbacks when unresolved.  The dying and born paths of every window are
+    scanned and refined in one batch, each over its own window.  A timer,
+    when given, counts the (path, time) samples of the scans
+    (lifetime_scan_samples) and of the root finder (lifetime_bisect_samples).
+    traj is the windows' trajectory, one row per member (_members), built
+    when not given.
     """
     members = _members(windows)
     if traj is None:
@@ -459,10 +528,10 @@ class EdrtRound:
             rows = [present[g.index] & ~g.failed for g in resolved]
             self.dropped += sum(int(np.count_nonzero(present[g.index] & g.failed))
                                 for g in resolved)
-            extra, declared = self.traj.crossings(
+            clear, declared = self.traj.crossings(
                 t_rows, [list(np.moveaxis(g.vertices, 2, 0)) for g in resolved], rows)
             for g, mask in zip(resolved, rows):
-                ip, it = np.nonzero(mask & ~extra[g.index] & declared[g.index])
+                ip, it = np.nonzero(mask & clear[g.index] & declared[g.index])
                 n_pen = np.count_nonzero(g.pen_segments >= 0, axis=1).take(ip)
                 for count in set(n_pen.tolist()):
                     same = n_pen == count

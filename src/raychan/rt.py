@@ -171,7 +171,8 @@ class Snapshot:
 # ---------------------------------------------------------------------------
 
 def facet_crossings(facets: FacetArrays, a: np.ndarray, d: np.ndarray, track: np.ndarray,
-                    exclude: np.ndarray | None = None, disp: np.ndarray | None = None):
+                    exclude: np.ndarray | None = None, disp: np.ndarray | None = None,
+                    margins: bool = False):
     """Crossings of segments a -> a + d with facet polygons.
 
     The one segment-crossing kernel.  a and d are (S, 3).  track, (S,) and
@@ -192,7 +193,9 @@ def facet_crossings(facets: FacetArrays, a: np.ndarray, d: np.ndarray, track: np
     the broad phase never drops a pair that the exact test accepts.
 
     Returns (seg, facet, u, points) of the crossings in (seg, facet) order,
-    u being the segment parameter of each crossing point.
+    u being the segment parameter of each crossing point.  With margins it
+    returns (seg, facet, margin) of every pair that the exact test met
+    instead, in the same order: margin >= 0 exactly at the crossings.
     """
     b = a + d
     seg_lo = np.minimum(a, b)
@@ -230,33 +233,41 @@ def facet_crossings(facets: FacetArrays, a: np.ndarray, d: np.ndarray, track: np
         c = counts[first:last]
         run = np.repeat(starts[g[first:last]] - (cum[first:last] - c - base), c)
         hits.append(_exact_crossings(facets, a, d, run + np.arange(run.size),
-                                     np.repeat(fi[first:last], c), disp))
+                                     np.repeat(fi[first:last], c), disp, margins))
         first = last
     if len(hits) == 1:
-        si, fi, u, points = hits[0]
+        parts = hits[0]
     elif hits:
-        si, fi, u, points = (np.concatenate(parts) for parts in zip(*hits))
+        parts = [np.concatenate(part) for part in zip(*hits)]
     else:
-        return _exact_crossings(facets, a, d, g, fi, disp)
-    order = np.lexsort((fi, si))
-    return si[order], fi[order], u[order], points[order]
+        return _exact_crossings(facets, a, d, g, fi, disp, margins)
+    order = np.lexsort((parts[1], parts[0]))
+    return tuple(part[order] for part in parts)
 
 
-def _exact_crossings(facets: FacetArrays, a, d, si, fi, disp):
+def _exact_crossings(facets: FacetArrays, a, d, si, fi, disp, margins=False):
     """The exact crossing test of facet_crossings on (segment, facet) pairs.
 
-    Gathers use ndarray.take, which copies the same values as fancy
-    indexing at a fraction of its cost.
+    With margins, returns (si, fi, margin) of every pair: the blocking
+    margin min((u - SEG_PARAM_EPS) L, (1 - SEG_PARAM_EPS - u) L,
+    containment), L the segment length and containment the crossing
+    point's least signed edge distance in the polygon, signed so that it is
+    >= 0 exactly where the pair crosses (signed_margin); -inf where the
+    segment is parallel to the plane.  Gathers use ndarray.take, which
+    copies the same values as fancy indexing at a fraction of its cost.
     """
     a_k, d_k, normals = a.take(si, axis=0), d.take(si, axis=0), facets.normals.take(fi, axis=0)
     denom = np.einsum("kc,kc->k", d_k, normals)
     offsets = facets.offsets.take(fi)
+    shift = None
     if disp is not None:
         shift = disp[si, fi]
         offsets = shifted_offsets(normals, offsets, shift)
     num = offsets - np.einsum("kc,kc->k", a_k, normals)
     with np.errstate(divide="ignore", invalid="ignore"):
         u = num / denom
+    if margins:
+        return si, fi, _blocking_margins(facets, a_k, d_k, fi, denom, u, shift)
     keep = np.flatnonzero((np.abs(denom) > 1e-14) & (u > SEG_PARAM_EPS)
                           & (u < 1.0 - SEG_PARAM_EPS))
     si, fi, u = si.take(keep), fi.take(keep), u.take(keep)
@@ -271,8 +282,42 @@ def _exact_crossings(facets: FacetArrays, a, d, si, fi, disp):
     return si.take(inside), fi.take(inside), u.take(inside), points.take(inside, axis=0)
 
 
+def _blocking_margins(facets: FacetArrays, a_k, d_k, fi, denom, u, shift):
+    """The margins of _exact_crossings, on every pair; shift moves each
+    pair's facet when not None."""
+    with np.errstate(invalid="ignore"):
+        points = a_k + u[:, None] * d_k
+        origins = facets.origins.take(fi, axis=0)
+        if shift is not None:
+            origins = origins + shift[:, None, :]
+        edge_d = np.einsum("kvc,kvc->kv", points[:, None, :] - origins,
+                           facets.inward.take(fi, axis=0))
+        contain = np.where(facets.valid.take(fi, axis=0), edge_d, np.inf).min(axis=1)
+        along = np.minimum(u - SEG_PARAM_EPS, (1.0 - SEG_PARAM_EPS) - u)
+        square = np.einsum("kc,kc->k", d_k, d_k)
+        crossing = np.abs(denom) > 1e-14
+        margin = np.where(crossing, np.minimum(along * np.sqrt(square), contain), -np.inf)
+        return signed_margin(margin, crossing & (u > SEG_PARAM_EPS)
+                             & (u < 1.0 - SEG_PARAM_EPS) & (contain >= 0.0))
+
+
+def signed_margin(margin, valid):
+    """margin (an array) with the sign of the predicate valid: >= 0 exactly
+    where valid holds, < 0 elsewhere.
+
+    A margin is a continuous quantity whose sign decides an existence
+    predicate; its zeros (a strict predicate) and NaNs (a failed one) are
+    moved to the side that valid gives, NaNs to -inf where invalid.
+    """
+    margin = np.where(np.isnan(margin), -np.inf, margin)
+    return np.where(valid, np.maximum(margin, 0.0), np.minimum(margin, -_TINY))
+
+
+_TINY = np.finfo(float).tiny
+
+
 def occlusion_profiles_batch(scene: Scene, blocks, facets: FacetArrays | None = None,
-                             times: np.ndarray | None = None):
+                             times: np.ndarray | None = None, margins: bool = False):
     """The one crossing profile: every crossing of marked (path, instant)
     rows with the facets, in one facet_crossings call.
 
@@ -286,12 +331,15 @@ def occlusion_profiles_batch(scene: Scene, blocks, facets: FacetArrays | None = 
     one track over its marked instants.
 
     Returns every hit as arrays (path, instant, segment, facet,
-    transparent), in (block, segment, path, instant, facet) order.
+    transparent), in (block, segment, path, instant, facet) order.  With
+    margins, every pair that the exact test met instead, with its blocking
+    margin (facet_crossings) as a sixth array.
     """
     n_rows = sum(np.count_nonzero(rows) * (len(vertices) - 1)
                  for vertices, _exclude, _index, rows in blocks)
     if not n_rows:
-        return (np.zeros(0, dtype=int),) * 4 + (np.zeros(0, dtype=bool),)
+        return ((np.zeros(0, dtype=int),) * 4 + (np.zeros(0, dtype=bool),)
+                + (np.zeros(0),) * margins)
     # the rows of every block, segment by segment, filled in place
     seg_a, seg_d = np.empty((n_rows, 3)), np.empty((n_rows, 3))
     track, path, instant, segment = (np.empty(n_rows, dtype=int) for _ in range(4))
@@ -318,9 +366,10 @@ def occlusion_profiles_batch(scene: Scene, blocks, facets: FacetArrays | None = 
         facets = scene.statics().epoch
         disp = scene.facet_displacement(np.arange(len(scene.facets)),
                                         times[path, instant][:, None])
-    hit, facet, _u, _points = facet_crossings(facets, seg_a, seg_d, track,
-                                              np.concatenate(exclusions), disp)
-    return path[hit], instant[hit], segment[hit], facet, facets.transparent[facet]
+    hit, facet, *rest = facet_crossings(facets, seg_a, seg_d, track,
+                                        np.concatenate(exclusions), disp, margins)
+    return ((path[hit], instant[hit], segment[hit], facet, facets.transparent[facet])
+            + tuple(rest[:margins]))
 
 
 def _take_rows(a: np.ndarray, flat: np.ndarray) -> np.ndarray:
@@ -420,7 +469,8 @@ def _bounces(facets: FacetArrays, index, disp=None):
             [facets.polygons(i, d) for i, d in zip(index, disp)])
 
 
-def reflection_chains(tx, rx, normals, offsets, polygons, slack: float = 0.0):
+def reflection_chains(tx, rx, normals, offsets, polygons, slack: float = 0.0,
+                      margins: bool = False):
     """The image-method construction of reflection chains over (P, T) rows.
 
     The one image-cascade kernel: solve_backbone (a batch of one), the RT
@@ -432,12 +482,16 @@ def reflection_chains(tx, rx, normals, offsets, polygons, slack: float = 0.0):
     rows without a parallel line, an image line outside (0, 1), or a side
     or grazing violation, inside the rows whose points also lie inside
     their polygons.  With slack, a predicate fails only by more than slack.
+    With margins, inside is replaced by the containment margin: the least
+    signed edge distance of any bounce point in its polygon, >= -slack
+    exactly where inside holds.
     """
     images = [tx]
     for n, off in zip(normals, offsets):
         img = images[-1]
         images.append(img - (2.0 * (np.vecdot(img, n) - off))[..., None] * n)
-    ok = inside = True
+    ok = True
+    inside = np.inf if margins else True
     points = [None] * len(normals)
     target = rx
     for k in reversed(range(len(normals))):
@@ -450,7 +504,10 @@ def reflection_chains(tx, rx, normals, offsets, polygons, slack: float = 0.0):
         points[k] = target
         origins, inward, valid = polygons[k]
         edge_d = np.einsum("ptvc,pvc->ptv", target[:, :, None, :] - origins, inward)
-        inside = inside & np.all((edge_d >= -slack) | ~valid[:, None], axis=2)
+        if margins:
+            inside = np.minimum(inside, np.where(valid[:, None], edge_d, np.inf).min(axis=2))
+        else:
+            inside = inside & np.all((edge_d >= -slack) | ~valid[:, None], axis=2)
     chain = [tx] + points + [rx]
     for k, (n, off) in enumerate(zip(normals, offsets)):
         d_in = np.vecdot(n, chain[k]) - off
@@ -464,7 +521,7 @@ def reflection_chains(tx, rx, normals, offsets, polygons, slack: float = 0.0):
     return points, ok, inside
 
 
-def fermat_points(tx, rx, a, d):
+def fermat_points(tx, rx, a, d, margins: bool = False):
     """The generalized Fermat construction of one-edge diffraction over rows.
 
     The one diffraction kernel: solve_backbone (a batch of one) and
@@ -473,7 +530,10 @@ def fermat_points(tx, rx, a, d):
     condition.  tx, rx, a and d broadcast against each other, coordinates
     last.  Returns (points, ok, inside): ok marks the rows where tx and rx
     do not both lie on the edge line, inside the rows whose point lies
-    strictly inside the segment, 0 < u < 1.
+    strictly inside the segment, 0 < u < 1.  With margins, inside is
+    replaced by the point's distance to the nearer end of the segment,
+    min(u, 1 - u) |d|, signed so that it is >= 0 exactly where inside holds
+    (signed_margin).
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         length = np.sqrt(np.vecdot(d, d))
@@ -486,7 +546,10 @@ def fermat_points(tx, rx, a, d):
         r1 = np.sqrt(np.vecdot(w1, w1))
         r2 = np.sqrt(np.vecdot(w2, w2))
         u = (s1 + (s2 - s1) * r1 / (r1 + r2)) / length
-        return a + u[..., None] * d, r1 + r2 >= 1e-12, (u > 0.0) & (u < 1.0)
+        inside = (u > 0.0) & (u < 1.0)
+        if margins:
+            inside = signed_margin(np.minimum(u, 1.0 - u) * length, inside)
+        return a + u[..., None] * d, r1 + r2 >= 1e-12, inside
 
 
 def slab_crossings(a, d, normal, offset):

@@ -8,6 +8,7 @@ internals, so tests compare two separate routes to the same quantity.
 from __future__ import annotations
 
 import cmath
+import json
 import math
 
 import numpy as np
@@ -171,3 +172,63 @@ def received_power_dbm(tx_power_dbm: float, distance: float, freq: float) -> flo
     """Free-space link budget via the classic aperture form."""
     lam = C / freq
     return tx_power_dbm - 20.0 * math.log10(4.0 * math.pi * distance / lam)
+
+
+def _state_at(segment: dict, t: float):
+    """Position and velocity of one motion segment of a scene document at
+    time t, from the constant-acceleration law."""
+    dt = t - segment.get("t_ref", 0.0)
+    r0, v0, a0 = (segment.get(k, [0.0, 0.0, 0.0]) for k in ("r0", "v0", "a0"))
+    return ([r + v * dt + 0.5 * a * dt * dt for r, v, a in zip(r0, v0, a0)],
+            [v + a * dt for v, a in zip(v0, a0)])
+
+
+def reversed_motion(segments: list, horizon: float) -> list:
+    """The motion segments of a scene document played backwards about
+    horizon: the returned motion is at time t where the given one is at
+    horizon - t.
+
+    Segment i, active from its t_ref to the next one's, runs backwards from
+    horizon - t_ref(i + 1) on: it is re-anchored there, at its state at
+    t_ref(i + 1), with its velocity negated and its acceleration kept.  The
+    last segment, open to the future, becomes the first.
+    """
+    starts = [s.get("t_ref", 0.0) for s in segments]
+    out = []
+    for i in reversed(range(len(segments))):
+        anchor = starts[i + 1] if i + 1 < len(segments) else starts[i] + (len(segments) > 1)
+        r, v = _state_at(segments[i], anchor)
+        out.append({"t_ref": horizon - anchor, "r0": r, "v0": [-x for x in v],
+                    "a0": list(segments[i].get("a0", [0.0, 0.0, 0.0]))})
+    return out
+
+
+def _position_in(segments: list, t: float) -> list:
+    starts = [s.get("t_ref", 0.0) for s in segments]
+    active = max([i for i, s in enumerate(starts) if s <= t], default=0)
+    return _state_at(segments[active], t)[0]
+
+
+def time_reversed_scene(doc: dict, horizon: float) -> dict:
+    """A scene document (the JSON of save_scene) played backwards about
+    horizon: at time t it is the given scene at horizon - t.
+
+    Facets and edges are put at their positions at horizon, and every
+    motion, of the transceivers and of the facets, is reversed
+    (reversed_motion).  An edge moves with its first adjacent facet.
+    """
+    out = json.loads(json.dumps(doc))
+    shift = {}
+    for f in out["facets"]:
+        segments = f.get("motion_segments") or [{}]
+        moved = [b - a for a, b in zip(_position_in(segments, 0.0),
+                                       _position_in(segments, horizon))]
+        shift[f["id"]] = moved
+        f["vertices"] = [[x + m for x, m in zip(v, moved)] for v in f["vertices"]]
+        f["motion_segments"] = reversed_motion(segments, horizon)
+    for e in out.get("edges", []):
+        moved = shift[e["adjacent_facets"][0]]
+        e["endpoints"] = [[x + m for x, m in zip(p, moved)] for p in e["endpoints"]]
+    for end in ("tx", "rx"):
+        out[end]["motion_segments"] = reversed_motion(out[end]["motion_segments"], horizon)
+    return out

@@ -38,7 +38,7 @@ def death_time(path: Path, scene: Scene, t_start: float, t_end: float,
 
     Scans the window at dt/20 for the first time an interaction point
     crosses its surface boundary (or the image construction collapses),
-    refined by bisection; when no geometric cause exists, the earliest
+    refined to the root of its margin; when no geometric cause exists, the earliest
     occlusion onset is used instead.  If neither is found the path dies at
     t_end - dt and the case is logged as unresolved.  A batch of one
     window (edrt.solve_lifetimes).

@@ -31,7 +31,7 @@ FIELD_ERROR_MAX = 0.01
 EDRT_GEOMETRY_ERROR_MAX = 0.05
 GEOMETRY_ERROR_RATIO_MIN = 2.0
 TIMING_TOL = 0.01  # one oracle step, s
-CLOSED_FORM_TOL = 1e-6  # s
+CLOSED_FORM_TOL = 1e-10  # s
 SI_EDRT_MIN = 0.90
 SPEEDUP_MIN = 5.0
 FIELD_STAGE_RATIO_MAX = 0.5

@@ -80,14 +80,40 @@ def test_scans_equal_single_path_scans(scene, t0, times):
     for query in (times, rows):
         geo, full = batch.existence_scan(query)
         valid = batch.validity_scan(query, include)
-        assert geo.shape == full.shape == (len(paths), times.size)
+        assert geo.shape == full.shape == valid.shape == (len(paths), times.size)
         for p, path in enumerate(paths):
             single = PathTrajectory(path, scene)
             own = query if query.ndim == 1 else query[p:p + 1]
             g1, f1 = single.existence_scan(own)
             assert np.array_equal(geo[p], g1[0])
             assert np.array_equal(full[p], f1[0])
-            assert np.array_equal(valid[p], single.validity_scan(own, include[p])[0])
+            assert np.array_equal(valid[p] >= 0.0,
+                                  single.validity_scan(own, include[p])[0] >= 0.0)
+
+
+@pytest.mark.parametrize("scene, t0, times", CASES, ids=IDS)
+def test_margin_signs_are_the_masks(scene, t0, times):
+    """Every margin is >= 0 exactly where its mask holds, at every sample,
+    also when the scan leaves paths out of the crossing call."""
+    paths = _paths(scene, t0)
+    batch = PathTrajectory(paths, scene)
+    include = np.arange(len(paths)) % 2 == 0
+    plain = ~(batch.pen_seg >= 0).any(axis=1)
+    crossing = ~plain | (np.arange(len(paths)) % 3 == 0)
+    for query in (times, _per_path_times(times, len(paths))):
+        geo, full = batch.existence_scan(query)
+        geo_m, full_m = batch.existence_scan(query, margins=True)
+        assert geo_m.dtype == full_m.dtype == float
+        assert not np.isnan(geo_m).any() and not np.isnan(full_m).any()
+        assert np.array_equal(geo_m >= 0.0, geo)
+        assert np.array_equal(full_m >= 0.0, full)
+        assert np.array_equal(batch.validity_scan(query, include) >= 0.0,
+                              np.where(include[:, None], full, geo))
+        # the scan's narrower crossing call changes no tested row
+        geo_c, full_c = batch.existence_scan(query, crossing)
+        assert np.array_equal(geo_c, geo)
+        assert np.array_equal(full_c[crossing], full[crossing])
+        assert np.array_equal(full_c[~crossing], geo[~crossing])
 
 
 def test_cases_see_transitions():
@@ -116,8 +142,8 @@ def test_validity_without_occlusion_is_geometric():
     times = np.linspace(0.0, 1.0, 41)
     geo, full = traj.existence_scan(times)
     assert geo.all() and not full.all()
-    assert np.array_equal(traj.validity_scan(times, False), geo)
-    assert np.array_equal(traj.validity_scan(times, True), full)
+    assert np.array_equal(traj.validity_scan(times, False) >= 0.0, geo)
+    assert np.array_equal(traj.validity_scan(times, True) >= 0.0, full)
 
 
 @pytest.mark.parametrize("scene, t0, times", CASES, ids=IDS)
@@ -184,8 +210,17 @@ def test_kernels_over_rows_equal_a_batch_of_one():
     # both beyond the far end, on opposite sides of the line: clipped, u >= 1
     side = np.cross(d[1, 0], [0.0, 0.0, 1.0])
     tx[1, 1], rx[1, 1] = a[1, 0] + 3.0 * d[1, 0] + side, a[1, 0] + 4.0 * d[1, 0] - side
+    # symmetric about the plane normal to the edge at one end: u = 0 or 1
+    # exactly, outside the open segment
+    a[2, 0], d[2, 0] = (0.0, 0.0, 0.0), (0.0, 0.0, 2.0)
+    tx[2, 3], rx[2, 3] = (1.0, 0.0, -1.0), (-1.0, 0.0, 1.0)
+    tx[2, 2], rx[2, 2] = (1.0, 0.0, 1.0), (-1.0, 0.0, 3.0)
     points, ok, inside = fermat_points(tx, rx, a, d)
     assert not ok[0, 0] and ok[1, 1] and not inside[1, 1] and inside.any()
+    _points, _ok, margin = fermat_points(tx, rx, a, d, margins=True)
+    assert np.array_equal(margin >= 0.0, inside)
+    assert points[2, 3].tolist() == [0.0, 0.0, 0.0]
+    assert points[2, 2].tolist() == [0.0, 0.0, 2.0]
 
     normal = rng.normal(size=(n_paths, 1, 3))
     normal /= np.linalg.norm(normal, axis=-1, keepdims=True)
@@ -218,15 +253,16 @@ def test_random_scenes_move_facets():
 class TestLifetimeWork:
     def test_sample_counts_are_pinned(self, edrt_default, tmp_path):
         """The batched scans do the per-path scans' work: the dt/20 grid in
-        100-sample chunks with each path's early stop, then two 80-point
-        bisection levels per bracket."""
+        100-sample chunks with each path's early stop.  The root finder
+        then takes two calls of three samples per bracket: the street's
+        margins are close to linear over a scan step."""
         counters = edrt_default.counters
         assert counters["lifetime_scan_samples"] == 9100
-        assert counters["lifetime_bisect_samples"] == 8000
+        assert counters["lifetime_bisect_samples"] == 300
         write_manifest_json(edrt_default, tmp_path / "manifest.json")
         written = json.loads((tmp_path / "manifest.json").read_text())["counters"]
         assert written["lifetime_scan_samples"] == 9100
-        assert written["lifetime_bisect_samples"] == 8000
+        assert written["lifetime_bisect_samples"] == 300
 
 
 class TestCoincidentTransceivers:

@@ -91,7 +91,55 @@ class TestLifetimes:
         assert sig in snap_b.signature_set()
         path = snap_b.by_signature()[sig]
         birth = birth_time(path, scene, 0.0, 2.0, dt=0.1)
-        assert abs(birth - 1.0) <= 1e-6
+        assert abs(birth - 1.0) <= 1e-10
+
+    @pytest.mark.parametrize("dt", [0.1, 0.2])
+    def test_occlusion_onset_and_clearing_match_closed_form(self, dt):
+        # an opaque wall at x = 5, |y| <= 1, 0 <= z <= 4 between Tx at rest
+        # at (0, 0, 1.5) and Rx passing from (10, -6.05, 1.5) at 4 m/s along
+        # +y: the line of sight meets the wall's plane at y = y_rx / 2, so it
+        # is blocked while |y_rx| <= 2, from 1.0125 s to 2.0125 s.  At dt
+        # 0.2 s neither time is the centre of a scan step or of its thirds.
+        wall = Facet(id="wall", vertices=np.array(
+            [[5, -1, 0], [5, 1, 0], [5, 1, 4], [5, -1, 4]], float))
+        scene = Scene(facets=(wall,), edges=(), tx_motion=Motion.stationary([0, 0, 1.5]),
+                      rx_motion=Motion((MotionState(r0=[10, -6.05, 1.5], v0=[0, 4, 0]),)),
+                      frequency=6e9)
+        run = edrt_run(scene, PredictionConfig(t_c=1.0, dt=dt, rounds=3))
+        [common, dying, born] = run.lifetimes
+        assert [r.classification for r in run.lifetimes] == ["common", "dying", "born"]
+        assert common.signature == dying.signature == born.signature == "LOS"
+        assert dying.birth_s == 1.0 and abs(dying.death_s - 1.0125) <= 1e-10
+        assert abs(born.birth_s - 2.0125) <= 1e-10 and born.death_s == 3.0
+        assert run.counters["lifetime_fallbacks"] == 0
+
+    @pytest.mark.parametrize("seed", [None, 0, 9])
+    def test_event_times_are_the_roots_of_the_margins(self, seed, default_scene,
+                                                       monkeypatch):
+        """Every refined event time lies within 1e-10 s of the sign change
+        that plain bisection on the validity margin finds in the scan's
+        bracket, to 1e-12 s; random_scene(9) has an event whose margin
+        jumps to -inf (a hard predicate), refined without interpolation."""
+        import raychan.edrt
+        refine = raychan.edrt._refine_transitions
+        brackets = []
+
+        def spy(traj, t_valid, t_invalid, include, timer):
+            out = refine(traj, t_valid, t_invalid, include, timer)
+            brackets.append((traj, t_valid, t_invalid, include, out))
+            return out
+
+        monkeypatch.setattr(raychan.edrt, "_refine_transitions", spy)
+        scene = default_scene if seed is None else random_scene(seed)
+        edrt_run(scene, PredictionConfig(t_c=1.0, dt=0.1, rounds=6 if seed is None else 3))
+        [(traj, lo, hi, include, out)] = brackets
+        lo, hi = lo.copy(), hi.copy()
+        while np.any(np.abs(hi - lo) > 2e-12):
+            mid = 0.5 * (lo + hi)
+            valid = traj.validity_scan(mid[:, None], include)[:, 0] >= 0.0
+            lo, hi = np.where(valid, mid, lo), np.where(valid, hi, mid)
+        assert np.abs(out - 0.5 * (lo + hi)).max() <= 1e-10
+        assert out.size >= (40 if seed is None else 3)
 
     def test_death_near_window_end(self):
         # mirrored setup: the specular point leaves the plane just before the

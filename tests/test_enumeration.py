@@ -182,6 +182,30 @@ class TestCrossingKernel:
         for x, y in zip(got, want):
             assert np.array_equal(x, y)
 
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("moving", [False, True], ids=["static", "moving"])
+    def test_margins_are_signed_by_the_crossings(self, seed, moving):
+        """With margins the kernel returns every pair that the exact test
+        meets; its margin is >= 0 exactly at the crossings, also for
+        segments lying in a facet's plane or ending on a facet, and for a
+        crossing on a polygon edge."""
+        rng = np.random.default_rng(seed)
+        facets = _random_facets(rng, 12)
+        a, d = _segments(rng, facets, 300)
+        mid = 0.5 * (facets.origins[0, 0] + facets.origins[0, 1])  # on an edge of facet 0
+        a[0], d[0] = mid + facets.normals[0], -2.0 * facets.normals[0]
+        exclude = rng.random((300, 12)) < 0.1
+        exclude[0] = False
+        disp = rng.uniform(-3, 3, (300, 12, 3)) if moving else None
+        seg, fac, _u, _points = facet_crossings(facets, a, d, np.arange(300), exclude, disp)
+        m_seg, m_fac, margin = facet_crossings(facets, a, d, np.arange(300), exclude, disp,
+                                               margins=True)
+        crossed = margin >= 0.0
+        assert np.array_equal(m_seg[crossed], seg) and np.array_equal(m_fac[crossed], fac)
+        assert seg.size > 20 and m_seg.size > seg.size and not np.isnan(margin).any()
+        if not moving:  # the edge crossing is a margin within rounding of 0
+            assert abs(margin[(m_seg == 0) & (m_fac == 0)][0]) < 1e-12
+
     def test_against_scalar_crossings(self):
         rng = np.random.default_rng(7)
         facets = _random_facets(rng, 8)
