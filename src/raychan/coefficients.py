@@ -39,17 +39,20 @@ each array element the scalar result bit for bit: `fresnel_from_cos` runs
 its formula on arrays with numpy's complex sqrt (equal to cmath's) and
 `_quotient` (CPython's complex division), `transition_function` adds the
 same groups of series terms (`_series_group`) to a float or to an array,
-and `transmission_from_cos` goes element by element.  On 300 arguments the
-array Fresnel pair and F take about 0.11 and 0.13 ms against 0.24 and 0.34
-ms element by element, which kept E-DRT's street field stage about 30%
-faster and its ratio to DRT's under the bound of 0.5 (2-core Xeon, numpy
-2.4).  `utd_coefficient` picks its function set (math's or numpy's,
-`geometry.functions_for`) once from the argument type; after that it
-branches only to choose, term by term, between the cot * F product and its
-small-argument expansion near a boundary.  Its array elements agree with
-the scalar results to about 3e-14 relative, not bit for bit: numpy's
-complex multiplication uses FMA.  An array call costs about 0.5 ms even
-for one row, against about 15 us on floats, so an RT pass stays on floats.
+and `transmission_from_cos` writes its complex products out in real
+operations as CPython forms them.  On 300 arguments the array Fresnel pair
+and F take about 0.11 and 0.13 ms against 0.24 and 0.34 ms element by
+element (2-core Xeon, numpy 2.4).  `utd_coefficient` picks its function set
+(math's or numpy's, `geometry.functions_for`) once from the argument type;
+after that it branches only to choose, term by term, between the cot * F
+product and its small-argument expansion near a boundary.  On arrays it
+evaluates its four cot * F products, and its four face multipliers, each
+in one call on the events stacked four times, so that a row's result does
+not depend on the batch it is in.  Its array elements agree with the
+scalar results to about 3e-14 relative, not bit for bit: numpy's complex
+multiplication uses FMA.  An array call costs about 0.27 ms even for one
+row (1.9 ms for 582), against about 15 us on floats, so an RT pass stays on
+floats.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import functions_for
+from .geometry import FLOATS, functions_for
 from .scene import complex_permittivity
 
 # Switch D3/D4 to their small-argument expansion when the observation angle is
@@ -80,17 +83,6 @@ def fresnel_coefficients(incidence_angle: float, material, frequency: float):
         raise ValueError("incidence angle must be in [0, pi/2)")
     return fresnel_from_cos(math.cos(incidence_angle),
                             complex_permittivity(material, frequency))
-
-
-def _per_element(fn, dtypes, *args):
-    """fn applied to every element of the broadcast arguments as Python
-    scalars; one array per output of fn, of the given dtypes (complex or
-    float), in the broadcast shape (empty arrays for empty arguments)."""
-    arrays = np.broadcast_arrays(*args)
-    rows = list(map(fn, *(a.ravel().tolist() for a in arrays)))
-    cols = np.array(rows, complex).reshape(len(rows), len(dtypes)).T
-    return tuple((col.real if dtype is float else col).reshape(arrays[0].shape)
-                 for col, dtype in zip(cols, dtypes))
 
 
 def _quotient(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -157,13 +149,14 @@ def transmission_coefficient(incidence_angle: float, material, frequency: float,
 def transmission_from_cos(cos_i, eps, thickness) -> Transmission:
     """Slab transmission from the incidence cosine and complex permittivity.
 
-    Takes scalars, or broadcastable numpy arrays evaluated element by
-    element; the Transmission fields are then arrays.
+    Takes scalars, or broadcastable numpy arrays through the same
+    arithmetic (_transmission_arrays); the Transmission fields are then
+    arrays.
     """
     if (isinstance(cos_i, np.ndarray) or isinstance(eps, np.ndarray)
             or isinstance(thickness, np.ndarray)):
-        return Transmission(*_per_element(transmission_from_cos, (complex, complex, float),
-                                          cos_i, eps, thickness))
+        return _transmission_arrays(*np.broadcast_arrays(
+            np.asarray(cos_i, float), np.asarray(eps, complex), np.asarray(thickness, float)))
     sin2 = 1.0 - cos_i * cos_i
     root = cmath.sqrt(eps - sin2)  # = sqrt(eps) * cos(theta_t)
     t_perp = 4.0 * cos_i * root / (cos_i + root) ** 2
@@ -173,6 +166,41 @@ def transmission_from_cos(cos_i, eps, thickness) -> Transmission:
     sin_t = math.sqrt(sin2) / n_real
     cos_t = math.sqrt(1.0 - sin_t * sin_t)
     return Transmission(t_perp, t_par, thickness / cos_t)
+
+
+def _transmission_arrays(cos_i, eps, thickness) -> Transmission:
+    """transmission_from_cos on arrays, each element equal to the scalar
+    result: the complex products and squares are written out in real
+    operations as CPython forms them (numpy's complex multiply uses FMA),
+    the quotients are _quotient, and the real refractive index, which
+    CPython takes by its complex power, is computed so once per distinct
+    permittivity."""
+    sin2 = 1.0 - cos_i * cos_i
+    root = np.sqrt(eps - sin2)
+    rr, ri = root.real, root.imag
+    er, ei = eps.real, eps.imag
+    four_cos = 4.0 * cos_i
+    t_perp = _quotient(_complex(four_cos * rr, four_cos * ri), _square(cos_i + rr, ri))
+    ar, ai = 4.0 * er * cos_i, 4.0 * ei * cos_i
+    t_par = _quotient(_complex(ar * rr - ai * ri, ar * ri + ai * rr),
+                      _square(er * cos_i + rr, ei * cos_i + ri))
+    distinct, where = np.unique(eps, return_inverse=True)
+    n_real = np.array([max((e ** 0.5).real, 1.0) for e in distinct.tolist()],
+                      float)[where.reshape(eps.shape)]
+    sin_t = np.sqrt(sin2) / n_real
+    cos_t = np.sqrt(1.0 - sin_t * sin_t)
+    return Transmission(t_perp, t_par, thickness / cos_t)
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    out = np.empty(re.shape, complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _square(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """(re + j im) ** 2 as CPython's complex power forms it: z * z."""
+    return _complex(re * re - im * im, re * im + im * re)
 
 
 # ---------------------------------------------------------------------------
@@ -231,16 +259,19 @@ def transition_function(x):
         flat, x = out.reshape(-1), x.ravel()
         series = x >= _SERIES_FROM
         flat[~series] = [transition_function(v) for v in x[~series].tolist()]
-        series = np.flatnonzero(series)
-        h = 0.5 / x[series]
+        # the elements still summing, compacted as they converge
+        act = np.flatnonzero(series)
+        h = 0.5 / x[act]
         re, im, term = np.ones(h.size), np.zeros(h.size), np.ones(h.size)
-        n, act = 1, np.arange(h.size)
+        n = 1
         while act.size:
-            term[act], re[act], im[act] = _series_group(term[act], re[act], im[act], n,
-                                                        h[act])
+            term, re, im = _series_group(term, re, im, n, h)
             n += 8
-            act = act[term[act] >= _SERIES_TOL]
-        flat.real[series], flat.imag[series] = re, im
+            done = ~(term >= _SERIES_TOL)
+            if np.count_nonzero(done):
+                flat.real[act[done]], flat.imag[act[done]] = re[done], im[done]
+                going = ~done
+                act, h, term, re, im = act[going], h[going], term[going], re[going], im[going]
         return out
     if x >= _SERIES_FROM:
         # the terms turn by j each: 1, j h, -3 h^2, -15j h^3, 105 h^4, ...
@@ -289,7 +320,7 @@ def _cot_f(sign: float, beta, n, k, L, m):
     eps = beta - sign * (two_pi_n * big_n - math.pi)
     near = abs(eps) < _SINGULAR_EPS
     term = 0j
-    if not m.all(near):
+    if not (m.all(near) and m.any(near)):  # an empty batch takes this branch
         # 0.5 stands in for the cotangent argument where the expansion serves
         arg = m.where(near, 0.5, (math.pi + sign * beta) / (2.0 * n))
         a = 2.0 * m.cos((two_pi_n * big_n - beta) / 2.0) ** 2
@@ -340,19 +371,30 @@ def utd_coefficient(geom: WedgeGeometry, material, frequency: float, eps=None):
     k = 2.0 * math.pi * frequency / 299792458.0
     # L, the distance parameter
     L = d_inc * d_dif / (d_inc + d_dif) * m.sin(beta0) ** 2
-    d1 = _cot_f(1.0, phi - phip, n, k, L, m)
-    d2 = _cot_f(-1.0, phi - phip, n, k, L, m)
-    # d3 is singular at the n-face reflection boundary, d4 at the o-face one
-    d3 = _cot_f(1.0, phi + phip, n, k, L, m)
-    d4 = _cot_f(-1.0, phi + phip, n, k, L, m)
     if eps is None:
         eps = complex_permittivity(material, frequency)
     # the face multipliers, each the mean over the two rays' grazing angles
     # (see Conventions): at a reflection boundary the two coincide
-    o_inc = fresnel_from_cos(abs(m.sin(phip)), eps)
-    o_dif = fresnel_from_cos(abs(m.sin(phi)), eps)
-    n_inc = fresnel_from_cos(abs(m.sin(n * math.pi - phip)), eps)
-    n_dif = fresnel_from_cos(abs(m.sin(n * math.pi - phi)), eps)
+    grazing = (phip, phi, n * math.pi - phip, n * math.pi - phi)
+    if m is FLOATS:
+        d1 = _cot_f(1.0, phi - phip, n, k, L, m)
+        d2 = _cot_f(-1.0, phi - phip, n, k, L, m)
+        # d3 is singular at the n-face reflection boundary, d4 at the o-face one
+        d3 = _cot_f(1.0, phi + phip, n, k, L, m)
+        d4 = _cot_f(-1.0, phi + phip, n, k, L, m)
+        o_inc, o_dif, n_inc, n_dif = (fresnel_from_cos(abs(m.sin(x)), eps) for x in grazing)
+    else:
+        # the four products, and the four face multipliers, each in one
+        # call on the events stacked four times
+        def four(x):
+            x = np.broadcast_to(x, phi.shape)
+            return np.concatenate((x, x, x, x))
+        diff, total = phi - phip, phi + phip
+        d1, d2, d3, d4 = np.split(_cot_f(
+            np.repeat([1.0, -1.0, 1.0, -1.0], phi.shape[0]),
+            np.concatenate((diff, diff, total, total)), four(n), k, four(L), m), 4)
+        faces = fresnel_from_cos(np.abs(np.sin(np.concatenate(grazing))), four(eps))
+        o_inc, o_dif, n_inc, n_dif = zip(*(np.split(f, 4) for f in faces))
     pref = _MINUS_E_MJ_PI_4 / (2.0 * n * m.sqrt(2.0 * math.pi * k) * m.sin(beta0))
     return (pref * (d1 + d2 + 0.5 * (n_inc[0] + n_dif[0]) * d3
                     + 0.5 * (o_inc[0] + o_dif[0]) * d4),

@@ -20,8 +20,10 @@ The constructions are the RT pass's own kernels: rt.reflection_chains (the
 image cascade), rt.fermat_points (the diffraction point) and
 rt.slab_crossings (the penetrations), and a row's PathGeometry is a slice
 of the arrays (PathTrajectory.path_geometry).  Fields are then computed
-directly: every diffraction's UTD pair in one array call (as E-DRT's
-extrapolation does), then the rest path by path (make_path).  A reflection
+directly, for every (row, instant) of the run as one batch: every
+diffraction's UTD pair in one array call (as E-DRT's extrapolation does),
+then one rt.make_path call on the rows' arrays, which records no chain
+walk for the predicted paths (nothing extrapolates from them).  A reflection
 point is allowed to slide off its facet and a stale line-of-sight path is
 kept when it becomes blocked: those are the documented error modes of the
 approach, resolved only by the next reference pass.
@@ -43,6 +45,7 @@ from .rt import (
     Mechanism,
     Path,
     PathGeometry,
+    PathRows,
     Snapshot,
     _bounces,
     _take_rows,
@@ -58,7 +61,7 @@ from .rt import (
     slots_of,
 )
 from .runs import PredictionConfig, RunResult, StageTimer, prediction_run
-from .scene import Scene, SceneAtTime, scene_at
+from .scene import Scene, SceneAtTime
 
 log = logging.getLogger(__name__)
 
@@ -456,43 +459,45 @@ def _advance(members, scene: Scene, times, timer: StageTimer) -> list[Snapshot]:
     One WindowRows trajectory holds every member, and one geometry_at call
     resolves each row at times[window].  Paths whose geometric construction
     fails outright are dropped, counted (dropped_paths) and logged; fields
-    are recomputed directly from the advanced geometry, the UTD pairs in one
-    call, the rest path by path, one predicted instant at a time.
+    are recomputed directly from the advanced geometry as one batch: the
+    UTD pairs in one array call, then one make_path call for every
+    (row, instant) of the run, which drops and counts the rows off their
+    geometry as well.
     """
     times = np.asarray(times, float)
-    n_times = times.shape[1]
     with timer.geometry():
         rows = WindowRows(members, scene)
         resolved = rows.traj.geometry_at(times[rows.window])
-    picked: list[list[tuple]] = [[] for _ in range(times.size)]
-    dropped = 0
-    for s, g in zip(rows.traj.shapes, resolved):
-        dropped += int(np.count_nonzero(g.failed))
-        ip, it = np.nonzero(~g.failed)
-        index = g.index[ip]
-        utd = [None] * ip.size  # also where a ray runs along its edge: the chain raises
-        if s.diffraction:
-            with timer.field():
+        dropped = sum(int(np.count_nonzero(g.failed)) for g in resolved)
+        parts, subs = [], []
+        for g in resolved:
+            ip, it = np.nonzero(~g.failed)
+            sub = g.rows(ip, it)
+            subs.append((sub, ip, it))
+            parts.append(PathRows(
+                [rows.traj.paths[k].signature for k in sub.index.tolist()],
+                times[rows.window[sub.index], it], np.full(ip.size, g.vertices.shape[2]),
+                sub.vertices, sub.pen_points, sub.seg_lengths, sub.total_length))
+        batch = PathRows.concatenate(parts)
+    with timer.field():
+        # also None where a ray runs along its edge: the chain walk raises
+        utd = [None] * len(batch.signatures)
+        start = 0
+        for s, (sub, ip, _it) in zip(rows.traj.shapes, subs):
+            if s.diffraction:
                 (d_soft, d_hard), along = diffraction_coefficients(
-                    scene, s.edge[ip], g.vertices[ip, it], g.seg_lengths[ip, it, 0],
-                    g.total_length[ip, it])
-                utd = [None if a else pair for pair, a in
-                       zip(zip(d_soft.tolist(), d_hard.tolist()), along.tolist())]
-        for slot, p, i, k, pair in zip((rows.window[index] * n_times + it).tolist(),
-                                       ip.tolist(), it.tolist(), index.tolist(), utd):
-            picked[slot].append((g, p, i, k, pair))
-    placed = []
-    for t, slot in zip(times.ravel().tolist(), picked):
-        geom = scene_at(scene, t)
-        with timer.geometry():
-            geometries = [(k, i, rows.traj.path_geometry(g, p, i), pair)
-                          for g, p, i, k, pair in slot]
-        with timer.field():
-            for k, i, geometry, pair in geometries:
-                try:
-                    placed.append((k, i, make_path(scene, geom, geometry, pair)))
-                except ConstructionError:
-                    dropped += 1
+                    scene, s.edge[ip], sub.vertices, sub.seg_lengths[:, 0],
+                    sub.total_length)
+                utd[start:start + along.size] = [
+                    None if a else pair
+                    for pair, a in zip(zip(d_soft.tolist(), d_hard.tolist()), along.tolist())]
+            start += sub.total_length.size
+        paths = make_path(scene, batch, utd)
+    placed = [(k, i, path) for k, i, path in zip(
+        np.concatenate([sub.index for sub, _ip, _it in subs] + [[]]).astype(int).tolist(),
+        np.concatenate([it for _sub, _ip, it in subs] + [[]]).astype(int).tolist(), paths)
+        if path is not None]
+    dropped += len(paths) - len(placed)
     timer.count("dropped_paths", dropped)
     if dropped:
         log.warning("drt: dropped %d geometrically impossible path instance(s) in "

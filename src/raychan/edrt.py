@@ -32,12 +32,14 @@ pass would find it.  Field extrapolation reads its
 geometry from the same arrays and computes each mechanism's coefficients in
 one pass over arrays; for diffractions it runs the ray tracer's formulas
 on arrays instead of floats: the wedge angles and the UTD pair by
-rt.diffraction_coefficients, as DRT does, and rt.spreading_factor.  Path
-objects are built
-only for the output snapshots, their interactions by rt.interactions_of,
-the rule of RT and DRT paths, and the scene is evaluated at an instant
-only for a direct field fallback.  A single window, or a single path's
-birth or death, is a batch of one.
+rt.diffraction_coefficients, as DRT does, and rt.spreading_factor.  The
+reference paths' chain walks are gathered into arrays once
+(ReferenceFields) and indexed per row, the static data by facet or edge
+index.  Path objects are built only for the output snapshots, their
+interactions by rt.interactions_of, the rule of RT and DRT paths; the
+direct field fallbacks of a run go through one rt.make_path call on the
+rows' own instants.  A single window, or a single path's birth or death,
+is a batch of one.
 """
 
 from __future__ import annotations
@@ -53,21 +55,22 @@ from .drt import PathTrajectory, TrajectoryGeometry, WindowRows
 from .geometry import dot3
 from .rt import (
     GRAZING_COS,
-    ConstructionError,
     Interaction,
+    InteractionTrace,
     Mechanism,
     Path,
+    PathRows,
     Snapshot,
     diffraction_coefficients,
-    field_of_path,
     interactions_of,
-    power_dbm_from_field,
+    make_path,
+    powers_dbm,
     signature_str,
     slots_of,
     spreading_factor,
 )
 from .runs import PredictionConfig, RunResult, StageTimer, prediction_run
-from .scene import C_LIGHT, Scene, SceneAtTime, scene_at
+from .scene import C_LIGHT, Scene
 
 log = logging.getLogger(__name__)
 
@@ -350,7 +353,55 @@ def solve_lifetimes(windows: list[MatchedPaths], scene: Scene, dt: float,
 # Field extrapolation
 # ---------------------------------------------------------------------------
 
-def extrapolate_fields(refs, batches, scene: Scene):
+class ReferenceFields:
+    """The field references of K paths, gathered into arrays once.
+
+    Each path is an RT pass's Path with its chain walk (rt.make_path records
+    an InteractionTrace per interaction, backbone order, then penetrations).
+    Per path: its length, the length before its first interaction and its
+    field; per path and interaction slot, (K, Q) with Q the most
+    interactions of any path: the coefficient that carried the field, its
+    channel, the slab crossing length, and the facet or edge of the
+    interaction, by whose index extrapolate_fields gathers the static data
+    (Scene.statics).  kinds holds each path's interaction mechanisms.
+    """
+
+    def __init__(self, paths: list[Path], scene: Scene):
+        self.scene = scene
+        statics = scene.statics()
+        n_refs = len(paths)
+        self.total = np.array([p.geometry.total_length for p in paths], float)
+        self.s_pre = np.array([p.geometry.seg_lengths[0] for p in paths], float)
+        self.field = np.array([p.field for p in paths], complex).reshape(n_refs, 2)
+        layouts = [statics.owners.get(p.signature) or _layout(scene, p.signature) for p in paths]
+        self.kinds = [kinds for kinds, _owners in layouts]
+        n_slots = max(map(len, self.kinds), default=0)
+        # every slot's trace and owner, path by path, padded with neutral ones
+        pad = InteractionTrace(None, (1.0 + 0j, 1.0 + 0j), 0)
+        traces = [tr for p in paths for tr in p.traces + [pad] * (n_slots - len(p.traces))]
+        shape = (n_refs, n_slots)
+        self.coeff = np.array([tr.coeff[tr.label] for tr in traces], complex).reshape(shape)
+        self.label = np.array([tr.label for tr in traces], int).reshape(shape)
+        self.d_t = np.array([tr.d_t for tr in traces], float).reshape(shape)
+        self.owner = np.array([i for kinds, owners in layouts
+                               for i in owners + (0,) * (n_slots - len(kinds))],
+                              int).reshape(shape)
+
+
+def _layout(scene: Scene, signature) -> tuple:
+    """(mechanisms, facet or edge indices) of a signature's interactions in
+    chain-walk order, backbone first, then penetrations; cached in
+    Scene.statics by signature."""
+    sl = slots_of(signature)
+    kinds = tuple(m for m, _gid in sl.backbone) + (Mechanism.PENETRATION,) * len(sl.penetrations)
+    owners = tuple(scene.facet_index[gid] if m is Mechanism.REFLECTION else scene.edge_index[gid]
+                   for m, gid in sl.backbone)
+    owners += tuple(scene.facet_index[fid] for fid, _seg in sl.penetrations)
+    scene.statics().owners[signature] = layout = (kinds, owners)
+    return layout
+
+
+def extrapolate_fields(refs: np.ndarray, batches, references: ReferenceFields):
     """Extrapolated receiver fields of many (reference, geometry) pairs at
     once: one (field2, power_dbm) entry per row, or None.
 
@@ -359,89 +410,93 @@ def extrapolate_fields(refs, batches, scene: Scene):
     phase at its reference value.
 
     batches are TrajectoryGeometry row batches (TrajectoryGeometry.rows),
-    each of one shape and one number of penetrations, and refs holds the
-    reference path of every row of every batch, in order.  Everything runs on
-    arrays: each interaction slot of each batch contributes its segment
-    vectors, and then per mechanism the incidence cosines or wedge angles,
-    the coefficients (one batched call) and their ratios are computed for
-    all rows at once.  Entries are None where the Brewster-null,
-    grazing-slab or ray-along-the-edge fallback applies.
+    each of one shape and one number of penetrations, and refs (N,) holds
+    the position in references of every row of every batch, in order.
+    Everything runs on arrays: each interaction slot of each batch
+    contributes its segment vectors, and then per mechanism the incidence
+    cosines or wedge angles, the coefficients (one batched call) and their
+    ratios are computed for all rows at once, the reference data indexed by
+    (row, slot).  Entries are None where the Brewster-null, grazing-slab or
+    ray-along-the-edge fallback applies.
     """
+    scene = references.scene
+    statics = scene.statics()
     n_all = len(refs)
-    totals, s_pre = np.ones(n_all), np.ones(n_all)
+    positions = np.arange(n_all)
     diffracted = np.zeros(n_all, dtype=bool)
-    # per mechanism, in slot order: each slot's rows and reference traces,
-    # the segment into the interaction (vector and length), and for an edge
-    # the points before, at and after it and the edge's index
+    # per mechanism, in slot order: each slot's rows, its slot index and row
+    # count, the segment into the interaction (vector and length), and for
+    # an edge the points before, at and after it
     gathered = {kind: ([], [], [], [], [], []) for kind in _PRODUCT_ORDER}
     start = 0
     for rows in batches:
         n_rows = rows.total_length.shape[0]
-        batch = np.arange(start, start + n_rows)
-        start += n_rows
         if not n_rows:
             continue
+        batch = slice(start, start + n_rows)
         verts, seg_lengths = rows.vertices, rows.seg_lengths
-        totals[batch], s_pre[batch] = rows.total_length, seg_lengths[:, 0]
         n_backbone = verts.shape[1] - 2
-        r = np.arange(n_rows)
-        for q, trace in enumerate(refs[start - n_rows].traces):
-            seg = (rows.pen_segments[:, q - n_backbone] if trace.kind is Mechanism.PENETRATION
-                   else np.full(n_rows, q))
-            at, traces, d_in, length, around, edge = gathered[trace.kind]
-            at.append(batch)
-            traces.extend(ref.traces[q] for ref in refs[start - n_rows:start])
-            d_in.append(verts[r, seg + 1] - verts[r, seg])
-            length.append(seg_lengths[r, seg])
-            if trace.kind is Mechanism.DIFFRACTION:
+        for q, kind in enumerate(references.kinds[refs[start]]):
+            at, slot, count, d_in, length, around = gathered[kind]
+            at.append(positions[batch])
+            slot.append(q)
+            count.append(n_rows)
+            if kind is Mechanism.PENETRATION:
+                r, seg = np.arange(n_rows), rows.pen_segments[:, q - n_backbone]
+                d_in.append(verts[r, seg + 1] - verts[r, seg])
+                length.append(seg_lengths[r, seg])
+            else:
+                d_in.append(verts[:, q + 1] - verts[:, q])
+                length.append(seg_lengths[:, q])
+            if kind is Mechanism.DIFFRACTION:
                 diffracted[batch] = True
                 around.append(verts[:, q:q + 3])
-                edge.extend(scene.edge_index[slots_of(ref.signature).backbone[q][1]]
-                            for ref in refs[start - n_rows:start])
+        start += n_rows
+    totals = np.concatenate([rows.total_length for rows in batches] + [[]])
+    s_pre = np.concatenate([rows.seg_lengths[:, 0] for rows in batches] + [[]])
 
     # the ratio product per row: reflections, then penetrations, then
     # diffractions, each in slot order (ufunc.at applies repeated rows in order)
     alive = np.ones(n_all, dtype=bool)
     ratio = np.ones(n_all, complex)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for kind, (at, traces, d_in, length, around, edge) in gathered.items():
+        for kind, (at, slot, count, d_in, length, around) in gathered.items():
             if not at:
                 continue
             at, d_in, length = (np.concatenate(x) for x in (at, d_in, length))
-            coeff = np.array([tr.coeff[tr.label] for tr in traces], complex)
+            slot = np.repeat(slot, count)
+            ref = refs[at]
+            coeff, owner = references.coeff[ref, slot], references.owner[ref, slot]
             dead = np.abs(coeff) < COEFF_FLOOR
             if kind is Mechanism.DIFFRACTION:
                 (c0, c1), along_edge = diffraction_coefficients(
-                    scene, np.array(edge, dtype=int), np.concatenate(around), length, totals[at])
+                    scene, owner, np.concatenate(around), length, totals[at])
                 dead |= along_edge
             else:
-                eps = np.array([tr.eps for tr in traces], complex)
-                n = np.array([tr.normal for tr in traces])
+                eps = statics.facet_eps[owner]
+                n = statics.epoch.normals[owner]
                 cos_th = np.minimum(np.abs(dot3(d_in.T, n.T)) / length, 1.0)
                 if kind is Mechanism.REFLECTION:
                     c0, c1 = fresnel_from_cos(cos_th, eps)
                 else:
                     dead |= cos_th < GRAZING_COS  # grazing slab crossing: direct fallback
-                    c0, c1, d_t = transmission_from_cos(
-                        cos_th, eps, np.array([tr.thickness for tr in traces]))
+                    c0, c1, d_t = transmission_from_cos(cos_th, eps, statics.thickness[owner])
             alive[at[dead]] = False
-            label = np.array([tr.label for tr in traces])
-            np.multiply.at(ratio, at, np.where(label == 0, c0, c1) / coeff)
+            np.multiply.at(ratio, at, np.where(references.label[ref, slot] == 0, c0, c1) / coeff)
             if kind is Mechanism.PENETRATION:
-                alpha = np.array([tr.alpha for tr in traces])
                 np.multiply.at(ratio, at, np.exp(
-                    -alpha * (d_t - np.array([tr.d_t for tr in traces]))))
+                    -statics.alpha[owner] * (d_t - references.d_t[ref, slot])))
+    ref_totals = references.total[refs]
     spread = (spreading_factor(totals, s_pre, diffracted)
-              / spreading_factor(np.array([ref.geometry.total_length for ref in refs]),
-                                 np.array([ref.geometry.seg_lengths[0] for ref in refs]),
-                                 diffracted))
-    phase = np.exp(-1j * scene.wavenumber * (totals - np.array([ref.geometry.total_length
-                                                               for ref in refs])))
-    field2 = np.array([ref.field for ref in refs], complex).reshape(n_all, 2)
+              / spreading_factor(ref_totals, references.s_pre[refs], diffracted))
+    phase = np.exp(-1j * scene.wavenumber * (totals - ref_totals))
+    field2 = references.field[refs]
     field2 *= (ratio * spread * phase)[:, None]
     mag = np.hypot(np.abs(field2[:, 0]), np.abs(field2[:, 1]))
-    return [(f, power_dbm_from_field(m, scene)) if a else None
-            for f, m, a in zip(field2, mag.tolist(), alive.tolist())]
+    out = list(zip(field2, powers_dbm(mag.tolist(), scene)))
+    for r in np.flatnonzero(~alive).tolist():
+        out[r] = None
+    return out
 
 
 # the order of the ratio product
@@ -516,8 +571,8 @@ class EdrtRound:
         transient blockage within a window suppresses a path for that
         snapshot only, its lifetime is not affected.  The field
         extrapolation of every included (path, instant) row then runs on the
-        arrays in one extrapolate_fields call; the scene is evaluated at an
-        instant only for a direct fallback.
+        arrays in one extrapolate_fields call, and the rows it leaves to a
+        direct field in one make_path call.
         """
         times = np.reshape(np.asarray(times, float), (len(self.windows), -1))
         t_rows = times[self.rows.window]
@@ -538,32 +593,38 @@ class EdrtRound:
                     sub = g.rows(ip[same], it[same])
                     batches.append((g, ip[same].tolist(), it[same].tolist(), sub,
                                     self._interactions(sub)))
-        placed = []
-        scenes: dict[tuple, SceneAtTime] = {}
         with self.timer.field():
-            results = iter(extrapolate_fields(
-                [self.traj.paths[k] for _g, _ip, _it, sub, _i in batches
-                 for k in sub.index.tolist()],
-                [sub for _g, _ip, _it, sub, _i in batches], self.scene))
-            for g, ip, it, sub, interactions in batches:
-                for p, i, k, length, inter, result in zip(
-                        ip, it, sub.index.tolist(), sub.total_length.tolist(), interactions,
-                        results):
-                    if result is None:
-                        self.fallbacks += 1
-                        slot = (self.rows.window[k], i)
-                        if slot not in scenes:
-                            scenes[slot] = scene_at(self.scene, float(times[slot]))
-                        try:
-                            result = field_of_path(self.scene, scenes[slot],
-                                                   self.traj.path_geometry(g, p, i))
-                        except ConstructionError:
-                            self.dropped += 1
-                            continue
-                    field2, p_dbm = result
-                    placed.append((k, i, Path(
-                        signature=self.traj.paths[k].signature, interactions=inter,
-                        delay=length / C_LIGHT, field=field2, power_dbm=p_dbm)))
+            index = np.concatenate([sub.index for _g, _ip, _it, sub, _i in batches]
+                                   + [[]]).astype(int)
+            results = extrapolate_fields(index, [sub for _g, _ip, _it, sub, _i in batches],
+                                         ReferenceFields(self.traj.paths, self.scene))
+            signatures = [path.signature for path in self.traj.paths]
+            delays = np.concatenate([sub.total_length for _g, _ip, _it, sub, _i in batches]
+                                    + [[]]) / C_LIGHT
+            placed = [(k, i, Path(signatures[k], inter, delay, *result))
+                      for k, i, delay, inter, result in zip(
+                          index.tolist(), (i for _g, _ip, it, _s, _i in batches for i in it),
+                          delays.tolist(),
+                          (x for _g, _ip, _it, _s, inters in batches for x in inters), results)
+                      if result is not None]
+            direct = []
+            if None in results:
+                start = 0
+                for g, ip, it, sub, _i in batches:
+                    batch = results[start:start + len(ip)]
+                    start += len(ip)
+                    direct += [(k, i, self.traj.path_geometry(g, p, i))
+                               for k, p, i, result in zip(sub.index.tolist(), ip, it, batch)
+                               if result is None]
+            if direct:
+                # the direct field fallbacks, in one make_path call
+                self.fallbacks += len(direct)
+                paths = make_path(self.scene, PathRows.of(
+                    [geometry for _k, _i, geometry in direct],
+                    [times[self.rows.window[k], i] for k, i, _g in direct]))
+                self.dropped += sum(path is None for path in paths)
+                placed += [(k, i, path) for (k, i, _g), path in zip(direct, paths)
+                           if path is not None]
         return self.rows.snapshots(times, placed)
 
     def _interactions(self, rows: TrajectoryGeometry) -> list[list[Interaction]]:

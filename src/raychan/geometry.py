@@ -107,28 +107,6 @@ def polygon_frames(v: np.ndarray):
     return n, inward, np.where(failed.any(axis=1), failed.argmax(axis=1), -1)
 
 
-def signed_boundary_distance(p, vertices, inward) -> float:
-    """Signed in-plane distance from p to the polygon boundary.
-
-    Positive inside, negative outside; magnitude is the distance to the
-    nearest boundary point.  p is assumed to lie on the polygon plane, and
-    inward holds the polygon's inward edge normals (see polygon_frames).
-    """
-    v = np.asarray(vertices, float)
-    d = np.einsum("ij,ij->i", p - v, inward)
-    d_min = float(np.min(d))
-    if d_min >= 0.0:
-        return d_min
-    # outside: distance to the nearest edge segment
-    nxt = np.roll(v, -1, axis=0)
-    seg = nxt - v
-    seg_len2 = np.einsum("ij,ij->i", seg, seg)
-    t = np.clip(np.einsum("ij,ij->i", p - v, seg) / seg_len2, 0.0, 1.0)
-    closest = v + t[:, None] * seg
-    dist = np.min(np.linalg.norm(closest - p, axis=1))
-    return -float(dist)
-
-
 def vertical_pol(s) -> tuple:
     """Vertical polarization unit vector for propagation direction s.
 
@@ -143,12 +121,6 @@ def vertical_pol(s) -> tuple:
         v = (1.0 - x * s[0], -x * s[1], -x * s[2])
         n = math.sqrt(dot3(v, v))
     return (v[0] / n, v[1] / n, v[2] / n)
-
-
-def arrival_basis(s):
-    """(v-hat, h-hat) ray-fixed polarization basis at the receiver."""
-    v = vertical_pol(s)
-    return v, cross3(v, s)
 
 
 @dataclass

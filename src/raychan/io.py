@@ -50,7 +50,7 @@ def read_snapshots_csv(path, wavelength: float) -> list[Snapshot]:
 
     Field vectors are reconstructed as vertically polarized, with the
     magnitude that gives each path's power at wavelength (m), the inverse of
-    rt.power_dbm_from_field: the field error compares these magnitudes with
+    rt.powers_dbm: the field error compares these magnitudes with
     a run's own, so wavelength must be that run's.
     """
     text = FilePath(path).read_text().strip().splitlines()

@@ -35,21 +35,28 @@ only when a predicate fails by more than a rounding margin, then the exact
 decision: solve_backbone per candidate, the crossing profile of all that
 construct (occlusion_profile), and build_geometry for those it keeps.
 
-The electric field is propagated as a complex 3-vector with per-interface
-polarization decomposition, on Python floats, and reported at the receiver
-as a 2-vector in the ray-fixed (vertical, horizontal) arrival basis.  The
-chain reads each path's mechanisms, penetrated facets and segments from its
-signature (slots_of, cached per signature), and interactions_of lists the
-interactions of RT, DRT and E-DRT paths alike.  At an edge the chain takes
-the angles from geometry.wedge_angles, the coefficient from
-coefficients.utd_coefficient and the caustic spreading from
-spreading_factor: formulas that run on floats here, and on arrays in
-E-DRT's field extrapolation and for DRT's UTD pairs (diffraction_coefficients).
+The field stage is one batch of resolved paths (make_path on PathRows,
+each row at its own instant): an RT pass calls it once, DRT once per run
+and E-DRT once for its direct fallbacks; field_of_path is a batch of one.
+The on-geometry check, the spreading, the propagation phase, the arrival
+basis, the power and the Path assembly run once per batch on arrays, in
+the arithmetic of the float form, so that a batch gives each row the bits
+of its batch of one.  Between them each row walks its chain on Python
+floats (polarization_chain): the electric field is propagated as a complex
+3-vector with per-interface polarization decomposition, and reported at the
+receiver as a 2-vector in the ray-fixed (vertical, horizontal) arrival
+basis.  The chain reads each path's mechanisms, penetrated facets and
+segments from its signature (slots_of, cached per signature), and
+interactions_of lists the interactions of RT, DRT and E-DRT paths alike.  At
+an edge the chain takes the angles from geometry.wedge_angles, the
+coefficient from coefficients.utd_coefficient and the caustic spreading
+from spreading_factor: formulas that run on floats in an RT pass's walk,
+and on arrays in E-DRT's field extrapolation and for DRT's UTD pairs
+(diffraction_coefficients), which the walk then takes as given.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass, field
@@ -67,7 +74,6 @@ from .coefficients import (
 from .geometry import (
     UNIT_TOL,
     ConstructionError,
-    arrival_basis,
     cross3,
     dot3,
     functions_for,
@@ -665,12 +671,13 @@ def launch_amplitude(scene: Scene) -> float:
     return cached
 
 
-def power_dbm_from_field(magnitude: float, scene: Scene) -> float:
-    """Received power (isotropic aperture) for a field magnitude at Rx."""
-    if magnitude <= 0.0:
-        return -math.inf
-    p_r = magnitude ** 2 * scene.wavelength ** 2 / (8.0 * math.pi * ETA0)
-    return 10.0 * math.log10(p_r) + 30.0
+def powers_dbm(magnitudes: list[float], scene: Scene) -> list[float]:
+    """Received power (isotropic aperture) of each field magnitude at Rx,
+    -inf for none.  On floats: numpy's power and log10 round unlike
+    CPython's on some inputs."""
+    wl2, den = scene.wavelength ** 2, 8.0 * math.pi * ETA0
+    return [-math.inf if m <= 0.0 else 10.0 * math.log10(m ** 2 * wl2 / den) + 30.0
+            for m in magnitudes]
 
 
 def _reflection_basis(s_in, normal) -> tuple:
@@ -686,42 +693,21 @@ def _reflection_basis(s_in, normal) -> tuple:
     return (perp[0] / m, perp[1] / m, perp[2] / m)
 
 
-def _check_on_geometry(geometry: PathGeometry, geom: SceneAtTime, slots: Slots) -> None:
-    facets, scene = geom.facets, geom.scene
-    for (mechanism, gid), vertex in zip(slots.backbone, geometry.vertices[1:]):
-        p = vertex.tolist()
-        if mechanism is Mechanism.REFLECTION:
-            i = scene.facet_index[gid]
-            if abs(dot3(facets.normals[i].tolist(), p) - facets.offsets[i]) > ON_GEOMETRY_TOL:
-                raise ConstructionError(f"reflection point off the plane of facet {gid!r}")
-        else:
-            a, b = geom.edges[scene.edge_index[gid]].tolist()
-            d = unit3(sub3(b, a))
-            w = sub3(p, a)
-            along = dot3(w, d)
-            off = (w[0] - along * d[0], w[1] - along * d[1], w[2] - along * d[2])
-            if math.sqrt(dot3(off, off)) > ON_GEOMETRY_TOL:
-                raise ConstructionError(f"diffraction point off the line of edge {gid!r}")
-
-
 class InteractionTrace(NamedTuple):
     """Recorded context of one interaction along a reference chain walk.
 
     Captures the coefficient pair that was applied, the polarization
     eigen-channel that carried the field (0 = perp/soft, 1 = par/hard), and
-    for a reflection or penetration the static data needed to re-evaluate
-    the coefficient at another time (normals are invariant under rigid
-    translation).  A diffraction's frame and permittivity are gathered by
-    edge index instead (diffraction_coefficients).
+    for a penetration the slab crossing length.  What re-evaluating the
+    coefficient at another time also needs is static, and gathered by facet
+    or edge index instead: normals (invariant under rigid translation),
+    permittivities, thicknesses and attenuations, and wedge frames
+    (Scene.statics, diffraction_coefficients).
     """
 
     kind: Mechanism
     coeff: tuple[complex, complex]
     label: int
-    eps: complex = 0.0 + 0.0j  # complex permittivity at the scene frequency
-    normal: np.ndarray | None = None
-    thickness: float = 0.0
-    alpha: float = 0.0
     d_t: float = 0.0
 
 
@@ -734,9 +720,12 @@ def _project(e_vec, pair, u_in, v_in, u_out, v_out):
              a * u_out[2] + b * v_out[2]), 0 if abs(c0) >= abs(c1) else 1)
 
 
-def polarization_chain(scene: Scene, geometry: PathGeometry, slots: Slots,
-                       record: list[InteractionTrace] | None = None, utd=None) -> tuple:
-    """Propagate the launch polarization through all interactions.
+def polarization_chain(scene: Scene, verts: list, seg_lengths: list, total_length: float,
+                       slots: Slots, record: list[InteractionTrace] | None = None,
+                       utd=None) -> tuple:
+    """Propagate the launch polarization through all interactions of one
+    path: its vertices (Tx, backbone points, Rx) and segment lengths as
+    lists of floats, and its length.
 
     Returns the complex 3-vector (a tuple) of field direction times
     coefficients, before spreading and propagation phase.  slots are the
@@ -747,9 +736,9 @@ def polarization_chain(scene: Scene, geometry: PathGeometry, slots: Slots,
     re-evaluation.  It reads only what translation leaves unchanged, from
     the Scene by index: normals, materials, thicknesses and wedge frames.
     utd is the diffraction's UTD pair from diffraction_coefficients, or
-    None to compute it here on floats.
+    None to compute it here on floats.  Raises ConstructionError for a ray
+    along its diffraction edge or a grazing penetration.
     """
-    verts = geometry.vertices.tolist()
     freq = scene.frequency
     amp = launch_amplitude(scene)
     v = vertical_pol(unit3(sub3(verts[1], verts[0])))
@@ -765,14 +754,12 @@ def polarization_chain(scene: Scene, geometry: PathGeometry, slots: Slots,
             e_perp = _reflection_basis(s_in, normal)
             e_vec, label = _project(e_vec, pair, e_perp, cross3(e_perp, s_in),
                                     e_perp, cross3(e_perp, s_out))
-            trace = InteractionTrace(kind=Mechanism.REFLECTION, coeff=pair, label=label,
-                                     eps=eps, normal=f.normal)
+            trace = InteractionTrace(Mechanism.REFLECTION, pair, label)
         else:  # diffraction
             frame = scene.frames[gid]
             pair = utd
             if pair is None:
                 eps = complex(scene.statics().edge_eps[scene.edge_index[gid]])
-                seg_lengths = geometry.seg_lengths.tolist()
                 beta0, phi_inc, phi_dif, along_edge = wedge_angles(
                     frame.ef, frame.af, frame.nf, frame.n_index, sub3(verts[i + 1], verts[i]),
                     seg_lengths[i], sub3(verts[i + 2], verts[i + 1]))
@@ -780,13 +767,13 @@ def polarization_chain(scene: Scene, geometry: PathGeometry, slots: Slots,
                     raise ConstructionError("ray parallel to diffraction edge")
                 d_inc = sum(seg_lengths[:i + 1])
                 pair = utd_coefficient(WedgeGeometry(frame.n_index, beta0, phi_inc, phi_dif,
-                                                     d_inc, geometry.total_length - d_inc),
+                                                     d_inc, total_length - d_inc),
                                        None, freq, eps)
             a, b = unit3(cross3(frame.ef, s_in)), unit3(cross3(frame.ef, s_out))
             phi_in, phi_out = (-a[0], -a[1], -a[2]), (-b[0], -b[1], -b[2])
             e_vec, label = _project(e_vec, pair, cross3(phi_in, s_in), phi_in,
                                     cross3(phi_out, s_out), phi_out)
-            trace = InteractionTrace(kind=Mechanism.DIFFRACTION, coeff=pair, label=label)
+            trace = InteractionTrace(Mechanism.DIFFRACTION, pair, label)
         if record is not None:
             record.append(trace)
 
@@ -803,10 +790,8 @@ def polarization_chain(scene: Scene, geometry: PathGeometry, slots: Slots,
         par = cross3(e_perp, s_dir)
         e_vec, label = _project(e_vec, (tr.t_perp, tr.t_par), e_perp, par, e_perp, par)
         if record is not None:
-            record.append(InteractionTrace(
-                kind=Mechanism.PENETRATION, coeff=(tr.t_perp, tr.t_par), label=label,
-                eps=eps, normal=f.normal, thickness=f.thickness,
-                alpha=f.material.attenuation_alpha, d_t=tr.d_t))
+            record.append(InteractionTrace(Mechanism.PENETRATION, (tr.t_perp, tr.t_par), label,
+                                           tr.d_t))
         loss = tr.loss_factor(f.material.attenuation_alpha)
         e_vec = (e_vec[0] * loss, e_vec[1] * loss, e_vec[2] * loss)
 
@@ -846,52 +831,225 @@ def spreading_factor(total_length, s_pre, diffracted):
     return m.where(diffracted, m.sqrt(1.0 / caustic), 1.0 / total_length)
 
 
-def field_of_path(scene: Scene, geom: SceneAtTime, geometry: PathGeometry,
-                  record: list[InteractionTrace] | None = None, slots: Slots | None = None,
-                  utd=None):
-    """Direct electric-field computation for a resolved path.
+class PathRows(NamedTuple):
+    """Resolved geometry of N paths, each at its own instant, as arrays: the
+    batch of make_path.
 
-    Free-space spherical spreading from the transmitter, per-interaction
-    coefficient application with polarization decomposition at each
-    interface, and slab penetration loss.  slots are the signature's, looked
-    up when not given; utd see polarization_chain.  Returns (field_2vector,
-    power_dbm) with the field expressed in the receiver's (v, h) basis.
+    The vertex arrays are padded past each row's own vertices and
+    penetrations; geometries, when given, holds each row's PathGeometry,
+    which make_path keeps on its Path.
     """
-    if slots is None:
-        slots = slots_of(geometry.signature)
-    _check_on_geometry(geometry, geom, slots)
-    verts = geometry.vertices
-    e_vec = polarization_chain(scene, geometry, slots, record, utd)
-    diffracted = bool(slots.backbone) and slots.backbone[0][0] is Mechanism.DIFFRACTION
-    s_pre = float(geometry.seg_lengths[0]) if diffracted else 0.0
-    scale = (spreading_factor(geometry.total_length, s_pre, diffracted)
-             * cmath.exp(-1j * scene.wavenumber * geometry.total_length))
-    e_vec = (e_vec[0] * scale, e_vec[1] * scale, e_vec[2] * scale)
-    v_hat, h_hat = arrival_basis(unit3(sub3(verts[-1].tolist(), verts[-2].tolist())))
-    f_v, f_h = dot3(e_vec, v_hat), dot3(e_vec, h_hat)
-    return (np.array([f_v, f_h]),
-            power_dbm_from_field(math.hypot(abs(f_v), abs(f_h)), scene))
+
+    signatures: list          # (N,) Signature
+    times: np.ndarray         # (N,) s
+    n_vertices: np.ndarray    # (N,) Tx, backbone points and Rx of each row
+    vertices: np.ndarray      # (N, V, 3)
+    pen_points: np.ndarray    # (N, n_pen, 3)
+    seg_lengths: np.ndarray   # (N, V - 1)
+    total_length: np.ndarray  # (N,)
+    geometries: list | None = None
+
+    @classmethod
+    def of(cls, geometries: list[PathGeometry], times) -> "PathRows":
+        """The rows of PathGeometry objects, at times (N,)."""
+        n_rows = len(geometries)
+        n_v = max((g.vertices.shape[0] for g in geometries), default=2)
+        n_pen = max((g.pen_points.shape[0] for g in geometries), default=0)
+        vertices, pen_points = np.zeros((n_rows, n_v, 3)), np.zeros((n_rows, n_pen, 3))
+        seg_lengths = np.zeros((n_rows, n_v - 1))
+        for r, g in enumerate(geometries):
+            vertices[r, :g.vertices.shape[0]] = g.vertices
+            pen_points[r, :g.pen_points.shape[0]] = g.pen_points
+            seg_lengths[r, :g.seg_lengths.shape[0]] = g.seg_lengths
+        return cls([g.signature for g in geometries], np.asarray(times, float),
+                   np.array([g.vertices.shape[0] for g in geometries], dtype=int).reshape(-1),
+                   vertices, pen_points, seg_lengths,
+                   np.array([g.total_length for g in geometries], float).reshape(-1),
+                   list(geometries))
+
+    @classmethod
+    def concatenate(cls, parts: list["PathRows"]) -> "PathRows":
+        """The rows of parts, in order, padded to the most vertices and
+        penetrations of any (without geometries)."""
+        n_v = max((p.vertices.shape[1] for p in parts), default=2)
+        n_pen = max((p.pen_points.shape[1] for p in parts), default=0)
+
+        def padded(arrays, width):
+            out = np.zeros((sum(a.shape[0] for a in arrays), width) + arrays[0].shape[2:])
+            row = 0
+            for a in arrays:
+                out[row:row + a.shape[0], :a.shape[1]] = a
+                row += a.shape[0]
+            return out
+        return cls([sig for p in parts for sig in p.signatures],
+                   np.concatenate([p.times for p in parts] + [[]]),
+                   np.concatenate([p.n_vertices for p in parts] + [[]]).astype(int),
+                   padded([p.vertices for p in parts] or [np.zeros((0, 2, 3))], n_v),
+                   padded([p.pen_points for p in parts] or [np.zeros((0, 0, 3))], n_pen),
+                   padded([p.seg_lengths for p in parts] or [np.zeros((0, 1))], n_v - 1),
+                   np.concatenate([p.total_length for p in parts] + [[]]))
 
 
-def make_path(scene: Scene, geom: SceneAtTime, geometry: PathGeometry, utd=None) -> Path:
-    """Path with its directly computed field (utd: see polarization_chain).
+def _on_geometry(scene: Scene, rows: PathRows, slots: list[Slots]) -> np.ndarray:
+    """(N,) marks the rows whose backbone points lie on their geometry at
+    the row's instant, within ON_GEOMETRY_TOL: every reflection point on
+    its facet's plane and every diffraction point on its edge's line.
 
-    The resolved geometry and the per-interaction coefficient traces are
-    always kept on the path: E-DRT extrapolates fields from them, and keeping
-    them costs less than walking the chain a second time.
+    The facets and edges are the scene's epoch arrays, moved to each row's
+    time by Scene.facet_displacement, as scene_at moves them; the
+    arithmetic is the float form's, element by element.
     """
-    slots = slots_of(geometry.signature)
-    traces: list[InteractionTrace] = []
-    field2, p_dbm = field_of_path(scene, geom, geometry, traces, slots, utd)
-    return Path(
-        signature=geometry.signature,
-        interactions=interactions_of(slots, geometry.vertices, geometry.pen_points),
-        delay=geometry.total_length / C_LIGHT,
-        field=field2,
-        power_dbm=p_dbm,
-        geometry=geometry,
-        traces=traces,
-    )
+    statics = scene.statics()
+    by_signature: dict[Signature, list[int]] = {}
+    for r, sig in enumerate(rows.signatures):
+        by_signature.setdefault(sig, []).append(r)
+    # (row, flat vertex index, facet or edge) of every reflection and
+    # diffraction point
+    found = {Mechanism.REFLECTION: ([], [], []), Mechanism.DIFFRACTION: ([], [], [])}
+    ids = {Mechanism.REFLECTION: scene.facet_index, Mechanism.DIFFRACTION: scene.edge_index}
+    n_v = rows.vertices.shape[1]
+    for sig, index in by_signature.items():
+        for j, (m, gid) in enumerate(slots[index[0]].backbone):
+            at, vertex, owner = found[m]
+            at += index
+            vertex += [r * n_v + j + 1 for r in index]
+            owner += [ids[m][gid]] * len(index)
+    ok = np.ones(len(slots), dtype=bool)
+    flat = rows.vertices.reshape(-1, 3)
+    moving = statics.moving.size > 0
+    for m, (at, vertex, owner) in found.items():
+        if not at:
+            continue
+        at, owner = np.array(at), np.array(owner)
+        p = flat.take(vertex, axis=0)
+        if m is Mechanism.REFLECTION:
+            normals = statics.epoch.normals.take(owner, axis=0)
+            offsets = statics.epoch.offsets.take(owner)
+            disp = scene.facet_displacement(owner, rows.times.take(at)) if moving else None
+            if disp is not None:
+                offsets = shifted_offsets(normals, offsets, disp)
+            off = np.abs(_dot(normals, p) - offsets)
+        else:
+            ends = statics.edge_ends.take(owner, axis=0)
+            disp = (scene.facet_displacement(statics.edge_facets[owner, 0], rows.times.take(at))
+                    if moving else None)
+            if disp is not None:
+                ends = ends + disp[:, None, :]
+            a = ends[:, 0]
+            d = ends[:, 1] - a
+            d /= np.sqrt(_dot(d, d))[:, None]
+            w = p - a
+            w -= _dot(w, d)[:, None] * d
+            off = np.sqrt(_dot(w, w))
+        ok[at[off > ON_GEOMETRY_TOL]] = False
+    return ok
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of (N, 3) arrays, summed as dot3 sums them."""
+    prod = a * b
+    return prod[:, 0] + prod[:, 1] + prod[:, 2]
+
+
+_NEXT, _LAST = np.array([1, 2, 0]), np.array([2, 0, 1])  # cross3's component order
+
+
+def make_path(scene: Scene, rows: PathRows, utd=None, record: bool = False) -> list:
+    """Paths with their directly computed fields: one Path per row of rows,
+    or None where the row is dropped.
+
+    The field stage of a batch.  Free-space spherical spreading from the
+    transmitter, per-interaction coefficient application with polarization
+    decomposition at each interface, and slab penetration loss; the field is
+    expressed in the receiver's (v, h) basis.  First the on-geometry check
+    runs on arrays (_on_geometry); each row left then walks its chain on
+    Python floats (polarization_chain), with utd[r], when utd is given, as
+    row r's UTD pair (None: computed in the walk); then spreading, phase,
+    arrival basis, power and Path assembly run once for all rows, on arrays
+    in the float form's arithmetic (complex products written out in real
+    operations, so that even the signs of zero parts agree), except the
+    magnitude's hypot and the power, which stay on floats (numpy's hypot,
+    power and log10 round unlike CPython's on some inputs).  A row is
+    dropped where the check or the walk raises ConstructionError.  With
+    record, each Path keeps its row's geometry (rows.geometries) and an
+    InteractionTrace per interaction: an RT pass's paths, from which E-DRT
+    extrapolates fields.
+    """
+    slots = [slots_of(sig) for sig in rows.signatures]
+    ok = _on_geometry(scene, rows, slots)
+    verts, segs = rows.vertices.tolist(), rows.seg_lengths.tolist()
+    totals, counts = rows.total_length.tolist(), rows.n_vertices.tolist()
+    kept, chains, traces, diffracted = [], [], [], []
+    for r in np.flatnonzero(ok).tolist():
+        record_r = [] if record else None
+        try:
+            chains.append(polarization_chain(scene, verts[r][:counts[r]], segs[r], totals[r],
+                                             slots[r], record_r, None if utd is None else utd[r]))
+        except ConstructionError:
+            continue
+        kept.append(r)
+        traces.append(record_r)
+        diffracted.append(bool(slots[r].backbone)
+                          and slots[r].backbone[0][0] is Mechanism.DIFFRACTION)
+    out: list[Path | None] = [None] * len(slots)
+    if not kept:
+        return out
+    e = np.array(chains, complex)
+    at = np.array(kept)
+    total = rows.total_length.take(at)
+    diffracted = np.array(diffracted)
+    spread = spreading_factor(total, rows.seg_lengths[at, 0], diffracted)
+    # spread * cmath.exp(-1j * k * L), then each component times it
+    phase = -scene.wavenumber * total
+    cos, sin = np.cos(phase), np.sin(phase)
+    s_re, s_im = (cos * spread - sin * 0.0)[:, None], (cos * 0.0 + sin * spread)[:, None]
+    e_re = e.real * s_re - e.imag * s_im
+    e_im = e.real * s_im + e.imag * s_re
+    # the receiver's (v, h) basis along the last segment: v = vertical_pol(ray), h = v x ray
+    last = at * rows.vertices.shape[1] + rows.n_vertices.take(at) - 1
+    flat = rows.vertices.reshape(-1, 3)
+    ray = flat.take(last, axis=0) - flat.take(last - 1, axis=0)
+    ray /= np.sqrt(_dot(ray, ray))[:, None]
+    basis = np.empty((at.size, 2, 3))
+    v_hat, h_hat = basis[:, 0], basis[:, 1]
+    np.multiply(-ray[:, 2:], ray, out=v_hat)
+    v_hat[:, 2] += 1.0
+    norm = np.sqrt(_dot(v_hat, v_hat))
+    steep = norm < 1e-9
+    if steep.any():
+        v_hat[steep] = -ray[steep, :1] * ray[steep]
+        v_hat[steep, 0] += 1.0
+        norm = np.sqrt(_dot(v_hat, v_hat))
+    v_hat /= norm[:, None]
+    np.subtract(v_hat.take(_NEXT, axis=1) * ray.take(_LAST, axis=1),
+                v_hat.take(_LAST, axis=1) * ray.take(_NEXT, axis=1), out=h_hat)
+    # (e . v-hat, e . h-hat), each product a complex times a float
+    re = e_re[:, None, :] * basis - e_im[:, None, :] * 0.0
+    im = e_re[:, None, :] * 0.0 + e_im[:, None, :] * basis
+    field2 = np.empty((at.size, 2), complex)
+    field2.real = re[:, :, 0] + re[:, :, 1] + re[:, :, 2]
+    field2.imag = im[:, :, 0] + im[:, :, 1] + im[:, :, 2]
+    magnitude = list(map(math.hypot, *np.hypot(field2.real, field2.imag).T.tolist()))
+    geometries = rows.geometries if record else [None] * len(slots)
+    vertices, pen_points = list(rows.vertices), list(rows.pen_points)
+    for r, field, power, delay, trace in zip(kept, field2, powers_dbm(magnitude, scene),
+                                             (total / C_LIGHT).tolist(), traces):
+        out[r] = Path(rows.signatures[r], interactions_of(slots[r], vertices[r], pen_points[r]),
+                      delay, field, power, geometries[r], trace)
+    return out
+
+
+def field_of_path(scene: Scene, geom: SceneAtTime, geometry: PathGeometry):
+    """Direct electric-field computation for a resolved path at geom's
+    instant: make_path on a batch of one.  Returns (field_2vector,
+    power_dbm) with the field expressed in the receiver's (v, h) basis;
+    raises ConstructionError where make_path drops the row.
+    """
+    [path] = make_path(scene, PathRows.of([geometry], [geom.time]))
+    if path is None:
+        raise ConstructionError(f"no field for {signature_str(geometry.signature)} "
+                                f"at t={geom.time:g}")
+    return path.field, path.power_dbm
 
 
 # ---------------------------------------------------------------------------
@@ -1137,19 +1295,24 @@ def trace_snapshot(scene: Scene, t: float, timer=None) -> Snapshot:
     Returns the line-of-sight path (when unobstructed), all image-method
     reflection paths up to order two, and all single-edge diffraction paths,
     each optionally penetrating one transparent facet.  Paths are sorted by
-    signature; an empty path list is a valid outcome.  Every path keeps its
-    geometry and per-interaction coefficient traces (see make_path), so any
-    snapshot can serve as an E-DRT reference.  Raises SceneError when Tx and
-    Rx coincide at t.
+    signature; an empty path list is a valid outcome.  The fields of all
+    the pass's paths come from one make_path call, and every path keeps its
+    geometry and per-interaction coefficient traces, so any snapshot can
+    serve as an E-DRT reference.  Raises SceneError when Tx and Rx coincide
+    at t, and ConstructionError when a path of the pass fails its field
+    computation.
     """
     from .runs import StageTimer
     timer = timer or StageTimer()
     with timer.geometry():
         geom, geometries = trace_geometry(scene, t, timer=timer)
-    paths = []
     with timer.field():
-        for g in geometries:
-            paths.append(make_path(scene, geom, g))
+        paths = make_path(scene, PathRows.of(geometries, np.full(len(geometries), geom.time)),
+                          record=True)
+    for g, p in zip(geometries, paths):
+        if p is None:
+            raise ConstructionError(f"no field for {signature_str(g.signature)} "
+                                    f"at t={geom.time:g}")
     sigs = [p.signature for p in paths]
     if len(set(sigs)) != len(sigs):
         raise RuntimeError("duplicate path signatures in snapshot")

@@ -102,13 +102,6 @@ class RunResult:
     def times(self) -> list[float]:
         return [s.time for s in self.snapshots]
 
-    def snapshot_at(self, t: float) -> Snapshot:
-        key = time_key(t)
-        for s in self.snapshots:
-            if time_key(s.time) == key:
-                return s
-        raise KeyError(f"no snapshot at t={t}")
-
     def predicted_times(self) -> list[float]:
         rt_keys = {time_key(t) for t in self.rt_times}
         return [s.time for s in self.snapshots if time_key(s.time) not in rt_keys]

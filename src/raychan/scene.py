@@ -365,7 +365,13 @@ class _SceneStatics:
                             for k in ("e_hat", "a_o", "n_o", "n_index"))
         self.edge_eps = np.array([complex_permittivity(facets[i].material, scene.frequency)
                                   for i in self.edge_facets[:, 0].tolist()], complex)
+        # by facet: permittivity, slab thickness and attenuation (edrt.extrapolate_fields)
+        self.facet_eps = np.array([complex_permittivity(f.material, scene.frequency)
+                                   for f in facets], complex)
+        self.thickness = np.array([f.thickness for f in facets], float)
+        self.alpha = np.array([f.material.attenuation_alpha for f in facets], float)
         self.exclusions: dict[tuple, np.ndarray] = {}   # rt.segment_exclusions by backbone
+        self.owners: dict[tuple, tuple] = {}   # edrt.ReferenceFields' slot layout by signature
 
 
 class SceneAtTime(NamedTuple):

@@ -232,3 +232,46 @@ def time_reversed_scene(doc: dict, horizon: float) -> dict:
     for end in ("tx", "rx"):
         out[end]["motion_segments"] = reversed_motion(out[end]["motion_segments"], horizon)
     return out
+
+
+def swapped_transceivers(doc: dict) -> dict:
+    """A scene document (the JSON of save_scene) with Tx and Rx exchanged."""
+    out = json.loads(json.dumps(doc))
+    out["tx"], out["rx"] = out["rx"], out["tx"]
+    return out
+
+
+def rigidly_moved_scene(doc: dict, offset, angle: float) -> dict:
+    """A scene document turned by angle (rad) about the vertical axis
+    through the origin, then translated by offset: facet vertices, edge
+    endpoints and every motion segment, whose velocity and acceleration
+    turn with it.  A facet's segments give its displacement from t = 0, so
+    their anchors turn but do not translate."""
+    c, s = math.cos(angle), math.sin(angle)
+
+    def turned(v):
+        return [c * v[0] - s * v[1], s * v[0] + c * v[1], v[2]]
+
+    def moved(p):
+        return [x + o for x, o in zip(turned(p), offset)]
+
+    def motions(segments, anchor):
+        return [dict(seg, r0=anchor(seg.get("r0", [0.0, 0.0, 0.0])),
+                     **{key: turned(seg.get(key, [0.0, 0.0, 0.0])) for key in ("v0", "a0")})
+                for seg in segments]
+
+    out = json.loads(json.dumps(doc))
+    for f in out["facets"]:
+        f["vertices"] = [moved(v) for v in f["vertices"]]
+        if f.get("motion_segments"):
+            f["motion_segments"] = motions(f["motion_segments"], turned)
+    for e in out.get("edges", []):
+        e["endpoints"] = [moved(p) for p in e["endpoints"]]
+    for end in ("tx", "rx"):
+        out[end]["motion_segments"] = motions(out[end]["motion_segments"], moved)
+    return out
+
+
+def reversed_signature(signature: str) -> str:
+    """The signature string of a path traversed from Rx to Tx."""
+    return signature if signature == "LOS" else "|".join(reversed(signature.split("|")))

@@ -181,6 +181,22 @@ class TestArrayContract:
             assert batch.t_par[i] == one.t_par
             assert batch.d_t[i] == one.d_t
 
+    def test_transmission_array_equals_scalar_on_random_inputs(self):
+        """The array form writes CPython's complex products out in real
+        operations: every element keeps the scalar bits, over lossless and
+        lossy permittivities, some repeated."""
+        rng = np.random.default_rng(7)
+        n = 2000
+        cosines = rng.uniform(1e-3, 1.0, n)
+        eps = (rng.uniform(1.0, 80.0, n) - 1j * rng.choice([0.0, 1.0], n)
+               * 10.0 ** rng.uniform(-3, 2, n))
+        eps[::7] = eps[0]
+        thickness = rng.uniform(0.01, 1.0, n)
+        batch = transmission_from_cos(cosines, eps, thickness)
+        for i, (c, e, d) in enumerate(zip(cosines.tolist(), eps.tolist(), thickness.tolist())):
+            one = transmission_from_cos(c, e, d)
+            assert (batch.t_perp[i], batch.t_par[i], batch.d_t[i]) == tuple(one), i
+
     @pytest.mark.parametrize("shape", [(0,), (2, 0)], ids=["0", "2x0"])
     def test_empty_batches_give_empty_arrays(self, shape):
         cos = np.zeros(shape)
@@ -341,6 +357,21 @@ class TestUtdCoefficientStacked(TestUtdCoefficient):
         events += [(WedgeGeometry(n, 1.2, 1.0, math.pi - 1.0, 5.0, 7.0), 5.0 - 0.1j, 6e9)
                    for n in (1.5, 2.0)]
         return events
+
+    def test_array_rows_equal_batches_of_one(self):
+        """The array branch stacks its four cot * F products and its four
+        face multipliers into one call each; every event still gets the
+        bits of its own batch of one."""
+        events = self._events()[::3]
+        for frequency in (2.4e9, 6e9, 28e9):
+            group = [(g, e) for g, e, f in events if f == frequency]
+            d_soft, d_hard = utd_coefficient(
+                WedgeGeometry(*np.array([g for g, _ in group]).T), None, frequency,
+                np.array([e for _, e in group]))
+            for i, (g, e) in enumerate(group):
+                one = utd_coefficient(WedgeGeometry(*np.array([g], float).T), None, frequency,
+                                      np.array([e]))
+                assert (d_soft[i], d_hard[i]) == (one[0][0], one[1][0])
 
     def test_array_agrees_with_scalar(self):
         events = self._events()

@@ -15,12 +15,27 @@ from raychan import (
     trace_snapshot,
 )
 import raychan.drt as drt
+import raychan.rt as rt
 from raychan.cli import execute_run
 from raychan.drt import shape_of
-from raychan.rt import Mechanism, field_of_path
+from raychan.rt import (
+    ON_GEOMETRY_TOL,
+    ConstructionError,
+    Mechanism,
+    PathRows,
+    field_of_path,
+    make_path,
+    slots_of,
+)
 from raychan.runs import time_key
 
-from scalar_forms import point_in_facet, predict_snapshot_drt
+from scalar_forms import (
+    field_on_floats,
+    on_geometry,
+    point_in_facet,
+    predict_snapshot_drt,
+    snapshot_at,
+)
 from test_edrt import _snapshot_bytes
 
 
@@ -172,7 +187,7 @@ class TestDrtRun:
         ref_sets = {}
         for t in drt_default.rt_times:
             key = round(t, 6)
-            ref_sets[key] = drt_default.snapshot_at(t).signature_set()
+            ref_sets[key] = snapshot_at(drt_default, t).signature_set()
         for snap in drt_default.snapshots:
             t0 = np.floor(snap.time + 1e-9)
             if round(snap.time, 6) in ref_sets and snap.time == t0:
@@ -186,7 +201,7 @@ def _assert_run_is_instant_by_instant(scene, run, cfg):
     """Every prediction of run equals predict_snapshot_drt from its window's
     start pass, byte for byte, and so does the dropped_paths counter.
     Returns the number of dropped path instances."""
-    references = [run.snapshot_at(t) for t in run.rt_times]
+    references = [snapshot_at(run, t) for t in run.rt_times]
     timer = StageTimer()
     snapshots = []
     for ref in references[:-1]:
@@ -217,26 +232,38 @@ class TestRunLevel:
 
 
 class TestArrayDiffractionCoefficients:
-    """DRT computes the UTD pair of every diffraction (row, instant) of a
-    run in one array call (rt.diffraction_coefficients); the rest of each
-    field is the float chain's."""
+    """The field stage runs as one batch (rt.make_path) per RT pass and per
+    DRT run, DRT's UTD pairs in one array call (rt.diffraction_coefficients)
+    for every diffraction (row, instant) of the run; the rest of each field
+    is the float chain's."""
+
+    # the runs' dropped_paths, all of them constructions that fail outright
+    DROPPED = {"street": 0, 0: 0, 3: 2, 9: 2, 20: 4, 24: 7}
 
     @pytest.mark.parametrize("case", ["street", 0, 3, 9, 20, 24])
     def test_fields_agree_with_the_float_chain(self, case, default_scene, monkeypatch):
         scene, duration = ((default_scene, 6.0) if case == "street"
                            else (random_scene(case), 3.0))
         run = execute_run(scene, "drt", 1.0, 0.1, duration)
-        predicted = {time_key(t) for t in run.predicted_times()}
-        diffracted = 0
+        rt_keys = {time_key(t) for t in run.rt_times}
+        diffracted = traced = 0
         for snap in run.snapshots:
-            if time_key(snap.time) not in predicted:
-                continue
             geom = scene_at(scene, snap.time)
             for p in snap.paths:
-                want, _power = field_of_path(scene, geom, p.geometry)
+                if time_key(snap.time) in rt_keys:
+                    # a pass's batch gives each path its batch of one and
+                    # its float form, bit for bit
+                    for want, power in (field_of_path(scene, geom, p.geometry),
+                                        field_on_floats(scene, geom, p.geometry)):
+                        assert p.field.tobytes() == want.tobytes() and p.power_dbm == power
+                    traced += 1
+                    continue
+                want, _power = field_of_path(scene, geom,
+                                             PathTrajectory(p, scene).geometry_at(snap.time))
                 assert np.max(np.abs(p.field - want)) <= 1e-12 * np.linalg.norm(want)
                 diffracted += Mechanism.DIFFRACTION in shape_of(p.signature)
-        assert diffracted >= 10
+        assert diffracted >= 10 and traced >= 10
+        assert run.counters["dropped_paths"] == self.DROPPED[case]
         # with the pair left to the float chain, the same rows are dropped
         monkeypatch.setattr(drt, "diffraction_coefficients", lambda scene, edge, *_: (
             (np.zeros(edge.size), np.zeros(edge.size)), np.ones(edge.size, dtype=bool)))
@@ -246,3 +273,60 @@ class TestArrayDiffractionCoefficients:
             [s.signature_set() for s in run.snapshots]
         if case == 24:
             assert run.counters["dropped_paths"] > 0
+
+
+class TestBatchedDrops:
+    """make_path drops the rows whose points leave their geometry, as the
+    float check of each path alone does (scalar_forms.on_geometry), and the
+    rows whose chain walk raises; the other rows keep their fields."""
+
+    @pytest.mark.parametrize("case, t", [("street", 2.35), (3, 1.3)])
+    def test_on_geometry_check_drops_the_rows_of_the_float_check(self, case, t,
+                                                                  default_scene):
+        scene = default_scene if case == "street" else random_scene(case)
+        geom = scene_at(scene, t)
+        paths = [p for p in trace_snapshot(scene, t).paths
+                 if slots_of(p.signature).backbone]
+        rng = np.random.default_rng(3)
+        geometries = []
+        for p in paths * 4:
+            g = p.geometry
+            vertices = g.vertices.copy()
+            # a backbone point pushed off its plane or line, by 0.2 to 2 tolerances
+            j = rng.integers(1, vertices.shape[0] - 1)
+            step = rng.normal(size=3)
+            vertices[j] += step / np.linalg.norm(step) * ON_GEOMETRY_TOL * rng.uniform(0.2, 2.0)
+            geometries.append(g._replace(vertices=vertices))
+        want = [on_geometry(scene, geom, g) for g in geometries]
+        assert 0 < sum(want) < len(want)
+        got = make_path(scene, PathRows.of(geometries, np.full(len(geometries), t)))
+        assert [p is not None for p in got] == want
+        for p, g in zip(got, geometries):
+            if p is not None:
+                field, power = field_on_floats(scene, geom, g)
+                assert p.field.tobytes() == field.tobytes() and p.power_dbm == power
+        if case == 3:
+            # some rows lie on moving facets and edges
+            statics = scene.statics()
+            owners = {(m, int(statics.edge_facets[scene.edge_index[gid], 0])
+                       if m is Mechanism.DIFFRACTION else scene.facet_index[gid])
+                      for p in paths for m, gid in slots_of(p.signature).backbone}
+            assert all(any(m is kind and f in statics.moving for m, f in owners)
+                       for kind in (Mechanism.REFLECTION, Mechanism.DIFFRACTION))
+
+    def test_walk_errors_drop_their_rows(self, default_scene, monkeypatch):
+        t = 2.35
+        paths = trace_snapshot(default_scene, t).paths
+        rows = PathRows.of([p.geometry for p in paths], np.full(len(paths), t))
+        calls = iter(range(len(paths)))
+        walk = rt.polarization_chain
+
+        def failing(*args):
+            if next(calls) % 3 == 1:
+                raise ConstructionError("grazing")
+            return walk(*args)
+        monkeypatch.setattr(rt, "polarization_chain", failing)
+        got = make_path(default_scene, rows)
+        assert [p is None for p in got] == [r % 3 == 1 for r in range(len(paths))]
+        assert all(q.field.tobytes() == p.field.tobytes()
+                   for p, q in zip(paths, got) if q is not None)

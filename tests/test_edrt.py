@@ -15,7 +15,6 @@ from raychan import (
     StageTimer,
     edrt_run,
     field_of_path,
-    make_path,
     match_paths,
     random_scene,
     scene_at,
@@ -31,6 +30,8 @@ from scalar_forms import (
     extrapolate_field,
     point_in_facet,
     predict_snapshot_edrt,
+    reference_path,
+    snapshot_at,
 )
 
 
@@ -305,7 +306,7 @@ def _geometry_of(scene, t, sig):
 
 def _extrapolated_magnitude(scene, geom_ref, g_ref, g_cur):
     """|E| extrapolated from the reference geometry to g_cur."""
-    ref = make_path(scene, geom_ref, g_ref)
+    ref = reference_path(scene, geom_ref, g_ref)
     field2, _ = extrapolate_field(ref, g_cur, scene)
     return float(np.linalg.norm(field2))
 
@@ -397,8 +398,8 @@ class TestFieldExtrapolationOps:
                     direct_field, _ = field_of_path(default_scene, geom, g)
                 except Exception:
                     continue
-                ref = make_path(default_scene, geom_ref,
-                                traj.geometry_at(t_ref, geom_ref))
+                ref = reference_path(default_scene, geom_ref,
+                                     traj.geometry_at(t_ref, geom_ref))
                 result = extrapolate_field(ref, g, default_scene)
                 if result is None:
                     continue
@@ -427,7 +428,7 @@ class TestFieldExtrapolationOps:
         sig = ((Mechanism.REFLECTION, "g"),)
         geom, g, _path = _geometry_of(scene, 0.0, sig)
         # ground bounce of a vertical launch is parallel-polarized: null
-        ref = make_path(scene, geom, g)
+        ref = reference_path(scene, geom, g)
         assert extrapolate_field(ref, g, scene) is None
 
 
@@ -496,7 +497,7 @@ COUNTERS = ("lifetime_scan_samples", "lifetime_bisect_samples", "lifetime_fallba
 def _window_by_window(scene, run, cfg):
     """The run's predictions, lifetime records and counters solved one
     window at a time from the run's own reference snapshots."""
-    references = [run.snapshot_at(t) for t in run.rt_times]
+    references = [snapshot_at(run, t) for t in run.rt_times]
     snapshots, records = [], []
     counters = dict.fromkeys(COUNTERS, 0)
     for a, b in zip(references, references[1:]):
