@@ -21,14 +21,13 @@ import importlib
 __version__ = "0.1.0"
 
 _HOMES = {
-    "coefficients": ("Transmission", "WedgeGeometry", "fresnel_coefficients",
-                     "transition_function", "transmission_coefficient",
+    "coefficients": ("Transmission", "WedgeGeometry", "transition_function",
                      "utd_coefficient"),
-    "drt": ("PathTrajectory", "drt_run"),
-    "edrt": ("Lifetime", "MatchedPaths", "edrt_run", "match_paths", "solve_lifetimes"),
+    "drt": ("PathTrajectory",),
+    "edrt": ("Lifetime", "MatchedPaths", "drt_run", "edrt_run", "match_paths",
+             "solve_lifetimes"),
     "geometry": ("ConstructionError",),
-    "metrics": ("PDP", "ErrorReport", "error_report", "field_error", "geometry_error",
-                "pdp_extract", "similarity_index"),
+    "metrics": ("PDP", "ErrorReport", "error_report", "pdp_extract", "similarity_index"),
     "motion": ("Motion", "MotionState", "position_at", "velocity_at"),
     "rt": ("Interaction", "Mechanism", "Path", "PathGeometry", "Snapshot",
            "field_of_path", "make_path", "parse_signature", "signature_str",

@@ -25,8 +25,7 @@ import sys
 from pathlib import Path as FilePath
 
 from . import io as artifact_io
-from .drt import drt_run
-from .edrt import edrt_run
+from .edrt import drt_run, edrt_run
 from .metrics import error_report, pdp_extract
 from .rt import Snapshot
 from .runs import PredictionConfig, RunResult, oracle_run, rt_run, time_grid, time_key

@@ -6,7 +6,7 @@ Conventions
 * Complex relative permittivity: eps = eps_r - j*sigma/(omega*eps0), from
   `scene.complex_permittivity` (it lives beside `Material`, so that loading
   a scene does not import this module; it is re-exported here).
-* Incidence angles are measured from the surface normal, in [0, pi/2).
+* An incidence enters as the cosine of its angle from the surface normal.
 * The perpendicular (soft) component is the E-field component along
   s_in x n; the parallel (hard) component lies in the plane of incidence.
   With these bases a PEC surface gives r_perp = -1, r_par = +1.
@@ -73,18 +73,6 @@ from .scene import complex_permittivity
 _SINGULAR_EPS = 1e-4
 
 
-def fresnel_coefficients(incidence_angle: float, material, frequency: float):
-    """Fresnel reflection coefficients (r_perp, r_par) at a planar interface.
-
-    incidence_angle is measured from the normal and must satisfy
-    0 <= angle < pi/2.
-    """
-    if not 0.0 <= incidence_angle < math.pi / 2:
-        raise ValueError("incidence angle must be in [0, pi/2)")
-    return fresnel_from_cos(math.cos(incidence_angle),
-                            complex_permittivity(material, frequency))
-
-
 def _quotient(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a / b over complex arrays by CPython's complex division (Smith's
     scaling in real operations), which numpy's reciprocal scaling is not."""
@@ -128,22 +116,6 @@ class Transmission(NamedTuple):
 
     def loss_factor(self, alpha: float) -> float:
         return math.exp(-alpha * self.d_t)
-
-
-def transmission_coefficient(incidence_angle: float, material, frequency: float,
-                             thickness: float) -> Transmission:
-    """Combined two-interface transmission through a homogeneous slab.
-
-    Returns the product of the entry (air->medium) and exit (medium->air)
-    Fresnel transmission factors per polarization, together with the slab
-    crossing length d_T = thickness / cos(theta_refracted).  Bulk loss
-    exp(-alpha*d_T) is applied by the caller.
-    """
-    if not 0.0 <= incidence_angle < math.pi / 2:
-        raise ValueError("incidence angle must be in [0, pi/2)")
-    return transmission_from_cos(math.cos(incidence_angle),
-                                 complex_permittivity(material, frequency),
-                                 thickness)
 
 
 def transmission_from_cos(cos_i, eps, thickness) -> Transmission:

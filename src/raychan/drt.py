@@ -1,41 +1,42 @@
-"""Baseline dynamic ray tracing: geometry extrapolation with frozen structure.
+"""Dynamic ray tracing's geometry: path trajectories and direct fields.
 
-Within each prediction window the multipath structure found by the reference
-ray-tracing pass at its start is kept fixed; only the interaction points are
-moved.  A run follows the schedule it shares with E-DRT
-(runs.prediction_run): it traces its N + 1 reference passes first.  Then
-every path of every window's start pass is one row of one batched
-PathTrajectory, grouped inside by backbone shape (line of sight, one or two
-reflections, or one diffraction, each path with or without a penetration),
-and one call resolves every row at its own window's prediction instants, as
-arrays over (rows x times), one kernel per shape: the exact geometric
-construction is re-solved against the scene displaced to each query time,
-which is exact for the polynomial motion model.  A shape keeps only indices
-into the scene and moves the epoch arrays it gathers by the scene's one
-displacement rule (Scene.facet_displacement, scene.shifted_offsets), the
-rule scene_at applies for an RT pass, so a row is that pass's construction
-bit for bit.  WindowRows holds that trajectory with each row's window and
-signature rank, and assembles the predicted snapshots, for E-DRT as well.
+DRT keeps, within each prediction window, the multipath structure that the
+reference ray-tracing pass at its start found, and moves only the
+interaction points; E-DRT adds birth and death times and extrapolates the
+fields.  Both run as one predictor, edrt.EdrtRound, on the schedule they
+share (runs.prediction_run): a DRT round holds every path of each window's
+start pass as common and has no lifetimes.  This module holds the two
+kernels of that predictor that DRT also needs.
+
+PathTrajectory resolves a batch of paths at many instants: its rows are
+grouped by backbone shape (line of sight, one or two reflections, or one
+diffraction, each path with or without a penetration), and one call
+resolves every row at its own instants, as arrays over (rows x times), one
+kernel per shape: the exact geometric construction is re-solved against
+the scene displaced to each query time, which is exact for the polynomial
+motion model.  A shape keeps only indices into the scene and moves the
+epoch arrays it gathers by the scene's one displacement rule
+(Scene.facet_displacement, scene.shifted_offsets), the rule scene_at
+applies for an RT pass, so a row is that pass's construction bit for bit.
 The constructions are the RT pass's own kernels: rt.reflection_chains (the
 image cascade), rt.fermat_points (the diffraction point) and
 rt.slab_crossings (the penetrations), and a row's PathGeometry is a slice
-of the arrays (PathTrajectory.path_geometry).  Fields are then computed
-directly, for every (row, instant) of the run as one batch: every
-diffraction's UTD pair in one array call (as E-DRT's extrapolation does),
-then one rt.make_path call on the rows' arrays, which records no chain
-walk for the predicted paths (nothing extrapolates from them).  A reflection
-point is allowed to slide off its facet and a stale line-of-sight path is
-kept when it becomes blocked: those are the documented error modes of the
-approach, resolved only by the next reference pass.
-E-DRT reuses the same kernel for its lifetime scans, the root finding of
-its event times (on signed margins, PathTrajectory.existence_scan) and its
-predictions.
+of the arrays (PathTrajectory.path_geometry).  The same kernel gives
+E-DRT's lifetime scans and the root finding of its event times (on signed
+margins, PathTrajectory.existence_scan).
+
+direct_paths computes the fields of a batch of resolved rows directly:
+every diffraction's UTD pair in one array call, then one rt.make_path call,
+which records no chain walk (nothing extrapolates from a predicted path).
+It is DRT's field stage, for every (row, instant) of a run, and E-DRT's
+direct fallback.  A reflection point is allowed to slide off its facet and
+a stale line-of-sight path is kept when it becomes blocked: those are the
+documented error modes of DRT, resolved only by the next reference pass.
 """
 
 from __future__ import annotations
 
 import copy
-import logging
 from typing import NamedTuple
 
 import numpy as np
@@ -46,7 +47,6 @@ from .rt import (
     Path,
     PathGeometry,
     PathRows,
-    Snapshot,
     _bounces,
     _take_rows,
     diffraction_coefficients,
@@ -55,15 +55,11 @@ from .rt import (
     occlusion_profiles_batch,
     reflection_chains,
     segment_exclusions,
-    signature_sort_key,
     signed_margin,
     slab_crossings,
     slots_of,
 )
-from .runs import PredictionConfig, RunResult, StageTimer, prediction_run
 from .scene import Scene, SceneAtTime
-
-log = logging.getLogger(__name__)
 
 
 def shape_of(signature) -> tuple:
@@ -420,101 +416,24 @@ class PathTrajectory:
         return np.where(np.reshape(include_occlusion, (-1, 1)), full, geo)
 
 
-class WindowRows:
-    """A run-level PathTrajectory, traj, with one row per (window, path),
-    and the predicted snapshots its rows fill.
+def direct_paths(scene: Scene, rows: PathRows) -> list:
+    """Paths of rows with directly computed fields, or None where a row is
+    dropped: DRT's field stage, and E-DRT's direct fallbacks.
 
-    window gives each row's window and rank its place in the signature
-    order of all rows: a predicted snapshot holds one window's paths, whose
-    signatures differ, in that order.  drt_run has a row per path of each
-    window's start pass, edrt_run one per common, dying and born path of
-    each window.
+    The diffraction rows, found from their signatures, get their UTD pairs
+    in one array call (diffraction_coefficients); then one make_path call
+    takes every row.  A pair is None where the ray runs along its edge, so
+    that the chain walk raises and the row is dropped.
     """
-
-    def __init__(self, members, scene: Scene):
-        """members: (window, path) pairs."""
-        self.traj = PathTrajectory([p for _w, p in members], scene)
-        self.window = np.array([w for w, _p in members], dtype=int)
-        paths = self.traj.paths
-        order = sorted(range(len(paths)), key=lambda k: signature_sort_key(paths[k].signature))
-        self.rank = [0] * len(order)
-        for position, k in enumerate(order):
-            self.rank[k] = position
-
-    def snapshots(self, times: np.ndarray, placed) -> list[Snapshot]:
-        """The snapshots at times (W, T), window by window, in time order.
-        placed holds (row, instant index, Path) for every predicted path."""
-        n_times, window = times.shape[1], self.window.tolist()
-        slots: list[list[tuple]] = [[] for _ in range(times.size)]
-        for k, i, path in placed:
-            slots[window[k] * n_times + i].append((self.rank[k], path))
-        return [Snapshot(time=t, paths=[path for _rank, path in sorted(slot)])
-                for t, slot in zip(times.ravel().tolist(), slots)]
-
-
-def _advance(members, scene: Scene, times, timer: StageTimer) -> list[Snapshot]:
-    """Snapshots of the (window, path) members re-solved at their windows'
-    instants, times (W, T), window by window.
-
-    One WindowRows trajectory holds every member, and one geometry_at call
-    resolves each row at times[window].  Paths whose geometric construction
-    fails outright are dropped, counted (dropped_paths) and logged; fields
-    are recomputed directly from the advanced geometry as one batch: the
-    UTD pairs in one array call, then one make_path call for every
-    (row, instant) of the run, which drops and counts the rows off their
-    geometry as well.
-    """
-    times = np.asarray(times, float)
-    with timer.geometry():
-        rows = WindowRows(members, scene)
-        resolved = rows.traj.geometry_at(times[rows.window])
-        dropped = sum(int(np.count_nonzero(g.failed)) for g in resolved)
-        parts, subs = [], []
-        for g in resolved:
-            ip, it = np.nonzero(~g.failed)
-            sub = g.rows(ip, it)
-            subs.append((sub, ip, it))
-            parts.append(PathRows(
-                [rows.traj.paths[k].signature for k in sub.index.tolist()],
-                times[rows.window[sub.index], it], np.full(ip.size, g.vertices.shape[2]),
-                sub.vertices, sub.pen_points, sub.seg_lengths, sub.total_length))
-        batch = PathRows.concatenate(parts)
-    with timer.field():
-        # also None where a ray runs along its edge: the chain walk raises
-        utd = [None] * len(batch.signatures)
-        start = 0
-        for s, (sub, ip, _it) in zip(rows.traj.shapes, subs):
-            if s.diffraction:
-                (d_soft, d_hard), along = diffraction_coefficients(
-                    scene, s.edge[ip], sub.vertices, sub.seg_lengths[:, 0],
-                    sub.total_length)
-                utd[start:start + along.size] = [
-                    None if a else pair
-                    for pair, a in zip(zip(d_soft.tolist(), d_hard.tolist()), along.tolist())]
-            start += sub.total_length.size
-        paths = make_path(scene, batch, utd)
-    placed = [(k, i, path) for k, i, path in zip(
-        np.concatenate([sub.index for sub, _ip, _it in subs] + [[]]).astype(int).tolist(),
-        np.concatenate([it for _sub, _ip, it in subs] + [[]]).astype(int).tolist(), paths)
-        if path is not None]
-    dropped += len(paths) - len(placed)
-    timer.count("dropped_paths", dropped)
-    if dropped:
-        log.warning("drt: dropped %d geometrically impossible path instance(s) in "
-                    "[%.3f, %.3f]", dropped, times.min(), times.max())
-    return rows.snapshots(times, placed)
-
-
-def drt_run(scene: Scene, config: PredictionConfig,
-            timer: StageTimer | None = None) -> RunResult:
-    """Frozen-structure predictions between reference passes.
-
-    runs.prediction_run traces the N + 1 passes first.  Then every path of
-    every window's start pass is one row of one PathTrajectory, advanced
-    over its window's instants by one _advance call for the whole run.
-    """
-    def predict(references, times, timer):
-        members = [(w, p) for w, ref in enumerate(references[:-1]) for p in ref.paths]
-        return _advance(members, scene, times, timer), []
-
-    return prediction_run("drt", scene, config, predict, timer)
+    backbones = [slots_of(sig).backbone for sig in rows.signatures]
+    at = [r for r, b in enumerate(backbones) if b and b[0][0] is Mechanism.DIFFRACTION]
+    utd = None
+    if at:
+        edges = np.array([scene.edge_index[backbones[r][0][1]] for r in at], dtype=int)
+        (d_soft, d_hard), along = diffraction_coefficients(
+            scene, edges, rows.vertices[at, :3], rows.seg_lengths[at, 0],
+            rows.total_length[at])
+        utd = [None] * len(backbones)
+        for r, pair, a in zip(at, zip(d_soft.tolist(), d_hard.tolist()), along.tolist()):
+            utd[r] = None if a else pair
+    return make_path(scene, rows, utd)

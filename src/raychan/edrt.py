@@ -1,4 +1,4 @@
-"""Enhanced dynamic ray tracing: bidirectional geometry and field extrapolation.
+"""Enhanced dynamic ray tracing, and the one predictor that DRT shares with it.
 
 Each prediction window is bracketed by two full ray-tracing snapshots.  Paths
 present in both are extrapolated across the whole window; paths present in
@@ -14,32 +14,38 @@ reference time and the prediction time, forward from the window start for
 surviving paths and backward from the window end for newborn ones.
 
 A run is solved at run level, on the schedule it shares with DRT
-(runs.prediction_run).  It traces its N + 1 reference passes first, matches
-each window's bracketing pair, and then treats every path of every window as
-one row of a drt.PathTrajectory, grouped inside by backbone shape, each row
-queried over its own window's times.  One construction-and-crossing
-kernel resolves them over (paths x times): the lifetime scans of every dying
-and born path of the run (one existence_scan per 100-sample chunk, on
-masks), the refinement of the brackets they find to the roots of their
-margins (one validity_scan per root-finder call, three samples per pending
-path) and the predictions (one geometry_at for all instants of all windows,
-then one crossing call for their occlusion and penetration profiles).  Each
-crossing call is the crossing profile of an RT pass
-(rt.occlusion_profiles_batch), reduced
+(runs.prediction_run), by one predictor, EdrtRound.  It traces its N + 1
+reference passes first, matches each window's bracketing pair, and then
+treats every path of every window as one row of a drt.PathTrajectory,
+grouped inside by backbone shape, each row queried over its own window's
+times.  One construction-and-crossing kernel resolves them over (paths x
+times): the lifetime scans of every dying and born path of the run (one
+existence_scan per 100-sample chunk, on masks), the refinement of the
+brackets they find to the roots of their margins (one validity_scan per
+root-finder call, three samples per pending path) and the predictions (one
+geometry_at for all instants of all windows, then one crossing call for
+their occlusion and penetration profiles).  Each crossing call is the
+crossing profile of an RT pass (rt.occlusion_profiles_batch), reduced
 against the penetrations that each signature declares: a path is present
 only while it crosses exactly those slabs and no opaque facet, as an RT
-pass would find it.  Field extrapolation reads its
-geometry from the same arrays and computes each mechanism's coefficients in
-one pass over arrays; for diffractions it runs the ray tracer's formulas
-on arrays instead of floats: the wedge angles and the UTD pair by
-rt.diffraction_coefficients, as DRT does, and rt.spreading_factor.  The
-reference paths' chain walks are gathered into arrays once
-(ReferenceFields) and indexed per row, the static data by facet or edge
-index.  Path objects are built only for the output snapshots, their
-interactions by rt.interactions_of, the rule of RT and DRT paths; the
-direct field fallbacks of a run go through one rt.make_path call on the
-rows' own instants.  A single window, or a single path's birth or death,
-is a batch of one.
+pass would find it.  Field extrapolation reads its geometry from the same
+arrays and computes each mechanism's coefficients in one pass over arrays;
+for diffractions it runs the ray tracer's formulas on arrays instead of
+floats: the wedge angles and the UTD pair by rt.diffraction_coefficients
+and rt.spreading_factor.  The reference paths' chain walks are gathered
+into arrays once (ReferenceFields) and indexed per row, the static data by
+facet or edge index.  Path objects are built only for the output
+snapshots, their interactions by rt.interactions_of, the rule of RT
+paths; the direct field fallbacks of a run go through one
+drt.direct_paths call on the rows' own instants.  A single window, or a
+single path's birth or death, is a batch of one.
+
+DRT is the same predictor with both of E-DRT's additions taken away
+(drt_run): a round without lifetimes, whose windows hold every path of
+their start pass as common and present throughout.  Its predictions make
+no crossing call and build no interaction lists before the field stage;
+every field is computed directly, in one drt.direct_paths call for the
+whole run.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import fresnel_from_cos, transmission_from_cos
-from .drt import PathTrajectory, TrajectoryGeometry, WindowRows
+from .drt import PathTrajectory, TrajectoryGeometry, direct_paths
 from .geometry import dot3
 from .rt import (
     GRAZING_COS,
@@ -63,8 +69,8 @@ from .rt import (
     Snapshot,
     diffraction_coefficients,
     interactions_of,
-    make_path,
     powers_dbm,
+    signature_sort_key,
     signature_str,
     slots_of,
     spreading_factor,
@@ -508,52 +514,75 @@ _PRODUCT_ORDER = (Mechanism.REFLECTION, Mechanism.PENETRATION, Mechanism.DIFFRAC
 # ---------------------------------------------------------------------------
 
 class EdrtRound:
-    """Matching, lifetimes and per-instant prediction for one or more
-    consecutive windows.
+    """The one predictor of DRT and E-DRT: membership, lifetimes and
+    per-instant prediction for one or more consecutive windows.
 
     windows holds each window's MatchedPaths and lifetimes its
     solve_lifetimes result.  Every path of every window is one row of
-    rows (a drt.WindowRows, built when not given), window by window, so
-    that a path born in one window and dying in the next has a row in each;
-    traj is rows' trajectory.  A row's field reference is its RT pass's
-    Path, with the chain walk that pass recorded, and lo and hi bound the
-    instants [lo, hi) at which it is present.
+    traj (a drt.PathTrajectory, built when not given), window by window, so
+    that a path born in one window and dying in the next has a row in each.
+    window gives each row's window and rank its place in the signature
+    order of all rows: a predicted snapshot holds one window's paths, whose
+    signatures differ, in that order.  A row's field reference is its RT
+    pass's Path, with the chain walk that pass recorded, and lo and hi bound
+    the instants [lo, hi) at which it is present.
+
+    A round without lifetimes is DRT's (drt_run): its windows hold every
+    path of their start pass as common, present throughout, and its fields
+    are computed directly.  With lifetimes it is E-DRT's (edrt_run,
+    from_snapshots).
     """
 
-    def __init__(self, scene: Scene, windows: list[MatchedPaths], lifetimes: list[dict],
-                 timer: StageTimer | None = None, rows: WindowRows | None = None):
+    def __init__(self, scene: Scene, windows: list[MatchedPaths], lifetimes: list[dict] | None,
+                 timer: StageTimer | None = None, traj: PathTrajectory | None = None):
         self.scene = scene
         self.timer = timer or StageTimer()
         self.windows = windows
         self.lifetimes = lifetimes
         self.members = _members(windows)
         with self.timer.geometry():
-            self.rows = rows if rows is not None else WindowRows(
-                [(w, p) for w, p, _kind in self.members], scene)
-            self.traj = self.rows.traj
-            spans = [(lifetimes[w][p.signature], kind) for w, p, kind in self.members]
-            self.slots = [slots_of(p.signature) for p in self.traj.paths]
-            self.lo = np.array([lt.birth_time if kind == "born" else -math.inf
-                                for lt, kind in spans])
-            self.hi = np.array([lt.death_time if kind == "dying" else math.inf
-                                for lt, kind in spans])
+            self.traj = traj if traj is not None else PathTrajectory(
+                [p for _w, p, _kind in self.members], scene)
+            self.window = np.array([w for w, _p, _kind in self.members], dtype=int)
+            paths = self.traj.paths
+            self.rank = np.argsort(sorted(range(len(paths)), key=lambda k: signature_sort_key(
+                paths[k].signature))).tolist()
+            self.slots = [slots_of(p.signature) for p in paths]
+            # only dying and born paths, which a round without lifetimes has
+            # none of, have a lifetime inside their window
+            self.lo = np.array([lifetimes[w][p.signature].birth_time if kind == "born"
+                                else -math.inf for w, p, kind in self.members], float)
+            self.hi = np.array([lifetimes[w][p.signature].death_time if kind == "dying"
+                                else math.inf for w, p, kind in self.members], float)
         self.fallbacks = 0
         self.dropped = 0
 
     @classmethod
     def from_snapshots(cls, scene: Scene, references: list[Snapshot], dt: float,
                        timer: StageTimer | None = None) -> "EdrtRound":
-        """The windows between consecutive reference snapshots: one
+        """E-DRT's windows between consecutive reference snapshots: one
         match_paths call per window, then one solve_lifetimes call for all."""
         timer = timer or StageTimer()
         with timer.geometry():
             windows = [match_paths(a, b) for a, b in zip(references, references[1:])]
-            rows = WindowRows([(w, p) for w, p, _kind in _members(windows)], scene)
-            lifetimes = solve_lifetimes(windows, scene, dt, timer, rows.traj)
-        return cls(scene, windows, lifetimes, timer, rows)
+            traj = PathTrajectory([p for _w, p, _kind in _members(windows)], scene)
+            lifetimes = solve_lifetimes(windows, scene, dt, timer, traj)
+        return cls(scene, windows, lifetimes, timer, traj)
+
+    @classmethod
+    def from_start_passes(cls, scene: Scene, references: list[Snapshot],
+                          timer: StageTimer | None = None) -> "EdrtRound":
+        """DRT's windows between consecutive reference snapshots: every path
+        of each window's start pass is common, and there are no lifetimes."""
+        windows = [MatchedPaths([(p, p) for p in a.paths], [], [], a.time, b.time)
+                   for a, b in zip(references, references[1:])]
+        return cls(scene, windows, None, timer)
 
     def lifetime_records(self) -> list[LifetimeRecord]:
-        """One record per row, window by window: common, dying, born."""
+        """One record per row, window by window: common, dying, born; none
+        without lifetimes."""
+        if self.lifetimes is None:
+            return []
         out = []
         for w, path, kind in self.members:
             lt = self.lifetimes[w][path.signature]
@@ -566,71 +595,140 @@ class EdrtRound:
         or (T,) for a single window; window by window, in time order.
 
         Each path is queried at its own window's instants, so one
-        geometry_at call resolves every path of every window and one
-        crossing call gives their occlusion and penetration profiles: a
-        transient blockage within a window suppresses a path for that
-        snapshot only, its lifetime is not affected.  The field
-        extrapolation of every included (path, instant) row then runs on the
-        arrays in one extrapolate_fields call, and the rows it leaves to a
-        direct field in one make_path call.
+        geometry_at call resolves every path of every window; a row whose
+        construction fails is dropped and counted.  Without lifetimes every
+        row left then gets its field directly, in one drt.direct_paths
+        call.  With lifetimes one crossing call gives their occlusion and
+        penetration profiles: a transient blockage within a window
+        suppresses a path for that snapshot only, its lifetime is not
+        affected.  The field extrapolation of every included (path,
+        instant) row then runs on the arrays in one extrapolate_fields
+        call, and the rows it leaves to a direct field go to one
+        direct_paths call.
         """
         times = np.reshape(np.asarray(times, float), (len(self.windows), -1))
-        t_rows = times[self.rows.window]
-        batches = []  # (geometry, path rows, time rows, their rows of g, interactions)
+        t_rows = times[self.window]
+        extrapolate = self.lifetimes is not None
+        batches = []  # (geometry, path rows, time rows): one shape each
+        direct = None
         with self.timer.geometry():
             present = (t_rows >= self.lo[:, None]) & (t_rows < self.hi[:, None])
             resolved = self.traj.geometry_at(t_rows)
-            rows = [present[g.index] & ~g.failed for g in resolved]
+            masks = [present[g.index] & ~g.failed for g in resolved]
             self.dropped += sum(int(np.count_nonzero(present[g.index] & g.failed))
                                 for g in resolved)
-            clear, declared = self.traj.crossings(
-                t_rows, [list(np.moveaxis(g.vertices, 2, 0)) for g in resolved], rows)
-            for g, mask in zip(resolved, rows):
+            if extrapolate:
+                clear, declared = self.traj.crossings(
+                    t_rows, [list(np.moveaxis(g.vertices, 2, 0)) for g in resolved], masks)
+            for g, mask in zip(resolved, masks):
+                if not extrapolate:
+                    batches.append((g, *np.nonzero(mask)))
+                    continue
+                # extrapolate_fields takes batches of one number of penetrations
                 ip, it = np.nonzero(mask & clear[g.index] & declared[g.index])
                 n_pen = np.count_nonzero(g.pen_segments >= 0, axis=1).take(ip)
                 for count in set(n_pen.tolist()):
                     same = n_pen == count
-                    sub = g.rows(ip[same], it[same])
-                    batches.append((g, ip[same].tolist(), it[same].tolist(), sub,
-                                    self._interactions(sub)))
+                    batches.append((g, ip[same], it[same]))
+            if extrapolate:
+                subs = [g.rows(ip, it) for g, ip, it in batches]
+                interactions = [self._interactions(sub) for sub in subs]
+            else:
+                direct = self._path_rows(t_rows, batches)
         with self.timer.field():
-            index = np.concatenate([sub.index for _g, _ip, _it, sub, _i in batches]
-                                   + [[]]).astype(int)
-            results = extrapolate_fields(index, [sub for _g, _ip, _it, sub, _i in batches],
-                                         ReferenceFields(self.traj.paths, self.scene))
-            signatures = [path.signature for path in self.traj.paths]
-            delays = np.concatenate([sub.total_length for _g, _ip, _it, sub, _i in batches]
-                                    + [[]]) / C_LIGHT
-            placed = [(k, i, Path(signatures[k], inter, delay, *result))
-                      for k, i, delay, inter, result in zip(
-                          index.tolist(), (i for _g, _ip, it, _s, _i in batches for i in it),
-                          delays.tolist(),
-                          (x for _g, _ip, _it, _s, inters in batches for x in inters), results)
-                      if result is not None]
-            direct = []
-            if None in results:
-                start = 0
-                for g, ip, it, sub, _i in batches:
-                    batch = results[start:start + len(ip)]
-                    start += len(ip)
-                    direct += [(k, i, self.traj.path_geometry(g, p, i))
-                               for k, p, i, result in zip(sub.index.tolist(), ip, it, batch)
-                               if result is None]
-            if direct:
-                # the direct field fallbacks, in one make_path call
-                self.fallbacks += len(direct)
-                paths = make_path(self.scene, PathRows.of(
-                    [geometry for _k, _i, geometry in direct],
-                    [times[self.rows.window[k], i] for k, i, _g in direct]))
+            placed = []
+            if extrapolate:
+                placed, fallbacks = self._extrapolate(batches, subs, interactions)
+                if fallbacks:
+                    self.fallbacks += sum(ip.size for _g, ip, _it in fallbacks)
+                    direct = self._path_rows(t_rows, fallbacks)
+            if direct is not None:
+                rows, at = direct
+                paths = direct_paths(self.scene, rows)
                 self.dropped += sum(path is None for path in paths)
-                placed += [(k, i, path) for (k, i, _g), path in zip(direct, paths)
-                           if path is not None]
-        return self.rows.snapshots(times, placed)
+                placed += [(k, i, path) for (k, i), path in zip(at, paths) if path is not None]
+        return self._snapshots(times, placed)
+
+    def _extrapolate(self, batches, subs, interactions) -> tuple[list, list]:
+        """(placed, fallbacks): the Paths of the rows subs of batches whose
+        fields extrapolate, as (row, instant index, Path), and the batches'
+        rows left to a direct field, as (geometry, path rows, time rows)."""
+        index = np.concatenate([sub.index for sub in subs] + [[]]).astype(int)
+        results = extrapolate_fields(index, subs, ReferenceFields(self.traj.paths, self.scene))
+        signatures = [path.signature for path in self.traj.paths]
+        delays = np.concatenate([sub.total_length for sub in subs] + [[]]) / C_LIGHT
+        placed = [(k, i, Path(signatures[k], inter, delay, *result))
+                  for k, i, delay, inter, result in zip(
+                      index.tolist(), (i for _g, _ip, it in batches for i in it.tolist()),
+                      delays.tolist(), (x for inters in interactions for x in inters), results)
+                  if result is not None]
+        fallbacks = []
+        if None in results:
+            start = 0
+            for g, ip, it in batches:
+                none = [j for j, result in enumerate(results[start:start + ip.size])
+                        if result is None]
+                start += ip.size
+                if none:
+                    fallbacks.append((g, ip[none], it[none]))
+        return placed, fallbacks
+
+    def _path_rows(self, t_rows: np.ndarray, batches) -> tuple[PathRows, list]:
+        """The rows (ip, it) of each resolved geometry g of batches, (g, ip,
+        it), as one PathRows batch at their instants, and each row's (row of
+        traj, instant index)."""
+        parts, at = [], []
+        for g, ip, it in batches:
+            sub = g.rows(ip, it)
+            k = sub.index.tolist()
+            parts.append(PathRows([self.traj.paths[j].signature for j in k],
+                                  t_rows[sub.index, it], np.full(ip.size, g.vertices.shape[2]),
+                                  sub.vertices, sub.pen_points, sub.seg_lengths,
+                                  sub.total_length))
+            at += zip(k, it.tolist())
+        return PathRows.concatenate(parts), at
 
     def _interactions(self, rows: TrajectoryGeometry) -> list[list[Interaction]]:
         """The interactions of each row of rows, in signature order."""
         return [interactions_of(self.slots[k], verts, pens)
                 for k, verts, pens in zip(rows.index.tolist(), rows.vertices, rows.pen_points)]
+
+    def _snapshots(self, times: np.ndarray, placed) -> list[Snapshot]:
+        """The snapshots at times (W, T), window by window, in time order.
+        placed holds (row, instant index, Path) for every predicted path."""
+        n_times, window = times.shape[1], self.window.tolist()
+        slots: list[list[tuple]] = [[] for _ in range(times.size)]
+        for k, i, path in placed:
+            slots[window[k] * n_times + i].append((self.rank[k], path))
+        return [Snapshot(time=t, paths=[path for _rank, path in sorted(slot)])
+                for t, slot in zip(times.ravel().tolist(), slots)]
+
+    def predict_run(self, times) -> tuple[list[Snapshot], list[LifetimeRecord]]:
+        """predict_batch over a run's windows, with the run's counters (in
+        timer) and lifetime records."""
+        snapshots = self.predict_batch(times)
+        if self.dropped:
+            log.warning("%s run: dropped %d path instance(s)",
+                        "drt" if self.lifetimes is None else "edrt", self.dropped)
+        self.timer.count("dropped_paths", self.dropped)
+        if self.lifetimes is not None:
+            self.timer.count("direct_fallbacks", self.fallbacks)
+            self.timer.count("lifetime_fallbacks", sum(lt.fallback for window in self.lifetimes
+                                                       for lt in window.values()))
+        return snapshots, self.lifetime_records()
+
+
+def drt_run(scene: Scene, config: PredictionConfig,
+            timer: StageTimer | None = None) -> RunResult:
+    """Frozen-structure predictions between reference passes.
+
+    runs.prediction_run traces the N + 1 passes first.  Then every path of
+    every window's start pass is one row of one EdrtRound without lifetimes
+    (from_start_passes), resolved at its window's instants and given a
+    direct field by one predict_batch call for the whole run.
+    """
+    return prediction_run("drt", scene, config, lambda references, timer:
+                          EdrtRound.from_start_passes(scene, references, timer), timer)
 
 
 def edrt_run(scene: Scene, config: PredictionConfig,
@@ -643,15 +741,5 @@ def edrt_run(scene: Scene, config: PredictionConfig,
     (EdrtRound.from_snapshots): one match_paths call per window, one
     solve_lifetimes call and one predict_batch call for all.
     """
-    def predict(references, times, timer):
-        rnd = EdrtRound.from_snapshots(scene, references, config.dt, timer)
-        snapshots = rnd.predict_batch(times)
-        if rnd.dropped:
-            log.warning("edrt run: dropped %d path instance(s)", rnd.dropped)
-        timer.count("dropped_paths", rnd.dropped)
-        timer.count("direct_fallbacks", rnd.fallbacks)
-        timer.count("lifetime_fallbacks", sum(lt.fallback for window in rnd.lifetimes
-                                              for lt in window.values()))
-        return snapshots, rnd.lifetime_records()
-
-    return prediction_run("edrt", scene, config, predict, timer)
+    return prediction_run("edrt", scene, config, lambda references, timer:
+                          EdrtRound.from_snapshots(scene, references, config.dt, timer), timer)

@@ -107,21 +107,6 @@ def _epsilons(rows: list[PositionError]) -> tuple[float, float]:
     return eps_g, float(np.mean(per_pos)) if per_pos else 0.0
 
 
-def geometry_error(reference, predicted) -> float:
-    """Mean fraction of reference paths missed at each predicted position.
-
-    A path counts as successfully predicted only when its full interaction
-    signature matches a reference path exactly.  Positions with no reference
-    paths are excluded from the mean.
-    """
-    return _epsilons(_position_errors(reference, predicted)[0])[0]
-
-
-def field_error(reference, predicted) -> float:
-    """Mean relative field-magnitude error over successfully matched paths."""
-    return _epsilons(_position_errors(reference, predicted)[0])[1]
-
-
 def _power_histogram(snapshots: list[Snapshot], keys: set[int]):
     """(position,time-delay-bin) -> linear power in watts."""
     hist: dict[tuple[int, int], float] = {}

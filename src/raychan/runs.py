@@ -5,7 +5,7 @@ set of grid times at which a full ray-tracing pass (rather than a prediction)
 produced the snapshot, stage timing, and bookkeeping counters.
 
 DRT and E-DRT share one schedule of reference passes and predicted instants
-(prediction_run).
+(prediction_run), and one predictor on it (edrt.EdrtRound).
 """
 
 from __future__ import annotations
@@ -125,16 +125,17 @@ def oracle_run(scene: Scene, dt: float, duration: float) -> RunResult:
     return run
 
 
-def prediction_run(mode: str, scene: Scene, config: PredictionConfig, predict,
+def prediction_run(mode: str, scene: Scene, config: PredictionConfig, make_round,
                    timer: StageTimer | None = None) -> RunResult:
     """The schedule of drt_run and edrt_run.
 
     Traces the N + 1 reference passes at n*t_c first.  Then
-    predict(references, times, timer) gets them with the (W, T) grid of
-    predicted instants, times[w][j] = w*t_c + (j + 1)*dt, and returns the
-    snapshots at those instants, window by window, and the run's lifetime
-    records; it counts its own events in timer.  The snapshots interleave
-    with the passes into the closed grid [0, N*t_c].
+    make_round(references, timer) gives the run's predictor (an
+    edrt.EdrtRound), whose predict_run gets the (W, T) grid of predicted
+    instants, times[w][j] = w*t_c + (j + 1)*dt, and returns the snapshots
+    at those instants, window by window, and the run's lifetime records; it
+    counts its own events in timer.  The snapshots interleave with the
+    passes into the closed grid [0, N*t_c].
     """
     timer = timer or StageTimer()
     steps = config.steps_per_round - 1
@@ -143,7 +144,7 @@ def prediction_run(mode: str, scene: Scene, config: PredictionConfig, predict,
                       for n in range(config.rounds + 1)]
         times = [[ref.time + j * config.dt for j in range(1, steps + 1)]
                  for ref in references[:-1]]
-        predicted, lifetimes = predict(references, times, timer)
+        predicted, lifetimes = make_round(references, timer).predict_run(times)
         snapshots: list[Snapshot] = []
         for n, ref in enumerate(references[:-1]):
             snapshots.append(ref)

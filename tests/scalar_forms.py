@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from raychan.drt import TrajectoryGeometry, _advance
+from raychan.drt import TrajectoryGeometry
 from raychan.edrt import (
     EdrtRound,
     MatchedPaths,
@@ -48,9 +48,12 @@ def predict_snapshot_drt(reference: Snapshot, scene: Scene, t: float,
     No path is added or removed even when an interaction point leaves its
     facet; paths whose geometric construction fails outright are dropped,
     logged and counted in timer.  Fields are recomputed directly from the
-    advanced geometry.  A batch of one window and one instant (drt._advance).
+    advanced geometry.  A batch of one window and one instant (a DRT run's
+    edrt.EdrtRound, without lifetimes).
     """
-    return _advance([(0, p) for p in reference.paths], scene, [[t]], timer or StageTimer())[0]
+    window = MatchedPaths([(p, p) for p in reference.paths], [], [], reference.time, t)
+    [snapshot], _records = EdrtRound(scene, [window], None, timer).predict_run([t])
+    return snapshot
 
 
 def death_time(path: Path, scene: Scene, t_start: float, t_end: float,

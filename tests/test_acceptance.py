@@ -12,9 +12,8 @@ import numpy as np
 
 from raychan import (
     PathTrajectory,
-    field_error,
+    error_report,
     field_of_path,
-    geometry_error,
     scene_at,
     similarity_index,
     trace_snapshot,
@@ -72,8 +71,8 @@ class TestAcceptance:
 
     def test_c2_field_error_vs_oracle(self, oracle_default, drt_default,
                                       edrt_default):
-        eps_drt = field_error(oracle_default, drt_default)
-        eps_edrt = field_error(oracle_default, edrt_default)
+        eps_drt = error_report(oracle_default, drt_default).epsilon_e
+        eps_edrt = error_report(oracle_default, edrt_default).epsilon_e
         assert eps_drt < FIELD_ERROR_MAX
         assert eps_edrt < FIELD_ERROR_MAX
         _passed("C2", f"eps_E drt {eps_drt:.2e}, edrt {eps_edrt:.2e}")
@@ -88,8 +87,8 @@ class TestAcceptance:
             present = [sig in s.signature_set() for s in oracle_default.snapshots]
             events += sum(1 for a, b in zip(present, present[1:]) if a != b)
         assert events >= 5
-        eps_drt = geometry_error(oracle_default, drt_default)
-        eps_edrt = geometry_error(oracle_default, edrt_default)
+        eps_drt = error_report(oracle_default, drt_default).epsilon_g
+        eps_edrt = error_report(oracle_default, edrt_default).epsilon_g
         assert eps_edrt <= EDRT_GEOMETRY_ERROR_MAX
         assert eps_drt >= GEOMETRY_ERROR_RATIO_MIN * eps_edrt
         _passed("C3", f"{events} events, eps_G drt {eps_drt:.3f} "

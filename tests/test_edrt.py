@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import raychan.edrt as edrt
 from raychan import (
     Facet,
     MatchedPaths,
@@ -14,6 +15,7 @@ from raychan import (
     Scene,
     StageTimer,
     edrt_run,
+    error_report,
     field_of_path,
     match_paths,
     random_scene,
@@ -21,8 +23,10 @@ from raychan import (
     solve_lifetimes,
     trace_snapshot,
 )
+from raychan.cli import execute_run
 from raychan.edrt import EdrtRound
 from raychan.rt import Mechanism, Path, Snapshot
+from raychan.runs import time_key
 
 from scalar_forms import (
     birth_time,
@@ -566,3 +570,35 @@ class TestRunLevel:
         assert present == [False, False, True, True, True, True, False, False, False]
         assert run.counters["lifetime_fallbacks"] == 0
         _assert_run_is_window_by_window(scene, run, cfg)
+
+
+class TestDirectFields:
+    """E-DRT's geometry with direct fields: the accuracy that the paper
+    credits to the bidirectional geometry, measured without the field
+    extrapolation that it credits with the efficiency."""
+
+    def test_geometry_alone_gives_the_accuracy(self, default_scene, edrt_default,
+                                              oracle_default, monkeypatch):
+        monkeypatch.setattr(edrt, "extrapolate_fields",
+                            lambda refs, _batches, _references: [None] * len(refs))
+        run = execute_run(default_scene, "edrt", 1.0, 0.1, 6.0)
+        assert [s.signature_set() for s in run.snapshots] == \
+            [s.signature_set() for s in edrt_default.snapshots]
+        eps_g = error_report(oracle_default, run).epsilon_g
+        assert eps_g == error_report(oracle_default, edrt_default).epsilon_g
+        assert eps_g == pytest.approx(0.0111, abs=5e-5)
+        rt_keys = {time_key(t) for t in run.rt_times}
+        predicted = 0
+        for snap in run.snapshots:
+            if time_key(snap.time) in rt_keys:
+                continue
+            geom = scene_at(default_scene, snap.time)
+            for p in snap.paths:
+                want, _power = field_of_path(default_scene, geom, PathTrajectory(
+                    p, default_scene).geometry_at(snap.time))
+                assert np.max(np.abs(p.field - want)) <= 1e-12 * np.linalg.norm(want)
+                predicted += 1
+        assert predicted > 300
+        # every row of the run took the direct fallback, and none was dropped
+        assert run.counters["direct_fallbacks"] == predicted
+        assert run.counters["dropped_paths"] == edrt_default.counters["dropped_paths"] == 0

@@ -3,8 +3,6 @@ import pytest
 
 from raychan import (
     error_report,
-    field_error,
-    geometry_error,
     pdp_extract,
     similarity_index,
 )
@@ -30,23 +28,23 @@ class TestGeometryError:
         snaps = [Snapshot(0.1 * i, [_path("a"), _path("b")]) for i in range(4)]
         ref = _run(snaps)
         pred = _run(snaps)
-        assert geometry_error(ref, pred) == 0.0
+        assert error_report(ref, pred).epsilon_g == 0.0
 
     def test_direct_fraction(self):
         names = [f"f{i}" for i in range(10)]
         ref = _run([Snapshot(0.1, [_path(n) for n in names])])
         pred = _run([Snapshot(0.1, [_path(n) for n in names[:9]])])
-        assert geometry_error(ref, pred) == pytest.approx(0.1)
+        assert error_report(ref, pred).epsilon_g == pytest.approx(0.1)
 
     def test_zero_iff_every_signature_matched(self):
         ref = _run([Snapshot(0.1, [_path("a"), _path("b")]),
                     Snapshot(0.2, [_path("c")])])
         pred_full = _run([Snapshot(0.1, [_path("b"), _path("a"), _path("extra")]),
                           Snapshot(0.2, [_path("c")])])
-        assert geometry_error(ref, pred_full) == 0.0
+        assert error_report(ref, pred_full).epsilon_g == 0.0
         pred_miss = _run([Snapshot(0.1, [_path("a"), _path("b")]),
                           Snapshot(0.2, [_path("zz")])])
-        assert geometry_error(ref, pred_miss) > 0.0
+        assert error_report(ref, pred_miss).epsilon_g > 0.0
 
     def test_rt_positions_excluded(self):
         snaps = [Snapshot(0.0, [_path("a")]), Snapshot(0.1, [_path("a")])]
@@ -54,12 +52,12 @@ class TestGeometryError:
         pred = _run([Snapshot(0.0, []), Snapshot(0.1, [_path("a")])],
                     rt_times=[0.0])
         # the miss at t=0 sits on a reference-pass position: not counted
-        assert geometry_error(ref, pred) == 0.0
+        assert error_report(ref, pred).epsilon_g == 0.0
 
     def test_empty_reference_positions_skipped(self):
         ref = _run([Snapshot(0.1, []), Snapshot(0.2, [_path("a")])])
         pred = _run([Snapshot(0.1, []), Snapshot(0.2, [_path("a")])])
-        assert geometry_error(ref, pred) == 0.0
+        assert error_report(ref, pred).epsilon_g == 0.0
         rep = error_report(ref, pred)
         assert rep.skipped_positions == 1
 
@@ -67,24 +65,24 @@ class TestGeometryError:
 class TestFieldError:
     def test_identical_zero(self):
         snaps = [Snapshot(0.1, [_path("a", magnitude=2.0)])]
-        assert field_error(_run(snaps), _run(snaps)) == 0.0
+        assert error_report(_run(snaps), _run(snaps)).epsilon_e == 0.0
 
     def test_relative_error(self):
         ref = _run([Snapshot(0.1, [_path("a", magnitude=1.0)])])
         pred = _run([Snapshot(0.1, [_path("a", magnitude=0.99)])])
-        assert field_error(ref, pred) == pytest.approx(0.01, abs=1e-12)
+        assert error_report(ref, pred).epsilon_e == pytest.approx(0.01, abs=1e-12)
 
     def test_near_zero_reference_skipped(self):
         ref = _run([Snapshot(0.1, [_path("a", magnitude=FIELD_FLOOR / 10)])])
         pred = _run([Snapshot(0.1, [_path("a", magnitude=1.0)])])
-        assert field_error(ref, pred) == 0.0
+        assert error_report(ref, pred).epsilon_e == 0.0
         assert error_report(ref, pred).skipped_paths == 1
 
     def test_only_matched_paths_compared(self):
         ref = _run([Snapshot(0.1, [_path("a", magnitude=1.0),
                                    _path("b", magnitude=5.0)])])
         pred = _run([Snapshot(0.1, [_path("a", magnitude=1.1)])])
-        assert field_error(ref, pred) == pytest.approx(0.1, abs=1e-12)
+        assert error_report(ref, pred).epsilon_e == pytest.approx(0.1, abs=1e-12)
 
 
 class TestSimilarityIndex:
@@ -121,7 +119,7 @@ class TestSimilarityIndex:
         a = _run([Snapshot(0.1, [_path("a", 100, -60), _path("b", 150, -72)])])
         b = _run([Snapshot(0.1, [_path("b", 150, -72), _path("a", 100, -60)])])
         assert similarity_index(a, b) == pytest.approx(1.0)
-        assert geometry_error(a, b) == 0.0
+        assert error_report(a, b).epsilon_g == 0.0
 
     def test_zero_power_rejected(self):
         a = _run([Snapshot(0.1, [])])
