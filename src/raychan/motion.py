@@ -49,19 +49,26 @@ def position_at(m: MotionState, t) -> np.ndarray:
     """Evaluate the constant-acceleration position law at time t.
 
     t may be a scalar (returns shape (3,)) or an array (returns shape
-    t.shape + (3,)).
+    t.shape + (3,)).  An array is evaluated one coordinate at a time, so that
+    numpy loops over the times, with the scalar form's operations in its order.
     """
     dt = np.asarray(t, dtype=float) - m.t_ref
-    if dt.ndim:
-        dt = dt[..., None]
-    return m.r0 + m.v0 * dt + 0.5 * m.a0 * dt * dt
+    if not dt.ndim:
+        return m.r0 + m.v0 * dt + 0.5 * m.a0 * dt * dt
+    out = np.empty(dt.shape + (3,))
+    for c in range(3):
+        out[..., c] = m.r0[c] + m.v0[c] * dt + 0.5 * m.a0[c] * dt * dt
+    return out
 
 
 def velocity_at(m: MotionState, t) -> np.ndarray:
     dt = np.asarray(t, dtype=float) - m.t_ref
-    if dt.ndim:
-        dt = dt[..., None]
-    return m.v0 + m.a0 * dt
+    if not dt.ndim:
+        return m.v0 + m.a0 * dt
+    out = np.empty(dt.shape + (3,))
+    for c in range(3):
+        out[..., c] = m.v0[c] + m.a0[c] * dt
+    return out
 
 
 @dataclass(frozen=True)

@@ -191,12 +191,14 @@ def facet_crossings(facets: FacetArrays, a: np.ndarray, d: np.ndarray, track: np
 
     An axis-aligned box test first discards the pairs that cannot meet: each
     track's box, swept over its rows and padded by BOX_PAD, against each
-    facet's box, swept over the same rows' disp.  Every row of a track then
-    meets the facets that survived for it in the exact test, at most
-    CROSSING_CHUNK pairs at a time: a plane crossing strictly inside the
-    segment (SEG_PARAM_EPS from either end), then convex containment of the
-    crossing point.  A crossing point lies within rounding of both boxes, so
-    the broad phase never drops a pair that the exact test accepts.
+    facet's box, swept over the same rows' disp.  It runs one axis at a time
+    (box_overlap), so that numpy loops over the pairs, not over three
+    coordinates of each.  Every row of a track then meets the facets that
+    survived for it in the exact test, at most CROSSING_CHUNK pairs at a
+    time: a plane crossing strictly inside the segment (SEG_PARAM_EPS from
+    either end), then convex containment of the crossing point.  A crossing
+    point lies within rounding of both boxes, so the broad phase never drops
+    a pair that the exact test accepts.
 
     Returns (seg, facet, u, points) of the crossings in (seg, facet) order,
     u being the segment parameter of each crossing point.  With margins it
@@ -218,10 +220,10 @@ def facet_crossings(facets: FacetArrays, a: np.ndarray, d: np.ndarray, track: np
         near = slice(None)
     else:
         # drop the facets outside the box of all segments first
-        near = np.flatnonzero(np.all((f_lo <= tr_hi.max(axis=0))
-                                     & (f_hi >= tr_lo.min(axis=0)), axis=1))
+        near = np.flatnonzero(box_overlap(tr_lo.min(axis=0, keepdims=True),
+                                          tr_hi.max(axis=0, keepdims=True), f_lo, f_hi)[0])
         f_lo, f_hi = f_lo[near], f_hi[near]
-    overlap = np.all((tr_lo[:, None, :] <= f_hi) & (tr_hi[:, None, :] >= f_lo), axis=2)
+    overlap = box_overlap(tr_lo, tr_hi, f_lo, f_hi)
     if exclude is not None:
         overlap &= ~exclude[track[starts]][:, near]
     g, k = np.nonzero(overlap)
@@ -249,6 +251,16 @@ def facet_crossings(facets: FacetArrays, a: np.ndarray, d: np.ndarray, track: np
         return _exact_crossings(facets, a, d, g, fi, disp, margins)
     order = np.lexsort((parts[1], parts[0]))
     return tuple(part[order] for part in parts)
+
+
+def box_overlap(lo, hi, f_lo, f_hi):
+    """(G, F) mask of the boxes [lo, hi], (G, 3), that meet the boxes [f_lo, f_hi],
+    (F, 3) or (G, F, 3): np.all(..., axis=2) of the comparisons, one axis at a time."""
+    overlap = (lo[:, None, 0] <= f_hi[..., 0]) & (hi[:, None, 0] >= f_lo[..., 0])
+    for c in (1, 2):
+        overlap &= lo[:, None, c] <= f_hi[..., c]
+        overlap &= hi[:, None, c] >= f_lo[..., c]
+    return overlap
 
 
 def _exact_crossings(facets: FacetArrays, a, d, si, fi, disp, margins=False):
@@ -283,8 +295,9 @@ def _exact_crossings(facets: FacetArrays, a, d, si, fi, disp, margins=False):
         origins = origins + shift.take(keep, axis=0)[:, None, :]
     edge_d = np.einsum("kvc,kvc->kv", points[:, None, :] - origins,
                        facets.inward.take(fi, axis=0))
-    inside = np.flatnonzero(np.all((edge_d >= 0.0) | ~facets.valid.take(fi, axis=0),
-                                   axis=1))
+    # containment reduced over the vertex slots column by column, as box_overlap does
+    within = (edge_d >= 0.0) | ~facets.valid.take(fi, axis=0)
+    inside = np.flatnonzero(functools.reduce(np.logical_and, within.T))
     return si.take(inside), fi.take(inside), u.take(inside), points.take(inside, axis=0)
 
 

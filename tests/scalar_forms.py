@@ -24,6 +24,7 @@ from raychan.edrt import (
     solve_lifetimes,
 )
 from raychan.geometry import COPLANAR_TOL, cross3, dot3, sub3, unit3, vertical_pol
+from raychan.motion import Motion
 from raychan.rt import (
     ETA0,
     ON_GEOMETRY_TOL,
@@ -226,3 +227,19 @@ def snapshot_at(run: RunResult, t: float) -> Snapshot:
         if time_key(s.time) == key:
             return s
     raise KeyError(f"no snapshot at t={t}")
+
+
+def broadcast_motion_law(motion: Motion, t) -> tuple[np.ndarray, np.ndarray]:
+    """Position and velocity of motion at every time of t, t.shape + (3,),
+    by the form that motion.position_at and velocity_at replaced: each
+    segment's law on dt[..., None], broadcast against the three
+    coordinates, then the active segment's entry (segment 0 also before
+    its t_ref).  Kept as the reference of the per-coordinate form."""
+    t = np.asarray(t, dtype=float)
+    laws = []
+    for m in motion.segments:
+        dt = (t - m.t_ref)[..., None]
+        laws.append((m.r0 + m.v0 * dt + 0.5 * m.a0 * dt * dt, m.v0 + m.a0 * dt))
+    starts = [m.t_ref for m in motion.segments]
+    active = np.maximum(np.searchsorted(starts, t, side="right") - 1, 0)[None, ..., None]
+    return tuple(np.take_along_axis(np.stack(law), active, axis=0)[0] for law in zip(*laws))

@@ -28,17 +28,21 @@ from raychan import (
     scene_at,
     trace_snapshot,
 )
-from raychan.cli import main
+from raychan import rt
+from raychan.cli import execute_run, main
 from raychan.io import write_manifest_json
 from raychan.rt import (
     SIDE_EPS,
     ConstructionError,
+    box_overlap,
     build_geometry,
     fermat_points,
     slab_crossings,
     slots_of,
     solve_backbone,
 )
+
+from scalar_forms import broadcast_motion_law
 
 
 def _city():
@@ -242,6 +246,132 @@ def test_kernels_over_rows_equal_a_batch_of_one():
             assert np.array_equal(pen_points[p, t], one[0], equal_nan=True)
             assert np.array_equal(par[p, t], one[1], equal_nan=True)
             assert parallel[p, t] == one[2]
+
+
+def _same_bits(got, want) -> bool:
+    got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
+    return (got.shape == want.shape and got.dtype == want.dtype
+            and got.tobytes() == want.tobytes())
+
+
+@pytest.mark.parametrize("n_tracks", [0, 1, 40])
+@pytest.mark.parametrize("per_track", [False, True], ids=["static", "per-track"])
+def test_box_overlap_is_the_broadcast_mask(n_tracks, per_track):
+    """rt.box_overlap, built one axis at a time, is the np.all(..., axis=2)
+    mask of the broadcast comparisons, bit for bit, against (F, 3) and
+    per-track (G, F, 3) facet boxes: on an integer grid, where many boxes
+    touch exactly on a face, with +-inf entries, and with zero tracks."""
+    rng = np.random.default_rng(100 + n_tracks + per_track)
+    n_facets = 30
+    lo = rng.integers(-4, 4, (n_tracks, 3)).astype(float)
+    hi = lo + rng.integers(0, 3, lo.shape)
+    shape = (n_tracks, n_facets, 3) if per_track else (n_facets, 3)
+    f_lo = rng.integers(-4, 4, shape).astype(float)
+    f_hi = f_lo + rng.integers(0, 3, shape)
+    for box in (lo, hi, f_lo, f_hi):
+        flat = box.reshape(-1)
+        some = rng.random(flat.size) < 0.05
+        flat[some] = rng.choice([-np.inf, np.inf], np.count_nonzero(some))
+    if n_tracks:
+        own_lo, own_hi = (f_lo[0], f_hi[0]) if per_track else (f_lo, f_hi)
+        lo[0], hi[0] = (0.0, 0.0, 0.0), (1.0, 2.0, 1.0)
+        # facet 0 touches track 0's box on its +x face, facet 1 on its -z face
+        own_lo[0], own_hi[0] = (1.0, 0.0, 0.0), (2.0, 2.0, 1.0)
+        own_lo[1], own_hi[1] = (-1.0, -1.0, -np.inf), (2.0, 3.0, 0.0)
+    got = box_overlap(lo, hi, f_lo, f_hi)
+    want = np.all((lo[:, None, :] <= f_hi) & (hi[:, None, :] >= f_lo), axis=2)
+    assert _same_bits(got, want) and got.shape == (n_tracks, n_facets)
+    if n_tracks:
+        assert got[0, :2].all()
+    if n_tracks > 1:
+        assert 0 < np.count_nonzero(got) < got.size
+
+
+def _crossing_calls(scene, monkeypatch):
+    """Every facet_crossings call of one E-DRT window (t_c 1 s, dt 0.1 s):
+    the two RT passes, the lifetime scan's margins and the predictions'
+    profiles, the last two with disp where facets move."""
+    kernel, calls = rt.facet_crossings, []
+
+    def spy(facets, a, d, track, exclude=None, disp=None, margins=False):
+        calls.append((facets, a, d, track, exclude, disp, margins))
+        return kernel(facets, a, d, track, exclude, disp, margins)
+
+    monkeypatch.setattr(rt, "facet_crossings", spy)
+    execute_run(scene, "edrt", 1.0, 0.1, 1.0)
+    return kernel, calls
+
+
+@pytest.mark.parametrize("case", ["street", "city", 0, 3, 9, 25])
+def test_crossings_are_the_exact_test_on_every_pair(case, monkeypatch):
+    """facet_crossings returns what rt._exact_crossings returns on every
+    (row, facet) pair that the exclusions allow: the box test drops no
+    crossing and changes no bit.  In margins mode every pair with a margin
+    >= 0 comes back, and every pair that comes back has the exact test's
+    margin.  Rows of the larger calls are sampled, 600 at most per call."""
+    scene = {"street": generate_v2v_scenario(seed=0), "city": _city()}.get(case)
+    scene = scene or random_scene(case)
+    kernel, calls = _crossing_calls(scene, monkeypatch)
+    rng = np.random.default_rng(3)
+    crossed = dropped = 0
+    for facets, a, d, track, exclude, disp, margins in calls:
+        got = kernel(facets, a, d, track, exclude, disp, margins)
+        rows = np.arange(a.shape[0])
+        if rows.size > 600:
+            rows = np.sort(rng.choice(rows, 600, replace=False))
+        n_f = facets.lo.shape[0]
+        si, fi = np.repeat(rows, n_f), np.tile(np.arange(n_f), rows.size)
+        if exclude is not None:
+            allowed = ~exclude[track[si], fi]
+            si, fi = si[allowed], fi[allowed]
+        want = rt._exact_crossings(facets, a, d, si, fi, disp, margins)
+        got = [part[np.isin(got[0], rows)] for part in got]
+        if not margins:
+            assert all(_same_bits(x, y) for x, y in zip(got, want))
+            crossed += got[0].size
+            continue
+        keys, got_keys = want[0] * n_f + want[1], got[0] * n_f + got[1]
+        at = np.searchsorted(keys, got_keys)
+        assert np.array_equal(keys[at], got_keys)
+        assert _same_bits(got[2], want[2][at])
+        assert np.isin(keys[want[2] >= 0.0], got_keys).all()
+        dropped += keys.size - got_keys.size
+    assert crossed > 0
+    if isinstance(case, str):  # the box test drops most pairs of the larger scenes
+        assert dropped > 0
+    moving = any(not f.motion.is_static for f in scene.facets)
+    assert any(c[5] is not None for c in calls) == moving
+
+
+def _random_motion(rng, n_segments):
+    starts = np.cumsum(rng.uniform(0.2, 2.0, n_segments)) - 1.0
+    return Motion(tuple(MotionState(rng.normal(0.0, 20.0, 3), rng.normal(0.0, 8.0, 3),
+                                    rng.normal(0.0, 3.0, 3), t_ref)
+                        for t_ref in starts.tolist()))
+
+
+@pytest.mark.parametrize("n_segments", [1, 2, 3])
+@pytest.mark.parametrize("shape", [(), (7,), (40, 150), (3, 0)], ids=str)
+def test_position_law_per_coordinate(n_segments, shape):
+    """Motion.position, velocity and displacement on an array of times are
+    the broadcast form of the law (scalar_forms.broadcast_motion_law) and
+    the scalar evaluation at each entry, bit for bit: times before, inside
+    and after the segments, the segment starts among them."""
+    rng = np.random.default_rng(20 + n_segments)
+    motion = _random_motion(rng, n_segments)
+    starts = [m.t_ref for m in motion.segments]
+    t = rng.uniform(starts[0] - 3.0, starts[-1] + 3.0, shape)
+    t.reshape(-1)[:n_segments] = starts[:t.size]
+    position, velocity = broadcast_motion_law(motion, t)
+    origin = broadcast_motion_law(motion, 0.0)[0]
+    got = motion.position(t), motion.velocity(t), motion.displacement(t)
+    for x, y in zip(got, (position, velocity, position - origin)):
+        assert _same_bits(x, y)
+    for index in np.ndindex(*shape):
+        at = float(t[index])
+        assert _same_bits(got[0][index], motion.position(at))
+        assert _same_bits(got[1][index], motion.velocity(at))
+        assert _same_bits(got[2][index], motion.displacement(at))
 
 
 def test_random_scenes_move_facets():
